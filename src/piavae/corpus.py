@@ -9,13 +9,16 @@ External ids live in a sidecar ``idmap.tsv``.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ParseError, SpecError, SplitError
+from .errors import (CorruptFileError, EmptyDatasetError, ParseError, SpecError,
+                     SplitError)
 
 CSR_MAGIC = b"PIA1"
 
@@ -48,10 +51,13 @@ class InteractionMatrix:
             raise ValueError("indptr must be non-decreasing")
         if indices.size and (indices.min() < 0 or indices.max() >= self.n_items):
             raise ValueError("item index out of range")
-        for u in range(self.n_users):
-            row = indices[indptr[u]:indptr[u + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                raise ValueError(f"row {u} not strictly increasing")
+        # A step from one row's last index to the next row's first may fall.
+        falls = indices[1:] <= indices[:-1]
+        starts = indptr[1:-1]
+        falls[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+        if falls.any():
+            u = int(np.searchsorted(indptr, np.argmax(falls), side="right")) - 1
+            raise ValueError(f"row {u} not strictly increasing")
         if len(self.user_ids) != self.n_users or len(self.item_ids) != self.n_items:
             raise ValueError("id maps must cover every dense index")
 
@@ -68,9 +74,13 @@ class InteractionMatrix:
     def dense_rows(self, users: np.ndarray | list[int]) -> np.ndarray:
         """Dense 0/1 float64 matrix for the given user indices."""
         users = np.asarray(users, dtype=np.int64)
+        starts = self.indptr[users]
+        lengths = self.indptr[users + 1] - starts
+        # Position of every stored entry of the chosen rows, row by row.
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         out = np.zeros((users.size, self.n_items), dtype=np.float64)
-        for k, u in enumerate(users):
-            out[k, self.row(int(u))] = 1.0
+        out[np.repeat(np.arange(users.size), lengths),
+            self.indices[np.arange(lengths.sum()) + shift]] = 1.0
         return out
 
 
@@ -359,15 +369,39 @@ def write_csr(m: InteractionMatrix, path: str | Path) -> None:
         fh.write(m.indices.astype("<u8").tobytes())
 
 
+def read_array(fh, dtype: str, shape: tuple[int, ...], path, what: str) -> np.ndarray:
+    """Read the array `what` from a binary file straight into a new buffer,
+    or raise CorruptFileError at the byte where the file ends. The length
+    is checked against the file before anything is allocated, so a
+    corrupt header cannot ask for more memory than the file holds."""
+    size = np.dtype(dtype).itemsize * math.prod(shape)  # Python ints: no wrap
+    offset = fh.tell()
+    end = os.fstat(fh.fileno()).st_size
+    if size > end - offset:
+        raise CorruptFileError(
+            path, end, f"truncated: {what} needs {size} bytes from byte {offset}")
+    out = np.empty(shape, dtype=dtype)
+    fh.readinto(memoryview(out).cast("B"))
+    return out
+
+
+def check_end(fh, path) -> None:
+    """Raise CorruptFileError if bytes follow what the header describes."""
+    offset = fh.tell()
+    if fh.read(1):
+        raise CorruptFileError(path, offset, "data past the end its header gives")
+
+
 def read_csr(path: str | Path, user_ids: list[str] | None = None,
              item_ids: list[str] | None = None) -> InteractionMatrix:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CSR_MAGIC:
             raise ParseError(1, f"bad magic {magic!r} in {path}")
-        n_users, n_items, nnz = struct.unpack("<QQQ", fh.read(24))
-        indptr = np.frombuffer(fh.read(8 * (n_users + 1)), dtype="<u8")
-        indices = np.frombuffer(fh.read(8 * nnz), dtype="<u8")
+        n_users, n_items, nnz = map(int, read_array(fh, "<u8", (3,), path, "header"))
+        indptr = read_array(fh, "<u8", (n_users + 1,), path, "indptr")
+        indices = read_array(fh, "<u8", (nnz,), path, "indices")
+        check_end(fh, path)
     return InteractionMatrix(
         n_users=int(n_users),
         n_items=int(n_items),

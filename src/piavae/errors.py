@@ -25,6 +25,16 @@ class SpecError(PiaVaeError):
     """Synthetic dataset specification violates its own invariants."""
 
 
+class CorruptFileError(PiaVaeError):
+    """A binary file's length disagrees with its header; carries the file
+    and the byte offset where the disagreement shows."""
+
+    def __init__(self, path, offset: int, message: str):
+        super().__init__(f"{path}: {message} (byte {offset})")
+        self.path = str(path)
+        self.offset = offset
+
+
 class ShapeError(PiaVaeError):
     """Array arguments do not match the expected layout."""
 

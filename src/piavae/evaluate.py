@@ -1,4 +1,19 @@
-"""Ranking metrics over fold-in/holdout users and activity-stratified reports."""
+"""Ranking metrics over fold-in/holdout users and activity-stratified reports.
+
+Ranking rule: fold-in items are excluded (scored -inf), and the list is
+np.argsort(-scores, kind="stable"), so items with equal scores rank in
+ascending item index; this holds for all-tied rows, for -inf scores and
+for K above the number of candidates, where the tail is -inf items in
+index order. The metrics select the top max(K) of each row by partial
+selection, sort only that prefix, and read Recall@K and NDCG@K for every
+K from one hit vector.
+
+Scores come from model.score_matrix, which scores users in fixed-size
+batches. A batched row agrees with the one-row model.predict_scores to
+1e-12 on every finite entry, with the same -inf entries; it is not bit
+for bit the same, so a score tie that only rounding decides may rank
+differently in the two paths.
+"""
 
 from __future__ import annotations
 
@@ -8,52 +23,100 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import InteractionMatrix, SplitDataset
-from .errors import MetricError
+from .errors import MetricError, ShapeError
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_STRATA_EDGES = (5, 10, 50, 100)
 
 
-def _top_k(scores: np.ndarray, fold_in, k: int) -> np.ndarray:
-    """Indices of the k best scores, fold-in excluded, ties broken by
-    ascending item index (stable sort on the negated scores)."""
-    masked = np.array(scores, dtype=np.float64, copy=True)
-    fold = np.fromiter(fold_in, dtype=np.int64) if len(fold_in) else np.zeros(0, np.int64)
-    masked[fold] = -np.inf
-    order = np.argsort(-masked, kind="stable")
-    return order[:k]
+def _ranked_top(key: np.ndarray, k: int) -> np.ndarray:
+    """The first k entries of np.argsort(key, kind="stable"), found by a
+    partial selection that sorts only those k."""
+    if k >= key.size:
+        return np.argsort(key, kind="stable")
+    t = key[np.argpartition(key, k - 1)[k - 1]]
+    if np.isnan(t):  # fewer than k non-NaN keys: NaNs rank last, by index
+        return np.argsort(key, kind="stable")[:k]
+    better = np.flatnonzero(key < t)
+    tied = np.flatnonzero(key == t)[:k - better.size]
+    top = np.concatenate([better, tied])
+    return top[np.argsort(key[top], kind="stable")]
 
 
-def _check_sets(holdout, fold_in, k: int):
-    if k < 1:
+def _ranking_metrics(scores: np.ndarray, fold: tuple[np.ndarray, np.ndarray],
+                     hold: tuple[np.ndarray, np.ndarray],
+                     k_list) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """(recall, ndcg) arrays over the rows of `scores` for each K.
+
+    `fold` and `hold` are the (indptr, indices) CSR arrays of the fold-in
+    and holdout rows, with strictly increasing indices in each row. One
+    ranked prefix per row, as long as the largest K, serves every K.
+    """
+    ks = [int(k) for k in k_list]
+    if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
-    holdout = set(int(i) for i in holdout)
-    fold_in = set(int(i) for i in fold_in)
-    if not holdout:
-        raise MetricError("holdout set is empty")
-    if holdout & fold_in:
-        raise MetricError("fold-in and holdout sets overlap")
-    return holdout, fold_in
+    n_users, n_items = scores.shape
+    fold_ptr, fold_idx = fold
+    hold_ptr, hold_idx = hold
+    if fold_ptr.size != n_users + 1 or hold_ptr.size != n_users + 1:
+        raise ShapeError(f"{n_users} score rows need {n_users} fold-in and "
+                         "holdout rows")
+    hold_len = np.diff(hold_ptr)
+    if np.any(hold_len == 0):
+        raise MetricError(
+            f"holdout set of user {int(np.argmin(hold_len))} is empty")
+    # Row-major (user, item) keys; sorted because every row is sorted.
+    fold_keys = np.repeat(np.arange(n_users), np.diff(fold_ptr)) * n_items + fold_idx
+    hold_keys = np.repeat(np.arange(n_users), hold_len) * n_items + hold_idx
+    shared = np.isin(hold_keys, fold_keys)
+    if shared.any():
+        user = int(hold_keys[np.argmax(shared)] // n_items)
+        raise MetricError(f"fold-in and holdout sets of user {user} overlap")
+
+    width = min(max(ks), n_items)
+    top = np.empty((n_users, width), dtype=np.int64)
+    for u in range(n_users):
+        key = -np.asarray(scores[u], dtype=np.float64)
+        key[fold_idx[fold_ptr[u]:fold_ptr[u + 1]]] = np.inf
+        top[u] = _ranked_top(key, width)
+    top_keys = top + (np.arange(n_users) * n_items)[:, None]
+    pos = np.minimum(np.searchsorted(hold_keys, top_keys), hold_keys.size - 1)
+    hits = hold_keys[pos] == top_keys
+
+    discounts = 1.0 / np.log2(np.arange(2, max(ks) + 2))
+    # One np.sum per prefix length, not a cumsum: numpy sums pairwise, so
+    # this is the normalizer a direct sum over the ideal prefix gives.
+    idcg = np.array([np.sum(discounts[:m]) for m in range(max(ks) + 1)])
+    # Running sums in rank order add the same terms in the same order as
+    # a sum over the hits, so each DCG@K is one column.
+    hit_count = np.cumsum(hits, axis=1)
+    dcg = np.cumsum(hits * discounts[:width], axis=1)
+    out = {}
+    for k in ks:
+        col = min(k, width) - 1
+        ideal = np.minimum(k, hold_len)
+        out[k] = (hit_count[:, col] / ideal, dcg[:, col] / idcg[ideal])
+    return out
+
+
+def _single_row(scores, holdout, fold_in, k: int):
+    """One user's metrics at one K from item collections."""
+    hold = np.unique(np.fromiter(holdout, dtype=np.int64))
+    fold = np.unique(np.fromiter(fold_in, dtype=np.int64))
+    scores = np.asarray(scores, dtype=np.float64)[None, :]
+    return _ranking_metrics(scores, (np.array([0, fold.size]), fold),
+                            (np.array([0, hold.size]), hold), [k])[k]
 
 
 def recall_at_k(scores: np.ndarray, holdout, fold_in, k: int) -> float:
     """|top-k hits| / min(k, |holdout|)."""
-    holdout, fold_in = _check_sets(holdout, fold_in, k)
-    top = _top_k(scores, fold_in, k)
-    hits = sum(1 for i in top if int(i) in holdout)
-    return hits / min(k, len(holdout))
+    return float(_single_row(scores, holdout, fold_in, k)[0][0])
 
 
 def ndcg_at_k(scores: np.ndarray, holdout, fold_in, k: int) -> float:
     """Binary-relevance DCG@k normalized by the ideal prefix its length."""
-    holdout, fold_in = _check_sets(holdout, fold_in, k)
-    top = _top_k(scores, fold_in, k)
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    dcg = sum(discounts[r] for r, i in enumerate(top) if int(i) in holdout)
-    ideal = min(k, len(holdout))
-    idcg = float(np.sum(discounts[:ideal]))
-    return float(dcg / idcg)
+    return float(_single_row(scores, holdout, fold_in, k)[1][0])
 
 
 @dataclass
@@ -80,17 +143,8 @@ def per_user_metrics(scores: np.ndarray, fold: InteractionMatrix,
                      hold: InteractionMatrix,
                      k_list: list[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """(recall, ndcg) arrays over users for each K."""
-    out = {}
-    for k in k_list:
-        rec = np.zeros(fold.n_users)
-        ndcg = np.zeros(fold.n_users)
-        for u in range(fold.n_users):
-            holdout = set(hold.row(u).tolist())
-            fold_in = set(fold.row(u).tolist())
-            rec[u] = recall_at_k(scores[u], holdout, fold_in, k)
-            ndcg[u] = ndcg_at_k(scores[u], holdout, fold_in, k)
-        out[k] = (rec, ndcg)
-    return out
+    return _ranking_metrics(scores, (fold.indptr, fold.indices),
+                            (hold.indptr, hold.indices), k_list)
 
 
 def _bucket_label(lo: int, hi: int | None) -> str:

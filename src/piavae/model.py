@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import InteractionMatrix, SplitDataset
+from .corpus import InteractionMatrix, SplitDataset, check_end, read_array
 from .errors import NumericalError, ShapeError
 from .numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState, GaussianPosterior,
                        adam_step)
@@ -22,6 +22,12 @@ from .pia import AnchorTable, LambdaSchedule, PiaConfig, schedule_update
 
 MODEL_MAGIC = b"PIAM"
 ANCHOR_SECTION = b"ANCH"
+
+# Users per scoring chunk. Fixed, not a parameter: batched sums depend on
+# the chunk, so a fixed size keeps seeded scores repeatable.
+SCORE_CHUNK = 256
+# Rows of enc_w1 per sparse product in scoring (see _score_rows).
+HIDDEN_BLOCK = 64
 
 _WEIGHT_FIELDS = ("enc_w1", "enc_b1", "enc_w_mu", "enc_b_mu",
                   "enc_w_lv", "enc_b_lv", "dec_w", "dec_b")
@@ -333,15 +339,10 @@ def select_best_epoch(ndcg_by_epoch: list[float]) -> int:
 
 def _mean_val_ndcg(p: ModelParams, fold: InteractionMatrix,
                    hold: InteractionMatrix, k: int = 100) -> float:
-    from .evaluate import ndcg_at_k
+    from .evaluate import per_user_metrics
 
-    scores = score_matrix(p, fold)
-    vals = [
-        ndcg_at_k(scores[u], set(hold.row(u).tolist()),
-                  set(fold.row(u).tolist()), k)
-        for u in range(fold.n_users)
-    ]
-    return float(np.mean(vals))
+    _, ndcg = per_user_metrics(score_matrix(p, fold), fold, hold, [k])[k]
+    return float(np.mean(ndcg))
 
 
 def fit(data: SplitDataset, cfg: TrainConfig,
@@ -400,30 +401,70 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     return unpack_params(best_theta, p), log
 
 
+def _score_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
+                data: np.ndarray, out: np.ndarray,
+                normalize: bool | None) -> None:
+    """Write posterior-mean logits for CSR input rows into `out`.
+
+    Entries with a positive input value are set to -inf. The encoder
+    input layer runs on the sparse rows one block of hidden units at a
+    time: scipy multiplies a sparse matrix by a C-ordered copy of the
+    dense operand, and the block bounds that copy to HIDDEN_BLOCK columns
+    of enc_w1.T instead of all of it.
+    """
+    from scipy import sparse
+
+    if normalize is None:
+        normalize = p.input_normalize
+    n_rows = out.shape[0]
+    row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
+    if normalize:
+        norms = np.sqrt(np.bincount(row_of, weights=data * data,
+                                    minlength=n_rows))
+        data = data / np.where(norms > 0.0, norms, 1.0)[row_of]
+    x = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, p.n_items))
+    a1 = np.empty((n_rows, p.hidden_dim))
+    for start in range(0, p.hidden_dim, HIDDEN_BLOCK):
+        stop = start + HIDDEN_BLOCK
+        a1[:, start:stop] = x @ p.enc_w1[start:stop].T
+    h1 = np.tanh(a1 + p.enc_b1)
+    mu = h1 @ p.enc_w_mu.T + p.enc_b_mu
+    np.matmul(mu, p.dec_w.T, out=out)
+    out += p.dec_b
+    seen = data > 0
+    out[row_of[seen], indices[seen]] = -np.inf
+
+
 def predict_scores(p: ModelParams, fold_in: np.ndarray,
                    normalize: bool | None = None) -> np.ndarray:
     """Deterministic item scores: posterior mean of the clean fold-in,
     decoded to logits, with fold-in items forced to -inf."""
     fold_in = np.asarray(fold_in, dtype=np.float64)
-    q = encode(p, fold_in, normalize=normalize)
-    scores = decode(p, q.mean)
-    scores[fold_in > 0] = -np.inf
-    return scores
+    if fold_in.shape != (p.n_items,):
+        raise ShapeError(f"input length {fold_in.shape} vs {p.n_items} items")
+    nz = np.flatnonzero(fold_in)
+    scores = np.empty((1, p.n_items))
+    _score_rows(p, np.array([0, nz.size]), nz, fold_in[nz], scores, normalize)
+    return scores[0]
 
 
 def score_matrix(p: ModelParams, fold: InteractionMatrix,
                  normalize: bool | None = None) -> np.ndarray:
     """predict_scores for every user of a fold-in matrix.
 
-    Row by row on purpose: the result is bitwise identical to the
-    single-user contract (batched matmuls accumulate in a different
-    order).
+    Users are scored SCORE_CHUNK at a time from the fold-in's CSR arrays,
+    with no dense users x items input. Batched products sum in another
+    order than a one-row call, so a row here agrees with predict_scores
+    to 1e-12 on finite entries (about 1e-15 at the reference shape), with
+    the same -inf entries, but not bit for bit. The chunk size is fixed,
+    so the same inputs always give the same bits.
     """
     scores = np.empty((fold.n_users, p.n_items), dtype=np.float64)
-    for u in range(fold.n_users):
-        x = np.zeros(p.n_items)
-        x[fold.row(u)] = 1.0
-        scores[u] = predict_scores(p, x, normalize=normalize)
+    for start in range(0, fold.n_users, SCORE_CHUNK):
+        stop = min(start + SCORE_CHUNK, fold.n_users)
+        lo, hi = fold.indptr[start], fold.indptr[stop]
+        _score_rows(p, fold.indptr[start:stop + 1] - lo, fold.indices[lo:hi],
+                    np.ones(hi - lo), scores[start:stop], normalize)
     return scores
 
 
@@ -438,11 +479,13 @@ def save_checkpoint(p: ModelParams, path: str | Path) -> None:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<QQQQ", p.n_items, p.hidden_dim,
                              p.latent_dim, flags))
+        # Written from the arrays' own buffers: a copy of enc_w1 would set
+        # the peak memory of a save.
         for name in _WEIGHT_FIELDS:
-            fh.write(getattr(p, name).astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(getattr(p, name), dtype="<f8"))
         if p.anchors is not None:
             fh.write(ANCHOR_SECTION)
-            fh.write(p.anchors.astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(p.anchors, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -450,23 +493,21 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
             raise ShapeError(f"bad checkpoint magic {magic!r}")
-        n_items, hidden, latent, flags = struct.unpack("<QQQQ", fh.read(32))
+        n_items, hidden, latent, flags = map(
+            int, read_array(fh, "<u8", (4,), path, "header"))
         shapes = {
             "enc_w1": (hidden, n_items), "enc_b1": (hidden,),
             "enc_w_mu": (latent, hidden), "enc_b_mu": (latent,),
             "enc_w_lv": (latent, hidden), "enc_b_lv": (latent,),
             "dec_w": (n_items, latent), "dec_b": (n_items,),
         }
-        arrays = {}
-        for name, shape in shapes.items():
-            count = int(np.prod(shape))
-            arrays[name] = np.frombuffer(fh.read(8 * count),
-                                         dtype="<f8").reshape(shape).copy()
+        arrays = {name: read_array(fh, "<f8", shape, path, name)
+                  for name, shape in shapes.items()}
         anchors = None
         section = fh.read(4)
         if section == ANCHOR_SECTION:
-            anchors = np.frombuffer(fh.read(8 * n_items * latent),
-                                    dtype="<f8").reshape(n_items, latent).copy()
+            anchors = read_array(fh, "<f8", (n_items, latent), path, "anchors")
+            check_end(fh, path)
         elif section:
             raise ShapeError(f"unexpected trailing section {section!r}")
     return ModelParams(**arrays, input_normalize=bool(flags & 1),

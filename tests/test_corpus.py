@@ -4,8 +4,8 @@ import pytest
 from piavae.corpus import (InteractionMatrix, SynthSpec, ingest_events,
                            load_split, matrix_from_rows, read_csr, save_split,
                            split_dataset, synth_block_dataset, write_csr)
-from piavae.errors import (EmptyDatasetError, ParseError, SpecError,
-                           SplitError)
+from piavae.errors import (CorruptFileError, EmptyDatasetError, ParseError,
+                           SpecError, SplitError)
 
 TOY_CSV = """user,item,rating
 u1,i1,5
@@ -248,6 +248,28 @@ class TestCsrContainer:
         assert int.from_bytes(blob[12:20], "little") == 3  # items
         assert int.from_bytes(blob[20:28], "little") == 2  # nnz
 
+    @pytest.mark.parametrize("cut", [10, -4])
+    def test_truncated_file_names_file_and_offset(self, tmp_path, cut):
+        m = _random_matrix(seed=14)
+        write_csr(m, tmp_path / "m.csr")
+        blob = (tmp_path / "m.csr").read_bytes()
+        short = blob[:cut]
+        (tmp_path / "m.csr").write_bytes(short)
+        with pytest.raises(CorruptFileError) as exc:
+            read_csr(tmp_path / "m.csr")
+        assert exc.value.offset == len(short)
+        assert "m.csr" in str(exc.value)
+        assert f"byte {len(short)}" in str(exc.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        write_csr(_random_matrix(seed=15), tmp_path / "m.csr")
+        size = (tmp_path / "m.csr").stat().st_size
+        with open(tmp_path / "m.csr", "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(CorruptFileError) as exc:
+            read_csr(tmp_path / "m.csr")
+        assert exc.value.offset == size
+
     def test_split_directory_roundtrip(self, tmp_path):
         m = _random_matrix(40, seed=21)
         split = split_dataset(m, 8, 8, 0.8, seed=5)
@@ -273,7 +295,25 @@ class TestInteractionMatrixInvariants:
                               indptr=np.array([0, 1]), indices=np.array([5]),
                               user_ids=("a",), item_ids=("x", "y"))
 
+    def test_first_unsorted_row_is_named(self):
+        # Row 0 ends high and row 2 starts low: that step is allowed. Row 3
+        # repeats an index and row 4 falls; row 3 is reported.
+        with pytest.raises(ValueError, match="row 3 not strictly increasing"):
+            InteractionMatrix(n_users=5, n_items=9,
+                              indptr=np.array([0, 2, 2, 4, 6, 8]),
+                              indices=np.array([1, 8, 0, 5, 4, 4, 7, 6]),
+                              user_ids=tuple("abcde"), item_ids=tuple("012345678"))
+
     def test_dense_rows(self):
         m = matrix_from_rows([np.array([0, 2]), np.array([1])], 3)
         dense = m.dense_rows([0, 1])
         np.testing.assert_array_equal(dense, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+    def test_dense_rows_matches_row_by_row(self):
+        m = _random_matrix(seed=16)
+        users = np.array([5, 0, 5, 99, 17])
+        expected = np.zeros((users.size, m.n_items))
+        for k, u in enumerate(users):
+            expected[k, m.row(int(u))] = 1.0
+        assert m.dense_rows(users).tobytes() == expected.tobytes()
+        assert m.dense_rows([]).shape == (0, m.n_items)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from piavae.corpus import SynthSpec, split_dataset, synth_block_dataset
+from piavae.corpus import (SynthSpec, matrix_from_rows, split_dataset,
+                           synth_block_dataset)
 from piavae.errors import MetricError
 from piavae.evaluate import (bucket_users, ndcg_at_k, per_user_metrics,
                              recall_at_k, stratified_report)
@@ -86,6 +89,62 @@ class TestRankInvariance:
         scores = np.zeros(6)
         assert recall_at_k(scores, {0}, set(), 1) == 1.0
         assert recall_at_k(scores, {5}, set(), 1) == 0.0
+
+
+def reference_metrics(scores, holdout, fold_in, k):
+    """Recall@k and NDCG@k from a full stable argsort of the negated
+    scores, fold-in items forced to -inf: the ranking the one-pass
+    metrics must reproduce."""
+    masked = np.array(scores, dtype=np.float64)
+    masked[sorted(fold_in)] = -np.inf
+    top = np.argsort(-masked, kind="stable")[:k]
+    hits = [int(i) in holdout for i in top]
+    discounts = 1.0 / np.log2(np.arange(2, k + 2))
+    dcg = sum(discounts[r] for r, hit in enumerate(hits) if hit)
+    ideal = min(k, len(holdout))
+    return sum(hits) / ideal, dcg / np.sum(discounts[:ideal])
+
+
+@st.composite
+def ranking_cases(draw):
+    """Integer scores (heavy ties, some -inf and NaN) for a few users, each
+    with a fold-in set to -inf in the scores and a nonempty disjoint
+    holdout, and several K, some above the number of candidates."""
+    n_items = draw(st.integers(2, 30))
+    n_users = draw(st.integers(1, 4))
+    folds, holds, rows = [], [], []
+    for _ in range(n_users):
+        roles = draw(st.lists(st.sampled_from("fhn"), min_size=n_items,
+                              max_size=n_items).filter(lambda r: "h" in r))
+        levels = draw(st.lists(st.integers(-2, 3), min_size=n_items,
+                               max_size=n_items))
+        special = {-2: np.nan, -1: -np.inf}
+        row = np.array([special.get(v, float(v)) for v in levels])
+        fold = [i for i, r in enumerate(roles) if r == "f"]
+        row[fold] = -np.inf
+        folds.append(fold)
+        holds.append([i for i, r in enumerate(roles) if r == "h"])
+        rows.append(row)
+    k_list = draw(st.lists(st.integers(1, n_items + 5), min_size=1, max_size=4))
+    return np.array(rows), folds, holds, k_list
+
+
+class TestOnePassRanking:
+    @settings(max_examples=300, deadline=None)
+    @given(ranking_cases())
+    def test_equals_stable_argsort_reference(self, case):
+        scores, folds, holds, k_list = case
+        n_items = scores.shape[1]
+        fold = matrix_from_rows([np.array(f, dtype=np.int64) for f in folds], n_items)
+        hold = matrix_from_rows([np.array(h, dtype=np.int64) for h in holds], n_items)
+        per_k = per_user_metrics(scores, fold, hold, k_list)
+        assert sorted(per_k) == sorted(set(k_list))
+        for k, (rec, nd) in per_k.items():
+            for u in range(scores.shape[0]):
+                want = reference_metrics(scores[u], set(holds[u]), set(folds[u]), k)
+                assert (rec[u], nd[u]) == want
+                assert recall_at_k(scores[u], holds[u], folds[u], k) == want[0]
+                assert ndcg_at_k(scores[u], holds[u], folds[u], k) == want[1]
 
 
 class TestBucketUsers:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from piavae.corpus import SynthSpec, split_dataset, synth_block_dataset
-from piavae.errors import NumericalError
+from piavae.errors import CorruptFileError, NumericalError
 from piavae.model import (ModelParams, TrainConfig, apply_mask, decode, encode,
                           fit, init_params, load_checkpoint, loss_and_grads,
                           loss_and_grads_fixed, pack_params, predict_scores,
@@ -262,14 +262,24 @@ class TestPredictScores:
         assert a.tobytes() == b.tobytes()
 
     def test_score_matrix_matches_single_row_path(self):
+        # Batched and one-row products sum in different orders, so scores
+        # agree to a tolerance; the -inf pattern and the ranking are exact.
         p = tiny_params(seed=16, n_items=24)
         split = small_split(seed=1)
-        scores = score_matrix(p, split.val_fold_in, normalize=False)
-        for u in range(split.val_fold_in.n_users):
-            x = np.zeros(24)
-            x[split.val_fold_in.row(u)] = 1.0
-            np.testing.assert_array_equal(
-                scores[u], predict_scores(p, x, normalize=False))
+        for normalize in (False, True):
+            scores = score_matrix(p, split.val_fold_in, normalize=normalize)
+            for u in range(split.val_fold_in.n_users):
+                x = np.zeros(24)
+                x[split.val_fold_in.row(u)] = 1.0
+                single = predict_scores(p, x, normalize=normalize)
+                finite = np.isfinite(single)
+                np.testing.assert_array_equal(np.isneginf(scores[u]), ~finite)
+                assert np.all(np.isfinite(scores[u][finite]))
+                np.testing.assert_allclose(scores[u][finite], single[finite],
+                                           rtol=0.0, atol=1e-12)
+                np.testing.assert_array_equal(
+                    np.argsort(-scores[u], kind="stable"),
+                    np.argsort(-single, kind="stable"))
 
 
 class TestCheckpoint:
@@ -300,6 +310,36 @@ class TestCheckpoint:
         blob = (tmp_path / "m.ckpt").read_bytes()
         assert blob[:4] == b"PIAM"
         assert b"ANCH" in blob
+
+
+    @pytest.mark.parametrize("cut", [20, 100, -3])
+    def test_truncated_file_names_file_and_offset(self, tmp_path, cut):
+        save_checkpoint(tiny_params(seed=24, with_anchors=True), tmp_path / "m.ckpt")
+        short = (tmp_path / "m.ckpt").read_bytes()[:cut]
+        (tmp_path / "m.ckpt").write_bytes(short)
+        with pytest.raises(CorruptFileError) as exc:
+            load_checkpoint(tmp_path / "m.ckpt")
+        assert exc.value.offset == len(short)
+        assert "m.ckpt" in str(exc.value)
+
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        save_checkpoint(tiny_params(seed=26), tmp_path / "m.ckpt")
+        blob = bytearray((tmp_path / "m.ckpt").read_bytes())
+        blob[4:12] = (2**40).to_bytes(8, "little")  # n_items
+        blob[12:20] = (2**40).to_bytes(8, "little")  # hidden
+        (tmp_path / "m.ckpt").write_bytes(bytes(blob))
+        with pytest.raises(CorruptFileError) as exc:
+            load_checkpoint(tmp_path / "m.ckpt")
+        assert exc.value.offset == len(blob)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        save_checkpoint(tiny_params(seed=25, with_anchors=True), tmp_path / "m.ckpt")
+        size = (tmp_path / "m.ckpt").stat().st_size
+        with open(tmp_path / "m.ckpt", "ab") as fh:
+            fh.write(b"\x00" * 8)
+        with pytest.raises(CorruptFileError) as exc:
+            load_checkpoint(tmp_path / "m.ckpt")
+        assert exc.value.offset == size
 
 
 class TestPackUnpack:
