@@ -6,13 +6,12 @@ __version__ = "0.1.0"
 from .corpus import (InteractionMatrix, SplitDataset, SynthSpec,
                      ingest_events, split_dataset, synth_block_dataset)
 from .evaluate import MetricReport, ndcg_at_k, recall_at_k, stratified_report
-from .model import (MaskConfig, ModelParams, TrainConfig, apply_mask, decode,
-                    encode, fit, predict_scores, vae_loss_and_grads)
+from .model import ModelParams, TrainConfig, encode, fit, predict_scores
 from .numerics import (AdamState, GaussianPosterior, adam_step,
                        finite_diff_check, kl_diag_gaussian,
                        multinomial_loglik, reparameterize)
 from .pia import (AnchorTable, LambdaSchedule, PiaConfig, alignment_closed_form,
-                  alignment_mc_oracle, anchor_centroid, pia_loss_and_grads,
+                  alignment_mc_standard_error, anchor_centroid,
                   schedule_update)
 
 __all__ = [
@@ -20,11 +19,9 @@ __all__ = [
     "InteractionMatrix", "SplitDataset", "SynthSpec",
     "ingest_events", "split_dataset", "synth_block_dataset",
     "MetricReport", "ndcg_at_k", "recall_at_k", "stratified_report",
-    "MaskConfig", "ModelParams", "TrainConfig", "apply_mask", "decode",
-    "encode", "fit", "predict_scores", "vae_loss_and_grads",
+    "ModelParams", "TrainConfig", "encode", "fit", "predict_scores",
     "AdamState", "GaussianPosterior", "adam_step", "finite_diff_check",
     "kl_diag_gaussian", "multinomial_loglik", "reparameterize",
     "AnchorTable", "LambdaSchedule", "PiaConfig", "alignment_closed_form",
-    "alignment_mc_oracle", "anchor_centroid", "pia_loss_and_grads",
-    "schedule_update",
+    "alignment_mc_standard_error", "anchor_centroid", "schedule_update",
 ]

@@ -13,13 +13,14 @@ import hashlib
 import json
 import platform
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .corpus import (SynthSpec, ingest_events, load_split, save_split,
-                     split_dataset, synth_block_dataset)
+from .corpus import (SPLIT_FILES, SynthSpec, ingest_events, load_split,
+                     save_split, split_dataset, synth_block_dataset)
 from .errors import PiaVaeError
 from .evaluate import DEFAULT_STRATA_EDGES, stratified_report
 from .geometry import export_latents
@@ -76,21 +77,10 @@ def _parse_int_list(value: str, key: str) -> tuple[int, ...]:
         raise UsageError(f"config key {key}: expected comma-separated ints") from None
 
 
-TRAIN_KEYS = {
-    "beta": ("float", 0.2),
-    "keep_prob": ("float", 0.5),
-    "batch_size": ("int", 500),
-    "epochs": ("int", 200),
-    "lr": ("float", 1e-3),
-    "seed": ("int", 0),
-    "input_normalize": ("bool", True),
-    "hidden_dim": ("int", 600),
-    "latent_dim": ("int", 200),
-    "lambda_a": ("float", 8.0),
-    "lambda_scale": ("float", 2.0),
-    "patience": ("int", 5),
-    "anchor_init_scale": ("optional_float", None),
-}
+# Kinds are the field annotations, which stay strings under
+# `from __future__ import annotations`.
+TRAIN_KEYS = {f.name: (f.type, f.default)
+              for cls in (TrainConfig, PiaConfig) for f in fields(cls)}
 
 SYNTH_KEYS = {
     "cohort_sizes": ("int_list", None),
@@ -112,7 +102,7 @@ def resolve_config(raw: dict[str, str], schema: dict, source: str) -> dict:
     resolved = {}
     for key, (kind, default) in schema.items():
         if key not in raw:
-            if default is None and kind != "optional_float":
+            if default is None and kind != "float | None":
                 raise UsageError(f"{source}: missing required key {key!r}")
             resolved[key] = default
             continue
@@ -122,7 +112,7 @@ def resolve_config(raw: dict[str, str], schema: dict, source: str) -> dict:
                 resolved[key] = int(value)
             elif kind == "float":
                 resolved[key] = float(value)
-            elif kind == "optional_float":
+            elif kind == "float | None":
                 resolved[key] = None if value.lower() in ("", "none", "auto") \
                     else float(value)
             elif kind == "bool":
@@ -181,6 +171,9 @@ def _ensure_out(path_text: str) -> Path:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+SPLIT_OUTPUTS = [*SPLIT_FILES.values(), "idmap.tsv", "seed.txt"]
+
+
 def _cmd_preprocess(args) -> int:
     out = _ensure_out(args.out)
     matrix = ingest_events(args.input, args.min_user, args.min_item,
@@ -192,8 +185,7 @@ def _cmd_preprocess(args) -> int:
               "val": args.val, "test": args.test,
               "fold_in": args.fold_in, "seed": args.seed}
     write_manifest(out, "preprocess", config, args.seed, [Path(args.input)],
-                   ["train.csr", "val_fold.csr", "val_hold.csr",
-                    "test_fold.csr", "test_hold.csr", "idmap.tsv", "seed.txt"])
+                   SPLIT_OUTPUTS)
     print(f"preprocess: {matrix.n_users} users x {matrix.n_items} items "
           f"({matrix.nnz} interactions) -> {out}")
     return 0
@@ -212,17 +204,19 @@ def _cmd_synth(args) -> int:
                           config["fold_in_fraction"], config["seed"])
     save_split(split, out)
     write_manifest(out, "synth", config, config["seed"], [Path(args.spec)],
-                   ["train.csr", "val_fold.csr", "val_hold.csr",
-                    "test_fold.csr", "test_hold.csr", "idmap.tsv", "seed.txt"])
+                   SPLIT_OUTPUTS)
     print(f"synth: {matrix.n_users} users x {matrix.n_items} items -> {out}")
     return 0
+
+
+def _from_config(cls, config: dict):
+    return cls(**{f.name: config[f.name] for f in fields(cls)})
 
 
 FAST_PROFILE = {"epochs": 30, "latent_dim": 32, "hidden_dim": 100}
 
 
 def _cmd_train(args) -> int:
-    out = _ensure_out(args.out)
     raw = parse_kv_file(args.config) if args.config else {}
     config = resolve_config(raw, TRAIN_KEYS, args.config or "<defaults>")
     if args.fast:
@@ -232,18 +226,12 @@ def _cmd_train(args) -> int:
     if args.epochs is not None:
         config["epochs"] = args.epochs
     config["pia"] = args.pia
-    cfg = TrainConfig(beta=config["beta"], keep_prob=config["keep_prob"],
-                      batch_size=config["batch_size"], epochs=config["epochs"],
-                      lr=config["lr"], seed=config["seed"],
-                      input_normalize=config["input_normalize"],
-                      hidden_dim=config["hidden_dim"],
-                      latent_dim=config["latent_dim"])
-    pia_cfg = None
-    if args.pia == "on":
-        pia_cfg = PiaConfig(lambda_a=config["lambda_a"],
-                            lambda_scale=config["lambda_scale"],
-                            patience=config["patience"],
-                            anchor_init_scale=config["anchor_init_scale"])
+    try:
+        cfg = _from_config(TrainConfig, config)
+        pia_cfg = _from_config(PiaConfig, config) if args.pia == "on" else None
+    except ValueError as exc:
+        raise UsageError(f"{args.config or '<defaults>'}: {exc}") from None
+    out = _ensure_out(args.out)
     split = load_split(args.data)
     params, log = fit(split, cfg, pia_cfg)
     save_checkpoint(params, out / "model.ckpt")
@@ -265,11 +253,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    k_list = list(_parse_int_list(args.k, "--k"))
+    edges = _parse_int_list(args.strata, "--strata")
+    if not k_list or min(k_list) < 1:
+        raise UsageError(f"--k {args.k!r}: every K must be >= 1")
+    if len(edges) < 2:
+        raise UsageError(f"--strata {args.strata!r}: need at least two edges")
     out = _ensure_out(args.out)
     params = load_checkpoint(args.model)
     split = load_split(args.data)
-    k_list = list(_parse_int_list(args.k, "--k"))
-    edges = _parse_int_list(args.strata, "--strata")
     report = stratified_report(params, split, k_list, bucket_edges=edges,
                                part=args.part)
     (out / "metrics.json").write_text(

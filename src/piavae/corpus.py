@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CorruptFileError, EmptyDatasetError, ParseError, SpecError,
-                     SplitError)
+from .errors import (CorruptFileError, EmptyDatasetError, MatrixError,
+                     ParseError, SpecError, SplitError)
 
 CSR_MAGIC = b"PIA1"
 
@@ -44,22 +44,22 @@ class InteractionMatrix:
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         if indptr.shape != (self.n_users + 1,):
-            raise ValueError("indptr length must be n_users + 1")
+            raise MatrixError("indptr length must be n_users + 1")
         if indptr[0] != 0 or indptr[-1] != indices.size:
-            raise ValueError("indptr must start at 0 and end at nnz")
+            raise MatrixError("indptr must start at 0 and end at nnz")
         if np.any(np.diff(indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
+            raise MatrixError("indptr must be non-decreasing")
         if indices.size and (indices.min() < 0 or indices.max() >= self.n_items):
-            raise ValueError("item index out of range")
+            raise MatrixError("item index out of range")
         # A step from one row's last index to the next row's first may fall.
         falls = indices[1:] <= indices[:-1]
         starts = indptr[1:-1]
         falls[starts[(starts > 0) & (starts < indices.size)] - 1] = False
         if falls.any():
             u = int(np.searchsorted(indptr, np.argmax(falls), side="right")) - 1
-            raise ValueError(f"row {u} not strictly increasing")
+            raise MatrixError(f"row {u} not strictly increasing")
         if len(self.user_ids) != self.n_users or len(self.item_ids) != self.n_items:
-            raise ValueError("id maps must cover every dense index")
+            raise MatrixError("id maps must cover every dense index")
 
     @property
     def nnz(self) -> int:
@@ -402,14 +402,17 @@ def read_csr(path: str | Path, user_ids: list[str] | None = None,
         indptr = read_array(fh, "<u8", (n_users + 1,), path, "indptr")
         indices = read_array(fh, "<u8", (nnz,), path, "indices")
         check_end(fh, path)
-    return InteractionMatrix(
-        n_users=int(n_users),
-        n_items=int(n_items),
-        indptr=indptr.astype(np.int64),
-        indices=indices.astype(np.int64),
-        user_ids=tuple(user_ids) if user_ids else tuple(str(u) for u in range(n_users)),
-        item_ids=tuple(item_ids) if item_ids else tuple(str(i) for i in range(n_items)),
-    )
+    try:
+        return InteractionMatrix(
+            n_users=n_users,
+            n_items=n_items,
+            indptr=indptr.astype(np.int64),
+            indices=indices.astype(np.int64),
+            user_ids=tuple(user_ids or map(str, range(n_users))),
+            item_ids=tuple(item_ids or map(str, range(n_items))),
+        )
+    except MatrixError as exc:
+        raise MatrixError(f"{path}: {exc}") from None
 
 
 def write_idmap(path: str | Path, user_ids: dict[str, list[str]],

@@ -35,6 +35,10 @@ class CorruptFileError(PiaVaeError):
         self.offset = offset
 
 
+class MatrixError(PiaVaeError):
+    """CSR arrays break an InteractionMatrix invariant."""
+
+
 class ShapeError(PiaVaeError):
     """Array arguments do not match the expected layout."""
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri, xlogy
 
 from .errors import DimensionMismatch, NumericalError
-from .model import ModelParams, apply_mask, encode
+from .model import ModelParams, draw_mask, encode, posterior_means
 from .numerics import GaussianPosterior
 
 __all__ = [
@@ -77,6 +77,12 @@ class GeometryReport:
               tolerances: dict[str, float]) -> "GeometryReport":
         passed = all(values[k] <= tol for k, tol in tolerances.items())
         return cls(name=name, values=values, tolerances=tolerances, passed=passed)
+
+    def extend(self, name: str, values: dict[str, float],
+               tolerances: dict[str, float]) -> "GeometryReport":
+        """A renamed copy with more values and tolerances, re-checked."""
+        return GeometryReport.check(name, {**self.values, **values},
+                                    {**self.tolerances, **tolerances})
 
     def to_dict(self) -> dict:
         return {"name": self.name, "values": dict(self.values),
@@ -284,8 +290,7 @@ def dataset_bound_report(p: ModelParams, rows: list[np.ndarray],
             row = rows[int(rng.integers(len(rows)))]
             x = np.zeros(n_items)
             x[np.asarray(row, dtype=np.int64)] = 1.0
-            x_h = apply_mask(x, keep_prob, rng) if keep_prob < 1.0 else x
-            q = encode(p, x_h)
+            q = encode(p, x * draw_mask(x.shape, keep_prob, rng))
             posteriors.append(q)
             kls[2 * j + side] = kl_vs_isotropic_prior(q, c)
         q_a, q_b = posteriors
@@ -503,7 +508,7 @@ def quadratic_toy(hessian_eigs: np.ndarray, mask_offsets, lambda_a: float,
 # ---------------------------------------------------------------------------
 
 def _decoder_grad(p: ModelParams, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Flat gradient of -loglik(decode(z), x) over (dec_w, dec_b)."""
+    """Flat gradient of -loglik(dec_w z + dec_b, x) over (dec_w, dec_b)."""
     logits = p.dec_w @ z + p.dec_b
     m = np.max(logits)
     softmax = np.exp(logits - m)
@@ -565,19 +570,16 @@ def sharing_probe(p: ModelParams, x_u: np.ndarray, x_v: np.ndarray,
 def export_latents(p: ModelParams, matrix, path: str | Path) -> None:
     """Write posterior means under clean inputs to CSV.
 
-    Columns: user_index, interaction_count, mu_1 .. mu_d; float values are
-    repr-formatted so they round-trip bit-exactly.
+    The means come from model.posterior_means, the chunked sparse kernel
+    that scoring uses. Columns: user_index, interaction_count, mu_1 ..
+    mu_d; float values are repr-formatted so they round-trip bit-exactly.
     """
     if matrix.n_users == 0:
         raise ValueError("need at least one user row to export")
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    means = posterior_means(p, matrix)
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_index", "interaction_count"]
                         + [f"mu_{j + 1}" for j in range(p.latent_dim)])
-        for u in range(matrix.n_users):
-            row = matrix.row(u)
-            x = np.zeros(p.n_items)
-            x[row] = 1.0
-            q = encode(p, x)
-            writer.writerow([u, row.size] + [repr(float(v)) for v in q.mean])
+        for u, (count, mu) in enumerate(zip(matrix.row_lengths(), means)):
+            writer.writerow([u, int(count)] + [repr(float(v)) for v in mu])

@@ -2,14 +2,18 @@
 loop, scoring, and checkpoint serialization.
 
 The encoder is input -> tanh(hidden) -> (mean, logvar) heads; the decoder
-is a single linear layer back to item logits. All gradients are derived by
-hand; `finite_diff_check` in the test suite guards every term.
+is a single linear layer back to item logits. `_encoder_heads` is the one
+encoder definition: training (`loss_and_grads_fixed`), `encode` and the
+chunked CSR kernel behind `score_matrix`, `predict_scores` and
+`posterior_means` differ only in how they form the input-layer product,
+dense or sparse. All gradients are derived by hand; `finite_diff_check`
+in the test suite guards every term.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,17 +35,6 @@ HIDDEN_BLOCK = 64
 
 _WEIGHT_FIELDS = ("enc_w1", "enc_b1", "enc_w_mu", "enc_b_mu",
                   "enc_w_lv", "enc_b_lv", "dec_w", "dec_b")
-
-
-@dataclass(frozen=True)
-class MaskConfig:
-    """Bernoulli keep probability for input masking."""
-
-    keep_prob: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError("keep_prob must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -89,12 +82,9 @@ class ModelParams:
     anchors: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in _WEIGHT_FIELDS:
+        for name in _trained_fields(self):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=np.float64))
-        if self.anchors is not None:
-            object.__setattr__(self, "anchors",
-                               np.asarray(self.anchors, dtype=np.float64))
         h, i = self.enc_w1.shape
         d = self.enc_w_mu.shape[0]
         ok = (self.enc_b1.shape == (h,)
@@ -141,44 +131,41 @@ def init_params(n_items: int, hidden_dim: int, latent_dim: int,
     )
 
 
+def _trained_fields(p: ModelParams) -> tuple[str, ...]:
+    """Names of the trained arrays in flat-vector order, anchors last."""
+    return _WEIGHT_FIELDS + (("anchors",) if p.anchors is not None else ())
+
+
 def pack_params(p: ModelParams) -> np.ndarray:
     """Flatten all trainable arrays (anchors last) into one vector."""
-    parts = [getattr(p, name).ravel() for name in _WEIGHT_FIELDS]
-    if p.anchors is not None:
-        parts.append(p.anchors.ravel())
-    return np.concatenate(parts)
+    return np.concatenate([getattr(p, name).ravel() for name in _trained_fields(p)])
 
 
 def unpack_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
     """Rebuild a ModelParams with template shapes from a flat vector."""
     out = {}
     offset = 0
-    for name in _WEIGHT_FIELDS:
+    for name in _trained_fields(template):
         shape = getattr(template, name).shape
         size = int(np.prod(shape))
         out[name] = vec[offset:offset + size].reshape(shape).copy()
         offset += size
-    anchors = None
-    if template.anchors is not None:
-        size = template.anchors.size
-        anchors = vec[offset:offset + size].reshape(template.anchors.shape).copy()
-        offset += size
     if offset != vec.size:
         raise ShapeError(f"flat vector has {vec.size} entries, expected {offset}")
-    return ModelParams(**out, input_normalize=template.input_normalize,
-                       anchors=anchors)
+    return ModelParams(**out, input_normalize=template.input_normalize)
 
 
-def apply_mask(x: np.ndarray, keep_prob: float,
-               rng: np.random.Generator) -> np.ndarray:
-    """Zero each coordinate independently with probability 1 - keep_prob."""
+def draw_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """0/1 mask keeping each coordinate with probability keep_prob.
+
+    keep_prob 1 draws nothing from rng. One draw of shape (n, I) consumes
+    the same random stream as n draws of shape (I,).
+    """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError("keep_prob must lie in (0, 1]")
-    x = np.asarray(x, dtype=np.float64)
     if keep_prob >= 1.0:
-        return x.copy()
-    keep = rng.random(x.shape) < keep_prob
-    return x * keep
+        return np.ones(shape, dtype=np.float64)
+    return (rng.random(shape) < keep_prob).astype(np.float64)
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -187,37 +174,28 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms > 0.0, norms, 1.0)
 
 
+def _encoder_heads(p: ModelParams, a1: np.ndarray):
+    """Hidden layer and raw (mean, logvar) heads from the input-layer
+    product a1 = x_in @ enc_w1.T, for one row or a batch of rows."""
+    h1 = np.tanh(a1 + p.enc_b1)
+    mu = h1 @ p.enc_w_mu.T + p.enc_b_mu
+    lv_raw = h1 @ p.enc_w_lv.T + p.enc_b_lv
+    return h1, mu, lv_raw
+
+
 def encode(p: ModelParams, x_h: np.ndarray,
            normalize: bool | None = None) -> GaussianPosterior:
-    """Run the encoder on one interaction vector."""
+    """Posterior of one interaction vector, or of each row of an
+    (n, items) batch."""
     if normalize is None:
         normalize = p.input_normalize
     x_h = np.asarray(x_h, dtype=np.float64)
-    if x_h.shape != (p.n_items,):
-        raise ShapeError(f"input length {x_h.shape} vs {p.n_items} items")
+    if x_h.ndim not in (1, 2) or x_h.shape[-1] != p.n_items:
+        raise ShapeError(f"input shape {x_h.shape} vs {p.n_items} items")
     x_in = _normalize_rows(x_h) if normalize else x_h
-    h1 = np.tanh(p.enc_w1 @ x_in + p.enc_b1)
-    mu = p.enc_w_mu @ h1 + p.enc_b_mu
-    logvar = np.clip(p.enc_w_lv @ h1 + p.enc_b_lv, LOGVAR_MIN, LOGVAR_MAX)
-    return GaussianPosterior(mean=mu, logvar=logvar)
-
-
-def decode(p: ModelParams, z: np.ndarray) -> np.ndarray:
-    """Item logits for one latent vector."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (p.latent_dim,):
-        raise ShapeError(f"latent length {z.shape} vs {p.latent_dim}")
-    return p.dec_w @ z + p.dec_b
-
-
-def _as_dense_batch(batch, n_items: int) -> np.ndarray:
-    if isinstance(batch, np.ndarray) and batch.ndim == 2:
-        return np.asarray(batch, dtype=np.float64)
-    rows = list(batch)
-    out = np.zeros((len(rows), n_items), dtype=np.float64)
-    for k, r in enumerate(rows):
-        out[k, np.asarray(r, dtype=np.int64)] = 1.0
-    return out
+    _, mu, lv_raw = _encoder_heads(p, x_in @ p.enc_w1.T)
+    return GaussianPosterior(mean=mu,
+                             logvar=np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX))
 
 
 def loss_and_grads_fixed(p: ModelParams, x: np.ndarray, mask: np.ndarray,
@@ -233,10 +211,7 @@ def loss_and_grads_fixed(p: ModelParams, x: np.ndarray, mask: np.ndarray,
     xh = x * mask
     x_in = _normalize_rows(xh) if p.input_normalize else xh
 
-    a1 = x_in @ p.enc_w1.T + p.enc_b1
-    h1 = np.tanh(a1)
-    mu = h1 @ p.enc_w_mu.T + p.enc_b_mu
-    lv_raw = h1 @ p.enc_w_lv.T + p.enc_b_lv
+    h1, mu, lv_raw = _encoder_heads(p, x_in @ p.enc_w1.T)
     lv = np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX)
     sigma = np.exp(0.5 * lv)
     z = mu + noise * sigma
@@ -307,34 +282,20 @@ def loss_and_grads_fixed(p: ModelParams, x: np.ndarray, mask: np.ndarray,
 def draw_mask_and_noise(shape: tuple[int, int], latent_dim: int,
                         keep_prob: float, rng: np.random.Generator):
     """Mask first, then noise, in one fixed consumption order."""
-    if keep_prob >= 1.0:
-        mask = np.ones(shape, dtype=np.float64)
-    else:
-        mask = (rng.random(shape) < keep_prob).astype(np.float64)
-    noise = rng.standard_normal((shape[0], latent_dim))
-    return mask, noise
+    mask = draw_mask(shape, keep_prob, rng)
+    return mask, rng.standard_normal((shape[0], latent_dim))
 
 
-def loss_and_grads(p: ModelParams, batch, cfg: TrainConfig,
+def loss_and_grads(p: ModelParams, x: np.ndarray, cfg: TrainConfig,
                    rng: np.random.Generator,
                    lambda_a: float = 0.0) -> tuple[float, np.ndarray]:
-    """Draw one mask and one latent sample per row, then backpropagate."""
-    x = _as_dense_batch(batch, p.n_items)
+    """Draw one mask and one latent sample per row of the dense batch x,
+    then backpropagate."""
+    x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     mask, noise = draw_mask_and_noise(x.shape, p.latent_dim, cfg.keep_prob, rng)
     return loss_and_grads_fixed(p, x, mask, noise, cfg.beta, lambda_a=lambda_a)
-
-
-def vae_loss_and_grads(p: ModelParams, batch, cfg: TrainConfig,
-                       rng: np.random.Generator) -> tuple[float, np.ndarray]:
-    """Plain masked-ELBO objective (no alignment term)."""
-    return loss_and_grads(p, batch, cfg, rng, lambda_a=0.0)
-
-
-def select_best_epoch(ndcg_by_epoch: list[float]) -> int:
-    """1-based index of the highest validation NDCG (first one on ties)."""
-    return int(np.argmax(ndcg_by_epoch)) + 1
 
 
 def _mean_val_ndcg(p: ModelParams, fold: InteractionMatrix,
@@ -355,15 +316,11 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     snapshot from the epoch with the highest validation NDCG.
     """
     rng = np.random.default_rng(cfg.seed)
-    anchors = None
-    schedule = None
+    anchors = schedule = None
     if pia is not None:
-        table = AnchorTable.init(data.n_items, cfg.latent_dim, rng,
-                                 init_scale=pia.anchor_init_scale)
-        anchors = table.anchors
-        schedule = LambdaSchedule(lambda_a=pia.lambda_a,
-                                  lambda_scale=pia.lambda_scale,
-                                  patience=pia.patience)
+        anchors = AnchorTable.init(data.n_items, cfg.latent_dim, rng,
+                                   init_scale=pia.anchor_init_scale).anchors
+        schedule = LambdaSchedule(lambda_a=pia.lambda_a)
     p = init_params(data.n_items, cfg.hidden_dim, cfg.latent_dim, rng,
                     input_normalize=cfg.input_normalize, anchors=anchors)
     theta = pack_params(p)
@@ -394,31 +351,29 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                 best_theta = theta.copy()
                 best_epoch = epoch
             if schedule is not None:
-                schedule = schedule_update(schedule, epoch, val_ndcg)
+                schedule = schedule_update(schedule, pia, epoch, val_ndcg)
     except NumericalError as exc:
         log.append({"event": "aborted", "error": str(exc),
                     "last_good_epoch": best_epoch})
     return unpack_params(best_theta, p), log
 
 
-def _score_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
-                data: np.ndarray, out: np.ndarray,
-                normalize: bool | None) -> None:
-    """Write posterior-mean logits for CSR input rows into `out`.
+def _csr_means(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
+               data: np.ndarray, normalize: bool | None) -> np.ndarray:
+    """Posterior means of CSR input rows.
 
-    Entries with a positive input value are set to -inf. The encoder
-    input layer runs on the sparse rows one block of hidden units at a
-    time: scipy multiplies a sparse matrix by a C-ordered copy of the
-    dense operand, and the block bounds that copy to HIDDEN_BLOCK columns
-    of enc_w1.T instead of all of it.
+    The encoder input layer runs on the sparse rows one block of hidden
+    units at a time: scipy multiplies a sparse matrix by a C-ordered copy
+    of the dense operand, and the block bounds that copy to HIDDEN_BLOCK
+    columns of enc_w1.T instead of all of it.
     """
     from scipy import sparse
 
     if normalize is None:
         normalize = p.input_normalize
-    n_rows = out.shape[0]
-    row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
+    n_rows = indptr.size - 1
     if normalize:
+        row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
         norms = np.sqrt(np.bincount(row_of, weights=data * data,
                                     minlength=n_rows))
         data = data / np.where(norms > 0.0, norms, 1.0)[row_of]
@@ -427,11 +382,19 @@ def _score_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
     for start in range(0, p.hidden_dim, HIDDEN_BLOCK):
         stop = start + HIDDEN_BLOCK
         a1[:, start:stop] = x @ p.enc_w1[start:stop].T
-    h1 = np.tanh(a1 + p.enc_b1)
-    mu = h1 @ p.enc_w_mu.T + p.enc_b_mu
+    return _encoder_heads(p, a1)[1]
+
+
+def _score_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
+                data: np.ndarray, out: np.ndarray,
+                normalize: bool | None) -> None:
+    """Write posterior-mean logits for CSR input rows into `out`; entries
+    with a positive input value are set to -inf."""
+    mu = _csr_means(p, indptr, indices, data, normalize)
     np.matmul(mu, p.dec_w.T, out=out)
     out += p.dec_b
     seen = data > 0
+    row_of = np.repeat(np.arange(out.shape[0]), np.diff(indptr))
     out[row_of[seen], indices[seen]] = -np.inf
 
 
@@ -460,12 +423,29 @@ def score_matrix(p: ModelParams, fold: InteractionMatrix,
     so the same inputs always give the same bits.
     """
     scores = np.empty((fold.n_users, p.n_items), dtype=np.float64)
-    for start in range(0, fold.n_users, SCORE_CHUNK):
-        stop = min(start + SCORE_CHUNK, fold.n_users)
-        lo, hi = fold.indptr[start], fold.indptr[stop]
-        _score_rows(p, fold.indptr[start:stop + 1] - lo, fold.indices[lo:hi],
-                    np.ones(hi - lo), scores[start:stop], normalize)
+    for rows, indptr, indices in _csr_chunks(fold):
+        _score_rows(p, indptr, indices, np.ones(indices.size), scores[rows],
+                    normalize)
     return scores
+
+
+def posterior_means(p: ModelParams, matrix: InteractionMatrix) -> np.ndarray:
+    """Posterior means of every user's clean input row, SCORE_CHUNK users
+    at a time as in score_matrix."""
+    means = np.empty((matrix.n_users, p.latent_dim), dtype=np.float64)
+    for rows, indptr, indices in _csr_chunks(matrix):
+        means[rows] = _csr_means(p, indptr, indices, np.ones(indices.size),
+                                 None)
+    return means
+
+
+def _csr_chunks(matrix: InteractionMatrix):
+    """(row slice, indptr, indices) of each run of SCORE_CHUNK users."""
+    for start in range(0, matrix.n_users, SCORE_CHUNK):
+        stop = min(start + SCORE_CHUNK, matrix.n_users)
+        lo, hi = matrix.indptr[start], matrix.indptr[stop]
+        yield (slice(start, stop), matrix.indptr[start:stop + 1] - lo,
+               matrix.indices[lo:hi])
 
 
 # ---------------------------------------------------------------------------

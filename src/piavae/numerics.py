@@ -6,7 +6,7 @@ inputs give bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,8 @@ def clamp_logvar(logvar: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianPosterior:
-    """Diagonal Gaussian given by its mean and log-variance vectors."""
+    """Diagonal Gaussian given by its mean and log-variance vectors; a
+    batch of posteriors holds one row per posterior."""
 
     mean: np.ndarray
     logvar: np.ndarray
@@ -56,9 +57,11 @@ class GaussianPosterior:
         return np.exp(self.logvar)
 
 
-def kl_diag_gaussian(q: GaussianPosterior) -> float:
-    """KL(q || N(0, I)) = 1/2 sum(mu^2 + sigma^2 - 1 - log sigma^2)."""
-    return float(0.5 * np.sum(q.mean**2 + q.var - 1.0 - q.logvar))
+def kl_diag_gaussian(q: GaussianPosterior) -> float | np.ndarray:
+    """KL(q || N(0, I)) = 1/2 sum(mu^2 + sigma^2 - 1 - log sigma^2); one
+    value per row when q holds a batch of posteriors."""
+    kl = 0.5 * np.sum(q.mean**2 + q.var - 1.0 - q.logvar, axis=-1)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def multinomial_loglik(logits: np.ndarray, x: np.ndarray) -> float:
@@ -93,17 +96,10 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def init(cls, n_params: int, lr: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            first_moment=np.zeros(n_params, dtype=np.float64),
-            second_moment=np.zeros(n_params, dtype=np.float64),
-            step_count=0,
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def init(cls, n_params: int, **hyper) -> "AdamState":
+        """Zero moments; `hyper` overrides lr, beta1, beta2 or eps."""
+        return cls(first_moment=np.zeros(n_params, dtype=np.float64),
+                   second_moment=np.zeros(n_params, dtype=np.float64), **hyper)
 
 
 def adam_step(state: AdamState, params: np.ndarray,
@@ -122,16 +118,8 @@ def adam_step(state: AdamState, params: np.ndarray,
     m_hat = m / (1.0 - state.beta1**t)
     v_hat = v / (1.0 - state.beta2**t)
     new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(
-        first_moment=m,
-        second_moment=v,
-        step_count=t,
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-    )
-    return new_params, new_state
+    return new_params, replace(state, first_moment=m, second_moment=v,
+                               step_count=t)
 
 
 def finite_diff_check(loss_fn, params: np.ndarray, analytic_grads: np.ndarray,

@@ -4,8 +4,10 @@ closed and sampled form, and the adaptive strength schedule.
 The alignment loss for a user with positives S and posterior q is
 mean_{i in S} E_{z~q} ||z - e_i||^2, which for a diagonal Gaussian equals
 ||mu - ebar||^2 + tr(Sigma) + (mean_i ||e_i||^2 - ||ebar||^2) with ebar the
-anchor centroid of S. The Monte-Carlo estimator exists only to verify the
-closed form and never feeds training.
+anchor centroid of S; training uses this closed form inside
+model.loss_and_grads_fixed. The Monte-Carlo estimator exists only to
+verify the closed form and never feeds training. The schedule's
+hyperparameters live in PiaConfig; LambdaSchedule holds only its state.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ class AnchorTable:
     """One learnable latent anchor per item (rows of an I x d matrix)."""
 
     anchors: np.ndarray
-    init_scale: float = 1.0
 
     def __post_init__(self):
         anchors = np.asarray(self.anchors, dtype=np.float64)
@@ -36,8 +37,7 @@ class AnchorTable:
              init_scale: float | None = None) -> "AnchorTable":
         # Unspecified upstream; 1/sqrt(d) keeps ||e_i|| around 1.
         scale = init_scale if init_scale is not None else 1.0 / np.sqrt(latent_dim)
-        return cls(anchors=scale * rng.standard_normal((n_items, latent_dim)),
-                   init_scale=scale)
+        return cls(anchors=scale * rng.standard_normal((n_items, latent_dim)))
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,6 @@ class PiaConfig:
     patience: int = 5
     anchor_init_scale: float | None = None
 
-
-@dataclass(frozen=True)
-class LambdaSchedule:
-    """Adaptive alignment-strength state driven by validation NDCG."""
-
-    lambda_a: float = 8.0
-    lambda_scale: float = 2.0
-    patience: int = 5
-    best_val: float = -np.inf
-    best_epoch: int = 0
-
     def __post_init__(self):
         if self.lambda_a <= 0:
             raise ValueError("lambda_a must be positive")
@@ -70,18 +59,29 @@ class LambdaSchedule:
             raise ValueError("patience must be >= 1")
 
 
-def schedule_update(s: LambdaSchedule, epoch: int, epoch_ndcg: float) -> LambdaSchedule:
-    """Record an improvement, or scale lambda after `patience` stalled epochs.
+@dataclass(frozen=True)
+class LambdaSchedule:
+    """Adaptive alignment-strength state driven by validation NDCG."""
+
+    lambda_a: float
+    best_val: float = -np.inf
+    best_epoch: int = 0
+
+
+def schedule_update(s: LambdaSchedule, cfg: PiaConfig, epoch: int,
+                    epoch_ndcg: float) -> LambdaSchedule:
+    """Record an improvement, or scale lambda after `cfg.patience` stalled
+    epochs.
 
     A strict improvement moves the best marker and leaves lambda alone.
-    Otherwise lambda is multiplied by lambda_scale once the gap since the
-    best epoch reaches the patience, and again on every later stalled
+    Otherwise lambda is multiplied by cfg.lambda_scale once the gap since
+    the best epoch reaches the patience, and again on every later stalled
     epoch while the gap keeps growing.
     """
     if epoch_ndcg > s.best_val:
         return replace(s, best_val=epoch_ndcg, best_epoch=epoch)
-    if epoch - s.best_epoch >= s.patience:
-        return replace(s, lambda_a=s.lambda_scale * s.lambda_a)
+    if epoch - s.best_epoch >= cfg.patience:
+        return replace(s, lambda_a=cfg.lambda_scale * s.lambda_a)
     return s
 
 
@@ -115,29 +115,17 @@ def alignment_closed_form(q: GaussianPosterior, table: AnchorTable,
     return mean_term + trace_term + const
 
 
-def alignment_mc_oracle(q: GaussianPosterior, table: AnchorTable, positives,
-                        n_samples: int, rng: np.random.Generator) -> float:
-    """Empirical mean over z ~ q of mean_i ||z - e_i||^2.
+def alignment_mc_standard_error(q: GaussianPosterior, table: AnchorTable,
+                                positives, n_samples: int,
+                                rng: np.random.Generator) -> tuple[float, float]:
+    """Empirical mean over z ~ q of mean_i ||z - e_i||^2, plus its standard
+    error (for tolerance checks).
 
     Verification oracle for alignment_closed_form; computed literally
     anchor by anchor rather than through the centroid identity.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    idx = _positives_array(positives)
-    noise = rng.standard_normal((n_samples, q.dim))
-    z = q.mean + noise * q.std
-    total = np.zeros(n_samples, dtype=np.float64)
-    for i in idx:
-        diff = z - table.anchors[i]
-        total += np.sum(diff * diff, axis=1)
-    return float(np.mean(total / idx.size))
-
-
-def alignment_mc_standard_error(q: GaussianPosterior, table: AnchorTable,
-                                positives, n_samples: int,
-                                rng: np.random.Generator) -> tuple[float, float]:
-    """Monte-Carlo estimate plus its standard error (for tolerance checks)."""
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
     idx = _positives_array(positives)
     noise = rng.standard_normal((n_samples, q.dim))
     z = q.mean + noise * q.std
@@ -149,18 +137,3 @@ def alignment_mc_standard_error(q: GaussianPosterior, table: AnchorTable,
     est = float(np.mean(per_sample))
     se = float(np.std(per_sample, ddof=1) / np.sqrt(n_samples))
     return est, se
-
-
-def pia_loss_and_grads(params, table: AnchorTable, batch, cfg,
-                       schedule: LambdaSchedule, rng: np.random.Generator):
-    """Masked ELBO plus schedule.lambda_a times the closed-form alignment.
-
-    Returns (loss, flat gradient) where the gradient vector ends with the
-    anchor block; anchors of items absent from the batch get zero
-    gradient and decoder gradients are untouched by the alignment term.
-    """
-    from .model import loss_and_grads
-
-    with_anchors = replace(params, anchors=table.anchors)
-    return loss_and_grads(with_anchors, batch, cfg, rng,
-                          lambda_a=schedule.lambda_a)

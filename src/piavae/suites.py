@@ -7,12 +7,13 @@ them one JSON object per line.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
 from . import geometry as geo
 from .corpus import SynthSpec, split_dataset, synth_block_dataset
-from .model import TrainConfig, fit, init_params
+from .model import TrainConfig, draw_mask, encode, fit, init_params
 from .numerics import GaussianPosterior, kl_diag_gaussian
 from .pia import AnchorTable, alignment_closed_form, alignment_mc_standard_error
 
@@ -84,12 +85,11 @@ def suite_t1(seed: int = 0) -> list[geo.GeometryReport]:
     tight = geo.t1_bound_check(
         GaussianPosterior(mean=[1.0], logvar=[0.0]),
         GaussianPosterior(mean=[0.0], logvar=[0.0]), prior_var=1.0)
-    tight.name = "transport-entropy-tight-case"
-    tight.values["abs_w1_minus_1"] = abs(tight.values["w1"] - 1.0)
-    tight.values["abs_bound_minus_1"] = abs(tight.values["bound"] - 1.0)
-    tight.tolerances.update({"abs_w1_minus_1": 1e-6, "abs_bound_minus_1": 1e-6})
-    tight.passed = all(tight.values[k] <= t for k, t in tight.tolerances.items())
-    reports.append(tight)
+    reports.append(tight.extend(
+        "transport-entropy-tight-case",
+        {"abs_w1_minus_1": abs(tight.values["w1"] - 1.0),
+         "abs_bound_minus_1": abs(tight.values["bound"] - 1.0)},
+        {"abs_w1_minus_1": 1e-6, "abs_bound_minus_1": 1e-6}))
     rng = np.random.default_rng(seed)
     for j in range(200):
         r = geo.t1_bound_check(_random_gaussian(rng, 1), _random_gaussian(rng, 1),
@@ -112,11 +112,10 @@ def suite_eq3(seed: int = 0) -> list[geo.GeometryReport]:
     q_v = GaussianPosterior(mean=[1.0], logvar=[math.log(2.0)])
     grid = geo.PairGrid.for_pair(q_u, q_v)
     same = geo.pairwise_decomposition_check(x, x, q_u, q_v, beta=0.2, grid=grid)
-    same.name = "pairwise-decomposition-equal-inputs"
-    same.values["gap_integral_abs"] = abs(same.values["gap_integral"])
-    same.tolerances["gap_integral_abs"] = 1e-8
-    same.passed = all(same.values[k] <= t for k, t in same.tolerances.items())
-    reports.append(same)
+    reports.append(same.extend(
+        "pairwise-decomposition-equal-inputs",
+        {"gap_integral_abs": abs(same.values["gap_integral"])},
+        {"gap_integral_abs": 1e-8}))
 
     far_u = GaussianPosterior(mean=[-40.0], logvar=[0.0])
     far_v = GaussianPosterior(mean=[40.0], logvar=[0.0])
@@ -125,12 +124,10 @@ def suite_eq3(seed: int = 0) -> list[geo.GeometryReport]:
     grid = geo.PairGrid.for_pair(far_u, far_v)
     disjoint = geo.pairwise_decomposition_check(x_u, x_v, far_u, far_v,
                                                 beta=0.2, grid=grid)
-    disjoint.name = "pairwise-decomposition-disjoint-posteriors"
-    disjoint.values["gap_integral_abs"] = abs(disjoint.values["gap_integral"])
-    disjoint.tolerances["gap_integral_abs"] = 1e-8
-    disjoint.passed = all(disjoint.values[k] <= t
-                          for k, t in disjoint.tolerances.items())
-    reports.append(disjoint)
+    reports.append(disjoint.extend(
+        "pairwise-decomposition-disjoint-posteriors",
+        {"gap_integral_abs": abs(disjoint.values["gap_integral"])},
+        {"gap_integral_abs": 1e-8}))
 
     near_u = GaussianPosterior(mean=[0.0], logvar=[0.0])
     near_v = GaussianPosterior(mean=[1.0], logvar=[0.0])
@@ -190,22 +187,20 @@ def suite_prop2(seed: int = 0) -> list[geo.GeometryReport]:
     offsets = np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, -2.0]])
     identity = geo.quadratic_toy(np.array([1.0, 3.0]), offsets, 0.0,
                                  np.array([0.0, 0.0]))
-    identity.name = "quadratic-shrinkage-lambda-zero"
-    identity.values["trace_ratio_err"] = abs(identity.values["trace_ratio"] - 1.0)
-    identity.values["drift_ratio_err"] = abs(identity.values["drift_ratio"] - 1.0)
-    identity.tolerances.update({"trace_ratio_err": 1e-12, "drift_ratio_err": 1e-12})
-    identity.passed = all(identity.values[k] <= t
-                          for k, t in identity.tolerances.items())
-    reports.append(identity)
+    tolerances = {"trace_ratio_err": 1e-12, "drift_ratio_err": 1e-12}
+    reports.append(identity.extend(
+        "quadratic-shrinkage-lambda-zero",
+        {"trace_ratio_err": abs(identity.values["trace_ratio"] - 1.0),
+         "drift_ratio_err": abs(identity.values["drift_ratio"] - 1.0)},
+        tolerances))
 
     exact = geo.quadratic_toy(np.array([1.0, 1.0]), offsets, 0.5,
                               np.array([0.4, -0.2]))
-    exact.name = "quadratic-shrinkage-identity-hessian"
-    exact.values["trace_ratio_err"] = abs(exact.values["trace_ratio"] - 0.25)
-    exact.values["drift_ratio_err"] = abs(exact.values["drift_ratio"] - 0.5)
-    exact.tolerances.update({"trace_ratio_err": 1e-12, "drift_ratio_err": 1e-12})
-    exact.passed = all(exact.values[k] <= t for k, t in exact.tolerances.items())
-    reports.append(exact)
+    reports.append(exact.extend(
+        "quadratic-shrinkage-identity-hessian",
+        {"trace_ratio_err": abs(exact.values["trace_ratio"] - 0.25),
+         "drift_ratio_err": abs(exact.values["drift_ratio"] - 0.5)},
+        tolerances))
 
     rng = np.random.default_rng(seed)
     for j in range(100):
@@ -229,17 +224,9 @@ def _tiny_split(seed: int):
 
 
 def _mean_masked_kl(params, matrix, keep_prob: float, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    rows = [matrix.row(u) for u in range(matrix.n_users)]
-    kls = []
-    for row in rows:
-        x = np.zeros(matrix.n_items)
-        x[row] = 1.0
-        from .model import apply_mask, encode
-
-        x_h = apply_mask(x, keep_prob, rng)
-        kls.append(kl_diag_gaussian(encode(params, x_h)))
-    return float(np.mean(kls))
+    x = matrix.dense_rows(np.arange(matrix.n_users))
+    x_h = x * draw_mask(x.shape, keep_prob, np.random.default_rng(seed))
+    return float(np.mean(kl_diag_gaussian(encode(params, x_h))))
 
 
 def beta_kl_direction(seeds=(0, 1, 2, 3, 4), betas=(0.0, 0.2, 1.0),
@@ -294,31 +281,17 @@ def suite_probe(seed: int = 0) -> list[geo.GeometryReport]:
     same = geo.sharing_probe(params, x_u, x_u, n_samples=400,
                              perturb_scale=0.1, rng=rng)
     reports.append(geo.GeometryReport.check(
-        "sharing-probe-identical-pair",
-        {"w2_latent": same.w2_latent, "grad_norm_u": same.grad_norm_u,
-         "delta_x": same.delta_x, "lipschitz_probe": same.lipschitz_probe,
-         "r_share_estimate": same.r_share_estimate},
+        "sharing-probe-identical-pair", asdict(same),
         {"w2_latent": 1e-12, "delta_x": 1e-12}))
     diff = geo.sharing_probe(params, x_u, x_v, n_samples=400,
                              perturb_scale=0.1, rng=rng)
-    reports.append(geo.GeometryReport(
-        name="sharing-probe-distinct-pair",
-        values={"w2_latent": diff.w2_latent, "grad_norm_u": diff.grad_norm_u,
-                "delta_x": diff.delta_x, "lipschitz_probe": diff.lipschitz_probe,
-                "r_share_estimate": diff.r_share_estimate}))
+    reports.append(geo.GeometryReport(name="sharing-probe-distinct-pair",
+                                      values=asdict(diff)))
     return reports
 
 
 def run_suite(name: str, seed: int = 0) -> list[geo.GeometryReport]:
-    runners = {
-        "thm3": suite_thm3,
-        "t1": suite_t1,
-        "eq3": suite_eq3,
-        "prop1": suite_prop1,
-        "prop2": suite_prop2,
-        "eq4": suite_eq4,
-        "probe": suite_probe,
-    }
-    if name not in runners:
+    """Run `suite_<name>` for a name in SUITE_NAMES."""
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return runners[name](seed=seed)
+    return globals()[f"suite_{name}"](seed=seed)

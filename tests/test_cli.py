@@ -1,9 +1,11 @@
-import numpy as np
+import json
+
 import pytest
 
 from piavae.cli import dispatch
 from piavae.corpus import SynthSpec, save_split, split_dataset, synth_block_dataset
 from piavae.model import save_checkpoint
+from piavae.suites import SUITE_NAMES
 from tests.test_model import tiny_params
 
 
@@ -46,3 +48,111 @@ class TestEvaluateExitCodes:
         assert _evaluate(run_dir) == 2
         err = capsys.readouterr().err
         assert "test_hold.csr" in err and "byte" in err
+
+    def test_invalid_csr_contents_exit_2(self, run_dir, capsys):
+        # Lengths agree with the header, but the last item index is out of range.
+        path = run_dir / "data" / "test_hold.csr"
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = (999).to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
+        assert _evaluate(run_dir) == 2
+        err = capsys.readouterr().err
+        assert "test_hold.csr" in err and "out of range" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--strata", "5")])
+    def test_bad_evaluate_arguments_exit_1(self, run_dir, flag, value, capsys):
+        argv = ["evaluate", "--model", str(run_dir / "model.ckpt"),
+                "--data", str(run_dir / "data"), "--out", str(run_dir / "eval"),
+                flag, value]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert flag in err and len(err.strip().splitlines()) == 1
+
+
+CUSTOM_CONFIG = """\
+beta = 0.3
+keep_prob = 0.6
+batch_size = 8
+epochs = 2
+lr = 0.01
+seed = 3
+input_normalize = off
+hidden_dim = 12
+latent_dim = 5
+lambda_a = 2
+lambda_scale = 3
+patience = 2
+anchor_init_scale = 0.5
+"""
+
+DEFAULT_TRAIN_CONFIG = {
+    "anchor_init_scale": None, "batch_size": 500, "beta": 0.2, "epochs": 1,
+    "hidden_dim": 600, "input_normalize": True, "keep_prob": 0.5,
+    "lambda_a": 8.0, "lambda_scale": 2.0, "latent_dim": 200, "lr": 0.001,
+    "patience": 5, "seed": 0}
+
+CUSTOM_TRAIN_CONFIG = {
+    "anchor_init_scale": 0.5, "batch_size": 8, "beta": 0.3, "epochs": 2,
+    "hidden_dim": 12, "input_normalize": False, "keep_prob": 0.6,
+    "lambda_a": 2.0, "lambda_scale": 3.0, "latent_dim": 5, "lr": 0.01,
+    "patience": 2, "seed": 3}
+
+
+def _train(run_dir, pia, *extra):
+    out = run_dir / f"train-{pia}"
+    code = dispatch(["train", "--data", str(run_dir / "data"), "--pia", pia,
+                     "--out", str(out), *extra])
+    return code, out
+
+
+class TestTrainManifest:
+    # The resolved config and its hash, pinned so that where the defaults
+    # are kept can change without changing what a run records.
+    @pytest.mark.parametrize("pia, sha", [
+        ("on", "57183d60317099def15b18b58f440cd82f5a71209fc1147525a62eb6b03e6aaf"),
+        ("off", "c09977f9422a87156662ec5d878a71e80984e3347f0918e4d16a4ce5816ffb50")])
+    def test_default_config(self, run_dir, pia, sha):
+        code, out = _train(run_dir, pia, "--epochs", "1")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {**DEFAULT_TRAIN_CONFIG, "pia": pia}
+        assert manifest["config_sha256"] == sha
+
+    @pytest.mark.parametrize("pia, sha", [
+        ("on", "4bfc7abe5a63f0a789be0c7e67ccc10a771a11ee5eb77f62446f1dc07d273e62"),
+        ("off", "d10e940abc2cc9e7a79b43f4ff6657594a02becf73cfb6547f4d30af1a213e17")])
+    def test_custom_config(self, run_dir, pia, sha):
+        (run_dir / "train.cfg").write_text(CUSTOM_CONFIG)
+        code, out = _train(run_dir, pia, "--config", str(run_dir / "train.cfg"))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {**CUSTOM_TRAIN_CONFIG, "pia": pia}
+        assert manifest["config_sha256"] == sha
+
+
+class TestTrainUsageErrors:
+    @pytest.mark.parametrize("pia, setting", [("off", "beta = -1"),
+                                              ("on", "lambda_a = 0")])
+    def test_invalid_config_exits_1(self, run_dir, pia, setting, capsys):
+        (run_dir / "bad.cfg").write_text(setting + "\n")
+        code, out = _train(run_dir, pia, "--config", str(run_dir / "bad.cfg"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad.cfg" in err and len(err.strip().splitlines()) == 1
+        assert not (out / "model.ckpt").exists()
+
+
+class TestGeometryGate:
+    # Every shipped suite runs here. eq4's kl-direction-in-beta check is a
+    # known failure (see ROADMAP.md); any other failing report is a regression.
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_suite_exit_code_and_failures(self, tmp_path, suite):
+        code = dispatch(["geometry", "--suite", suite, "--seed", "0",
+                         "--out", str(tmp_path)])
+        lines = (tmp_path / f"{suite}.jsonl").read_text().splitlines()
+        failed = [r["name"] for r in map(json.loads, lines) if not r["pass"]]
+        if suite == "eq4":
+            assert (code, failed) == (2, ["kl-direction-in-beta"])
+        else:
+            assert (code, failed) == (0, [])

@@ -4,8 +4,8 @@ import pytest
 from piavae.corpus import (InteractionMatrix, SynthSpec, ingest_events,
                            load_split, matrix_from_rows, read_csr, save_split,
                            split_dataset, synth_block_dataset, write_csr)
-from piavae.errors import (CorruptFileError, EmptyDatasetError, ParseError,
-                           SpecError, SplitError)
+from piavae.errors import (CorruptFileError, EmptyDatasetError, MatrixError,
+                           ParseError, SpecError, SplitError)
 
 TOY_CSV = """user,item,rating
 u1,i1,5
@@ -290,7 +290,7 @@ class TestInteractionMatrixInvariants:
         assert m.row(0).tolist() == [0, 1, 3]
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MatrixError):
             InteractionMatrix(n_users=1, n_items=2,
                               indptr=np.array([0, 1]), indices=np.array([5]),
                               user_ids=("a",), item_ids=("x", "y"))
@@ -298,7 +298,7 @@ class TestInteractionMatrixInvariants:
     def test_first_unsorted_row_is_named(self):
         # Row 0 ends high and row 2 starts low: that step is allowed. Row 3
         # repeats an index and row 4 falls; row 3 is reported.
-        with pytest.raises(ValueError, match="row 3 not strictly increasing"):
+        with pytest.raises(MatrixError, match="row 3 not strictly increasing"):
             InteractionMatrix(n_users=5, n_items=9,
                               indptr=np.array([0, 2, 2, 4, 6, 8]),
                               indices=np.array([1, 8, 0, 5, 4, 4, 7, 6]),

@@ -427,18 +427,28 @@ class TestExportLatents:
         assert len(lines) == 4
         assert all(len(line.split(",")) == 4 for line in lines[1:])
 
-    def test_values_roundtrip_bitwise(self, tmp_path):
-        from piavae.model import encode
 
-        p = tiny_params(seed=81, n_items=6, hidden=4, latent=2, normalize=True)
-        m = matrix_from_rows([np.array([0, 2, 4])], 6)
-        out = tmp_path / "latents.csv"
-        export_latents(p, m, out)
-        line = out.read_text().strip().splitlines()[1].split(",")
-        x = np.zeros(6)
-        x[[0, 2, 4]] = 1.0
-        q = encode(p, x)
-        assert int(line[0]) == 0
-        assert int(line[1]) == 3
-        assert float(line[2]) == q.mean[0]
-        assert float(line[3]) == q.mean[1]
+    def test_values_roundtrip_bitwise(self, tmp_path):
+        # The CSV holds the chunked kernel's means bit for bit, and they
+        # agree with the dense one-row encoder to rounding.
+        from piavae.model import encode, posterior_means
+
+        for normalize in (False, True):
+            p = tiny_params(seed=82, n_items=6, hidden=4, latent=2,
+                            normalize=normalize)
+            rows = [np.array([0, 2, 4]), np.array([], dtype=np.int64),
+                    np.array([1]), np.array([0, 1, 2, 3, 4, 5])]
+            m = matrix_from_rows(rows, 6)
+            out = tmp_path / "latents.csv"
+            export_latents(p, m, out)
+            lines = out.read_text().strip().splitlines()[1:]
+            assert len(lines) == len(rows)
+            for u, (line, row) in enumerate(zip(lines, rows)):
+                cells = line.split(",")
+                assert (int(cells[0]), int(cells[1])) == (u, row.size)
+                x = np.zeros(6)
+                x[row] = 1.0
+                values = np.array([float(c) for c in cells[2:]])
+                assert values.tobytes() == posterior_means(p, m)[u].tobytes()
+                np.testing.assert_allclose(values, encode(p, x).mean,
+                                           rtol=0.0, atol=1e-12)

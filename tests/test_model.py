@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from piavae.corpus import SynthSpec, split_dataset, synth_block_dataset
-from piavae.errors import CorruptFileError, NumericalError
-from piavae.model import (ModelParams, TrainConfig, apply_mask, decode, encode,
-                          fit, init_params, load_checkpoint, loss_and_grads,
+from piavae.errors import CorruptFileError, NumericalError, ShapeError
+from piavae.model import (ModelParams, TrainConfig, draw_mask, encode, fit,
+                          init_params, load_checkpoint, loss_and_grads,
                           loss_and_grads_fixed, pack_params, predict_scores,
-                          save_checkpoint, score_matrix, select_best_epoch,
-                          unpack_params, vae_loss_and_grads)
-from piavae.numerics import finite_diff_check
+                          save_checkpoint, score_matrix, unpack_params)
+from piavae.numerics import (finite_diff_check, kl_diag_gaussian,
+                             multinomial_loglik)
 
 
 def tiny_params(normalize=False, with_anchors=False, seed=0,
@@ -39,30 +39,43 @@ def hand_params(normalize=False):
 
 
 class TestApplyMask:
+    # A mask is applied as x * draw_mask(x.shape, keep_prob, rng).
     def test_keep_prob_one_is_identity(self):
         rng = np.random.default_rng(0)
         x = np.array([1.0, 0.0, 1.0, 1.0])
-        assert np.array_equal(apply_mask(x, 1.0, rng), x)
+        assert np.array_equal(x * draw_mask(x.shape, 1.0, rng), x)
+        assert rng.random() == np.random.default_rng(0).random()  # no draw
 
     def test_zero_vector_stays_zero(self):
         rng = np.random.default_rng(0)
-        assert not apply_mask(np.zeros(10), 0.3, rng).any()
+        assert not (np.zeros(10) * draw_mask((10,), 0.3, rng)).any()
 
     def test_mask_never_creates_positives(self):
         rng = np.random.default_rng(1)
         x = (rng.random(50) < 0.4).astype(float)
         for _ in range(200):
-            masked = apply_mask(x, 0.5, rng)
+            mask = draw_mask(x.shape, 0.5, rng)
+            assert set(np.unique(mask)) <= {0.0, 1.0}
+            masked = x * mask
             assert np.all(masked <= x)
             assert set(np.flatnonzero(masked)) <= set(np.flatnonzero(x))
 
+    def test_batch_draw_equals_row_draws(self):
+        batch = draw_mask((5, 30), 0.4, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        rows = [draw_mask((30,), 0.4, rng) for _ in range(5)]
+        assert batch.tobytes() == np.stack(rows).tobytes()
+
     def test_mc_mean_matches_keep_prob(self):
-        rng = np.random.default_rng(2)
-        x = np.ones(20)
         n = 100_000
-        sizes = np.array([apply_mask(x, 0.5, rng).sum() for _ in range(n)])
+        sizes = draw_mask((n, 20), 0.5, np.random.default_rng(2)).sum(axis=1)
         se = math.sqrt(20 * 0.25 / n)
         assert abs(sizes.mean() - 10.0) < 4 * se
+
+    @pytest.mark.parametrize("keep_prob", [0.0, -0.5, 1.5])
+    def test_out_of_range_keep_prob_rejected(self, keep_prob):
+        with pytest.raises(ValueError):
+            draw_mask((2, 3), keep_prob, np.random.default_rng(0))
 
 
 class TestEncodeDecode:
@@ -92,22 +105,76 @@ class TestEncodeDecode:
         h1 = math.tanh(0.1)
         assert q.mean[0] == pytest.approx(0.5 * h1 - 0.4, abs=1e-12)
 
+    # The decoder is checked through predict_scores, which decodes the
+    # posterior mean of the clean fold-in.
     def test_zero_decoder_gives_uniform_logits(self):
         p = tiny_params()
         zeros = unpack_params(np.zeros(pack_params(p).size), p)
-        assert not decode(zeros, np.ones(4)).any()
+        assert not predict_scores(zeros, np.zeros(20)).any()
 
     def test_hand_decoder_column(self):
+        # Empty fold-in: the encoder's bias path decoded through both
+        # items' decoder rows, with nothing forced to -inf.
         p = hand_params()
-        logits = decode(p, np.array([1.0]))
-        np.testing.assert_allclose(logits, [1.55, -0.6], atol=1e-15)
+        mu = 0.5 * math.tanh(0.1) - 0.4
+        scores = predict_scores(p, np.zeros(2), normalize=False)
+        np.testing.assert_allclose(scores, [1.5 * mu + 0.05, -0.5 * mu - 0.1],
+                                   rtol=0.0, atol=1e-15)
 
     def test_decoder_is_affine(self):
-        p = tiny_params(seed=3)
-        rng = np.random.default_rng(4)
-        z1, z2 = rng.standard_normal(4), rng.standard_normal(4)
-        lhs = decode(p, z1) + decode(p, z2) - decode(p, np.zeros(4))
-        np.testing.assert_allclose(lhs, decode(p, z1 + z2), atol=1e-12)
+        # Scores are dec_w @ mu + dec_b for the posterior mean, with the
+        # fold-in items at -inf.
+        p = tiny_params(seed=3, normalize=True)
+        x = np.zeros(20)
+        x[[1, 4, 9]] = 1.0
+        scores = predict_scores(p, x)
+        expected = p.dec_w @ encode(p, x).mean + p.dec_b
+        assert np.all(np.isneginf(scores[[1, 4, 9]]))
+        keep = x == 0
+        np.testing.assert_allclose(scores[keep], expected[keep], rtol=0.0,
+                                   atol=1e-12)
+
+    def test_batch_shape_mismatch_rejected(self):
+        p = tiny_params()
+        with pytest.raises(ShapeError):
+            encode(p, np.ones((3, 19)))
+        with pytest.raises(ShapeError):
+            encode(p, np.ones((2, 3, 20)))
+
+
+class TestSharedForward:
+    def test_batch_encode_equals_stacked_rows(self):
+        for normalize in (False, True):
+            p = tiny_params(normalize=normalize, seed=40)
+            rng = np.random.default_rng(41)
+            x = (rng.random((7, 20)) < 0.3).astype(float)
+            x[3] = 0.0  # a zero row takes the bias path
+            batch = encode(p, x)
+            rows = [encode(p, row) for row in x]
+            assert batch.mean.shape == batch.logvar.shape == (7, 4)
+            np.testing.assert_allclose(batch.mean, [q.mean for q in rows],
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(batch.logvar, [q.logvar for q in rows],
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("normalize, beta", [(False, 0.0), (True, 0.2),
+                                                 (True, 1.5)])
+    def test_training_loss_matches_numerics_reference(self, normalize, beta):
+        # keep_prob 1, zero noise, no alignment: the batched training
+        # forward is the mean of the per-row ELBO built from the references.
+        p = tiny_params(normalize=normalize, seed=42, with_anchors=True)
+        rng = np.random.default_rng(43)
+        x = (rng.random((5, 20)) < 0.3).astype(float)
+        x[x.sum(axis=1) == 0, 0] = 1.0
+        loss, _ = loss_and_grads_fixed(p, x, np.ones_like(x), np.zeros((5, 4)),
+                                       beta=beta, lambda_a=0.0)
+        per_row = []
+        for row in x:
+            q = encode(p, row)
+            logits = q.mean @ p.dec_w.T + p.dec_b
+            per_row.append(-multinomial_loglik(logits, row)
+                           + beta * kl_diag_gaussian(q))
+        assert loss == pytest.approx(np.mean(per_row), rel=1e-12, abs=1e-12)
 
 
 class TestLossAndGrads:
@@ -123,7 +190,7 @@ class TestLossAndGrads:
         x[0, [2, 5, 11]] = 1.0
         cfg = TrainConfig(beta=0.0, keep_prob=0.5, batch_size=1, epochs=1,
                           hidden_dim=8, latent_dim=4)
-        loss, _ = vae_loss_and_grads(zero_dec, x, cfg, np.random.default_rng(0))
+        loss, _ = loss_and_grads(zero_dec, x, cfg, np.random.default_rng(0))
         assert loss == pytest.approx(3.0 * math.log(20.0), abs=1e-12)
 
     def test_beta_only_adds_nonnegative_term(self):
@@ -181,7 +248,7 @@ class TestLossAndGrads:
         x[:, 0] = 1.0
         cfg = TrainConfig(hidden_dim=8, latent_dim=4, batch_size=2, epochs=1)
         with pytest.raises(NumericalError) as exc:
-            vae_loss_and_grads(bad, x, cfg, np.random.default_rng(0))
+            loss_and_grads(bad, x, cfg, np.random.default_rng(0))
         assert exc.value.row_index == 0
 
 
@@ -209,11 +276,6 @@ class TestFit:
         _, log_a = fit(split, cfg)
         _, log_b = fit(split, cfg)
         assert json.dumps(log_a, sort_keys=True) == json.dumps(log_b, sort_keys=True)
-
-    def test_best_epoch_is_argmax(self):
-        assert select_best_epoch([0.1, 0.3, 0.2]) == 2
-        assert select_best_epoch([0.5]) == 1
-        assert select_best_epoch([0.2, 0.2, 0.2]) == 1
 
     def test_returned_params_come_from_best_epoch(self):
         split = small_split(seed=3)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from piavae.errors import EmptySupportError
+from dataclasses import replace
+
 from piavae.model import (TrainConfig, draw_mask_and_noise, loss_and_grads,
-                          loss_and_grads_fixed, pack_params, unpack_params,
-                          vae_loss_and_grads)
+                          loss_and_grads_fixed, pack_params, unpack_params)
 from piavae.numerics import GaussianPosterior, finite_diff_check
-from piavae.pia import (AnchorTable, LambdaSchedule, alignment_closed_form,
-                        alignment_mc_oracle, alignment_mc_standard_error,
-                        anchor_centroid, pia_loss_and_grads, schedule_update)
+from piavae.pia import (AnchorTable, LambdaSchedule, PiaConfig,
+                        alignment_closed_form, alignment_mc_standard_error,
+                        anchor_centroid, schedule_update)
 from tests.test_model import tiny_params
 
 
@@ -86,7 +87,7 @@ class TestAlignmentMcOracle:
         table = AnchorTable(anchors=np.array([[0.4, 0.9]]))
         q = GaussianPosterior(mean=[0.4, 0.9], logvar=[-np.inf, -np.inf])
         rng = np.random.default_rng(2)
-        assert alignment_mc_oracle(q, table, [0], 1000, rng) == 0.0
+        assert alignment_mc_standard_error(q, table, [0], 1000, rng) == (0.0, 0.0)
 
     def test_reproduces_unit_variance_case(self):
         table = AnchorTable(anchors=np.zeros((1, 2)))
@@ -107,9 +108,18 @@ class TestAlignmentMcOracle:
         rng_b = np.random.default_rng(5)
         table = AnchorTable(anchors=np.random.default_rng(6).standard_normal((4, 3)))
         q = GaussianPosterior(mean=[0.1, -0.2, 0.3], logvar=[0.5, -0.5, 0.0])
-        a = alignment_mc_oracle(q, table, [0, 2], 5000, rng_a)
-        b = alignment_mc_oracle(q, table, [0, 2], 5000, rng_b)
+        a = alignment_mc_standard_error(q, table, [0, 2], 5000, rng_a)
+        b = alignment_mc_standard_error(q, table, [0, 2], 5000, rng_b)
         assert a == b
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, n_samples):
+        # One sample has no standard error (ddof=1 would divide by zero).
+        table = AnchorTable(anchors=np.zeros((1, 2)))
+        q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
+        with pytest.raises(ValueError, match="n_samples"):
+            alignment_mc_standard_error(q, table, [0], n_samples,
+                                        np.random.default_rng(0))
 
     def test_closed_form_matches_mc_over_random_instances(self):
         rng = np.random.default_rng(0)
@@ -129,16 +139,20 @@ class TestAlignmentMcOracle:
 
 class TestPiaLossAndGrads:
     def test_lambda_zero_is_bitwise_plain_vae(self):
+        # Anchors present but lambda 0: the model without anchors, bit for
+        # bit, and a zero anchor gradient.
         p = tiny_params(seed=30, with_anchors=True)
         rng = np.random.default_rng(31)
         x = (rng.random((4, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
         cfg = TrainConfig(hidden_dim=8, latent_dim=4)
-        loss_a, grads_a = vae_loss_and_grads(p, x, cfg, np.random.default_rng(9))
+        loss_a, grads_a = loss_and_grads(replace(p, anchors=None), x, cfg,
+                                         np.random.default_rng(9))
         loss_b, grads_b = loss_and_grads(p, x, cfg, np.random.default_rng(9),
                                          lambda_a=0.0)
         assert loss_a == loss_b
-        assert grads_a.tobytes() == grads_b.tobytes()
+        assert grads_a.tobytes() == grads_b[:grads_a.size].tobytes()
+        assert not grads_b[grads_a.size:].any()
 
     def test_gradient_check_including_anchors(self):
         p = tiny_params(seed=32, with_anchors=True)
@@ -189,7 +203,7 @@ class TestPiaLossAndGrads:
         dec1 = g1[enc_size:enc_size + dec_size]
         assert dec0.tobytes() == dec1.tobytes()
 
-    def test_wrapper_uses_schedule_strength(self):
+    def test_alignment_strength_adds_penalty_and_anchor_block(self):
         p = tiny_params(seed=37)
         table = AnchorTable(anchors=0.2 * np.random.default_rng(38)
                             .standard_normal((20, 4)))
@@ -197,47 +211,51 @@ class TestPiaLossAndGrads:
         x = (rng.random((3, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
         cfg = TrainConfig(hidden_dim=8, latent_dim=4)
-        sched = LambdaSchedule(lambda_a=8.0)
-        loss_pia, grads_pia = pia_loss_and_grads(p, table, x, cfg, sched,
-                                                 np.random.default_rng(3))
-        loss_vae, _ = vae_loss_and_grads(p, x, cfg, np.random.default_rng(3))
+        loss_pia, grads_pia = loss_and_grads(replace(p, anchors=table.anchors),
+                                             x, cfg, np.random.default_rng(3),
+                                             lambda_a=8.0)
+        loss_vae, _ = loss_and_grads(p, x, cfg, np.random.default_rng(3))
         assert loss_pia > loss_vae  # alignment penalty is nonnegative
         assert grads_pia.size == pack_params(p).size + table.anchors.size
 
 
 class TestLambdaSchedule:
     def test_improving_sequence_never_scales(self):
-        s = LambdaSchedule(lambda_a=8.0, lambda_scale=2.0, patience=5)
+        cfg = PiaConfig(lambda_a=8.0, lambda_scale=2.0, patience=5)
+        s = LambdaSchedule(lambda_a=cfg.lambda_a)
         for epoch, ndcg in enumerate([0.1, 0.2, 0.3], start=1):
-            s = schedule_update(s, epoch, ndcg)
+            s = schedule_update(s, cfg, epoch, ndcg)
         assert s.lambda_a == 8.0
         assert s.best_epoch == 3
 
     def test_flat_sequence_scales_at_patience(self):
-        s = LambdaSchedule(lambda_a=8.0, lambda_scale=2.0, patience=5)
-        s = schedule_update(s, 0, 0.5)  # best at epoch 0
+        cfg = PiaConfig(lambda_a=8.0, lambda_scale=2.0, patience=5)
+        s = LambdaSchedule(lambda_a=8.0)
+        s = schedule_update(s, cfg, 0, 0.5)  # best at epoch 0
         lambdas = []
         for epoch in range(1, 6):
-            s = schedule_update(s, epoch, 0.5)  # never improves
+            s = schedule_update(s, cfg, epoch, 0.5)  # never improves
             lambdas.append(s.lambda_a)
         assert lambdas == [8.0, 8.0, 8.0, 8.0, 16.0]
 
     def test_patience_one_doubles_on_every_stall(self):
-        s = LambdaSchedule(lambda_a=8.0, lambda_scale=2.0, patience=1)
+        cfg = PiaConfig(lambda_a=8.0, lambda_scale=2.0, patience=1)
+        s = LambdaSchedule(lambda_a=8.0)
         values = [0.1, 0.1, 0.2, 0.2, 0.3, 0.3]
         expected = [8.0, 16.0, 16.0, 32.0, 32.0, 64.0]
         observed = []
         for epoch, ndcg in enumerate(values, start=1):
-            s = schedule_update(s, epoch, ndcg)
+            s = schedule_update(s, cfg, epoch, ndcg)
             observed.append(s.lambda_a)
         assert observed == expected
 
     def test_lambda_never_decreases_and_scales_exactly(self):
         rng = np.random.default_rng(40)
-        s = LambdaSchedule(lambda_a=8.0, lambda_scale=2.0, patience=3)
+        cfg = PiaConfig(lambda_a=8.0, lambda_scale=2.0, patience=3)
+        s = LambdaSchedule(lambda_a=8.0)
         prev = s.lambda_a
         for epoch in range(1, 60):
-            s = schedule_update(s, epoch, float(rng.random()))
+            s = schedule_update(s, cfg, epoch, float(rng.random()))
             assert s.lambda_a >= prev
             ratio = s.lambda_a / prev
             assert ratio in (1.0, 2.0)
@@ -245,8 +263,8 @@ class TestLambdaSchedule:
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
-            LambdaSchedule(lambda_a=0.0)
+            PiaConfig(lambda_a=0.0)
         with pytest.raises(ValueError):
-            LambdaSchedule(lambda_scale=1.0)
+            PiaConfig(lambda_scale=1.0)
         with pytest.raises(ValueError):
-            LambdaSchedule(patience=0)
+            PiaConfig(patience=0)
