@@ -1,9 +1,11 @@
 """Command-line front door: preprocess, synth, train, evaluate, geometry, export.
 
-Every run writes its artifacts under --out together with a manifest.json
-recording the resolved configuration, a config hash, input digests, the
-seed, and library versions, so outputs are reproducible from the manifest
-alone. Exit codes: 0 success, 1 usage error, 2 data or numeric error.
+Every run writes a manifest recording the resolved configuration, a
+config hash, input digests, the seed, and library versions, so outputs
+are reproducible from the manifest alone. Commands that write a directory
+put it at --out/manifest.json; `export`, which writes one CSV file at
+--out, puts it next to that file as <out>.manifest.json. Exit codes:
+0 success, 1 usage error, 2 data or numeric error.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, seed,
+def write_manifest(path: Path, command: str, config: dict, seed,
                    inputs: list[Path], outputs: list[str]) -> None:
     manifest = {
         "command": command,
@@ -157,8 +159,8 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed,
             "numpy": np.__version__,
         },
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8")
 
 
 def _ensure_out(path_text: str) -> Path:
@@ -175,6 +177,8 @@ SPLIT_OUTPUTS = [*SPLIT_FILES.values(), "idmap.tsv", "seed.txt"]
 
 
 def _cmd_preprocess(args) -> int:
+    if args.min_user < 0 or args.min_item < 0:
+        raise UsageError("--min-user and --min-item must be >= 0")
     out = _ensure_out(args.out)
     matrix = ingest_events(args.input, args.min_user, args.min_item,
                            args.threshold)
@@ -184,8 +188,8 @@ def _cmd_preprocess(args) -> int:
               "min_item": args.min_item, "threshold": args.threshold,
               "val": args.val, "test": args.test,
               "fold_in": args.fold_in, "seed": args.seed}
-    write_manifest(out, "preprocess", config, args.seed, [Path(args.input)],
-                   SPLIT_OUTPUTS)
+    write_manifest(out / "manifest.json", "preprocess", config, args.seed,
+                   [Path(args.input)], SPLIT_OUTPUTS)
     print(f"preprocess: {matrix.n_users} users x {matrix.n_items} items "
           f"({matrix.nnz} interactions) -> {out}")
     return 0
@@ -203,8 +207,8 @@ def _cmd_synth(args) -> int:
     split = split_dataset(matrix, config["n_val_users"], config["n_test_users"],
                           config["fold_in_fraction"], config["seed"])
     save_split(split, out)
-    write_manifest(out, "synth", config, config["seed"], [Path(args.spec)],
-                   SPLIT_OUTPUTS)
+    write_manifest(out / "manifest.json", "synth", config, config["seed"],
+                   [Path(args.spec)], SPLIT_OUTPUTS)
     print(f"synth: {matrix.n_users} users x {matrix.n_items} items -> {out}")
     return 0
 
@@ -242,8 +246,8 @@ def _cmd_train(args) -> int:
               ("train.csr", "val_fold.csr", "val_hold.csr")]
     if args.config:
         inputs.append(Path(args.config))
-    write_manifest(out, "train", config, config["seed"], inputs,
-                   ["model.ckpt", "train_log.jsonl"])
+    write_manifest(out / "manifest.json", "train", config, config["seed"],
+                   inputs, ["model.ckpt", "train_log.jsonl"])
     best = max((r for r in log if "val_ndcg100" in r),
                key=lambda r: r["val_ndcg100"], default=None)
     if best is not None:
@@ -277,7 +281,7 @@ def _cmd_evaluate(args) -> int:
             fh.write(",".join([label, str(rep.n_users)] + cells) + "\n")
     config = {"model": args.model, "data": args.data, "k": k_list,
               "strata": list(edges), "part": args.part}
-    write_manifest(out, "evaluate", config, None,
+    write_manifest(out / "manifest.json", "evaluate", config, None,
                    [Path(args.model)], ["metrics.json", "metrics.csv"])
     summary = ", ".join(f"ndcg@{k}={report.ndcg[k]:.4f}" for k in k_list)
     print(f"evaluate: {report.n_users} users; {summary}")
@@ -292,21 +296,28 @@ def _cmd_geometry(args) -> int:
         for report in reports:
             fh.write(_dump_json(report.to_dict()) + "\n")
     n_pass = sum(1 for r in reports if r.passed)
-    write_manifest(out, "geometry", {"suite": args.suite, "seed": args.seed},
-                   args.seed, [], [fname])
+    write_manifest(out / "manifest.json", "geometry",
+                   {"suite": args.suite, "seed": args.seed}, args.seed, [],
+                   [fname])
     print(f"geometry[{args.suite}]: {n_pass}/{len(reports)} checks passed -> {out / fname}")
     return 0 if n_pass == len(reports) else 2
+
+
+EXPORT_PARTS = {"train": "train", "val": "val_fold_in", "test": "test_fold_in"}
 
 
 def _cmd_export(args) -> int:
     params = load_checkpoint(args.model)
     split = load_split(args.data)
-    matrix = {"train": split.train, "val": split.val_fold_in,
-              "test": split.test_fold_in}[args.part]
+    part = EXPORT_PARTS[args.part]
+    matrix = getattr(split, part)
     out_path = Path(args.out)
     if out_path.parent != Path("."):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     export_latents(params, matrix, out_path)
+    inputs = [Path(args.model), Path(args.data) / SPLIT_FILES[part]]
+    write_manifest(out_path.with_name(out_path.name + ".manifest.json"),
+                   "export", {"part": args.part}, None, inputs, [out_path.name])
     print(f"export: {matrix.n_users} users x {params.latent_dim} dims -> {out_path}")
     return 0
 

@@ -71,16 +71,22 @@ class InteractionMatrix:
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def dense_rows(self, users: np.ndarray | list[int]) -> np.ndarray:
-        """Dense 0/1 float64 matrix for the given user indices."""
+    def csr_rows(self, users: np.ndarray | list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the given users' rows, in the given order."""
         users = np.asarray(users, dtype=np.int64)
         starts = self.indptr[users]
         lengths = self.indptr[users + 1] - starts
+        indptr = np.zeros(users.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
         # Position of every stored entry of the chosen rows, row by row.
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        out = np.zeros((users.size, self.n_items), dtype=np.float64)
-        out[np.repeat(np.arange(users.size), lengths),
-            self.indices[np.arange(lengths.sum()) + shift]] = 1.0
+        shift = np.repeat(starts - indptr[:-1], lengths)
+        return indptr, self.indices[np.arange(indptr[-1]) + shift]
+
+    def dense_rows(self, users: np.ndarray | list[int]) -> np.ndarray:
+        """Dense 0/1 float64 matrix for the given user indices."""
+        indptr, indices = self.csr_rows(users)
+        out = np.zeros((indptr.size - 1, self.n_items), dtype=np.float64)
+        out[np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), indices] = 1.0
         return out
 
 

@@ -3,15 +3,19 @@ loop, scoring, and checkpoint serialization.
 
 The encoder is input -> tanh(hidden) -> (mean, logvar) heads; the decoder
 is a single linear layer back to item logits. `_encoder_heads` is the one
-encoder definition: training (`loss_and_grads_fixed`), `encode` and the
-chunked CSR kernel behind `score_matrix`, `predict_scores` and
-`posterior_means` differ only in how they form the input-layer product,
-dense or sparse. All gradients are derived by hand; `finite_diff_check`
-in the test suite guards every term.
+encoder definition, and `_input_layer` the one sparse input-layer product:
+training (`loss_and_grads_fixed`, on CSR batches of the training matrix)
+and the chunked CSR kernel behind `score_matrix`, `predict_scores` and
+`posterior_means` share both, and `encode` differs only in forming the
+input-layer product from a dense row. The mask is drawn on the nonzeros
+of a batch only. During `fit` the parameters are views into one flat
+buffer that `adam_step` updates in place. All gradients are derived by
+hand; `finite_diff_check` in the test suite guards every term.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,22 +141,36 @@ def _trained_fields(p: ModelParams) -> tuple[str, ...]:
 
 
 def pack_params(p: ModelParams) -> np.ndarray:
-    """Flatten all trainable arrays (anchors last) into one vector."""
+    """Flatten all trainable arrays (anchors last) into one new vector."""
     return np.concatenate([getattr(p, name).ravel() for name in _trained_fields(p)])
 
 
-def unpack_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
-    """Rebuild a ModelParams with template shapes from a flat vector."""
+def _param_views(vec: np.ndarray, template: ModelParams) -> dict[str, np.ndarray]:
+    """Views into vec shaped like template's trained arrays, in
+    pack_params order."""
     out = {}
     offset = 0
     for name in _trained_fields(template):
         shape = getattr(template, name).shape
-        size = int(np.prod(shape))
-        out[name] = vec[offset:offset + size].reshape(shape).copy()
+        size = math.prod(shape)
+        out[name] = vec[offset:offset + size].reshape(shape)
         offset += size
     if offset != vec.size:
         raise ShapeError(f"flat vector has {vec.size} entries, expected {offset}")
-    return ModelParams(**out, input_normalize=template.input_normalize)
+    return out
+
+
+def _on_buffer(vec: np.ndarray, template: ModelParams) -> ModelParams:
+    """ModelParams whose arrays are views into the float64 vector vec, so
+    an in-place update of vec updates the parameters."""
+    return ModelParams(**_param_views(vec, template),
+                       input_normalize=template.input_normalize)
+
+
+def unpack_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
+    """Rebuild a ModelParams with template shapes from a copy of a flat
+    vector."""
+    return _on_buffer(np.array(vec, dtype=np.float64), template)
 
 
 def draw_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -198,42 +216,102 @@ def encode(p: ModelParams, x_h: np.ndarray,
                              logvar=np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX))
 
 
-def loss_and_grads_fixed(p: ModelParams, x: np.ndarray, mask: np.ndarray,
-                         noise: np.ndarray, beta: float,
-                         lambda_a: float = 0.0) -> tuple[float, np.ndarray]:
-    """Loss and flat gradient for fixed mask and noise draws.
+def _row_of(indptr: np.ndarray) -> np.ndarray:
+    """Batch row of every stored entry of a CSR batch."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
-    Per row: -loglik(decode(z), x) + beta * KL(q || N(0, I)) and, when
-    lambda_a > 0, lambda_a times the closed-form alignment penalty of the
-    row's positives; the total is the batch mean.
+
+def _csr_input(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
+               data: np.ndarray, normalize: bool):
+    """scipy CSR encoder input, each row L2-normalized when normalize
+    (an empty row stays empty)."""
+    from scipy import sparse
+
+    n_rows = indptr.size - 1
+    if normalize:
+        row_of = _row_of(indptr)
+        norms = np.sqrt(np.bincount(row_of, weights=data * data,
+                                    minlength=n_rows))
+        data = data / np.where(norms > 0.0, norms, 1.0)[row_of]
+    return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, p.n_items))
+
+
+def _input_layer(p: ModelParams, x) -> np.ndarray:
+    """x @ enc_w1.T for a scipy CSR x, one block of hidden units at a time.
+
+    scipy multiplies a sparse matrix by a C-ordered copy of the dense
+    operand; the block bounds that copy to HIDDEN_BLOCK columns of
+    enc_w1.T instead of all of it.
     """
-    n = x.shape[0]
-    xh = x * mask
-    x_in = _normalize_rows(xh) if p.input_normalize else xh
+    a1 = np.empty((x.shape[0], p.hidden_dim))
+    for start in range(0, p.hidden_dim, HIDDEN_BLOCK):
+        stop = start + HIDDEN_BLOCK
+        a1[:, start:stop] = x @ p.enc_w1[start:stop].T
+    return a1
 
-    h1, mu, lv_raw = _encoder_heads(p, x_in @ p.enc_w1.T)
+
+def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
+                         indices: np.ndarray, keep: np.ndarray,
+                         noise: np.ndarray, beta: float, lambda_a: float = 0.0,
+                         out: np.ndarray | None = None
+                         ) -> tuple[float, np.ndarray]:
+    """Loss and flat gradient of a CSR batch for fixed mask and noise draws.
+
+    Row r of the batch x holds a 1 at items indices[indptr[r]:indptr[r+1]];
+    keep holds the mask's 0/1 value at each of those entries (the mask is
+    applied only where x is nonzero). Per row: -loglik(decode(z), x) +
+    beta * KL(q || N(0, I)) and, when lambda_a > 0, lambda_a times the
+    closed-form alignment penalty of the row's positives; the total is the
+    batch mean. Only the decoder is dense (rows x items): the input layer,
+    its gradient and the alignment term are sparse products over the
+    batch's items. The gradient is written in pack_params order into out,
+    or into a new vector.
+    """
+    from scipy import sparse
+
+    n = indptr.size - 1
+    counts = np.diff(indptr).astype(np.float64)
+    row_of = _row_of(indptr)
+    if out is None:
+        out = np.empty(sum(getattr(p, name).size for name in _trained_fields(p)))
+    g = _param_views(out, p)
+    # The batch's items; col_of maps each stored entry to its item's place.
+    items, col_of = np.unique(indices, return_inverse=True)
+
+    kept = keep > 0
+    kept_indptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(row_of[kept], minlength=n))))
+    x_in = _csr_input(p, kept_indptr, indices[kept], keep[kept],
+                      p.input_normalize)
+    h1, mu, lv_raw = _encoder_heads(p, _input_layer(p, x_in))
     lv = np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX)
     sigma = np.exp(0.5 * lv)
     z = mu + noise * sigma
-    logits = z @ p.dec_w.T + p.dec_b
 
-    mx = np.max(logits, axis=1, keepdims=True)
-    lse = mx + np.log(np.sum(np.exp(logits - mx), axis=1, keepdims=True))
-    log_probs = logits - lse
-    recon = -np.sum(x * log_probs, axis=1)
+    # The logits buffer becomes exp(logits - max), then d_logits.
+    work = z @ p.dec_w.T
+    work += p.dec_b
+    work -= np.max(work, axis=1, keepdims=True)
+    picked = np.bincount(row_of, weights=work[row_of, indices], minlength=n)
+    np.exp(work, out=work)
+    sums = np.sum(work, axis=1)
+    recon = counts * np.log(sums) - picked
     var = np.exp(lv)
     kl = 0.5 * np.sum(mu**2 + var - 1.0 - lv, axis=1)
     per_row = recon + beta * kl
 
     use_align = lambda_a > 0.0 and p.anchors is not None
     if use_align:
-        counts = np.sum(x, axis=1)
         if np.any(counts < 1):
             raise NumericalError("alignment needs at least one positive per row",
                                  row_index=int(np.argmin(counts)))
-        ebar = (x @ p.anchors) / counts[:, None]
-        sq_norms = np.sum(p.anchors**2, axis=1)
-        const = (x @ sq_norms) / counts - np.sum(ebar**2, axis=1)
+        anchors = p.anchors[items]
+        entry_weight = 1.0 / counts[row_of]
+        weights = sparse.csr_matrix((entry_weight, col_of, indptr),
+                                    shape=(n, items.size))
+        ebar = weights @ anchors
+        sq_norms = np.einsum("ij,ij->i", anchors, anchors)
+        const = weights @ sq_norms - np.sum(ebar**2, axis=1)
         align = np.sum((mu - ebar) ** 2, axis=1) + np.sum(var, axis=1) + const
         per_row = per_row + lambda_a * align
 
@@ -243,59 +321,70 @@ def loss_and_grads_fixed(p: ModelParams, x: np.ndarray, mask: np.ndarray,
     loss = float(np.mean(per_row))
 
     # Backward pass; every d(loss)/d(per-row term) carries the 1/n factor.
-    softmax = np.exp(log_probs)
-    d_logits = (np.sum(x, axis=1, keepdims=True) * softmax - x) / n
-    g_dec_w = d_logits.T @ z
-    g_dec_b = np.sum(d_logits, axis=0)
+    d_logits = work
+    d_logits *= (counts / (n * sums))[:, None]
+    d_logits[row_of, indices] -= 1.0 / n
+    # (z.T @ d_logits).T runs faster in OpenBLAS than d_logits.T @ z.
+    g["dec_w"][...] = (z.T @ d_logits).T
+    np.sum(d_logits, axis=0, out=g["dec_b"])
     d_z = d_logits @ p.dec_w
+    del work, d_logits
 
     d_mu = d_z + (beta / n) * mu
     d_lv = 0.5 * d_z * noise * sigma + (beta / n) * 0.5 * (var - 1.0)
-    g_anchors = None
     if use_align:
         d_mu = d_mu + (lambda_a / n) * 2.0 * (mu - ebar)
         d_lv = d_lv + (lambda_a / n) * var
-        weights = x / counts[:, None]
-        g_anchors = (2.0 * lambda_a / n) * (
-            p.anchors * np.sum(weights, axis=0)[:, None] - weights.T @ mu)
+        g_items = (2.0 * lambda_a / n) * (
+            anchors * np.bincount(col_of, weights=entry_weight,
+                                  minlength=items.size)[:, None]
+            - weights.T @ mu)
+        g["anchors"].fill(0.0)
+        g["anchors"][items] = g_items
     elif p.anchors is not None:
-        g_anchors = np.zeros_like(p.anchors)
+        g["anchors"].fill(0.0)
 
     inside = (lv_raw > LOGVAR_MIN) & (lv_raw < LOGVAR_MAX)
     d_lv_raw = d_lv * inside
-    g_mu_w = d_mu.T @ h1
-    g_mu_b = np.sum(d_mu, axis=0)
-    g_lv_w = d_lv_raw.T @ h1
-    g_lv_b = np.sum(d_lv_raw, axis=0)
+    np.matmul(d_mu.T, h1, out=g["enc_w_mu"])
+    np.sum(d_mu, axis=0, out=g["enc_b_mu"])
+    np.matmul(d_lv_raw.T, h1, out=g["enc_w_lv"])
+    np.sum(d_lv_raw, axis=0, out=g["enc_b_lv"])
     d_h1 = d_mu @ p.enc_w_mu + d_lv_raw @ p.enc_w_lv
     d_a1 = d_h1 * (1.0 - h1**2)
-    g_w1 = d_a1.T @ x_in
-    g_b1 = np.sum(d_a1, axis=0)
-
-    parts = [g_w1.ravel(), g_b1, g_mu_w.ravel(), g_mu_b,
-             g_lv_w.ravel(), g_lv_b, g_dec_w.ravel(), g_dec_b]
-    if g_anchors is not None:
-        parts.append(g_anchors.ravel())
-    return loss, np.concatenate(parts)
-
-
-def draw_mask_and_noise(shape: tuple[int, int], latent_dim: int,
-                        keep_prob: float, rng: np.random.Generator):
-    """Mask first, then noise, in one fixed consumption order."""
-    mask = draw_mask(shape, keep_prob, rng)
-    return mask, rng.standard_normal((shape[0], latent_dim))
+    # enc_w1's gradient d_a1.T @ x_in is zero outside the batch's items.
+    x_items = sparse.csr_matrix((x_in.data, col_of[kept], kept_indptr),
+                                shape=(n, items.size)).T
+    g_w1 = g["enc_w1"]
+    g_w1.fill(0.0)
+    for start in range(0, p.hidden_dim, HIDDEN_BLOCK):
+        stop = start + HIDDEN_BLOCK
+        g_w1[start:stop, items] = (x_items @ d_a1[:, start:stop]).T
+    np.sum(d_a1, axis=0, out=g["enc_b1"])
+    return loss, out
 
 
-def loss_and_grads(p: ModelParams, x: np.ndarray, cfg: TrainConfig,
-                   rng: np.random.Generator,
-                   lambda_a: float = 0.0) -> tuple[float, np.ndarray]:
-    """Draw one mask and one latent sample per row of the dense batch x,
-    then backpropagate."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] == 0:
+def draw_mask_and_noise(indptr: np.ndarray, latent_dim: int, keep_prob: float,
+                        rng: np.random.Generator):
+    """One keep flag per stored entry of a CSR batch, then one noise row
+    per batch row, in that fixed consumption order."""
+    keep = draw_mask((int(indptr[-1]),), keep_prob, rng)
+    return keep, rng.standard_normal((indptr.size - 1, latent_dim))
+
+
+def loss_and_grads(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
+                   cfg: TrainConfig, rng: np.random.Generator,
+                   lambda_a: float = 0.0, out: np.ndarray | None = None
+                   ) -> tuple[float, np.ndarray]:
+    """Draw the mask on the nonzeros and one latent sample per row of the
+    CSR batch (indptr, indices), then backpropagate."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    if indptr.size < 2:
         raise ValueError("batch must be nonempty")
-    mask, noise = draw_mask_and_noise(x.shape, p.latent_dim, cfg.keep_prob, rng)
-    return loss_and_grads_fixed(p, x, mask, noise, cfg.beta, lambda_a=lambda_a)
+    keep, noise = draw_mask_and_noise(indptr, p.latent_dim, cfg.keep_prob, rng)
+    return loss_and_grads_fixed(p, indptr, indices, keep, noise, cfg.beta,
+                                lambda_a=lambda_a, out=out)
 
 
 def _mean_val_ndcg(p: ModelParams, fold: InteractionMatrix,
@@ -313,7 +402,12 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     Per epoch the log records the mean batch loss, validation NDCG@100 on
     the fold-in/holdout pair, and the alignment strength in force during
     that epoch (0 when alignment is off). The returned parameters are the
-    snapshot from the epoch with the highest validation NDCG.
+    snapshot from the epoch with the highest validation NDCG. A
+    NumericalError ends training with an "aborted" record naming the
+    epoch, the batch (from 1) and the batch row of the error.
+
+    The parameters are views into one flat buffer that adam_step updates
+    in place, and each batch's gradient is written into one reused buffer.
     """
     rng = np.random.default_rng(cfg.seed)
     anchors = schedule = None
@@ -324,6 +418,8 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     p = init_params(data.n_items, cfg.hidden_dim, cfg.latent_dim, rng,
                     input_normalize=cfg.input_normalize, anchors=anchors)
     theta = pack_params(p)
+    p = _on_buffer(theta, p)
+    grads = np.empty_like(theta)
     adam = AdamState.init(theta.size, lr=cfg.lr)
 
     log: list[dict] = []
@@ -331,58 +427,45 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     best_theta = theta.copy()
     best_epoch = 0
     n_train = data.train.n_users
+    epoch = batch = None
     try:
         for epoch in range(1, cfg.epochs + 1):
             lam = schedule.lambda_a if schedule is not None else 0.0
             perm = rng.permutation(n_train)
             losses = []
-            for start in range(0, n_train, cfg.batch_size):
-                chunk = perm[start:start + cfg.batch_size]
-                x = data.train.dense_rows(chunk)
-                loss, grads = loss_and_grads(p, x, cfg, rng, lambda_a=lam)
-                theta, adam = adam_step(adam, theta, grads)
-                p = unpack_params(theta, p)
+            for batch, start in enumerate(range(0, n_train, cfg.batch_size),
+                                          start=1):
+                indptr, indices = data.train.csr_rows(
+                    perm[start:start + cfg.batch_size])
+                loss, _ = loss_and_grads(p, indptr, indices, cfg, rng,
+                                         lambda_a=lam, out=grads)
+                adam_step(adam, theta, grads)
                 losses.append(loss)
+            batch = None
             val_ndcg = _mean_val_ndcg(p, data.val_fold_in, data.val_holdout, k=100)
             log.append({"epoch": epoch, "loss": float(np.mean(losses)),
                         "val_ndcg100": val_ndcg, "lambda_a": lam})
             if val_ndcg > best_ndcg:
                 best_ndcg = val_ndcg
-                best_theta = theta.copy()
+                np.copyto(best_theta, theta)
                 best_epoch = epoch
             if schedule is not None:
                 schedule = schedule_update(schedule, pia, epoch, val_ndcg)
     except NumericalError as exc:
         log.append({"event": "aborted", "error": str(exc),
-                    "last_good_epoch": best_epoch})
-    return unpack_params(best_theta, p), log
+                    "last_good_epoch": best_epoch, "epoch": epoch,
+                    "batch": batch, "row_index": exc.row_index})
+    return _on_buffer(best_theta, p), log
 
 
 def _csr_means(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
                data: np.ndarray, normalize: bool | None) -> np.ndarray:
-    """Posterior means of CSR input rows.
-
-    The encoder input layer runs on the sparse rows one block of hidden
-    units at a time: scipy multiplies a sparse matrix by a C-ordered copy
-    of the dense operand, and the block bounds that copy to HIDDEN_BLOCK
-    columns of enc_w1.T instead of all of it.
-    """
-    from scipy import sparse
-
+    """Posterior means of CSR input rows, through the training kernel's
+    sparse input layer."""
     if normalize is None:
         normalize = p.input_normalize
-    n_rows = indptr.size - 1
-    if normalize:
-        row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
-        norms = np.sqrt(np.bincount(row_of, weights=data * data,
-                                    minlength=n_rows))
-        data = data / np.where(norms > 0.0, norms, 1.0)[row_of]
-    x = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, p.n_items))
-    a1 = np.empty((n_rows, p.hidden_dim))
-    for start in range(0, p.hidden_dim, HIDDEN_BLOCK):
-        stop = start + HIDDEN_BLOCK
-        a1[:, start:stop] = x @ p.enc_w1[start:stop].T
-    return _encoder_heads(p, a1)[1]
+    x = _csr_input(p, indptr, indices, data, normalize)
+    return _encoder_heads(p, _input_layer(p, x))[1]
 
 
 def _score_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
@@ -394,8 +477,7 @@ def _score_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
     np.matmul(mu, p.dec_w.T, out=out)
     out += p.dec_b
     seen = data > 0
-    row_of = np.repeat(np.arange(out.shape[0]), np.diff(indptr))
-    out[row_of[seen], indices[seen]] = -np.inf
+    out[_row_of(indptr)[seen], indices[seen]] = -np.inf
 
 
 def predict_scores(p: ModelParams, fold_in: np.ndarray,

@@ -1,9 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piavae.corpus import (InteractionMatrix, SynthSpec, ingest_events,
-                           load_split, matrix_from_rows, read_csr, save_split,
-                           split_dataset, synth_block_dataset, write_csr)
+                           load_split, matrix_from_rows, read_csr, read_idmap,
+                           save_split, split_dataset, synth_block_dataset,
+                           write_csr, write_idmap)
 from piavae.errors import (CorruptFileError, EmptyDatasetError, MatrixError,
                            ParseError, SpecError, SplitError)
 
@@ -317,3 +323,68 @@ class TestInteractionMatrixInvariants:
             expected[k, m.row(int(u))] = 1.0
         assert m.dense_rows(users).tobytes() == expected.tobytes()
         assert m.dense_rows([]).shape == (0, m.n_items)
+
+
+# ---------------------------------------------------------------------------
+# Round-trip and fixed-point properties
+# ---------------------------------------------------------------------------
+
+@st.composite
+def matrices(draw):
+    n_items = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.sets(st.integers(0, n_items - 1)), max_size=8))
+    return matrix_from_rows([np.array(sorted(r), dtype=np.int64) for r in rows],
+                            n_items)
+
+
+# An id is any text without the idmap's field and line separators.
+IDS = st.text(st.characters(blacklist_categories=("Cs",),
+                            blacklist_characters="\t\n\r"), max_size=6)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(matrices())
+    def test_csr_roundtrip(self, m):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_csr(m, Path(tmp) / "m.csr")
+            back = read_csr(Path(tmp) / "m.csr")
+        assert (back.n_users, back.n_items) == (m.n_users, m.n_items)
+        assert back.indptr.tobytes() == m.indptr.tobytes()
+        assert back.indices.tobytes() == m.indices.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["train", "val", "test"]),
+                           st.lists(IDS, min_size=1, max_size=5)),
+           st.lists(IDS, max_size=6))
+    def test_idmap_roundtrip(self, users, items):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_idmap(Path(tmp) / "idmap.tsv", users, items)
+            back_users, back_items = read_idmap(Path(tmp) / "idmap.tsv")
+        assert back_users == users and back_items == items
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 11),
+                              st.integers(1, 5)), max_size=80),
+           st.integers(1, 4), st.integers(0, 3))
+    def test_ingest_is_a_fixed_point(self, events, min_user, min_item):
+        with tempfile.TemporaryDirectory() as tmp:
+            first = Path(tmp) / "events.csv"
+            first.write_text("user,item,rating\n" + "".join(
+                f"u{u},i{i},{r}\n" for u, i, r in events), encoding="utf-8")
+            try:
+                m = ingest_events(first, min_user, min_item, 3.0)
+            except EmptyDatasetError:
+                return  # nothing survived the filters: nothing to re-ingest
+            assert np.all(m.row_lengths() >= min_user)
+            assert np.all(np.bincount(m.indices, minlength=m.n_items) >= min_item)
+            pairs = [(m.user_ids[u], m.item_ids[i])
+                     for u in range(m.n_users) for i in m.row(u)]
+            again = Path(tmp) / "again.csv"
+            again.write_text("user,item,rating\n" + "".join(
+                f"{u},{i},5\n" for u, i in pairs), encoding="utf-8")
+            m2 = ingest_events(again, min_user, min_item, 3.0)
+        assert m2.user_ids == m.user_ids
+        assert set(m2.item_ids) == set(m.item_ids)
+        assert {(m2.user_ids[u], m2.item_ids[i]) for u in range(m2.n_users)
+                for i in m2.row(u)} == set(pairs)

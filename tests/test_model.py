@@ -6,12 +6,14 @@ import pytest
 
 from piavae.corpus import SynthSpec, split_dataset, synth_block_dataset
 from piavae.errors import CorruptFileError, NumericalError, ShapeError
+from piavae import model
 from piavae.model import (ModelParams, TrainConfig, draw_mask, encode, fit,
                           init_params, load_checkpoint, loss_and_grads,
                           loss_and_grads_fixed, pack_params, predict_scores,
                           save_checkpoint, score_matrix, unpack_params)
-from piavae.numerics import (finite_diff_check, kl_diag_gaussian,
-                             multinomial_loglik)
+from piavae.numerics import (LOGVAR_MAX, LOGVAR_MIN, finite_diff_check,
+                             kl_diag_gaussian, multinomial_loglik)
+from piavae.pia import PiaConfig
 
 
 def tiny_params(normalize=False, with_anchors=False, seed=0,
@@ -36,6 +38,106 @@ def hand_params(normalize=False):
         dec_b=np.array([0.05, -0.1]),
         input_normalize=normalize,
     )
+
+
+def to_csr(x):
+    """(indptr, indices) of a dense 0/1 batch."""
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(x, axis=1))])
+    return indptr, np.nonzero(x)[1]
+
+
+def csr_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
+    """The training kernel on a dense batch x, with the dense mask
+    restricted to x's nonzeros."""
+    indptr, indices = to_csr(x)
+    return loss_and_grads_fixed(p, indptr, indices, mask[x > 0], noise, beta,
+                                lambda_a=lambda_a)
+
+
+def dense_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
+    """Reference: the loss and flat gradient on dense (rows x items)
+    arrays, the way the kernel computed them before it took CSR input."""
+    n = x.shape[0]
+    xh = x * mask
+    if p.input_normalize:
+        norms = np.sqrt(np.sum(xh * xh, axis=1, keepdims=True))
+        x_in = xh / np.where(norms > 0.0, norms, 1.0)
+    else:
+        x_in = xh
+    h1 = np.tanh(x_in @ p.enc_w1.T + p.enc_b1)
+    mu = h1 @ p.enc_w_mu.T + p.enc_b_mu
+    lv_raw = h1 @ p.enc_w_lv.T + p.enc_b_lv
+    lv = np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX)
+    sigma = np.exp(0.5 * lv)
+    z = mu + noise * sigma
+    logits = z @ p.dec_w.T + p.dec_b
+
+    mx = np.max(logits, axis=1, keepdims=True)
+    lse = mx + np.log(np.sum(np.exp(logits - mx), axis=1, keepdims=True))
+    log_probs = logits - lse
+    recon = -np.sum(x * log_probs, axis=1)
+    var = np.exp(lv)
+    kl = 0.5 * np.sum(mu**2 + var - 1.0 - lv, axis=1)
+    per_row = recon + beta * kl
+
+    use_align = lambda_a > 0.0 and p.anchors is not None
+    if use_align:
+        counts = np.sum(x, axis=1)
+        ebar = (x @ p.anchors) / counts[:, None]
+        sq_norms = np.sum(p.anchors**2, axis=1)
+        const = (x @ sq_norms) / counts - np.sum(ebar**2, axis=1)
+        align = np.sum((mu - ebar) ** 2, axis=1) + np.sum(var, axis=1) + const
+        per_row = per_row + lambda_a * align
+    loss = float(np.mean(per_row))
+
+    softmax = np.exp(log_probs)
+    d_logits = (np.sum(x, axis=1, keepdims=True) * softmax - x) / n
+    g_dec_w = d_logits.T @ z
+    g_dec_b = np.sum(d_logits, axis=0)
+    d_z = d_logits @ p.dec_w
+
+    d_mu = d_z + (beta / n) * mu
+    d_lv = 0.5 * d_z * noise * sigma + (beta / n) * 0.5 * (var - 1.0)
+    g_anchors = None
+    if use_align:
+        d_mu = d_mu + (lambda_a / n) * 2.0 * (mu - ebar)
+        d_lv = d_lv + (lambda_a / n) * var
+        weights = x / counts[:, None]
+        g_anchors = (2.0 * lambda_a / n) * (
+            p.anchors * np.sum(weights, axis=0)[:, None] - weights.T @ mu)
+    elif p.anchors is not None:
+        g_anchors = np.zeros_like(p.anchors)
+
+    inside = (lv_raw > LOGVAR_MIN) & (lv_raw < LOGVAR_MAX)
+    d_lv_raw = d_lv * inside
+    g_mu_w = d_mu.T @ h1
+    g_mu_b = np.sum(d_mu, axis=0)
+    g_lv_w = d_lv_raw.T @ h1
+    g_lv_b = np.sum(d_lv_raw, axis=0)
+    d_h1 = d_mu @ p.enc_w_mu + d_lv_raw @ p.enc_w_lv
+    d_a1 = d_h1 * (1.0 - h1**2)
+    g_w1 = d_a1.T @ x_in
+    g_b1 = np.sum(d_a1, axis=0)
+
+    parts = [g_w1.ravel(), g_b1, g_mu_w.ravel(), g_mu_b,
+             g_lv_w.ravel(), g_lv_b, g_dec_w.ravel(), g_dec_b]
+    if g_anchors is not None:
+        parts.append(g_anchors.ravel())
+    return loss, np.concatenate(parts)
+
+
+def param_blocks(p):
+    """(name, slice of the flat vector) of each trained array."""
+    names = ["enc_w1", "enc_b1", "enc_w_mu", "enc_b_mu", "enc_w_lv",
+             "enc_b_lv", "dec_w", "dec_b"]
+    if p.anchors is not None:
+        names.append("anchors")
+    blocks, offset = [], 0
+    for name in names:
+        size = getattr(p, name).size
+        blocks.append((name, slice(offset, offset + size)))
+        offset += size
+    return blocks
 
 
 class TestApplyMask:
@@ -166,8 +268,9 @@ class TestSharedForward:
         rng = np.random.default_rng(43)
         x = (rng.random((5, 20)) < 0.3).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
-        loss, _ = loss_and_grads_fixed(p, x, np.ones_like(x), np.zeros((5, 4)),
-                                       beta=beta, lambda_a=0.0)
+        indptr, indices = to_csr(x)
+        loss, _ = loss_and_grads_fixed(p, indptr, indices, np.ones(indices.size),
+                                       np.zeros((5, 4)), beta=beta, lambda_a=0.0)
         per_row = []
         for row in x:
             q = encode(p, row)
@@ -186,11 +289,10 @@ class TestLossAndGrads:
             enc_b_mu=p.enc_b_mu, enc_w_lv=p.enc_w_lv, enc_b_lv=p.enc_b_lv,
             dec_w=np.zeros_like(p.dec_w), dec_b=np.zeros_like(p.dec_b),
             input_normalize=False)
-        x = np.zeros((1, 20))
-        x[0, [2, 5, 11]] = 1.0
         cfg = TrainConfig(beta=0.0, keep_prob=0.5, batch_size=1, epochs=1,
                           hidden_dim=8, latent_dim=4)
-        loss, _ = loss_and_grads(zero_dec, x, cfg, np.random.default_rng(0))
+        loss, _ = loss_and_grads(zero_dec, [0, 3], [2, 5, 11], cfg,
+                                 np.random.default_rng(0))
         assert loss == pytest.approx(3.0 * math.log(20.0), abs=1e-12)
 
     def test_beta_only_adds_nonnegative_term(self):
@@ -198,11 +300,13 @@ class TestLossAndGrads:
         rng = np.random.default_rng(7)
         x = (rng.random((4, 20)) < 0.3).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
-        mask = (rng.random(x.shape) < 0.5).astype(float)
+        indptr, indices = to_csr(x)
+        keep = (rng.random(indices.size) < 0.5).astype(float)
         noise = rng.standard_normal((4, 4))
-        base, _ = loss_and_grads_fixed(p, x, mask, noise, beta=0.0)
+        base, _ = loss_and_grads_fixed(p, indptr, indices, keep, noise, beta=0.0)
         for beta in (0.1, 0.5, 2.0):
-            higher, _ = loss_and_grads_fixed(p, x, mask, noise, beta=beta)
+            higher, _ = loss_and_grads_fixed(p, indptr, indices, keep, noise,
+                                             beta=beta)
             assert higher >= base
 
     def test_gradient_check_small_model(self):
@@ -210,14 +314,15 @@ class TestLossAndGrads:
         rng = np.random.default_rng(9)
         x = (rng.random((4, 20)) < 0.3).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
-        mask = (rng.random(x.shape) < 0.5).astype(float)
+        indptr, indices = to_csr(x)
+        keep = (rng.random(indices.size) < 0.5).astype(float)
         noise = rng.standard_normal((4, 4))
         theta = pack_params(p)
-        _, grads = loss_and_grads_fixed(p, x, mask, noise, beta=0.2)
+        _, grads = loss_and_grads_fixed(p, indptr, indices, keep, noise, beta=0.2)
 
         def loss_fn(vec):
-            return loss_and_grads_fixed(unpack_params(vec, p), x, mask, noise,
-                                        beta=0.2)[0]
+            return loss_and_grads_fixed(unpack_params(vec, p), indptr, indices,
+                                        keep, noise, beta=0.2)[0]
 
         assert finite_diff_check(loss_fn, theta, grads, h=1e-5) < 1e-4
 
@@ -226,14 +331,15 @@ class TestLossAndGrads:
         rng = np.random.default_rng(11)
         x = (rng.random((3, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
-        mask = (rng.random(x.shape) < 0.5).astype(float)
+        indptr, indices = to_csr(x)
+        keep = (rng.random(indices.size) < 0.5).astype(float)
         noise = rng.standard_normal((3, 4))
         theta = pack_params(p)
-        _, grads = loss_and_grads_fixed(p, x, mask, noise, beta=0.3)
+        _, grads = loss_and_grads_fixed(p, indptr, indices, keep, noise, beta=0.3)
 
         def loss_fn(vec):
-            return loss_and_grads_fixed(unpack_params(vec, p), x, mask, noise,
-                                        beta=0.3)[0]
+            return loss_and_grads_fixed(unpack_params(vec, p), indptr, indices,
+                                        keep, noise, beta=0.3)[0]
 
         assert finite_diff_check(loss_fn, theta, grads, h=1e-5) < 1e-4
 
@@ -244,12 +350,77 @@ class TestLossAndGrads:
             enc_b_mu=p.enc_b_mu, enc_w_lv=p.enc_w_lv, enc_b_lv=p.enc_b_lv,
             dec_w=np.full_like(p.dec_w, np.nan), dec_b=p.dec_b,
             input_normalize=False)
-        x = np.zeros((2, 20))
-        x[:, 0] = 1.0
         cfg = TrainConfig(hidden_dim=8, latent_dim=4, batch_size=2, epochs=1)
         with pytest.raises(NumericalError) as exc:
-            loss_and_grads(bad, x, cfg, np.random.default_rng(0))
+            loss_and_grads(bad, [0, 1, 2], [0, 0], cfg, np.random.default_rng(0))
         assert exc.value.row_index == 0
+
+
+class TestCsrKernel:
+    # The CSR kernel against the dense reference above, given the same
+    # mask restricted to the nonzeros. Row 2 keeps none of its positives.
+    @staticmethod
+    def batch(seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.random((5, 20)) < 0.35).astype(float)
+        x[x.sum(axis=1) == 0, 0] = 1.0
+        mask = (rng.random(x.shape) < 0.5).astype(float)
+        mask[2] = 0.0
+        return x, mask, rng.standard_normal((5, 4))
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("lambda_a, with_anchors", [(0.0, False),
+                                                        (0.0, True),
+                                                        (1.5, True)])
+    def test_matches_dense_reference(self, normalize, lambda_a, with_anchors):
+        p = tiny_params(normalize=normalize, with_anchors=with_anchors, seed=44)
+        x, mask, noise = self.batch(45)
+        want_loss, want = dense_loss_and_grads(p, x, mask, noise, 0.3, lambda_a)
+        loss, got = csr_loss_and_grads(p, x, mask, noise, 0.3, lambda_a)
+        assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+        for name, block in param_blocks(p):
+            np.testing.assert_allclose(got[block], want[block], rtol=0.0,
+                                       atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_gradient_check_every_block(self, normalize):
+        p = tiny_params(normalize=normalize, with_anchors=True, seed=46)
+        x, mask, noise = self.batch(47)
+        indptr, indices = to_csr(x)
+        keep = mask[x > 0]
+        theta = pack_params(p)
+        _, grads = loss_and_grads_fixed(p, indptr, indices, keep, noise,
+                                        beta=0.2, lambda_a=1.5)
+        for name, block in param_blocks(p):
+            def loss_fn(part, block=block):
+                vec = theta.copy()
+                vec[block] = part
+                return loss_and_grads_fixed(unpack_params(vec, p), indptr,
+                                            indices, keep, noise, beta=0.2,
+                                            lambda_a=1.5)[0]
+
+            err = finite_diff_check(loss_fn, theta[block], grads[block], h=1e-5)
+            assert err < 1e-4, name
+
+    def test_gradient_written_into_out(self):
+        p = tiny_params(with_anchors=True, seed=48)
+        x, mask, noise = self.batch(49)
+        indptr, indices = to_csr(x)
+        out = np.full(pack_params(p).size, np.nan)
+        loss, grads = loss_and_grads_fixed(p, indptr, indices, mask[x > 0],
+                                           noise, 0.2, lambda_a=2.0, out=out)
+        assert grads is out
+        fresh = loss_and_grads_fixed(p, indptr, indices, mask[x > 0], noise,
+                                     0.2, lambda_a=2.0)
+        assert loss == fresh[0] and out.tobytes() == fresh[1].tobytes()
+
+    def test_mask_draws_one_flag_per_nonzero_then_noise(self):
+        indptr = np.array([0, 3, 3, 7])
+        keep, noise = model.draw_mask_and_noise(indptr, 4, 0.5,
+                                                np.random.default_rng(50))
+        rng = np.random.default_rng(50)
+        assert keep.tobytes() == draw_mask((7,), 0.5, rng).tobytes()
+        assert noise.tobytes() == rng.standard_normal((3, 4)).tobytes()
 
 
 def small_split(seed=0):
@@ -286,6 +457,30 @@ class TestFit:
 
         recomputed = _mean_val_ndcg(params, split.val_fold_in, split.val_holdout)
         assert recomputed == max(r["val_ndcg100"] for r in log)
+
+    def test_same_seed_identical_params(self):
+        split = small_split(seed=4)
+        cfg = TrainConfig(epochs=3, batch_size=16, hidden_dim=10, latent_dim=4,
+                          seed=5)
+        runs = [fit(split, cfg, PiaConfig(lambda_a=2.0)) for _ in range(2)]
+        (params_a, log_a), (params_b, log_b) = runs
+        assert json.dumps(log_a, sort_keys=True) == json.dumps(log_b, sort_keys=True)
+        assert pack_params(params_a).tobytes() == pack_params(params_b).tobytes()
+
+    def test_numeric_abort_names_epoch_batch_and_row(self, monkeypatch):
+        def nan_decoder(*args, **kwargs):
+            p = init_params(*args, **kwargs)
+            p.dec_w[...] = np.nan
+            return p
+
+        monkeypatch.setattr(model, "init_params", nan_decoder)
+        cfg = TrainConfig(epochs=2, batch_size=16, hidden_dim=10, latent_dim=4,
+                          seed=0)
+        _, log = fit(small_split(), cfg)
+        assert log == [{"event": "aborted",
+                        "error": "non-finite loss at batch row 0",
+                        "last_good_epoch": 0, "epoch": 1, "batch": 1,
+                        "row_index": 0}]
 
 
 class TestPredictScores:
@@ -418,9 +613,10 @@ class TestPackUnpack:
         rng = np.random.default_rng(23)
         x = (rng.random((3, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
+        indptr, indices = to_csr(x)
         cfg = TrainConfig(hidden_dim=8, latent_dim=4)
-        l1, g1 = loss_and_grads(p, x, cfg, np.random.default_rng(1))
+        l1, g1 = loss_and_grads(p, indptr, indices, cfg, np.random.default_rng(1))
         p2 = unpack_params(pack_params(p), p)
-        l2, g2 = loss_and_grads(p2, x, cfg, np.random.default_rng(1))
+        l2, g2 = loss_and_grads(p2, indptr, indices, cfg, np.random.default_rng(1))
         assert l1 == l2
         assert g1.tobytes() == g2.tobytes()

@@ -138,9 +138,35 @@ class TestAdamStep:
         rng = np.random.default_rng(0)
         params = rng.standard_normal(10)
         grads = rng.standard_normal(10)
-        a, _ = adam_step(AdamState.init(10), params, grads)
-        b, _ = adam_step(AdamState.init(10), params, grads)
+        # adam_step updates params in place, so each call gets a copy.
+        a, _ = adam_step(AdamState.init(10), params.copy(), grads)
+        b, _ = adam_step(AdamState.init(10), params.copy(), grads)
         assert a.tobytes() == b.tobytes()
+
+    def test_in_place_update_is_bitwise_the_textbook_step(self):
+        # Fresh-array reference: the expression adam_step evaluates block
+        # by block. 200,000 entries span several blocks and a partial one.
+        def reference(m, v, t, params, grads, lr, b1, b2, eps):
+            m = b1 * m + (1.0 - b1) * grads
+            v = b2 * v + (1.0 - b2) * grads**2
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+        rng = np.random.default_rng(1)
+        n = 200_000
+        params = rng.standard_normal(n)
+        state = AdamState.init(n, lr=3e-3)
+        want, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        for t in range(1, 6):
+            grads = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
+            grads[::7] = 0.0
+            got, state = adam_step(state, params, grads)
+            want, m, v = reference(m, v, t, want, grads, 3e-3, 0.9, 0.999, 1e-8)
+            assert got is params and state.step_count == t
+            assert params.tobytes() == want.tobytes()
+            assert state.first_moment.tobytes() == m.tobytes()
+            assert state.second_moment.tobytes() == v.tobytes()
 
     def test_layout_mismatch(self):
         with pytest.raises(ShapeError):

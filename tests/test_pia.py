@@ -12,7 +12,7 @@ from piavae.numerics import GaussianPosterior, finite_diff_check
 from piavae.pia import (AnchorTable, LambdaSchedule, PiaConfig,
                         alignment_closed_form, alignment_mc_standard_error,
                         anchor_centroid, schedule_update)
-from tests.test_model import tiny_params
+from tests.test_model import tiny_params, to_csr
 
 
 class TestAnchorCentroid:
@@ -145,10 +145,11 @@ class TestPiaLossAndGrads:
         rng = np.random.default_rng(31)
         x = (rng.random((4, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
+        batch = to_csr(x)
         cfg = TrainConfig(hidden_dim=8, latent_dim=4)
-        loss_a, grads_a = loss_and_grads(replace(p, anchors=None), x, cfg,
+        loss_a, grads_a = loss_and_grads(replace(p, anchors=None), *batch, cfg,
                                          np.random.default_rng(9))
-        loss_b, grads_b = loss_and_grads(p, x, cfg, np.random.default_rng(9),
+        loss_b, grads_b = loss_and_grads(p, *batch, cfg, np.random.default_rng(9),
                                          lambda_a=0.0)
         assert loss_a == loss_b
         assert grads_a.tobytes() == grads_b[:grads_a.size].tobytes()
@@ -159,25 +160,25 @@ class TestPiaLossAndGrads:
         rng = np.random.default_rng(33)
         x = (rng.random((4, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
-        mask = (rng.random(x.shape) < 0.5).astype(float)
+        indptr, indices = to_csr(x)
+        keep = (rng.random(indices.size) < 0.5).astype(float)
         noise = rng.standard_normal((4, 4))
         theta = pack_params(p)
-        _, grads = loss_and_grads_fixed(p, x, mask, noise, beta=0.2, lambda_a=1.5)
+        _, grads = loss_and_grads_fixed(p, indptr, indices, keep, noise,
+                                        beta=0.2, lambda_a=1.5)
 
         def loss_fn(vec):
-            return loss_and_grads_fixed(unpack_params(vec, p), x, mask, noise,
-                                        beta=0.2, lambda_a=1.5)[0]
+            return loss_and_grads_fixed(unpack_params(vec, p), indptr, indices,
+                                        keep, noise, beta=0.2, lambda_a=1.5)[0]
 
         assert finite_diff_check(loss_fn, theta, grads, h=1e-5) < 1e-4
 
     def test_absent_items_get_zero_anchor_gradient(self):
         p = tiny_params(seed=34, with_anchors=True)
-        x = np.zeros((2, 20))
-        x[0, [1, 3]] = 1.0
-        x[1, [3, 7]] = 1.0
-        mask = np.ones_like(x)
+        indptr, indices = [0, 2, 4], [1, 3, 3, 7]
         noise = np.zeros((2, 4))
-        _, grads = loss_and_grads_fixed(p, x, mask, noise, beta=0.0, lambda_a=2.0)
+        _, grads = loss_and_grads_fixed(p, np.array(indptr), np.array(indices),
+                                        np.ones(4), noise, beta=0.0, lambda_a=2.0)
         anchor_grads = grads[-p.anchors.size:].reshape(p.anchors.shape)
         touched = {1, 3, 7}
         for item in range(20):
@@ -191,10 +192,13 @@ class TestPiaLossAndGrads:
         rng = np.random.default_rng(36)
         x = (rng.random((3, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
-        mask, noise = draw_mask_and_noise(x.shape, 4, 0.5,
+        indptr, indices = to_csr(x)
+        keep, noise = draw_mask_and_noise(indptr, 4, 0.5,
                                           np.random.default_rng(8))
-        _, g0 = loss_and_grads_fixed(p, x, mask, noise, beta=0.2, lambda_a=0.0)
-        _, g1 = loss_and_grads_fixed(p, x, mask, noise, beta=0.2, lambda_a=4.0)
+        _, g0 = loss_and_grads_fixed(p, indptr, indices, keep, noise, beta=0.2,
+                                     lambda_a=0.0)
+        _, g1 = loss_and_grads_fixed(p, indptr, indices, keep, noise, beta=0.2,
+                                     lambda_a=4.0)
         # Decoder block sits between the encoder weights and the anchors.
         enc_size = (p.enc_w1.size + p.enc_b1.size + p.enc_w_mu.size
                     + p.enc_b_mu.size + p.enc_w_lv.size + p.enc_b_lv.size)
@@ -210,11 +214,12 @@ class TestPiaLossAndGrads:
         rng = np.random.default_rng(39)
         x = (rng.random((3, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
+        batch = to_csr(x)
         cfg = TrainConfig(hidden_dim=8, latent_dim=4)
         loss_pia, grads_pia = loss_and_grads(replace(p, anchors=table.anchors),
-                                             x, cfg, np.random.default_rng(3),
+                                             *batch, cfg, np.random.default_rng(3),
                                              lambda_a=8.0)
-        loss_vae, _ = loss_and_grads(p, x, cfg, np.random.default_rng(3))
+        loss_vae, _ = loss_and_grads(p, *batch, cfg, np.random.default_rng(3))
         assert loss_pia > loss_vae  # alignment penalty is nonnegative
         assert grads_pia.size == pack_params(p).size + table.anchors.size
 
