@@ -3,7 +3,9 @@
 The on-disk container for sparse binary matrices is a little-endian CSR
 layout: magic ``PIA1``, three u64 counts (users, items, nnz), the row
 offset array ((n_users + 1) * u64) and the column index array (nnz * u64).
-External ids live in a sidecar ``idmap.tsv``.
+External ids live in a sidecar ``idmap.tsv``. Rows move through the
+package as these CSR arrays, built from integer codes by `ingest_events`
+and sliced by `InteractionMatrix.csr_rows`; no dense rows are built.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +24,8 @@ from .errors import (CorruptFileError, EmptyDatasetError, MatrixError,
                      ParseError, SpecError, SplitError)
 
 CSR_MAGIC = b"PIA1"
+# Characters that would break an idmap.tsv row.
+_ID_BREAK = re.compile("[\t\r\n]")
 
 
 @dataclass(frozen=True)
@@ -82,12 +87,10 @@ class InteractionMatrix:
         shift = np.repeat(starts - indptr[:-1], lengths)
         return indptr, self.indices[np.arange(indptr[-1]) + shift]
 
-    def dense_rows(self, users: np.ndarray | list[int]) -> np.ndarray:
-        """Dense 0/1 float64 matrix for the given user indices."""
-        indptr, indices = self.csr_rows(users)
-        out = np.zeros((indptr.size - 1, self.n_items), dtype=np.float64)
-        out[np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), indices] = 1.0
-        return out
+
+def entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row of every stored entry of the CSR rows that indptr delimits."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 def matrix_from_rows(rows: list[np.ndarray], n_items: int,
@@ -95,22 +98,13 @@ def matrix_from_rows(rows: list[np.ndarray], n_items: int,
                      item_ids: list[str] | None = None) -> InteractionMatrix:
     """Build an InteractionMatrix from per-user item-index arrays."""
     sorted_rows = [np.unique(np.asarray(r, dtype=np.int64)) for r in rows]
-    indptr = np.zeros(len(sorted_rows) + 1, dtype=np.int64)
-    for u, r in enumerate(sorted_rows):
-        indptr[u + 1] = indptr[u] + r.size
-    indices = (np.concatenate(sorted_rows) if sorted_rows
-               else np.zeros(0, dtype=np.int64))
-    if user_ids is None:
-        user_ids = [str(u) for u in range(len(sorted_rows))]
-    if item_ids is None:
-        item_ids = [str(i) for i in range(n_items)]
     return InteractionMatrix(
         n_users=len(sorted_rows),
         n_items=n_items,
-        indptr=indptr,
-        indices=indices.astype(np.int64),
-        user_ids=tuple(user_ids),
-        item_ids=tuple(item_ids),
+        indptr=np.cumsum([0] + [r.size for r in sorted_rows]),
+        indices=np.concatenate([np.zeros(0, dtype=np.int64), *sorted_rows]),
+        user_ids=tuple(user_ids or map(str, range(len(sorted_rows)))),
+        item_ids=tuple(item_ids or map(str, range(n_items))),
     )
 
 
@@ -173,17 +167,21 @@ def ingest_events(path: str | Path, min_user_interactions: int,
                   min_item_users: int, rating_threshold: float) -> InteractionMatrix:
     """Read `user,item,rating` CSV events and build the binary matrix.
 
-    Ratings >= rating_threshold become positives. Items with fewer than
+    Ratings >= rating_threshold become positives, coded and indexed in the
+    order a positive first names each user and item. Items with fewer than
     min_item_users distinct users and users with fewer than
     min_user_interactions items are dropped alternately until both
-    constraints hold at once (the result is a fixed point, so the final
-    matrix does not depend on filter order).
+    constraints hold at once (a fixed point, independent of filter order);
+    users and items left with no pair are dropped at any minimum. An id
+    holding a tab or a line break, which the idmap cannot hold, is a
+    ParseError.
     """
     if min_user_interactions < 0 or min_item_users < 0:
         raise ValueError("min counts must be >= 0")
-    path = Path(path)
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+    user_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+    user_of: list[int] = []
+    item_of: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -197,75 +195,62 @@ def ingest_events(path: str | Path, min_user_interactions: int,
                 continue
             if len(fields) != 3:
                 raise ParseError(line_no, f"expected 3 fields, got {len(fields)}")
-            user, item, rating_text = (f.strip() for f in fields)
+            user, item, rating_text = map(str.strip, fields)
             if not user or not item:
                 raise ParseError(line_no, "empty user or item id")
+            broken = _ID_BREAK.search(user) or _ID_BREAK.search(item)
+            if broken:
+                raise ParseError(line_no, f"id {broken.string!r} holds a tab "
+                                 "or a line break, which the idmap cannot hold")
             try:
                 rating = float(rating_text)
             except ValueError:
                 raise ParseError(line_no, f"bad rating {rating_text!r}") from None
             if rating >= rating_threshold:
-                key = (user, item)
-                if key not in seen:
-                    seen.add(key)
-                    pairs.append(key)
+                user_of.append(user_code.setdefault(user, len(user_code)))
+                item_of.append(item_code.setdefault(item, len(item_code)))
 
-    user_items: dict[str, set[str]] = {}
-    item_users: dict[str, set[str]] = {}
-    for user, item in pairs:
-        user_items.setdefault(user, set()).add(item)
-        item_users.setdefault(item, set()).add(user)
-
-    # Alternate the two filters until neither removes anything.
+    # One key per distinct pair, sorted by user code, then item code
+    # (np.unique hashes int64 keys: about 100x slower than this sort on a
+    # million keys with numpy 2.4).
+    n_codes = len(item_code)
+    keys = np.sort(np.array(user_of, dtype=np.int64) * n_codes
+                   + np.array(item_of, dtype=np.int64))
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    user, item = np.divmod(keys, n_codes)
+    # Alternate the two filters until neither removes a pair.
+    alive = np.ones(keys.size, dtype=bool)
     while True:
-        bad_items = [i for i, us in item_users.items() if len(us) < min_item_users]
-        for i in bad_items:
-            for u in item_users.pop(i):
-                user_items[u].discard(i)
-        bad_users = [u for u, its in user_items.items()
-                     if len(its) < min_user_interactions]
-        for u in bad_users:
-            for i in user_items.pop(u):
-                item_users[i].discard(u)
-        item_users = {i: us for i, us in item_users.items() if us}
-        if not bad_items and not bad_users:
+        n_alive = np.count_nonzero(alive)
+        alive &= np.bincount(item[alive], minlength=n_codes)[item] >= min_item_users
+        alive &= (np.bincount(user[alive], minlength=len(user_code))[user]
+                  >= min_user_interactions)
+        if np.count_nonzero(alive) == n_alive:
             break
-
-    kept_users = set(user_items)
-    kept_items = set(item_users)
-    if not kept_users or not kept_items:
+    if not alive.any():
         raise EmptyDatasetError("no interactions survived the count filters")
 
-    # Dense indices in first-seen file order for determinism.
-    user_order: list[str] = []
-    item_order: list[str] = []
-    user_idx: dict[str, int] = {}
-    item_idx: dict[str, int] = {}
-    for user, item in pairs:
-        if user in kept_users and user not in user_idx:
-            user_idx[user] = len(user_order)
-            user_order.append(user)
-        if item in kept_items and item not in item_idx:
-            item_idx[item] = len(item_order)
-            item_order.append(item)
-
-    rows: list[list[int]] = [[] for _ in user_order]
-    for user, item in pairs:
-        if user in user_idx and item in item_idx:
-            rows[user_idx[user]].append(item_idx[item])
-    return matrix_from_rows(
-        [np.array(r, dtype=np.int64) for r in rows],
-        n_items=len(item_order),
-        user_ids=user_order,
-        item_ids=item_order,
+    # Codes are first-seen order, so ascending renumbering keeps it.
+    kept_users, row = np.unique(user[alive], return_inverse=True)
+    kept_items, indices = np.unique(item[alive], return_inverse=True)
+    indptr = np.searchsorted(row, np.arange(kept_users.size + 1))
+    user_ids, item_ids = list(user_code), list(item_code)
+    return InteractionMatrix(
+        n_users=kept_users.size,
+        n_items=kept_items.size,
+        indptr=indptr,
+        indices=indices,
+        user_ids=tuple(user_ids[c] for c in kept_users),
+        item_ids=tuple(item_ids[c] for c in kept_items),
     )
 
 
 def _submatrix(m: InteractionMatrix, users: np.ndarray) -> InteractionMatrix:
-    rows = [m.row(int(u)) for u in users]
-    ids = [m.user_ids[int(u)] for u in users]
-    return matrix_from_rows(rows, m.n_items, user_ids=ids,
-                            item_ids=list(m.item_ids))
+    indptr, indices = m.csr_rows(users)
+    return InteractionMatrix(n_users=len(users), n_items=m.n_items,
+                             indptr=indptr, indices=indices,
+                             user_ids=tuple(m.user_ids[int(u)] for u in users),
+                             item_ids=m.item_ids)
 
 
 def _round_half_up(x: float) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import InteractionMatrix, SplitDataset
+from .corpus import InteractionMatrix, SplitDataset, entry_rows
 from .errors import MetricError, ShapeError
 
 logger = logging.getLogger(__name__)
@@ -67,8 +67,8 @@ def _ranking_metrics(scores: np.ndarray, fold: tuple[np.ndarray, np.ndarray],
         raise MetricError(
             f"holdout set of user {int(np.argmin(hold_len))} is empty")
     # Row-major (user, item) keys; sorted because every row is sorted.
-    fold_keys = np.repeat(np.arange(n_users), np.diff(fold_ptr)) * n_items + fold_idx
-    hold_keys = np.repeat(np.arange(n_users), hold_len) * n_items + hold_idx
+    fold_keys = entry_rows(fold_ptr) * n_items + fold_idx
+    hold_keys = entry_rows(hold_ptr) * n_items + hold_idx
     shared = np.isin(hold_keys, fold_keys)
     if shared.any():
         user = int(hold_keys[np.argmax(shared)] // n_items)

@@ -5,7 +5,8 @@ lower bounds, closed-form Gaussian transport distances with quadrature
 and coupling oracles, the transport-entropy (T1) bound, the dataset-level
 distance/KL bound, the Bernoulli-family Jensen-gap decomposition of the
 pairwise objective, the quadratic shrinkage toy model, and empirical
-gradient-sharing probes.
+gradient-sharing probes, which encode through `model.encode_rows` and
+batch their samples.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri, xlogy
 
+from .corpus import InteractionMatrix
 from .errors import DimensionMismatch, NumericalError
-from .model import ModelParams, draw_mask, encode, posterior_means
-from .numerics import GaussianPosterior
+from .model import ModelParams, draw_mask, encode, encode_rows, posterior_means
+from .numerics import GaussianPosterior, kl_diag_gaussian
 
 __all__ = [
     "PairStats", "GeometryReport", "SharingDiagnostics",
     "contraction_bound", "expansion_bound",
     "masked_distance_exact", "masked_distance_enumerate",
-    "w2_diag_gaussian", "w1_1d_numeric", "kl_vs_isotropic_prior",
+    "w2_diag_gaussian", "w1_1d_numeric",
     "t1_bound_check", "dataset_bound_report",
     "jensen_gap_bernoulli", "PairGrid", "pairwise_decomposition_check",
     "quadratic_minimizers", "quadratic_toy",
@@ -121,9 +123,7 @@ def contraction_bound(stats: PairStats, keep_prob: float, delta: float) -> float
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     rho = keep_prob
-    t_delta = math.ceil(delta) - 1
-    tail = sum(math.comb(stats.h, k) * rho**k * (1.0 - rho) ** (stats.h - k)
-               for k in range(0, min(stats.h, t_delta) + 1))
+    tail = float(np.sum(_binom_pmf(stats.h, rho)[:math.ceil(delta)]))
     return float((rho**2 + (1.0 - rho) ** 2) ** stats.s * tail)
 
 
@@ -137,9 +137,7 @@ def expansion_bound(s: int, keep_prob: float, delta: float) -> float:
     if s < 0:
         raise ValueError("s must be nonnegative")
     p = 2.0 * keep_prob * (1.0 - keep_prob)
-    u_delta = math.ceil(delta)
-    return float(sum(math.comb(s, k) * p**k * (1.0 - p) ** (s - k)
-                     for k in range(u_delta, s + 1)))
+    return float(np.sum(_binom_pmf(s, p)[math.ceil(delta):]))
 
 
 def masked_distance_exact(x_u: np.ndarray, x_v: np.ndarray,
@@ -201,12 +199,15 @@ def masked_distance_enumerate(x_u: np.ndarray, x_v: np.ndarray,
 # Gaussian transport distances
 # ---------------------------------------------------------------------------
 
-def w2_diag_gaussian(a: GaussianPosterior, b: GaussianPosterior) -> float:
-    """sqrt(||mu_a - mu_b||^2 + ||sigma_a - sigma_b||^2)."""
+def w2_diag_gaussian(a: GaussianPosterior,
+                     b: GaussianPosterior) -> float | np.ndarray:
+    """sqrt(||mu_a - mu_b||^2 + ||sigma_a - sigma_b||^2); one value per row
+    when a and b hold batches of posteriors."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"{a.dim} vs {b.dim}")
-    return float(np.sqrt(np.sum((a.mean - b.mean) ** 2)
-                         + np.sum((a.std - b.std) ** 2)))
+    w2 = np.sqrt(np.sum((a.mean - b.mean) ** 2, axis=-1)
+                 + np.sum((a.std - b.std) ** 2, axis=-1))
+    return float(w2) if w2.ndim == 0 else w2
 
 
 def w1_1d_numeric(a: GaussianPosterior, b: GaussianPosterior,
@@ -227,15 +228,6 @@ def w1_1d_numeric(a: GaussianPosterior, b: GaussianPosterior,
     return float(np.mean(np.abs(qa - qb)))
 
 
-def kl_vs_isotropic_prior(q: GaussianPosterior, prior_var: float) -> float:
-    """KL(q || N(0, prior_var * I)) for a diagonal Gaussian q."""
-    if prior_var <= 0:
-        raise ValueError("prior_var must be positive")
-    c = prior_var
-    return float(0.5 * np.sum((q.mean**2 + q.var) / c - 1.0
-                              - (q.logvar - np.log(c))))
-
-
 def t1_bound_check(q_u: GaussianPosterior, q_v: GaussianPosterior,
                    prior_var: float, n_quad: int = 100_000) -> GeometryReport:
     """Transport-entropy check: a provable lower bound on W1(q_u, q_v)
@@ -247,8 +239,8 @@ def t1_bound_check(q_u: GaussianPosterior, q_v: GaussianPosterior,
     if q_u.dim != q_v.dim:
         raise DimensionMismatch(f"{q_u.dim} vs {q_v.dim}")
     c = prior_var
-    kl_u = kl_vs_isotropic_prior(q_u, c)
-    kl_v = kl_vs_isotropic_prior(q_v, c)
+    kl_u = kl_diag_gaussian(q_u, c)
+    kl_v = kl_diag_gaussian(q_v, c)
     bound = math.sqrt(2.0 * c * kl_u) + math.sqrt(2.0 * c * kl_v)
     values = {"kl_u": kl_u, "kl_v": kl_v, "bound": bound,
               "w2": w2_diag_gaussian(q_u, q_v)}
@@ -267,40 +259,32 @@ def t1_bound_check(q_u: GaussianPosterior, q_v: GaussianPosterior,
     return GeometryReport.check(name, values, tolerances)
 
 
-def dataset_bound_report(p: ModelParams, rows: list[np.ndarray],
+def dataset_bound_report(p: ModelParams, matrix: InteractionMatrix,
                          keep_prob: float, prior_var: float, n_pairs: int,
                          rng: np.random.Generator) -> GeometryReport:
     """Dataset-average latent-distance bound on sampled masked user pairs.
 
-    Every sampled pair contributes a mean-gap lower bound on its W1 and
-    both encodings feed the average KL, so mean gap <= 2 sqrt(2C mean KL)
-    holds deterministically for the sample (pairwise bound followed by
+    The 2 n_pairs rows are drawn in one call (pair j is rows 2j and
+    2j + 1), masked on their nonzeros and encoded in one batch. Every pair
+    contributes a mean-gap lower bound on its W1 and both encodings feed
+    the average KL, so mean gap <= 2 sqrt(2C mean KL) holds
+    deterministically for the sample (pairwise bound followed by
     concavity of the square root).
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     c = prior_var
-    n_items = p.n_items
-    gaps = np.zeros(n_pairs)
-    w2s = np.zeros(n_pairs)
-    kls = np.zeros(2 * n_pairs)
-    for j in range(n_pairs):
-        posteriors = []
-        for side in range(2):
-            row = rows[int(rng.integers(len(rows)))]
-            x = np.zeros(n_items)
-            x[np.asarray(row, dtype=np.int64)] = 1.0
-            q = encode(p, x * draw_mask(x.shape, keep_prob, rng))
-            posteriors.append(q)
-            kls[2 * j + side] = kl_vs_isotropic_prior(q, c)
-        q_a, q_b = posteriors
-        gaps[j] = float(np.linalg.norm(q_a.mean - q_b.mean))
-        w2s[j] = w2_diag_gaussian(q_a, q_b)
-    mean_kl = float(np.mean(kls))
+    indptr, indices = matrix.csr_rows(rng.integers(matrix.n_users,
+                                                   size=2 * n_pairs))
+    q = encode_rows(p, indptr, indices,
+                    draw_mask((indices.size,), keep_prob, rng))
+    mean_kl = float(np.mean(kl_diag_gaussian(q, c)))
+    q_a = GaussianPosterior(mean=q.mean[0::2], logvar=q.logvar[0::2])
+    q_b = GaussianPosterior(mean=q.mean[1::2], logvar=q.logvar[1::2])
     rhs = 2.0 * math.sqrt(2.0 * c * mean_kl)
-    mean_gap = float(np.mean(gaps))
+    mean_gap = float(np.mean(np.linalg.norm(q_a.mean - q_b.mean, axis=1)))
     values = {"mean_kl": mean_kl, "rhs": rhs, "mean_gap": mean_gap,
-              "mean_w2": float(np.mean(w2s)),
+              "mean_w2": float(np.mean(w2_diag_gaussian(q_a, q_b))),
               "gap_minus_rhs": mean_gap - rhs}
     return GeometryReport.check("dataset-average-bound", values,
                                 {"gap_minus_rhs": 1e-8})
@@ -418,8 +402,6 @@ def pairwise_decomposition_check(x_u: np.ndarray, x_v: np.ndarray,
     point_min = np.where(interior, _softplus(eta) - mix * eta, 0.0).sum(axis=1)
     recon_lhs = float(np.sum(w * total * point_min * live))
 
-    from .numerics import kl_diag_gaussian
-
     kl_terms = beta * (kl_diag_gaussian(q_u) + kl_diag_gaussian(q_v))
     lhs = recon_lhs + kl_terms
 
@@ -507,14 +489,24 @@ def quadratic_toy(hessian_eigs: np.ndarray, mask_offsets, lambda_a: float,
 # Gradient-sharing probe
 # ---------------------------------------------------------------------------
 
-def _decoder_grad(p: ModelParams, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Flat gradient of -loglik(dec_w z + dec_b, x) over (dec_w, dec_b)."""
-    logits = p.dec_w @ z + p.dec_b
-    m = np.max(logits)
-    softmax = np.exp(logits - m)
-    softmax /= softmax.sum()
-    d_logits = np.sum(x) * softmax - x
-    return np.concatenate([np.outer(d_logits, z).ravel(), d_logits])
+def _softmax_rows(p: ModelParams, z: np.ndarray) -> np.ndarray:
+    """softmax(dec_w z + dec_b) for each row z of an (n, latent) array."""
+    probs = z @ p.dec_w.T + p.dec_b
+    probs -= np.max(probs, axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=1, keepdims=True)
+    return probs
+
+
+def _mean_grad_norm(d_logits: np.ndarray, z: np.ndarray) -> float:
+    """Norm of the mean over rows of the flat (dec_w, dec_b) gradient
+    (outer(d, z), d) of the row pairs (d, z)."""
+    return float(np.sqrt(np.sum((d_logits.T @ z / len(z)) ** 2)
+                         + np.sum(np.mean(d_logits, axis=0) ** 2)))
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
 
 def sharing_probe(p: ModelParams, x_u: np.ndarray, x_v: np.ndarray,
@@ -522,41 +514,42 @@ def sharing_probe(p: ModelParams, x_u: np.ndarray, x_v: np.ndarray,
                   rng: np.random.Generator) -> SharingDiagnostics:
     """Monte-Carlo estimates feeding the gradient-sharing radius.
 
-    All gradients are over decoder parameters only. The Lipschitz probe
-    is an empirical lower bound on the true constant, so the resulting
-    radius is a diagnostic, not a certified quantity.
+    All gradients are over decoder parameters only: for input x and
+    latent z the gradient of -loglik(dec_w z + dec_b, x) is
+    (outer(d, z), d) with d = sum(x) softmax(dec_w z + dec_b) - x. Every
+    sample is one row of a batched softmax. The Lipschitz probe is an
+    empirical lower bound on the true constant, so the resulting radius
+    is a diagnostic, not a certified quantity.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     x_u = np.asarray(x_u, dtype=np.float64)
     x_v = np.asarray(x_v, dtype=np.float64)
+    k_u, k_v = np.sum(x_u), np.sum(x_v)
     q_u = encode(p, x_u)
     q_v = encode(p, x_v)
     w2 = w2_diag_gaussian(q_u, q_v)
+    shape = (n_samples, p.latent_dim)
 
-    noise_u = rng.standard_normal((n_samples, p.latent_dim))
-    z_u = q_u.mean + noise_u * q_u.std
-    mean_grad_u = np.zeros(p.dec_w.size + p.dec_b.size)
-    for z in z_u:
-        mean_grad_u += _decoder_grad(p, x_u, z)
-    mean_grad_u /= n_samples
-    grad_norm_u = float(np.linalg.norm(mean_grad_u))
+    z_u = q_u.mean + rng.standard_normal(shape) * q_u.std
+    d_u = k_u * _softmax_rows(p, z_u) - x_u
+    grad_norm_u = _mean_grad_norm(d_u, z_u)
 
-    noise_v = rng.standard_normal((n_samples, p.latent_dim))
-    z_v = q_v.mean + noise_v * q_v.std
-    mean_diff = np.zeros_like(mean_grad_u)
-    for z in z_v:
-        mean_diff += _decoder_grad(p, x_u, z) - _decoder_grad(p, x_v, z)
-    mean_diff /= n_samples
-    delta_x = float(np.linalg.norm(mean_diff))
+    z_v = q_v.mean + rng.standard_normal(shape) * q_v.std
+    soft_v = _softmax_rows(p, z_v)
+    delta_x = _mean_grad_norm((k_u * soft_v - x_u) - (k_v * soft_v - x_v), z_v)
 
-    lipschitz = 0.0
-    for k in range(n_samples):
-        z = z_u[k]
-        eps = perturb_scale * rng.standard_normal(p.latent_dim)
-        num = np.linalg.norm(_decoder_grad(p, x_u, z)
-                             - _decoder_grad(p, x_u, z + eps))
-        lipschitz = max(lipschitz, float(num / np.linalg.norm(eps)))
+    # Per sample, ||(outer(d_u, z) - outer(d_e, z + eps), d_u - d_e)|| with
+    # d_e at z + eps; with a = d_u - d_e its square is
+    # |a|^2 (|z|^2 + 1) + |d_e|^2 |eps|^2 - 2 (a . d_e)(z . eps).
+    eps = perturb_scale * rng.standard_normal(shape)
+    d_e = k_u * _softmax_rows(p, z_u + eps) - x_u
+    a = d_u - d_e
+    sq = (_row_dot(a, a) * (_row_dot(z_u, z_u) + 1.0)
+          + _row_dot(d_e, d_e) * _row_dot(eps, eps)
+          - 2.0 * _row_dot(a, d_e) * _row_dot(z_u, eps))
+    lipschitz = float(np.max(np.sqrt(np.maximum(sq, 0.0))
+                             / np.linalg.norm(eps, axis=1)))
 
     if lipschitz > 0.0:
         r_share = max(0.0, grad_norm_u - delta_x) / lipschitz
@@ -567,7 +560,8 @@ def sharing_probe(p: ModelParams, x_u: np.ndarray, x_v: np.ndarray,
                               r_share_estimate=r_share)
 
 
-def export_latents(p: ModelParams, matrix, path: str | Path) -> None:
+def export_latents(p: ModelParams, matrix: InteractionMatrix,
+                   path: str | Path) -> None:
     """Write posterior means under clean inputs to CSV.
 
     The means come from model.posterior_means, the chunked sparse kernel

@@ -5,11 +5,12 @@ The encoder is input -> tanh(hidden) -> (mean, logvar) heads; the decoder
 is a single linear layer back to item logits. `_encoder_heads` is the one
 encoder definition, and `_input_layer` the one sparse input-layer product:
 training (`loss_and_grads_fixed`, on CSR batches of the training matrix)
-and the chunked CSR kernel behind `score_matrix`, `predict_scores` and
-`posterior_means` share both, and `encode` differs only in forming the
-input-layer product from a dense row. The mask is drawn on the nonzeros
-of a batch only. During `fit` the parameters are views into one flat
-buffer that `adam_step` updates in place. All gradients are derived by
+and `encode_rows`, the one encoder entry point over CSR rows, share both.
+`score_matrix`, `predict_scores`, `posterior_means`, the geometry probes
+and `encode` (which converts a dense row or batch to CSR) all go through
+`encode_rows`; there is no dense encoder path. The mask is drawn on the
+nonzeros of a batch only. During `fit` the parameters are views into one
+flat buffer that `adam_step` updates in place. All gradients are derived by
 hand; `finite_diff_check` in the test suite guards every term.
 """
 
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import InteractionMatrix, SplitDataset, check_end, read_array
+from .corpus import (InteractionMatrix, SplitDataset, check_end, entry_rows,
+                     read_array)
 from .errors import NumericalError, ShapeError
 from .numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState, GaussianPosterior,
                        adam_step)
@@ -186,12 +188,6 @@ def draw_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) < keep_prob).astype(np.float64)
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    # Zero rows pass through unchanged (no division by zero).
-    norms = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
-    return x / np.where(norms > 0.0, norms, 1.0)
-
-
 def _encoder_heads(p: ModelParams, a1: np.ndarray):
     """Hidden layer and raw (mean, logvar) heads from the input-layer
     product a1 = x_in @ enc_w1.T, for one row or a batch of rows."""
@@ -203,22 +199,20 @@ def _encoder_heads(p: ModelParams, a1: np.ndarray):
 
 def encode(p: ModelParams, x_h: np.ndarray,
            normalize: bool | None = None) -> GaussianPosterior:
-    """Posterior of one interaction vector, or of each row of an
-    (n, items) batch."""
-    if normalize is None:
-        normalize = p.input_normalize
+    """Posterior of one dense interaction vector, or of each row of an
+    (n, items) batch, through encode_rows."""
     x_h = np.asarray(x_h, dtype=np.float64)
     if x_h.ndim not in (1, 2) or x_h.shape[-1] != p.n_items:
         raise ShapeError(f"input shape {x_h.shape} vs {p.n_items} items")
-    x_in = _normalize_rows(x_h) if normalize else x_h
-    _, mu, lv_raw = _encoder_heads(p, x_in @ p.enc_w1.T)
-    return GaussianPosterior(mean=mu,
-                             logvar=np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX))
+    q = encode_rows(p, *_dense_to_csr(np.atleast_2d(x_h)), normalize)
+    return q if x_h.ndim == 2 else GaussianPosterior(q.mean[0], q.logvar[0])
 
 
-def _row_of(indptr: np.ndarray) -> np.ndarray:
-    """Batch row of every stored entry of a CSR batch."""
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+def _dense_to_csr(x: np.ndarray):
+    """(indptr, indices, data) of the nonzeros of a dense (n, items) array."""
+    rows, indices = np.nonzero(x)
+    indptr = np.searchsorted(rows, np.arange(x.shape[0] + 1))
+    return indptr, indices, x[rows, indices]
 
 
 def _csr_input(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
@@ -229,7 +223,7 @@ def _csr_input(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
 
     n_rows = indptr.size - 1
     if normalize:
-        row_of = _row_of(indptr)
+        row_of = entry_rows(indptr)
         norms = np.sqrt(np.bincount(row_of, weights=data * data,
                                     minlength=n_rows))
         data = data / np.where(norms > 0.0, norms, 1.0)[row_of]
@@ -271,7 +265,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
 
     n = indptr.size - 1
     counts = np.diff(indptr).astype(np.float64)
-    row_of = _row_of(indptr)
+    row_of = entry_rows(indptr)
     if out is None:
         out = np.empty(sum(getattr(p, name).size for name in _trained_fields(p)))
     g = _param_views(out, p)
@@ -458,14 +452,18 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     return _on_buffer(best_theta, p), log
 
 
-def _csr_means(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
-               data: np.ndarray, normalize: bool | None) -> np.ndarray:
-    """Posterior means of CSR input rows, through the training kernel's
-    sparse input layer."""
+def encode_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
+                data: np.ndarray, normalize: bool | None = None
+                ) -> GaussianPosterior:
+    """Posterior (mean, clipped logvar) of each CSR input row, whose values
+    data[indptr[r]:indptr[r+1]] sit at items indices[indptr[r]:indptr[r+1]]:
+    the one encoder entry point, on training's sparse input layer."""
     if normalize is None:
         normalize = p.input_normalize
     x = _csr_input(p, indptr, indices, data, normalize)
-    return _encoder_heads(p, _input_layer(p, x))[1]
+    _, mu, lv_raw = _encoder_heads(p, _input_layer(p, x))
+    return GaussianPosterior(mean=mu,
+                             logvar=np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX))
 
 
 def _score_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
@@ -473,11 +471,11 @@ def _score_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
                 normalize: bool | None) -> None:
     """Write posterior-mean logits for CSR input rows into `out`; entries
     with a positive input value are set to -inf."""
-    mu = _csr_means(p, indptr, indices, data, normalize)
+    mu = encode_rows(p, indptr, indices, data, normalize).mean
     np.matmul(mu, p.dec_w.T, out=out)
     out += p.dec_b
     seen = data > 0
-    out[_row_of(indptr)[seen], indices[seen]] = -np.inf
+    out[entry_rows(indptr)[seen], indices[seen]] = -np.inf
 
 
 def predict_scores(p: ModelParams, fold_in: np.ndarray,
@@ -487,9 +485,8 @@ def predict_scores(p: ModelParams, fold_in: np.ndarray,
     fold_in = np.asarray(fold_in, dtype=np.float64)
     if fold_in.shape != (p.n_items,):
         raise ShapeError(f"input length {fold_in.shape} vs {p.n_items} items")
-    nz = np.flatnonzero(fold_in)
     scores = np.empty((1, p.n_items))
-    _score_rows(p, np.array([0, nz.size]), nz, fold_in[nz], scores, normalize)
+    _score_rows(p, *_dense_to_csr(fold_in[None]), scores, normalize)
     return scores[0]
 
 
@@ -516,8 +513,8 @@ def posterior_means(p: ModelParams, matrix: InteractionMatrix) -> np.ndarray:
     at a time as in score_matrix."""
     means = np.empty((matrix.n_users, p.latent_dim), dtype=np.float64)
     for rows, indptr, indices in _csr_chunks(matrix):
-        means[rows] = _csr_means(p, indptr, indices, np.ones(indices.size),
-                                 None)
+        means[rows] = encode_rows(p, indptr, indices,
+                                  np.ones(indices.size)).mean
     return means
 
 

@@ -62,10 +62,15 @@ class GaussianPosterior:
         return np.exp(self.logvar)
 
 
-def kl_diag_gaussian(q: GaussianPosterior) -> float | np.ndarray:
-    """KL(q || N(0, I)) = 1/2 sum(mu^2 + sigma^2 - 1 - log sigma^2); one
-    value per row when q holds a batch of posteriors."""
-    kl = 0.5 * np.sum(q.mean**2 + q.var - 1.0 - q.logvar, axis=-1)
+def kl_diag_gaussian(q: GaussianPosterior,
+                     prior_var: float = 1.0) -> float | np.ndarray:
+    """KL(q || N(0, C I)) for C = prior_var: 1/2 sum((mu^2 + sigma^2) / C
+    - 1 - (log sigma^2 - log C)); one value per row when q holds a batch
+    of posteriors. At C = 1 the division and log C are exact no-ops."""
+    if prior_var <= 0:
+        raise ValueError("prior_var must be positive")
+    kl = 0.5 * np.sum((q.mean**2 + q.var) / prior_var - 1.0
+                      - (q.logvar - np.log(prior_var)), axis=-1)
     return float(kl) if kl.ndim == 0 else kl
 
 

@@ -12,8 +12,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import geometry as geo
-from .corpus import SynthSpec, split_dataset, synth_block_dataset
-from .model import TrainConfig, draw_mask, encode, fit, init_params
+from .corpus import (SynthSpec, entry_rows, matrix_from_rows, split_dataset,
+                     synth_block_dataset)
+from .model import TrainConfig, draw_mask, encode_rows, fit, init_params
 from .numerics import GaussianPosterior, kl_diag_gaussian
 from .pia import AnchorTable, alignment_closed_form, alignment_mc_standard_error
 
@@ -224,9 +225,12 @@ def _tiny_split(seed: int):
 
 
 def _mean_masked_kl(params, matrix, keep_prob: float, seed: int) -> float:
-    x = matrix.dense_rows(np.arange(matrix.n_users))
-    x_h = x * draw_mask(x.shape, keep_prob, np.random.default_rng(seed))
-    return float(np.mean(kl_diag_gaussian(encode(params, x_h))))
+    """Mean posterior KL of the rows under one (users, items) mask draw."""
+    mask = draw_mask((matrix.n_users, matrix.n_items), keep_prob,
+                     np.random.default_rng(seed))
+    q = encode_rows(params, matrix.indptr, matrix.indices,
+                    mask[entry_rows(matrix.indptr), matrix.indices])
+    return float(np.mean(kl_diag_gaussian(q)))
 
 
 def beta_kl_direction(seeds=(0, 1, 2, 3, 4), betas=(0.0, 0.2, 1.0),
@@ -259,9 +263,10 @@ def suite_eq4(seed: int = 0) -> list[geo.GeometryReport]:
         model_rng = np.random.default_rng(seed * 1000 + j)
         params = init_params(n_items=30, hidden_dim=12, latent_dim=6,
                              rng=model_rng)
-        rows = [np.sort(model_rng.choice(30, size=int(model_rng.integers(2, 10)),
-                                         replace=False)) for _ in range(40)]
-        r = geo.dataset_bound_report(params, rows, keep_prob=0.5, prior_var=1.0,
+        rows = [model_rng.choice(30, size=int(model_rng.integers(2, 10)),
+                                 replace=False) for _ in range(40)]
+        r = geo.dataset_bound_report(params, matrix_from_rows(rows, 30),
+                                     keep_prob=0.5, prior_var=1.0,
                                      n_pairs=30, rng=rng)
         r.name = f"dataset-average-bound #{j}"
         reports.append(r)

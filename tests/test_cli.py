@@ -202,6 +202,17 @@ class TestPreprocessExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", ["\t", "\r", "\n"])
+    def test_id_the_idmap_cannot_hold_exits_2(self, tmp_path, bad, capsys):
+        # Every other line would ingest and split: without the check the
+        # run exits 0 and leaves an idmap.tsv that load_split rejects.
+        events = _write_events(tmp_path / "e.csv")
+        text = events.read_text().replace("\nu0,", f'\n"u{bad}0",')
+        events.write_text(text)
+        assert _preprocess(tmp_path, events) == 2
+        assert "tab or a line break" in capsys.readouterr().err
+        assert not (tmp_path / "split" / "idmap.tsv").exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         assert _preprocess(tmp_path, tmp_path / "absent.csv") == 2
 

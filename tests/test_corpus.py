@@ -1,3 +1,4 @@
+import csv
 import tempfile
 from pathlib import Path
 
@@ -27,6 +28,52 @@ def _write(tmp_path, text, name="events.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def reference_ingest_events(path, min_user_interactions, min_item_users,
+                            rating_threshold):
+    """The set-based ingest that the array version replaced, kept as its
+    reference (no input checks: the callers write well-formed files)."""
+    pairs, seen = [], set()
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for user, item, rating in reader:
+            if float(rating) >= rating_threshold and (user, item) not in seen:
+                seen.add((user, item))
+                pairs.append((user, item))
+    user_items, item_users = {}, {}
+    for user, item in pairs:
+        user_items.setdefault(user, set()).add(item)
+        item_users.setdefault(item, set()).add(user)
+    while True:
+        bad_items = [i for i, us in item_users.items() if len(us) < min_item_users]
+        for i in bad_items:
+            for u in item_users.pop(i):
+                user_items[u].discard(i)
+        bad_users = [u for u, its in user_items.items()
+                     if len(its) < min_user_interactions]
+        for u in bad_users:
+            for i in user_items.pop(u):
+                item_users[i].discard(u)
+        item_users = {i: us for i, us in item_users.items() if us}
+        if not bad_items and not bad_users:
+            break
+    if not user_items or not item_users:
+        raise EmptyDatasetError("no interactions survived the count filters")
+    user_idx, item_idx = {}, {}
+    for user, item in pairs:
+        if user in user_items:
+            user_idx.setdefault(user, len(user_idx))
+        if item in item_users:
+            item_idx.setdefault(item, len(item_idx))
+    rows = [[] for _ in user_idx]
+    for user, item in pairs:
+        if user in user_idx and item in item_idx:
+            rows[user_idx[user]].append(item_idx[item])
+    return matrix_from_rows([np.array(r, dtype=np.int64) for r in rows],
+                            n_items=len(item_idx), user_ids=list(user_idx),
+                            item_ids=list(item_idx))
 
 
 class TestIngestEvents:
@@ -92,6 +139,28 @@ class TestIngestEvents:
     def test_empty_after_filter(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
             ingest_events(_write(tmp_path, TOY_CSV), 10, 10, 4.0)
+
+    def test_user_left_without_items_is_dropped_at_min_zero(self, tmp_path):
+        # 20 users share items i0-i3; "lone" names only "rare", which no
+        # one else has, so min_item 2 drops it and leaves "lone" empty.
+        lines = ["user,item,rating"]
+        lines += [f"u{u},i{i},5" for u in range(20) for i in range(4)]
+        lines.append("lone,rare,5")
+        m = ingest_events(_write(tmp_path, "\n".join(lines) + "\n"), 0, 2, 4.0)
+        assert m.n_users == 20 and "lone" not in m.user_ids
+        assert m.item_ids == ("i0", "i1", "i2", "i3")
+        assert np.all(m.row_lengths() == 4)
+
+    @pytest.mark.parametrize("bad", ["\t", "\r", "\n"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_id_the_idmap_cannot_hold_is_rejected(self, tmp_path, bad, column):
+        fields = ["u2", "i2", "5"]
+        fields[column] = f'"x{bad}y"'
+        text = "user,item,rating\nu1,i1,5\n" + ",".join(fields) + "\n"
+        with pytest.raises(ParseError, match="tab or a line break") as exc:
+            ingest_events(_write(tmp_path, text), 0, 0, 0.0)
+        assert exc.value.line_number == 3
+        assert repr(f"x{bad}y") in str(exc.value)
 
     def test_first_seen_order_is_deterministic(self, tmp_path):
         m1 = ingest_events(_write(tmp_path, TOY_CSV, "a.csv"), 0, 0, 0.0)
@@ -310,19 +379,15 @@ class TestInteractionMatrixInvariants:
                               indices=np.array([1, 8, 0, 5, 4, 4, 7, 6]),
                               user_ids=tuple("abcde"), item_ids=tuple("012345678"))
 
-    def test_dense_rows(self):
-        m = matrix_from_rows([np.array([0, 2]), np.array([1])], 3)
-        dense = m.dense_rows([0, 1])
-        np.testing.assert_array_equal(dense, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-
-    def test_dense_rows_matches_row_by_row(self):
+    def test_csr_rows_matches_row_by_row(self):
+        # Any order, repeats allowed; an empty choice gives an empty batch.
         m = _random_matrix(seed=16)
         users = np.array([5, 0, 5, 99, 17])
-        expected = np.zeros((users.size, m.n_items))
-        for k, u in enumerate(users):
-            expected[k, m.row(int(u))] = 1.0
-        assert m.dense_rows(users).tobytes() == expected.tobytes()
-        assert m.dense_rows([]).shape == (0, m.n_items)
+        indptr, indices = m.csr_rows(users)
+        assert indptr.tolist() == [0, *np.cumsum([m.row(u).size for u in users])]
+        assert indices.tobytes() == np.concatenate([m.row(u) for u in users]).tobytes()
+        indptr, indices = m.csr_rows([])
+        assert indptr.tolist() == [0] and indices.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +431,7 @@ class TestRoundTripProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 11),
                               st.integers(1, 5)), max_size=80),
-           st.integers(1, 4), st.integers(0, 3))
+           st.integers(0, 4), st.integers(0, 3))
     def test_ingest_is_a_fixed_point(self, events, min_user, min_item):
         with tempfile.TemporaryDirectory() as tmp:
             first = Path(tmp) / "events.csv"
@@ -388,3 +453,25 @@ class TestRoundTripProperties:
         assert set(m2.item_ids) == set(m.item_ids)
         assert {(m2.user_ids[u], m2.item_ids[i]) for u in range(m2.n_users)
                 for i in m2.row(u)} == set(pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9),
+                              st.integers(1, 5)), max_size=120),
+           st.integers(1, 3), st.integers(1, 3))
+    def test_ingest_matches_the_set_based_reference(self, events, min_user,
+                                                    min_item):
+        # Small id pools repeat ids and pairs; ratings below 3 are dropped.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "events.csv"
+            path.write_text("user,item,rating\n" + "".join(
+                f"u{u},i{i},{r}\n" for u, i, r in events), encoding="utf-8")
+            try:
+                expected = reference_ingest_events(path, min_user, min_item, 3.0)
+            except EmptyDatasetError:
+                with pytest.raises(EmptyDatasetError):
+                    ingest_events(path, min_user, min_item, 3.0)
+                return
+            m = ingest_events(path, min_user, min_item, 3.0)
+        assert m.indptr.tobytes() == expected.indptr.tobytes()
+        assert m.indices.tobytes() == expected.indices.tobytes()
+        assert (m.user_ids, m.item_ids) == (expected.user_ids, expected.item_ids)

@@ -7,14 +7,14 @@ from piavae.errors import DimensionMismatch
 from piavae.geometry import (PairGrid, PairStats, contraction_bound,
                              dataset_bound_report, expansion_bound,
                              export_latents, jensen_gap_bernoulli,
-                             kl_vs_isotropic_prior, masked_distance_enumerate,
+                             masked_distance_enumerate,
                              masked_distance_exact,
                              pairwise_decomposition_check,
                              quadratic_minimizers, quadratic_toy,
                              sharing_probe, t1_bound_check, w1_1d_numeric,
                              w2_diag_gaussian)
 from piavae.corpus import matrix_from_rows
-from piavae.model import pack_params, unpack_params
+from piavae.model import encode, pack_params, unpack_params
 from piavae.numerics import GaussianPosterior, kl_diag_gaussian
 from tests.test_model import tiny_params
 
@@ -66,6 +66,27 @@ class TestMaskedDistanceBounds:
                         assert lt >= contraction_bound(PairStats(h=h, s=s),
                                                        rho, delta) - 1e-12
                         assert ge >= expansion_bound(s, rho, delta) - 1e-12
+
+    def test_bounds_match_their_binomial_sums(self):
+        # The binomial tails summed term by term, as the bounds' formulas
+        # read; summing the pmf's slices may round differently.
+        def term(n, p, k):
+            return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+
+        for h in range(0, 11):
+            for s in range(0, 11):
+                for rho in (0.1, 0.3, 0.5, 0.7, 0.9):
+                    p = 2.0 * rho * (1.0 - rho)
+                    for delta in (0.5, 1.0, 2.5, 3.0, 5.0, 12.0):
+                        t = math.ceil(delta)
+                        contraction = ((rho**2 + (1.0 - rho) ** 2) ** s
+                                       * sum(term(h, rho, k)
+                                             for k in range(min(h, t - 1) + 1)))
+                        expansion = sum(term(s, p, k) for k in range(t, s + 1))
+                        assert contraction_bound(PairStats(h=h, s=s), rho, delta) \
+                            == pytest.approx(contraction, rel=0.0, abs=1e-15)
+                        assert expansion_bound(s, rho, delta) \
+                            == pytest.approx(expansion, rel=0.0, abs=1e-15)
 
 
 class TestMaskedDistanceExact:
@@ -123,6 +144,17 @@ class TestW2DiagGaussian:
         a = GaussianPosterior(mean=[0.0], logvar=[0.0])
         b = GaussianPosterior(mean=[0.0], logvar=[2.0 * math.log(3.0)])
         assert w2_diag_gaussian(a, b) == pytest.approx(2.0, abs=1e-12)
+
+    def test_batch_gives_one_distance_per_row(self):
+        rng = np.random.default_rng(8)
+        a = GaussianPosterior(mean=rng.standard_normal((5, 3)),
+                              logvar=rng.uniform(-2, 2, (5, 3)))
+        b = GaussianPosterior(mean=rng.standard_normal((5, 3)),
+                              logvar=rng.uniform(-2, 2, (5, 3)))
+        rows = [w2_diag_gaussian(GaussianPosterior(a.mean[r], a.logvar[r]),
+                                 GaussianPosterior(b.mean[r], b.logvar[r]))
+                for r in range(5)]
+        assert np.array_equal(w2_diag_gaussian(a, b), rows)
 
     def test_dimension_mismatch(self):
         a = GaussianPosterior(mean=[0.0], logvar=[0.0])
@@ -208,14 +240,15 @@ class TestT1BoundCheck:
         # KL(N(0, C) || N(0, C)) = 0 for any prior variance.
         c = 2.7
         q = GaussianPosterior(mean=[0.0], logvar=[math.log(c)])
-        assert kl_vs_isotropic_prior(q, c) == pytest.approx(0.0, abs=1e-14)
+        assert kl_diag_gaussian(q, c) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestDatasetBoundReport:
     def test_encoder_pinned_at_prior(self):
         p = tiny_params(seed=60)
         zeros = unpack_params(np.zeros(pack_params(p).size), p)
-        rows = [np.array([0, 1]), np.array([2, 3, 4]), np.array([5])]
+        rows = matrix_from_rows([np.array([0, 1]), np.array([2, 3, 4]),
+                                 np.array([5])], 20)
         report = dataset_bound_report(zeros, rows, keep_prob=0.5, prior_var=1.0,
                                       n_pairs=10, rng=np.random.default_rng(0))
         assert report.passed
@@ -227,8 +260,9 @@ class TestDatasetBoundReport:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             p = tiny_params(seed=seed)
-            rows = [np.sort(rng.choice(20, size=int(rng.integers(2, 8)),
-                                       replace=False)) for _ in range(30)]
+            rows = matrix_from_rows(
+                [rng.choice(20, size=int(rng.integers(2, 8)), replace=False)
+                 for _ in range(30)], 20)
             report = dataset_bound_report(p, rows, keep_prob=0.5, prior_var=1.0,
                                           n_pairs=25, rng=rng)
             assert report.passed, report.values
@@ -371,7 +405,57 @@ class TestQuadraticToy:
                           np.zeros(2))
 
 
+def _decoder_grad(p, x, z):
+    """Flat gradient of -loglik(dec_w z + dec_b, x) over (dec_w, dec_b)."""
+    logits = p.dec_w @ z + p.dec_b
+    softmax = np.exp(logits - np.max(logits))
+    softmax /= softmax.sum()
+    d_logits = np.sum(x) * softmax - x
+    return np.concatenate([np.outer(d_logits, z).ravel(), d_logits])
+
+
+def reference_sharing_probe(p, x_u, x_v, n_samples, perturb_scale, rng):
+    """The per-sample loops that the batched sharing_probe replaced, kept
+    as its reference; it consumes the same random stream."""
+    q_u, q_v = encode(p, x_u), encode(p, x_v)
+    z_u = q_u.mean + rng.standard_normal((n_samples, p.latent_dim)) * q_u.std
+    grad_norm_u = np.linalg.norm(
+        sum(_decoder_grad(p, x_u, z) for z in z_u) / n_samples)
+    z_v = q_v.mean + rng.standard_normal((n_samples, p.latent_dim)) * q_v.std
+    delta_x = np.linalg.norm(
+        sum(_decoder_grad(p, x_u, z) - _decoder_grad(p, x_v, z)
+            for z in z_v) / n_samples)
+    lipschitz = 0.0
+    for z in z_u:
+        eps = perturb_scale * rng.standard_normal(p.latent_dim)
+        num = np.linalg.norm(_decoder_grad(p, x_u, z)
+                             - _decoder_grad(p, x_u, z + eps))
+        lipschitz = max(lipschitz, float(num / np.linalg.norm(eps)))
+    r_share = (max(0.0, grad_norm_u - delta_x) / lipschitz if lipschitz > 0.0
+               else math.inf)
+    return (w2_diag_gaussian(q_u, q_v), grad_norm_u, delta_x, lipschitz,
+            r_share)
+
+
 class TestSharingProbe:
+    def test_batched_probe_matches_per_sample_loops(self):
+        rng = np.random.default_rng(73)
+        for seed in range(8):
+            p = tiny_params(seed=seed, normalize=bool(seed % 2))
+            x_u = (rng.random(20) < 0.3).astype(float)
+            x_u[seed] = 1.0
+            # Seed 0 probes an identical pair.
+            x_v = x_u if seed == 0 else (rng.random(20) < 0.3).astype(float)
+            scale = float(rng.uniform(0.01, 0.5))
+            diag = sharing_probe(p, x_u, x_v, 150, scale,
+                                 np.random.default_rng(seed))
+            expected = reference_sharing_probe(p, x_u, x_v, 150, scale,
+                                               np.random.default_rng(seed))
+            np.testing.assert_allclose(
+                [diag.w2_latent, diag.grad_norm_u, diag.delta_x,
+                 diag.lipschitz_probe, diag.r_share_estimate],
+                expected, rtol=1e-12, atol=0.0)
+
     def test_identical_users_have_no_mismatch(self):
         p = tiny_params(seed=70)
         x = np.zeros(20)

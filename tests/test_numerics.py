@@ -54,6 +54,24 @@ class TestKlDiagGaussian:
             if np.any(q.mean != 0.0) or np.any(q.logvar != 0.0):
                 assert kl > 0.0
 
+    def test_unit_prior_is_bitwise_the_standard_formula(self):
+        # Dividing by C = 1 and subtracting log 1 = 0 are exact, so the
+        # scaled-prior formula gives the N(0, I) formula's bits, row by row.
+        rng = np.random.default_rng(8)
+        q = GaussianPosterior(mean=rng.standard_normal((50, 6)),
+                              logvar=rng.uniform(-5, 5, (50, 6)))
+        expected = 0.5 * np.sum(q.mean**2 + q.var - 1.0 - q.logvar, axis=1)
+        assert kl_diag_gaussian(q).tobytes() == expected.tobytes()
+        assert kl_diag_gaussian(q, prior_var=1.0).tobytes() == expected.tobytes()
+
+    def test_scaled_prior(self):
+        # KL(N(m, s2) || N(0, C)) = 1/2 ((m^2 + s2) / C - 1 - ln(s2 / C)).
+        q = GaussianPosterior(mean=[1.5], logvar=[math.log(0.5)])
+        expected = 0.5 * ((1.5**2 + 0.5) / 2.0 - 1.0 - math.log(0.5 / 2.0))
+        assert kl_diag_gaussian(q, 2.0) == pytest.approx(expected, abs=1e-15)
+        with pytest.raises(ValueError):
+            kl_diag_gaussian(q, 0.0)
+
 
 class TestMultinomialLoglik:
     def test_empty_target_is_zero(self):
