@@ -47,8 +47,11 @@ class _Parser(argparse.ArgumentParser):
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Parse `key = value` lines; blank lines and # comments are skipped."""
     out: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                  start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not UTF-8 text") from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -70,6 +73,13 @@ def _parse_bool(value: str, key: str) -> bool:
     if lowered in ("0", "false", "off", "no"):
         return False
     raise UsageError(f"config key {key}: expected a boolean, got {value!r}")
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _parse_int_list(value: str, key: str) -> tuple[int, ...]:
@@ -198,11 +208,14 @@ def _cmd_preprocess(args) -> int:
 def _cmd_synth(args) -> int:
     out = _ensure_out(args.out)
     config = resolve_config(parse_kv_file(args.spec), SYNTH_KEYS, args.spec)
-    spec = SynthSpec(cohort_sizes=tuple(config["cohort_sizes"]),
-                     cohort_support_sizes=tuple(config["cohort_support_sizes"]),
-                     n_items=config["n_items"],
-                     noise_rate=config["noise_rate"],
-                     seed=config["seed"])
+    try:
+        spec = SynthSpec(cohort_sizes=tuple(config["cohort_sizes"]),
+                         cohort_support_sizes=tuple(config["cohort_support_sizes"]),
+                         n_items=config["n_items"],
+                         noise_rate=config["noise_rate"],
+                         seed=config["seed"])
+    except ValueError as exc:
+        raise UsageError(f"{args.spec}: {exc}") from None
     matrix = synth_block_dataset(spec)
     split = split_dataset(matrix, config["n_val_users"], config["n_test_users"],
                           config["fold_in_fraction"], config["seed"])
@@ -335,7 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--val", type=int, required=True)
     p.add_argument("--test", type=int, required=True)
     p.add_argument("--fold-in", type=float, default=0.8, dest="fold_in")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess)
 
@@ -350,7 +363,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pia", choices=("on", "off"), default="off")
     p.add_argument("--fast", action="store_true",
                    help="CI profile: epochs 30, latent 32, hidden 100")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -366,7 +379,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("geometry", help="run a theory-check suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_geometry)
 

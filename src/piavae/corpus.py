@@ -15,6 +15,7 @@ import math
 import os
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,6 +162,25 @@ class SynthSpec:
             raise SpecError("supports must be nonempty")
         if not 0.0 <= self.noise_rate < 1.0:
             raise SpecError("noise_rate must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+@contextmanager
+def _open_utf8(path: str | Path, newline: str | None = None):
+    """Open path as UTF-8 text. A byte that does not decode, wherever the
+    caller reads it, is a ParseError naming its line."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                             f"{path} is not UTF-8 text") from None
+        raise
 
 
 def ingest_events(path: str | Path, min_user_interactions: int,
@@ -182,7 +202,7 @@ def ingest_events(path: str | Path, min_user_interactions: int,
     item_code: dict[str, int] = {}
     user_of: list[int] = []
     item_of: list[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -424,7 +444,7 @@ def write_idmap(path: str | Path, user_ids: dict[str, list[str]],
 def read_idmap(path: str | Path) -> tuple[dict[str, list[str]], list[str]]:
     users: dict[str, list[str]] = {}
     items: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -481,5 +501,8 @@ def load_split(data_dir: str | Path) -> SplitDataset:
         for attr, fname in SPLIT_FILES.items()
     }
     seed_file = data / "seed.txt"
-    seed = int(seed_file.read_text().strip()) if seed_file.exists() else 0
+    try:
+        seed = int(seed_file.read_text(encoding="utf-8")) if seed_file.exists() else 0
+    except ValueError:  # a UnicodeDecodeError too
+        raise ParseError(1, f"{seed_file} must hold an integer seed") from None
     return SplitDataset(seed=seed, **matrices)

@@ -18,7 +18,8 @@ class EmptyDatasetError(PiaVaeError):
 
 
 class SplitError(PiaVaeError):
-    """Requested split is impossible for the given matrix."""
+    """Requested split is impossible for the given matrix, or a split
+    lacks the users an operation needs."""
 
 
 class SpecError(PiaVaeError):

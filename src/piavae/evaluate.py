@@ -9,16 +9,16 @@ selection, sort only that prefix, and read Recall@K and NDCG@K for every
 K from one hit vector.
 
 Scores come from model.score_matrix, which scores users in fixed-size
-batches. A batched row agrees with the one-row model.predict_scores to
-1e-12 on every finite entry, with the same -inf entries; it is not bit
-for bit the same, so a score tie that only rounding decides may rank
-differently in the two paths.
+batches. A batched row agrees with the same user scored alone to 1e-12
+on every finite entry, with the same -inf entries; it is not bit for bit
+the same, so a score tie that only rounding decides may rank differently
+in the two cases.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,81 +44,6 @@ def _ranked_top(key: np.ndarray, k: int) -> np.ndarray:
     return top[np.argsort(key[top], kind="stable")]
 
 
-def _ranking_metrics(scores: np.ndarray, fold: tuple[np.ndarray, np.ndarray],
-                     hold: tuple[np.ndarray, np.ndarray],
-                     k_list) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """(recall, ndcg) arrays over the rows of `scores` for each K.
-
-    `fold` and `hold` are the (indptr, indices) CSR arrays of the fold-in
-    and holdout rows, with strictly increasing indices in each row. One
-    ranked prefix per row, as long as the largest K, serves every K.
-    """
-    ks = [int(k) for k in k_list]
-    if any(k < 1 for k in ks):
-        raise ValueError("k must be >= 1")
-    n_users, n_items = scores.shape
-    fold_ptr, fold_idx = fold
-    hold_ptr, hold_idx = hold
-    if fold_ptr.size != n_users + 1 or hold_ptr.size != n_users + 1:
-        raise ShapeError(f"{n_users} score rows need {n_users} fold-in and "
-                         "holdout rows")
-    hold_len = np.diff(hold_ptr)
-    if np.any(hold_len == 0):
-        raise MetricError(
-            f"holdout set of user {int(np.argmin(hold_len))} is empty")
-    # Row-major (user, item) keys; sorted because every row is sorted.
-    fold_keys = entry_rows(fold_ptr) * n_items + fold_idx
-    hold_keys = entry_rows(hold_ptr) * n_items + hold_idx
-    shared = np.isin(hold_keys, fold_keys)
-    if shared.any():
-        user = int(hold_keys[np.argmax(shared)] // n_items)
-        raise MetricError(f"fold-in and holdout sets of user {user} overlap")
-
-    width = min(max(ks), n_items)
-    top = np.empty((n_users, width), dtype=np.int64)
-    for u in range(n_users):
-        key = -np.asarray(scores[u], dtype=np.float64)
-        key[fold_idx[fold_ptr[u]:fold_ptr[u + 1]]] = np.inf
-        top[u] = _ranked_top(key, width)
-    top_keys = top + (np.arange(n_users) * n_items)[:, None]
-    pos = np.minimum(np.searchsorted(hold_keys, top_keys), hold_keys.size - 1)
-    hits = hold_keys[pos] == top_keys
-
-    discounts = 1.0 / np.log2(np.arange(2, max(ks) + 2))
-    # One np.sum per prefix length, not a cumsum: numpy sums pairwise, so
-    # this is the normalizer a direct sum over the ideal prefix gives.
-    idcg = np.array([np.sum(discounts[:m]) for m in range(max(ks) + 1)])
-    # Running sums in rank order add the same terms in the same order as
-    # a sum over the hits, so each DCG@K is one column.
-    hit_count = np.cumsum(hits, axis=1)
-    dcg = np.cumsum(hits * discounts[:width], axis=1)
-    out = {}
-    for k in ks:
-        col = min(k, width) - 1
-        ideal = np.minimum(k, hold_len)
-        out[k] = (hit_count[:, col] / ideal, dcg[:, col] / idcg[ideal])
-    return out
-
-
-def _single_row(scores, holdout, fold_in, k: int):
-    """One user's metrics at one K from item collections."""
-    hold = np.unique(np.fromiter(holdout, dtype=np.int64))
-    fold = np.unique(np.fromiter(fold_in, dtype=np.int64))
-    scores = np.asarray(scores, dtype=np.float64)[None, :]
-    return _ranking_metrics(scores, (np.array([0, fold.size]), fold),
-                            (np.array([0, hold.size]), hold), [k])[k]
-
-
-def recall_at_k(scores: np.ndarray, holdout, fold_in, k: int) -> float:
-    """|top-k hits| / min(k, |holdout|)."""
-    return float(_single_row(scores, holdout, fold_in, k)[0][0])
-
-
-def ndcg_at_k(scores: np.ndarray, holdout, fold_in, k: int) -> float:
-    """Binary-relevance DCG@k normalized by the ideal prefix its length."""
-    return float(_single_row(scores, holdout, fold_in, k)[1][0])
-
-
 @dataclass
 class MetricReport:
     """Per-K recall and NDCG means with optional activity strata."""
@@ -142,9 +67,55 @@ class MetricReport:
 def per_user_metrics(scores: np.ndarray, fold: InteractionMatrix,
                      hold: InteractionMatrix,
                      k_list: list[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """(recall, ndcg) arrays over users for each K."""
-    return _ranking_metrics(scores, (fold.indptr, fold.indices),
-                            (hold.indptr, hold.indices), k_list)
+    """(recall, ndcg) arrays over the rows of `scores` for each K.
+
+    Row u of `scores` is ranked against row u of the fold-in and holdout
+    matrices. One ranked prefix per row, as long as the largest K, serves
+    every K.
+    """
+    ks = [int(k) for k in k_list]
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+    n_users, n_items = scores.shape
+    if fold.n_users != n_users or hold.n_users != n_users:
+        raise ShapeError(f"{n_users} score rows need {n_users} fold-in and "
+                         "holdout rows")
+    hold_len = hold.row_lengths()
+    if np.any(hold_len == 0):
+        raise MetricError(
+            f"holdout set of user {int(np.argmin(hold_len))} is empty")
+    # Row-major (user, item) keys; sorted because every row is sorted.
+    fold_keys = entry_rows(fold.indptr) * n_items + fold.indices
+    hold_keys = entry_rows(hold.indptr) * n_items + hold.indices
+    shared = np.isin(hold_keys, fold_keys)
+    if shared.any():
+        user = int(hold_keys[np.argmax(shared)] // n_items)
+        raise MetricError(f"fold-in and holdout sets of user {user} overlap")
+
+    width = min(max(ks), n_items)
+    top = np.empty((n_users, width), dtype=np.int64)
+    for u in range(n_users):
+        key = -np.asarray(scores[u], dtype=np.float64)
+        key[fold.row(u)] = np.inf
+        top[u] = _ranked_top(key, width)
+    top_keys = top + (np.arange(n_users) * n_items)[:, None]
+    pos = np.minimum(np.searchsorted(hold_keys, top_keys), hold_keys.size - 1)
+    hits = hold_keys[pos] == top_keys
+
+    discounts = 1.0 / np.log2(np.arange(2, max(ks) + 2))
+    # One np.sum per prefix length, not a cumsum: numpy sums pairwise, so
+    # this is the normalizer a direct sum over the ideal prefix gives.
+    idcg = np.array([np.sum(discounts[:m]) for m in range(max(ks) + 1)])
+    # Running sums in rank order add the same terms in the same order as
+    # a sum over the hits, so each DCG@K is one column.
+    hit_count = np.cumsum(hits, axis=1)
+    dcg = np.cumsum(hits * discounts[:width], axis=1)
+    out = {}
+    for k in ks:
+        col = min(k, width) - 1
+        ideal = np.minimum(k, hold_len)
+        out[k] = (hit_count[:, col] / ideal, dcg[:, col] / idcg[ideal])
+    return out
 
 
 def _bucket_label(lo: int, hi: int | None) -> str:

@@ -21,17 +21,15 @@ from scipy.special import ndtri, xlogy
 
 from .corpus import InteractionMatrix
 from .errors import DimensionMismatch, NumericalError
-from .model import ModelParams, draw_mask, encode, encode_rows, posterior_means
+from .model import ModelParams, draw_mask, encode_rows, posterior_means
 from .numerics import GaussianPosterior, kl_diag_gaussian
 
 __all__ = [
-    "PairStats", "GeometryReport", "SharingDiagnostics",
+    "GeometryReport", "PairGrid", "PairStats",
     "contraction_bound", "expansion_bound",
     "masked_distance_exact", "masked_distance_enumerate",
-    "w2_diag_gaussian", "w1_1d_numeric",
     "t1_bound_check", "dataset_bound_report",
-    "jensen_gap_bernoulli", "PairGrid", "pairwise_decomposition_check",
-    "quadratic_minimizers", "quadratic_toy",
+    "pairwise_decomposition_check", "quadratic_toy",
     "sharing_probe", "export_latents",
 ]
 
@@ -509,6 +507,14 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _encode_one(p: ModelParams, x: np.ndarray) -> GaussianPosterior:
+    """Posterior of one dense input vector, encoded alone as a one-row CSR
+    batch of its nonzeros."""
+    idx = np.flatnonzero(x)
+    q = encode_rows(p, np.array([0, idx.size]), idx, x[idx])
+    return GaussianPosterior(mean=q.mean[0], logvar=q.logvar[0])
+
+
 def sharing_probe(p: ModelParams, x_u: np.ndarray, x_v: np.ndarray,
                   n_samples: int, perturb_scale: float,
                   rng: np.random.Generator) -> SharingDiagnostics:
@@ -526,8 +532,8 @@ def sharing_probe(p: ModelParams, x_u: np.ndarray, x_v: np.ndarray,
     x_u = np.asarray(x_u, dtype=np.float64)
     x_v = np.asarray(x_v, dtype=np.float64)
     k_u, k_v = np.sum(x_u), np.sum(x_v)
-    q_u = encode(p, x_u)
-    q_v = encode(p, x_v)
+    q_u = _encode_one(p, x_u)
+    q_v = _encode_one(p, x_v)
     w2 = w2_diag_gaussian(q_u, q_v)
     shape = (n_samples, p.latent_dim)
 

@@ -6,12 +6,12 @@ is a single linear layer back to item logits. `_encoder_heads` is the one
 encoder definition, and `_input_layer` the one sparse input-layer product:
 training (`loss_and_grads_fixed`, on CSR batches of the training matrix)
 and `encode_rows`, the one encoder entry point over CSR rows, share both.
-`score_matrix`, `predict_scores`, `posterior_means`, the geometry probes
-and `encode` (which converts a dense row or batch to CSR) all go through
-`encode_rows`; there is no dense encoder path. The mask is drawn on the
-nonzeros of a batch only. During `fit` the parameters are views into one
-flat buffer that `adam_step` updates in place. All gradients are derived by
-hand; `finite_diff_check` in the test suite guards every term.
+`score_matrix` and `posterior_means` run `encode_rows` over a matrix in
+fixed-size chunks, and the geometry probes call it directly; there is no
+dense encoder path. The mask is drawn on the nonzeros of a batch only.
+During `fit` the parameters are views into one flat buffer that
+`adam_step` updates in place. All gradients are derived by hand;
+`finite_diff_check` in the test suite guards every term.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ import numpy as np
 
 from .corpus import (InteractionMatrix, SplitDataset, check_end, entry_rows,
                      read_array)
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError, ShapeError, SplitError
 from .numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState, GaussianPosterior,
                        adam_step)
-from .pia import AnchorTable, LambdaSchedule, PiaConfig, schedule_update
+from .pia import PiaConfig
 
 MODEL_MAGIC = b"PIAM"
 ANCHOR_SECTION = b"ANCH"
@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError("keep_prob must lie in (0, 1]")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -147,32 +149,20 @@ def pack_params(p: ModelParams) -> np.ndarray:
     return np.concatenate([getattr(p, name).ravel() for name in _trained_fields(p)])
 
 
-def _param_views(vec: np.ndarray, template: ModelParams) -> dict[str, np.ndarray]:
-    """Views into vec shaped like template's trained arrays, in
-    pack_params order."""
-    out = {}
+def unpack_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
+    """ModelParams shaped like template whose trained arrays are views into
+    the float64 vector vec, in pack_params order, so an in-place update of
+    vec updates the parameters and the reverse."""
+    views = {}
     offset = 0
     for name in _trained_fields(template):
         shape = getattr(template, name).shape
         size = math.prod(shape)
-        out[name] = vec[offset:offset + size].reshape(shape)
+        views[name] = vec[offset:offset + size].reshape(shape)
         offset += size
     if offset != vec.size:
         raise ShapeError(f"flat vector has {vec.size} entries, expected {offset}")
-    return out
-
-
-def _on_buffer(vec: np.ndarray, template: ModelParams) -> ModelParams:
-    """ModelParams whose arrays are views into the float64 vector vec, so
-    an in-place update of vec updates the parameters."""
-    return ModelParams(**_param_views(vec, template),
-                       input_normalize=template.input_normalize)
-
-
-def unpack_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
-    """Rebuild a ModelParams with template shapes from a copy of a flat
-    vector."""
-    return _on_buffer(np.array(vec, dtype=np.float64), template)
+    return ModelParams(**views, input_normalize=template.input_normalize)
 
 
 def draw_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -190,39 +180,21 @@ def draw_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
 
 def _encoder_heads(p: ModelParams, a1: np.ndarray):
     """Hidden layer and raw (mean, logvar) heads from the input-layer
-    product a1 = x_in @ enc_w1.T, for one row or a batch of rows."""
+    product a1 = x_in @ enc_w1.T of a batch of rows."""
     h1 = np.tanh(a1 + p.enc_b1)
     mu = h1 @ p.enc_w_mu.T + p.enc_b_mu
     lv_raw = h1 @ p.enc_w_lv.T + p.enc_b_lv
     return h1, mu, lv_raw
 
 
-def encode(p: ModelParams, x_h: np.ndarray,
-           normalize: bool | None = None) -> GaussianPosterior:
-    """Posterior of one dense interaction vector, or of each row of an
-    (n, items) batch, through encode_rows."""
-    x_h = np.asarray(x_h, dtype=np.float64)
-    if x_h.ndim not in (1, 2) or x_h.shape[-1] != p.n_items:
-        raise ShapeError(f"input shape {x_h.shape} vs {p.n_items} items")
-    q = encode_rows(p, *_dense_to_csr(np.atleast_2d(x_h)), normalize)
-    return q if x_h.ndim == 2 else GaussianPosterior(q.mean[0], q.logvar[0])
-
-
-def _dense_to_csr(x: np.ndarray):
-    """(indptr, indices, data) of the nonzeros of a dense (n, items) array."""
-    rows, indices = np.nonzero(x)
-    indptr = np.searchsorted(rows, np.arange(x.shape[0] + 1))
-    return indptr, indices, x[rows, indices]
-
-
 def _csr_input(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
-               data: np.ndarray, normalize: bool):
-    """scipy CSR encoder input, each row L2-normalized when normalize
-    (an empty row stays empty)."""
+               data: np.ndarray):
+    """scipy CSR encoder input, each row L2-normalized when
+    p.input_normalize (an empty row stays empty)."""
     from scipy import sparse
 
     n_rows = indptr.size - 1
-    if normalize:
+    if p.input_normalize:
         row_of = entry_rows(indptr)
         norms = np.sqrt(np.bincount(row_of, weights=data * data,
                                     minlength=n_rows))
@@ -268,15 +240,14 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     row_of = entry_rows(indptr)
     if out is None:
         out = np.empty(sum(getattr(p, name).size for name in _trained_fields(p)))
-    g = _param_views(out, p)
+    g = unpack_params(out, p)
     # The batch's items; col_of maps each stored entry to its item's place.
     items, col_of = np.unique(indices, return_inverse=True)
 
     kept = keep > 0
     kept_indptr = np.concatenate(
         ([0], np.cumsum(np.bincount(row_of[kept], minlength=n))))
-    x_in = _csr_input(p, kept_indptr, indices[kept], keep[kept],
-                      p.input_normalize)
+    x_in = _csr_input(p, kept_indptr, indices[kept], keep[kept])
     h1, mu, lv_raw = _encoder_heads(p, _input_layer(p, x_in))
     lv = np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX)
     sigma = np.exp(0.5 * lv)
@@ -319,8 +290,8 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     d_logits *= (counts / (n * sums))[:, None]
     d_logits[row_of, indices] -= 1.0 / n
     # (z.T @ d_logits).T runs faster in OpenBLAS than d_logits.T @ z.
-    g["dec_w"][...] = (z.T @ d_logits).T
-    np.sum(d_logits, axis=0, out=g["dec_b"])
+    g.dec_w[...] = (z.T @ d_logits).T
+    np.sum(d_logits, axis=0, out=g.dec_b)
     d_z = d_logits @ p.dec_w
     del work, d_logits
 
@@ -333,28 +304,28 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
             anchors * np.bincount(col_of, weights=entry_weight,
                                   minlength=items.size)[:, None]
             - weights.T @ mu)
-        g["anchors"].fill(0.0)
-        g["anchors"][items] = g_items
+        g.anchors.fill(0.0)
+        g.anchors[items] = g_items
     elif p.anchors is not None:
-        g["anchors"].fill(0.0)
+        g.anchors.fill(0.0)
 
     inside = (lv_raw > LOGVAR_MIN) & (lv_raw < LOGVAR_MAX)
     d_lv_raw = d_lv * inside
-    np.matmul(d_mu.T, h1, out=g["enc_w_mu"])
-    np.sum(d_mu, axis=0, out=g["enc_b_mu"])
-    np.matmul(d_lv_raw.T, h1, out=g["enc_w_lv"])
-    np.sum(d_lv_raw, axis=0, out=g["enc_b_lv"])
+    np.matmul(d_mu.T, h1, out=g.enc_w_mu)
+    np.sum(d_mu, axis=0, out=g.enc_b_mu)
+    np.matmul(d_lv_raw.T, h1, out=g.enc_w_lv)
+    np.sum(d_lv_raw, axis=0, out=g.enc_b_lv)
     d_h1 = d_mu @ p.enc_w_mu + d_lv_raw @ p.enc_w_lv
     d_a1 = d_h1 * (1.0 - h1**2)
     # enc_w1's gradient d_a1.T @ x_in is zero outside the batch's items.
     x_items = sparse.csr_matrix((x_in.data, col_of[kept], kept_indptr),
                                 shape=(n, items.size)).T
-    g_w1 = g["enc_w1"]
+    g_w1 = g.enc_w1
     g_w1.fill(0.0)
     for start in range(0, p.hidden_dim, HIDDEN_BLOCK):
         stop = start + HIDDEN_BLOCK
         g_w1[start:stop, items] = (x_items @ d_a1[:, start:stop]).T
-    np.sum(d_a1, axis=0, out=g["enc_b1"])
+    np.sum(d_a1, axis=0, out=g.enc_b1)
     return loss, out
 
 
@@ -396,23 +367,34 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     Per epoch the log records the mean batch loss, validation NDCG@100 on
     the fold-in/holdout pair, and the alignment strength in force during
     that epoch (0 when alignment is off). The returned parameters are the
-    snapshot from the epoch with the highest validation NDCG. A
+    snapshot from the epoch with the highest validation NDCG. With `pia`,
+    the strength starts at pia.lambda_a and is multiplied by
+    pia.lambda_scale after every epoch that does not improve on the best
+    NDCG once the best epoch is at least pia.patience epochs back. A
     NumericalError ends training with an "aborted" record naming the
-    epoch, the batch (from 1) and the batch row of the error.
+    epoch, the batch (from 1) and the batch row of the error. A split
+    with no validation users is a SplitError, raised before any training.
 
     The parameters are views into one flat buffer that adam_step updates
     in place, and each batch's gradient is written into one reused buffer.
     """
+    if data.val_fold_in.n_users == 0:
+        raise SplitError("training needs validation users to choose its best "
+                         "epoch; split with n_val_users >= 1 (synth) or "
+                         "--val >= 1 (preprocess)")
     rng = np.random.default_rng(cfg.seed)
-    anchors = schedule = None
+    anchors = None
+    lam = 0.0
     if pia is not None:
-        anchors = AnchorTable.init(data.n_items, cfg.latent_dim, rng,
-                                   init_scale=pia.anchor_init_scale).anchors
-        schedule = LambdaSchedule(lambda_a=pia.lambda_a)
+        # Unspecified upstream; 1/sqrt(d) keeps ||e_i|| around 1.
+        scale = (pia.anchor_init_scale if pia.anchor_init_scale is not None
+                 else 1.0 / np.sqrt(cfg.latent_dim))
+        anchors = scale * rng.standard_normal((data.n_items, cfg.latent_dim))
+        lam = pia.lambda_a
     p = init_params(data.n_items, cfg.hidden_dim, cfg.latent_dim, rng,
                     input_normalize=cfg.input_normalize, anchors=anchors)
     theta = pack_params(p)
-    p = _on_buffer(theta, p)
+    p = unpack_params(theta, p)
     grads = np.empty_like(theta)
     adam = AdamState.init(theta.size, lr=cfg.lr)
 
@@ -424,7 +406,6 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     epoch = batch = None
     try:
         for epoch in range(1, cfg.epochs + 1):
-            lam = schedule.lambda_a if schedule is not None else 0.0
             perm = rng.permutation(n_train)
             losses = []
             for batch, start in enumerate(range(0, n_train, cfg.batch_size),
@@ -443,68 +424,45 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                 best_ndcg = val_ndcg
                 np.copyto(best_theta, theta)
                 best_epoch = epoch
-            if schedule is not None:
-                schedule = schedule_update(schedule, pia, epoch, val_ndcg)
+            elif pia is not None and epoch - best_epoch >= pia.patience:
+                lam *= pia.lambda_scale
     except NumericalError as exc:
         log.append({"event": "aborted", "error": str(exc),
                     "last_good_epoch": best_epoch, "epoch": epoch,
                     "batch": batch, "row_index": exc.row_index})
-    return _on_buffer(best_theta, p), log
+    return unpack_params(best_theta, p), log
 
 
 def encode_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
-                data: np.ndarray, normalize: bool | None = None
-                ) -> GaussianPosterior:
+                data: np.ndarray) -> GaussianPosterior:
     """Posterior (mean, clipped logvar) of each CSR input row, whose values
     data[indptr[r]:indptr[r+1]] sit at items indices[indptr[r]:indptr[r+1]]:
     the one encoder entry point, on training's sparse input layer."""
-    if normalize is None:
-        normalize = p.input_normalize
-    x = _csr_input(p, indptr, indices, data, normalize)
+    x = _csr_input(p, indptr, indices, data)
     _, mu, lv_raw = _encoder_heads(p, _input_layer(p, x))
     return GaussianPosterior(mean=mu,
                              logvar=np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX))
 
 
-def _score_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
-                data: np.ndarray, out: np.ndarray,
-                normalize: bool | None) -> None:
-    """Write posterior-mean logits for CSR input rows into `out`; entries
-    with a positive input value are set to -inf."""
-    mu = encode_rows(p, indptr, indices, data, normalize).mean
-    np.matmul(mu, p.dec_w.T, out=out)
-    out += p.dec_b
-    seen = data > 0
-    out[entry_rows(indptr)[seen], indices[seen]] = -np.inf
-
-
-def predict_scores(p: ModelParams, fold_in: np.ndarray,
-                   normalize: bool | None = None) -> np.ndarray:
-    """Deterministic item scores: posterior mean of the clean fold-in,
-    decoded to logits, with fold-in items forced to -inf."""
-    fold_in = np.asarray(fold_in, dtype=np.float64)
-    if fold_in.shape != (p.n_items,):
-        raise ShapeError(f"input length {fold_in.shape} vs {p.n_items} items")
-    scores = np.empty((1, p.n_items))
-    _score_rows(p, *_dense_to_csr(fold_in[None]), scores, normalize)
-    return scores[0]
-
-
-def score_matrix(p: ModelParams, fold: InteractionMatrix,
-                 normalize: bool | None = None) -> np.ndarray:
-    """predict_scores for every user of a fold-in matrix.
+def score_matrix(p: ModelParams, fold: InteractionMatrix) -> np.ndarray:
+    """Deterministic item scores for every user of a fold-in matrix: the
+    posterior mean of the clean fold-in row, decoded to logits, with the
+    fold-in items forced to -inf.
 
     Users are scored SCORE_CHUNK at a time from the fold-in's CSR arrays,
     with no dense users x items input. Batched products sum in another
-    order than a one-row call, so a row here agrees with predict_scores
-    to 1e-12 on finite entries (about 1e-15 at the reference shape), with
-    the same -inf entries, but not bit for bit. The chunk size is fixed,
-    so the same inputs always give the same bits.
+    order than a one-user call, so a row here agrees with the same user
+    scored alone to 1e-12 on finite entries (about 1e-15 at the reference
+    shape), with the same -inf entries, but not bit for bit. The chunk
+    size is fixed, so the same inputs always give the same bits.
     """
     scores = np.empty((fold.n_users, p.n_items), dtype=np.float64)
     for rows, indptr, indices in _csr_chunks(fold):
-        _score_rows(p, indptr, indices, np.ones(indices.size), scores[rows],
-                    normalize)
+        out = scores[rows]
+        mu = encode_rows(p, indptr, indices, np.ones(indices.size)).mean
+        np.matmul(mu, p.dec_w.T, out=out)
+        out += p.dec_b
+        out[entry_rows(indptr), indices] = -np.inf
     return scores
 
 

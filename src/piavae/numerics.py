@@ -74,25 +74,6 @@ def kl_diag_gaussian(q: GaussianPosterior,
     return float(kl) if kl.ndim == 0 else kl
 
 
-def multinomial_loglik(logits: np.ndarray, x: np.ndarray) -> float:
-    """sum_i x_i * log softmax(logits)_i with log-sum-exp stabilization."""
-    logits = np.asarray(logits, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if logits.shape != x.shape:
-        raise ShapeError(f"logits {logits.shape} vs x {x.shape}")
-    m = np.max(logits)
-    log_norm = m + np.log(np.sum(np.exp(logits - m)))
-    return float(np.dot(x, logits - log_norm))
-
-
-def reparameterize(q: GaussianPosterior, noise: np.ndarray) -> np.ndarray:
-    """z = mu + noise * sigma for a fixed standard-normal noise vector."""
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != q.mean.shape:
-        raise ShapeError(f"noise {noise.shape} vs mean {q.mean.shape}")
-    return q.mean + noise * q.std
-
-
 @dataclass
 class AdamState:
     """Adam moments matched to a flat parameter vector."""

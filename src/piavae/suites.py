@@ -16,7 +16,7 @@ from .corpus import (SynthSpec, entry_rows, matrix_from_rows, split_dataset,
                      synth_block_dataset)
 from .model import TrainConfig, draw_mask, encode_rows, fit, init_params
 from .numerics import GaussianPosterior, kl_diag_gaussian
-from .pia import AnchorTable, alignment_closed_form, alignment_mc_standard_error
+from .pia import alignment_closed_form, alignment_mc_standard_error
 
 SUITE_NAMES = ("thm3", "t1", "eq3", "prop1", "prop2", "eq4", "probe")
 
@@ -157,9 +157,8 @@ def suite_eq3(seed: int = 0) -> list[geo.GeometryReport]:
 def suite_prop1(seed: int = 0) -> list[geo.GeometryReport]:
     """Closed-form alignment loss versus its Monte-Carlo oracle."""
     reports = []
-    table = AnchorTable(anchors=np.array([[0.5, -1.0]]))
     degenerate = GaussianPosterior(mean=[0.5, -1.0], logvar=[-np.inf, -np.inf])
-    closed = alignment_closed_form(degenerate, table, [0])
+    closed = alignment_closed_form(degenerate, np.array([[0.5, -1.0]]), [0])
     reports.append(geo.GeometryReport.check(
         "alignment-degenerate-exact-zero", {"closed": closed, "abs": abs(closed)},
         {"abs": 0.0}))
@@ -167,13 +166,13 @@ def suite_prop1(seed: int = 0) -> list[geo.GeometryReport]:
     for j in range(100):
         d = int(rng.integers(1, 6))
         n_anchors = int(rng.integers(1, 8))
-        table = AnchorTable(anchors=rng.standard_normal((n_anchors, d)))
+        anchors = rng.standard_normal((n_anchors, d))
         q = GaussianPosterior(mean=rng.standard_normal(d),
                               logvar=rng.uniform(-2.0, 1.0, d))
         positives = rng.choice(n_anchors, size=int(rng.integers(1, n_anchors + 1)),
                                replace=False)
-        closed = alignment_closed_form(q, table, positives)
-        mc, se = alignment_mc_standard_error(q, table, positives, 100_000, rng)
+        closed = alignment_closed_form(q, anchors, positives)
+        mc, se = alignment_mc_standard_error(q, anchors, positives, 100_000, rng)
         slack = abs(closed - mc) - 3.0 * se
         reports.append(geo.GeometryReport.check(
             f"alignment-closed-vs-mc #{j}",

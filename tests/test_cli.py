@@ -133,15 +133,63 @@ class TestTrainManifest:
 
 
 class TestTrainUsageErrors:
-    @pytest.mark.parametrize("pia, setting", [("off", "beta = -1"),
-                                              ("on", "lambda_a = 0")])
+    @pytest.mark.parametrize("pia, setting", [("off", b"beta = -1"),
+                                              ("on", b"lambda_a = 0"),
+                                              ("off", b"seed = -1"),
+                                              ("off", b"beta = 0.\xb2")])
     def test_invalid_config_exits_1(self, run_dir, pia, setting, capsys):
-        (run_dir / "bad.cfg").write_text(setting + "\n")
+        (run_dir / "bad.cfg").write_bytes(setting + b"\n")
         code, out = _train(run_dir, pia, "--config", str(run_dir / "bad.cfg"))
         assert code == 1
         err = capsys.readouterr().err
         assert "bad.cfg" in err and len(err.strip().splitlines()) == 1
         assert not (out / "model.ckpt").exists()
+
+
+class TestNegativeSeed:
+    # np.random.default_rng rejects a negative seed, so the flag rejects
+    # it first, as a usage error.
+    @pytest.mark.parametrize("argv", [["train", "--data", "data"],
+                                      ["geometry", "--suite", "t1"]])
+    def test_seed_flag_exits_1(self, run_dir, argv, capsys):
+        code = dispatch([*argv, "--seed", "-1", "--out", str(run_dir / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and len(err.strip().splitlines()) == 1
+        assert not (run_dir / "out").exists()
+
+
+class TestTrainDataErrors:
+    def test_no_validation_users_exits_2(self, tmp_path, capsys):
+        # synth's default n_val_users is 0.
+        (tmp_path / "spec.cfg").write_text(
+            SYNTH_SPEC.replace("n_val_users = 6\n", ""))
+        assert dispatch(["synth", "--spec", str(tmp_path / "spec.cfg"),
+                         "--out", str(tmp_path / "data")]) == 0
+        code, out = _train(tmp_path, "on", "--epochs", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_val_users >= 1" in err and "Traceback" not in err
+        assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("name, content", [
+        ("seed.txt", b"zero\n"),
+        ("seed.txt", b"\xff\n"),
+        ("idmap.tsv", b"item\t0\t\xff\n")])
+    def test_corrupt_split_file_exits_2(self, run_dir, name, content, capsys):
+        (run_dir / "data" / name).write_bytes(content)
+        assert _evaluate(run_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_idmap_error_names_the_line(self, run_dir, capsys):
+        path = run_dir / "data" / "idmap.tsv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"\t", b"\t\xe9", 1)
+        path.write_bytes(b"".join(lines))
+        assert _evaluate(run_dir) == 2
+        assert "line 3:" in capsys.readouterr().err
 
 
 class TestExportManifest:
@@ -187,17 +235,18 @@ class TestPreprocessExitCodes:
         assert (tmp_path / "split" / "train.csr").exists()
 
     @pytest.mark.parametrize("extra", [["--val", "many"], ["--min-user", "-1"],
-                                       ["--bogus"]])
+                                       ["--bogus"], ["--seed", "-1"]])
     def test_usage_error_exits_1(self, tmp_path, extra, capsys):
         events = _write_events(tmp_path / "e.csv")
         assert _preprocess(tmp_path, events, *extra) == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("text", ["user,item,rating\nu1,i1,good\n",
-                                      "user,item,rating\nu1,i1\n",
-                                      "user,item,rating\nu1,i1,5\n"])
+    @pytest.mark.parametrize("text", [b"user,item,rating\nu1,i1,good\n",
+                                      b"user,item,rating\nu1,i1\n",
+                                      b"user,item,rating\nu1,i1,5\n",
+                                      b"user,item,rating\nu\xfc1,i1,5\n"])
     def test_bad_input_data_exits_2(self, tmp_path, text, capsys):
-        (tmp_path / "e.csv").write_text(text)
+        (tmp_path / "e.csv").write_bytes(text)
         assert _preprocess(tmp_path, tmp_path / "e.csv") == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -239,7 +288,8 @@ class TestSynthExitCodes:
 
     @pytest.mark.parametrize("spec", [SYNTH_SPEC + "colour = blue\n",
                                       SYNTH_SPEC.replace("n_items = 24\n", ""),
-                                      SYNTH_SPEC.replace("= 24", "= many")])
+                                      SYNTH_SPEC.replace("= 24", "= many"),
+                                      SYNTH_SPEC + "seed = -2\n"])
     def test_usage_error_exits_1(self, tmp_path, spec, capsys):
         assert self._synth(tmp_path, spec) == 1
         assert "spec.cfg" in capsys.readouterr().err

@@ -8,53 +8,62 @@ from hypothesis import strategies as st
 from piavae.corpus import (SynthSpec, matrix_from_rows, split_dataset,
                            synth_block_dataset)
 from piavae.errors import MetricError
-from piavae.evaluate import (bucket_users, ndcg_at_k, per_user_metrics,
-                             recall_at_k, stratified_report)
+from piavae.evaluate import bucket_users, per_user_metrics, stratified_report
 from tests.test_model import tiny_params
+
+
+def one_user(scores, holdout, fold_in, k):
+    """(Recall@k, NDCG@k) of a single user through per_user_metrics, from
+    the user's scores and item collections."""
+    scores = np.asarray(scores, dtype=np.float64)
+    fold = matrix_from_rows([sorted(fold_in)], scores.size)
+    hold = matrix_from_rows([sorted(holdout)], scores.size)
+    rec, nd = per_user_metrics(scores[None], fold, hold, [k])[k]
+    return float(rec[0]), float(nd[0])
 
 
 class TestRecallAtK:
     def test_all_holdout_in_topk(self):
         scores = np.array([9.0, 8.0, 7.0, 0.1, 0.2])
-        assert recall_at_k(scores, {0, 1, 2}, set(), 3) == 1.0
+        assert one_user(scores, {0, 1, 2}, set(), 3)[0] == 1.0
 
     def test_no_holdout_in_topk(self):
         scores = np.array([0.0, 0.1, 9.0, 8.0])
-        assert recall_at_k(scores, {0, 1}, set(), 2) == 0.0
+        assert one_user(scores, {0, 1}, set(), 2)[0] == 0.0
 
     def test_truncation_normalizer(self):
         # k=2, three holdout items, one hit -> 1 / min(2, 3) = 0.5.
         scores = np.array([5.0, 4.0, 0.0, 0.1, 0.2])
-        assert recall_at_k(scores, {0, 3, 4}, set(), 2) == pytest.approx(0.5)
+        assert one_user(scores, {0, 3, 4}, set(), 2)[0] == pytest.approx(0.5)
 
     def test_fold_in_never_counts_as_hit(self):
         scores = np.array([10.0, 9.0, 1.0, 0.5])
         # Item 0 is fold-in despite its huge score.
-        assert recall_at_k(scores, {2}, {0}, 2) == pytest.approx(1.0)
+        assert one_user(scores, {2}, {0}, 2)[0] == pytest.approx(1.0)
 
     def test_empty_holdout_rejected(self):
         with pytest.raises(MetricError):
-            recall_at_k(np.zeros(3), set(), set(), 2)
+            one_user(np.zeros(3), set(), set(), 2)
 
     def test_overlapping_sets_rejected(self):
         with pytest.raises(MetricError):
-            recall_at_k(np.zeros(3), {1}, {1}, 2)
+            one_user(np.zeros(3), {1}, {1}, 2)
 
 
 class TestNdcgAtK:
     def test_perfect_ranking(self):
         scores = np.array([3.0, 2.0, 1.0, 0.0])
-        assert ndcg_at_k(scores, {0, 1}, set(), 2) == pytest.approx(1.0)
+        assert one_user(scores, {0, 1}, set(), 2)[1] == pytest.approx(1.0)
 
     def test_single_relevant_at_rank_two(self):
         scores = np.array([2.0, 1.0, 0.0])
-        val = ndcg_at_k(scores, {1}, set(), 2)
+        val = one_user(scores, {1}, set(), 2)[1]
         assert val == pytest.approx(1.0 / math.log2(3.0), abs=1e-12)
         assert val == pytest.approx(0.63093, abs=1e-5)
 
     def test_relevant_beyond_k_scores_zero(self):
         scores = np.array([4.0, 3.0, 2.0, 1.0])
-        assert ndcg_at_k(scores, {3}, set(), 2) == 0.0
+        assert one_user(scores, {3}, set(), 2)[1] == 0.0
 
     def test_at_most_one_with_equality_iff_ideal_prefix(self):
         rng = np.random.default_rng(0)
@@ -63,7 +72,7 @@ class TestNdcgAtK:
             scores = rng.standard_normal(n)
             holdout = set(rng.choice(n, size=3, replace=False).tolist())
             k = int(rng.integers(1, 8))
-            val = ndcg_at_k(scores, holdout, set(), k)
+            val = one_user(scores, holdout, set(), k)[1]
             assert val <= 1.0 + 1e-12
             top = np.argsort(-scores, kind="stable")[:min(k, len(holdout))]
             if val == pytest.approx(1.0, abs=1e-12):
@@ -80,15 +89,13 @@ class TestRankInvariance:
             k = int(rng.integers(1, 10))
             # Strictly increasing transform: a * exp(x) + b with a > 0.
             transformed = 2.5 * np.exp(scores) + 1.0
-            assert recall_at_k(scores, holdout, fold_in, k) == \
-                recall_at_k(transformed, holdout, fold_in, k)
-            assert ndcg_at_k(scores, holdout, fold_in, k) == \
-                ndcg_at_k(transformed, holdout, fold_in, k)
+            assert one_user(scores, holdout, fold_in, k) == \
+                one_user(transformed, holdout, fold_in, k)
 
     def test_ties_break_by_ascending_index(self):
         scores = np.zeros(6)
-        assert recall_at_k(scores, {0}, set(), 1) == 1.0
-        assert recall_at_k(scores, {5}, set(), 1) == 0.0
+        assert one_user(scores, {0}, set(), 1)[0] == 1.0
+        assert one_user(scores, {5}, set(), 1)[0] == 0.0
 
 
 def reference_metrics(scores, holdout, fold_in, k):
@@ -143,8 +150,6 @@ class TestOnePassRanking:
             for u in range(scores.shape[0]):
                 want = reference_metrics(scores[u], set(holds[u]), set(folds[u]), k)
                 assert (rec[u], nd[u]) == want
-                assert recall_at_k(scores[u], holds[u], folds[u], k) == want[0]
-                assert ndcg_at_k(scores[u], holds[u], folds[u], k) == want[1]
 
 
 class TestBucketUsers:

@@ -14,9 +14,9 @@ from piavae.geometry import (PairGrid, PairStats, contraction_bound,
                              sharing_probe, t1_bound_check, w1_1d_numeric,
                              w2_diag_gaussian)
 from piavae.corpus import matrix_from_rows
-from piavae.model import encode, pack_params, unpack_params
+from piavae.model import pack_params, unpack_params
 from piavae.numerics import GaussianPosterior, kl_diag_gaussian
-from tests.test_model import tiny_params
+from tests.test_model import encode_one, tiny_params
 
 
 def pair_vectors(h, s):
@@ -417,7 +417,7 @@ def _decoder_grad(p, x, z):
 def reference_sharing_probe(p, x_u, x_v, n_samples, perturb_scale, rng):
     """The per-sample loops that the batched sharing_probe replaced, kept
     as its reference; it consumes the same random stream."""
-    q_u, q_v = encode(p, x_u), encode(p, x_v)
+    q_u, q_v = encode_one(p, x_u), encode_one(p, x_v)
     z_u = q_u.mean + rng.standard_normal((n_samples, p.latent_dim)) * q_u.std
     grad_norm_u = np.linalg.norm(
         sum(_decoder_grad(p, x_u, z) for z in z_u) / n_samples)
@@ -514,8 +514,8 @@ class TestExportLatents:
 
     def test_values_roundtrip_bitwise(self, tmp_path):
         # The CSV holds the chunked kernel's means bit for bit, and they
-        # agree with the dense one-row encoder to rounding.
-        from piavae.model import encode, posterior_means
+        # agree with each user encoded alone to rounding.
+        from piavae.model import posterior_means
 
         for normalize in (False, True):
             p = tiny_params(seed=82, n_items=6, hidden=4, latent=2,
@@ -534,5 +534,5 @@ class TestExportLatents:
                 x[row] = 1.0
                 values = np.array([float(c) for c in cells[2:]])
                 assert values.tobytes() == posterior_means(p, m)[u].tobytes()
-                np.testing.assert_allclose(values, encode(p, x).mean,
+                np.testing.assert_allclose(values, encode_one(p, x).mean,
                                            rtol=0.0, atol=1e-12)

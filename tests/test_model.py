@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from piavae.corpus import SynthSpec, split_dataset, synth_block_dataset
-from piavae.errors import CorruptFileError, NumericalError, ShapeError
+from piavae.corpus import (SynthSpec, matrix_from_rows, split_dataset,
+                           synth_block_dataset)
+from piavae.errors import CorruptFileError, NumericalError, SplitError
 from piavae import model
-from piavae.model import (ModelParams, TrainConfig, draw_mask, encode, fit,
-                          init_params, load_checkpoint, loss_and_grads,
-                          loss_and_grads_fixed, pack_params, predict_scores,
-                          save_checkpoint, score_matrix, unpack_params)
-from piavae.numerics import (LOGVAR_MAX, LOGVAR_MIN, finite_diff_check,
-                             kl_diag_gaussian, multinomial_loglik)
+from piavae.model import (ModelParams, TrainConfig, draw_mask, encode_rows,
+                          fit, init_params, load_checkpoint, loss_and_grads,
+                          loss_and_grads_fixed, pack_params, save_checkpoint,
+                          score_matrix, unpack_params)
+from piavae.numerics import (LOGVAR_MAX, LOGVAR_MIN, GaussianPosterior,
+                             finite_diff_check, kl_diag_gaussian)
 from piavae.pia import PiaConfig
 
 
@@ -38,6 +39,32 @@ def hand_params(normalize=False):
         dec_b=np.array([0.05, -0.1]),
         input_normalize=normalize,
     )
+
+
+def multinomial_loglik(logits, x):
+    """Reference: sum_i x_i * log softmax(logits)_i with log-sum-exp
+    stabilization, for one row."""
+    logits = np.asarray(logits, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    m = np.max(logits)
+    log_norm = m + np.log(np.sum(np.exp(logits - m)))
+    return float(np.dot(x, logits - log_norm))
+
+
+def encode_one(p, x):
+    """Posterior of one dense input vector, encoded alone as a one-row CSR
+    batch of its nonzeros."""
+    x = np.asarray(x, dtype=np.float64)
+    idx = np.flatnonzero(x)
+    q = encode_rows(p, np.array([0, idx.size]), idx, x[idx])
+    return GaussianPosterior(mean=q.mean[0], logvar=q.logvar[0])
+
+
+def score_one(p, fold_in):
+    """score_matrix of a single user whose fold-in is the dense 0/1 vector
+    fold_in."""
+    fold = matrix_from_rows([np.flatnonzero(fold_in)], p.n_items)
+    return score_matrix(p, fold)[0]
 
 
 def to_csr(x):
@@ -184,42 +211,42 @@ class TestEncodeDecode:
     def test_zero_network_maps_everything_to_prior(self):
         p = tiny_params()
         zeros = unpack_params(np.zeros(pack_params(p).size), p)
-        q = encode(zeros, np.ones(20))
+        q = encode_one(zeros, np.ones(20))
         assert not q.mean.any()
         assert not q.logvar.any()
 
     def test_hand_forward_pass(self):
         p = hand_params(normalize=False)
-        q = encode(p, np.array([1.0, 1.0]))
+        q = encode_one(p, np.array([1.0, 1.0]))
         h1 = math.tanh(0.3 - 0.2 + 0.1)
         assert q.mean[0] == pytest.approx(0.5 * h1 - 0.4, abs=1e-12)
         assert q.logvar[0] == pytest.approx(0.7 * h1 + 0.2, abs=1e-12)
 
     def test_hand_forward_pass_normalized(self):
         p = hand_params(normalize=True)
-        q = encode(p, np.array([1.0, 1.0]))
+        q = encode_one(p, np.array([1.0, 1.0]))
         h1 = math.tanh((0.3 - 0.2) / math.sqrt(2.0) + 0.1)
         assert q.mean[0] == pytest.approx(0.5 * h1 - 0.4, abs=1e-12)
 
     def test_zero_input_with_normalization_takes_bias_path(self):
         p = hand_params(normalize=True)
-        q = encode(p, np.zeros(2))
+        q = encode_one(p, np.zeros(2))
         h1 = math.tanh(0.1)
         assert q.mean[0] == pytest.approx(0.5 * h1 - 0.4, abs=1e-12)
 
-    # The decoder is checked through predict_scores, which decodes the
+    # The decoder is checked through score_matrix, which decodes the
     # posterior mean of the clean fold-in.
     def test_zero_decoder_gives_uniform_logits(self):
         p = tiny_params()
         zeros = unpack_params(np.zeros(pack_params(p).size), p)
-        assert not predict_scores(zeros, np.zeros(20)).any()
+        assert not score_one(zeros, np.zeros(20)).any()
 
     def test_hand_decoder_column(self):
         # Empty fold-in: the encoder's bias path decoded through both
         # items' decoder rows, with nothing forced to -inf.
         p = hand_params()
         mu = 0.5 * math.tanh(0.1) - 0.4
-        scores = predict_scores(p, np.zeros(2), normalize=False)
+        scores = score_one(p, np.zeros(2))
         np.testing.assert_allclose(scores, [1.5 * mu + 0.05, -0.5 * mu - 0.1],
                                    rtol=0.0, atol=1e-15)
 
@@ -229,19 +256,12 @@ class TestEncodeDecode:
         p = tiny_params(seed=3, normalize=True)
         x = np.zeros(20)
         x[[1, 4, 9]] = 1.0
-        scores = predict_scores(p, x)
-        expected = p.dec_w @ encode(p, x).mean + p.dec_b
+        scores = score_one(p, x)
+        expected = p.dec_w @ encode_one(p, x).mean + p.dec_b
         assert np.all(np.isneginf(scores[[1, 4, 9]]))
         keep = x == 0
         np.testing.assert_allclose(scores[keep], expected[keep], rtol=0.0,
                                    atol=1e-12)
-
-    def test_batch_shape_mismatch_rejected(self):
-        p = tiny_params()
-        with pytest.raises(ShapeError):
-            encode(p, np.ones((3, 19)))
-        with pytest.raises(ShapeError):
-            encode(p, np.ones((2, 3, 20)))
 
 
 class TestSharedForward:
@@ -251,8 +271,9 @@ class TestSharedForward:
             rng = np.random.default_rng(41)
             x = (rng.random((7, 20)) < 0.3).astype(float)
             x[3] = 0.0  # a zero row takes the bias path
-            batch = encode(p, x)
-            rows = [encode(p, row) for row in x]
+            indptr, indices = to_csr(x)
+            batch = encode_rows(p, indptr, indices, np.ones(indices.size))
+            rows = [encode_one(p, row) for row in x]
             assert batch.mean.shape == batch.logvar.shape == (7, 4)
             np.testing.assert_allclose(batch.mean, [q.mean for q in rows],
                                        rtol=0.0, atol=1e-12)
@@ -273,7 +294,7 @@ class TestSharedForward:
                                        np.zeros((5, 4)), beta=beta, lambda_a=0.0)
         per_row = []
         for row in x:
-            q = encode(p, row)
+            q = encode_one(p, row)
             logits = q.mean @ p.dec_w.T + p.dec_b
             per_row.append(-multinomial_loglik(logits, row)
                            + beta * kl_diag_gaussian(q))
@@ -467,6 +488,20 @@ class TestFit:
         assert json.dumps(log_a, sort_keys=True) == json.dumps(log_b, sort_keys=True)
         assert pack_params(params_a).tobytes() == pack_params(params_b).tobytes()
 
+    def test_no_validation_users_is_an_error_before_training(self, monkeypatch):
+        split = split_dataset(synth_block_dataset(SynthSpec(
+            cohort_sizes=(20, 20), cohort_support_sizes=(4, 12), n_items=24,
+            noise_rate=0.05, seed=0)), 0, 6, 0.8, seed=0)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("trained without validation users")
+
+        monkeypatch.setattr(model, "loss_and_grads", no_step)
+        cfg = TrainConfig(epochs=2, batch_size=16, hidden_dim=10, latent_dim=4)
+        for pia in (None, PiaConfig()):
+            with pytest.raises(SplitError, match="n_val_users >= 1"):
+                fit(split, cfg, pia)
+
     def test_numeric_abort_names_epoch_batch_and_row(self, monkeypatch):
         def nan_decoder(*args, **kwargs):
             p = init_params(*args, **kwargs)
@@ -486,7 +521,7 @@ class TestFit:
 class TestPredictScores:
     def test_everything_seen_means_nothing_to_recommend(self):
         p = tiny_params(seed=13)
-        scores = predict_scores(p, np.ones(20), normalize=False)
+        scores = score_one(p, np.ones(20))
         assert np.all(np.isneginf(scores))
 
     def test_zero_network_ties_fall_to_index_order(self):
@@ -494,7 +529,7 @@ class TestPredictScores:
         zeros = unpack_params(np.zeros(pack_params(p).size), p)
         fold = np.zeros(20)
         fold[[0, 3]] = 1.0
-        scores = predict_scores(zeros, fold, normalize=False)
+        scores = score_one(zeros, fold)
         order = np.argsort(-scores, kind="stable")
         assert order[:3].tolist() == [1, 2, 4]
 
@@ -506,7 +541,7 @@ class TestPredictScores:
         h1 = math.tanh(0.3 + 0.1)
         mu = 0.5 * h1 - 0.4
         expected = -0.5 * mu - 0.1
-        scores = predict_scores(p, fold, normalize=False)
+        scores = score_one(p, fold)
         assert np.isneginf(scores[0])
         assert scores[1] == pytest.approx(expected, abs=1e-12)
 
@@ -514,21 +549,22 @@ class TestPredictScores:
         p = tiny_params(seed=15)
         fold = np.zeros(20)
         fold[[1, 2, 7]] = 1.0
-        a = predict_scores(p, fold)
-        b = predict_scores(p, fold)
+        a = score_one(p, fold)
+        b = score_one(p, fold)
         assert a.tobytes() == b.tobytes()
 
     def test_score_matrix_matches_single_row_path(self):
-        # Batched and one-row products sum in different orders, so scores
-        # agree to a tolerance; the -inf pattern and the ranking are exact.
-        p = tiny_params(seed=16, n_items=24)
+        # A user scored in a chunk and the same user scored alone sum in
+        # different orders, so scores agree to a tolerance; the -inf
+        # pattern and the ranking are exact.
         split = small_split(seed=1)
         for normalize in (False, True):
-            scores = score_matrix(p, split.val_fold_in, normalize=normalize)
+            p = tiny_params(seed=16, n_items=24, normalize=normalize)
+            scores = score_matrix(p, split.val_fold_in)
             for u in range(split.val_fold_in.n_users):
                 x = np.zeros(24)
                 x[split.val_fold_in.row(u)] = 1.0
-                single = predict_scores(p, x, normalize=normalize)
+                single = score_one(p, x)
                 finite = np.isfinite(single)
                 np.testing.assert_array_equal(np.isneginf(scores[u]), ~finite)
                 assert np.all(np.isfinite(scores[u][finite]))

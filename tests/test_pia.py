@@ -1,124 +1,135 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from piavae import model
 from piavae.errors import EmptySupportError
-from dataclasses import replace
-
-from piavae.model import (TrainConfig, draw_mask_and_noise, loss_and_grads,
+from piavae.model import (TrainConfig, draw_mask_and_noise, fit, loss_and_grads,
                           loss_and_grads_fixed, pack_params, unpack_params)
 from piavae.numerics import GaussianPosterior, finite_diff_check
-from piavae.pia import (AnchorTable, LambdaSchedule, PiaConfig,
-                        alignment_closed_form, alignment_mc_standard_error,
-                        anchor_centroid, schedule_update)
-from tests.test_model import tiny_params, to_csr
+from piavae.pia import (PiaConfig, alignment_closed_form,
+                        alignment_mc_standard_error)
+from tests.test_model import small_split, tiny_params, to_csr
+
+
+def closed_form_at(anchors, positives, mean):
+    """alignment_closed_form of a zero-variance posterior at `mean`:
+    ||mean - ebar||^2 plus the spread of the positives' anchors."""
+    q = GaussianPosterior(mean=mean, logvar=np.full(len(mean), -np.inf))
+    return alignment_closed_form(q, np.asarray(anchors, dtype=float), positives)
 
 
 class TestAnchorCentroid:
+    # The centroid ebar is where the zero-variance closed form is smallest;
+    # a step d away from it adds exactly ||d||^2.
     def test_single_positive_returns_its_anchor(self):
-        table = AnchorTable(anchors=np.array([[1.0, 2.0], [3.0, -1.0]]))
-        np.testing.assert_array_equal(anchor_centroid(table, [1]), [3.0, -1.0])
+        anchors = [[1.0, 2.0], [3.0, -1.0]]
+        assert closed_form_at(anchors, [1], [3.0, -1.0]) == 0.0
+        assert closed_form_at(anchors, [1], [3.5, -1.0]) == 0.25
 
     def test_symmetric_pair_cancels(self):
-        table = AnchorTable(anchors=np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        np.testing.assert_array_equal(anchor_centroid(table, [0, 1]), [0.0, 0.0])
+        anchors = [[1.0, 0.0], [-1.0, 0.0]]
+        assert closed_form_at(anchors, [0, 1], [0.0, 0.0]) == 1.0
+        assert closed_form_at(anchors, [0, 1], [0.0, 0.5]) == 1.25
 
     def test_three_anchor_mean(self):
         anchors = np.array([[0.2, 1.0], [-0.4, 0.5], [1.1, -0.7]])
-        table = AnchorTable(anchors=anchors)
         expected = np.array([(0.2 - 0.4 + 1.1) / 3.0, (1.0 + 0.5 - 0.7) / 3.0])
-        np.testing.assert_allclose(anchor_centroid(table, [0, 1, 2]), expected,
-                                   atol=1e-15)
+        spread = np.mean(np.sum((anchors - expected) ** 2, axis=1))
+        assert closed_form_at(anchors, [0, 1, 2], expected) == pytest.approx(
+            spread, abs=1e-15)
+        for step in ([0.1, 0.0], [0.0, -0.3], [0.2, 0.2]):
+            assert closed_form_at(anchors, [0, 1, 2], expected + step) == \
+                pytest.approx(spread + np.sum(np.square(step)), abs=1e-15)
 
     def test_empty_positives_rejected(self):
-        table = AnchorTable(anchors=np.zeros((3, 2)))
         with pytest.raises(EmptySupportError):
-            anchor_centroid(table, [])
+            closed_form_at(np.zeros((3, 2)), [], [0.0, 0.0])
 
 
 class TestAlignmentClosedForm:
     def test_degenerate_at_centroid_is_exactly_zero(self):
-        table = AnchorTable(anchors=np.array([[0.7, -0.3]]))
+        anchors = np.array([[0.7, -0.3]])
         q = GaussianPosterior(mean=[0.7, -0.3], logvar=[-np.inf, -np.inf])
-        assert alignment_closed_form(q, table, [0]) == 0.0
+        assert alignment_closed_form(q, anchors, [0]) == 0.0
 
     def test_unit_variance_at_origin_single_anchor(self):
         # E||z||^2 = d for a standard 2-D Gaussian and an anchor at 0.
-        table = AnchorTable(anchors=np.zeros((1, 2)))
+        anchors = np.zeros((1, 2))
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
-        assert alignment_closed_form(q, table, [0]) == pytest.approx(2.0, abs=1e-12)
+        assert alignment_closed_form(q, anchors, [0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_opposed_anchors_add_their_spread(self):
         # Mean term 0, trace 2, anchor variance around centroid 1.
-        table = AnchorTable(anchors=np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        anchors = np.array([[1.0, 0.0], [-1.0, 0.0]])
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
-        assert alignment_closed_form(q, table, [0, 1]) == pytest.approx(3.0, abs=1e-12)
+        assert alignment_closed_form(q, anchors, [0, 1]) == pytest.approx(3.0, abs=1e-12)
 
     def test_constant_term_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             n, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-            table = AnchorTable(anchors=rng.standard_normal((n, d)))
+            anchors = rng.standard_normal((n, d))
             positives = rng.choice(n, size=int(rng.integers(1, n + 1)),
                                    replace=False)
-            selected = table.anchors[positives]
+            selected = anchors[positives]
             ebar = selected.mean(axis=0)
             const = np.mean(np.sum(selected**2, axis=1)) - np.sum(ebar**2)
             assert const >= -1e-12
             # The closed form with q centered at the centroid and zero
             # variance reduces to exactly that constant.
             q = GaussianPosterior(mean=ebar, logvar=np.full(d, -np.inf))
-            assert alignment_closed_form(q, table, positives) == pytest.approx(
+            assert alignment_closed_form(q, anchors, positives) == pytest.approx(
                 const, abs=1e-12)
 
     def test_invariant_to_positive_order(self):
         rng = np.random.default_rng(1)
-        table = AnchorTable(anchors=rng.standard_normal((6, 3)))
+        anchors = rng.standard_normal((6, 3))
         q = GaussianPosterior(mean=rng.standard_normal(3),
                               logvar=rng.uniform(-1, 1, 3))
-        a = alignment_closed_form(q, table, [0, 2, 5])
-        b = alignment_closed_form(q, table, [5, 0, 2])
+        a = alignment_closed_form(q, anchors, [0, 2, 5])
+        b = alignment_closed_form(q, anchors, [5, 0, 2])
         assert a == pytest.approx(b, abs=1e-15)
 
 
 class TestAlignmentMcOracle:
     def test_zero_variance_single_anchor_exact(self):
-        table = AnchorTable(anchors=np.array([[0.4, 0.9]]))
+        anchors = np.array([[0.4, 0.9]])
         q = GaussianPosterior(mean=[0.4, 0.9], logvar=[-np.inf, -np.inf])
         rng = np.random.default_rng(2)
-        assert alignment_mc_standard_error(q, table, [0], 1000, rng) == (0.0, 0.0)
+        assert alignment_mc_standard_error(q, anchors, [0], 1000, rng) == (0.0, 0.0)
 
     def test_reproduces_unit_variance_case(self):
-        table = AnchorTable(anchors=np.zeros((1, 2)))
+        anchors = np.zeros((1, 2))
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
         rng = np.random.default_rng(3)
-        mc, se = alignment_mc_standard_error(q, table, [0], 100_000, rng)
+        mc, se = alignment_mc_standard_error(q, anchors, [0], 100_000, rng)
         assert abs(mc - 2.0) < 3 * se
 
     def test_reproduces_opposed_anchor_case(self):
-        table = AnchorTable(anchors=np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        anchors = np.array([[1.0, 0.0], [-1.0, 0.0]])
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
         rng = np.random.default_rng(4)
-        mc, se = alignment_mc_standard_error(q, table, [0, 1], 100_000, rng)
+        mc, se = alignment_mc_standard_error(q, anchors, [0, 1], 100_000, rng)
         assert abs(mc - 3.0) < 3 * se
 
     def test_fixed_seed_reproducible(self):
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
-        table = AnchorTable(anchors=np.random.default_rng(6).standard_normal((4, 3)))
+        anchors = np.random.default_rng(6).standard_normal((4, 3))
         q = GaussianPosterior(mean=[0.1, -0.2, 0.3], logvar=[0.5, -0.5, 0.0])
-        a = alignment_mc_standard_error(q, table, [0, 2], 5000, rng_a)
-        b = alignment_mc_standard_error(q, table, [0, 2], 5000, rng_b)
+        a = alignment_mc_standard_error(q, anchors, [0, 2], 5000, rng_a)
+        b = alignment_mc_standard_error(q, anchors, [0, 2], 5000, rng_b)
         assert a == b
 
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_fewer_than_two_samples_rejected(self, n_samples):
         # One sample has no standard error (ddof=1 would divide by zero).
-        table = AnchorTable(anchors=np.zeros((1, 2)))
+        anchors = np.zeros((1, 2))
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
         with pytest.raises(ValueError, match="n_samples"):
-            alignment_mc_standard_error(q, table, [0], n_samples,
+            alignment_mc_standard_error(q, anchors, [0], n_samples,
                                         np.random.default_rng(0))
 
     def test_closed_form_matches_mc_over_random_instances(self):
@@ -126,13 +137,13 @@ class TestAlignmentMcOracle:
         for _ in range(100):
             d = int(rng.integers(1, 6))
             n = int(rng.integers(1, 8))
-            table = AnchorTable(anchors=rng.standard_normal((n, d)))
+            anchors = rng.standard_normal((n, d))
             q = GaussianPosterior(mean=rng.standard_normal(d),
                                   logvar=rng.uniform(-2.0, 1.0, d))
             positives = rng.choice(n, size=int(rng.integers(1, n + 1)),
                                    replace=False)
-            closed = alignment_closed_form(q, table, positives)
-            mc, se = alignment_mc_standard_error(q, table, positives,
+            closed = alignment_closed_form(q, anchors, positives)
+            mc, se = alignment_mc_standard_error(q, anchors, positives,
                                                  100_000, rng)
             assert abs(closed - mc) <= 3 * se
 
@@ -209,62 +220,58 @@ class TestPiaLossAndGrads:
 
     def test_alignment_strength_adds_penalty_and_anchor_block(self):
         p = tiny_params(seed=37)
-        table = AnchorTable(anchors=0.2 * np.random.default_rng(38)
-                            .standard_normal((20, 4)))
+        anchors = 0.2 * np.random.default_rng(38).standard_normal((20, 4))
         rng = np.random.default_rng(39)
         x = (rng.random((3, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
         batch = to_csr(x)
         cfg = TrainConfig(hidden_dim=8, latent_dim=4)
-        loss_pia, grads_pia = loss_and_grads(replace(p, anchors=table.anchors),
+        loss_pia, grads_pia = loss_and_grads(replace(p, anchors=anchors),
                                              *batch, cfg, np.random.default_rng(3),
                                              lambda_a=8.0)
         loss_vae, _ = loss_and_grads(p, *batch, cfg, np.random.default_rng(3))
         assert loss_pia > loss_vae  # alignment penalty is nonnegative
-        assert grads_pia.size == pack_params(p).size + table.anchors.size
+        assert grads_pia.size == pack_params(p).size + anchors.size
+
+
+def scripted_lambdas(monkeypatch, ndcgs, **pia_settings):
+    """The alignment strength fit logs for each epoch when the validation
+    NDCG@100 of the epochs is the sequence ndcgs."""
+    script = iter(ndcgs)
+    monkeypatch.setattr(model, "_mean_val_ndcg", lambda *args, **kw: next(script))
+    cfg = TrainConfig(epochs=len(ndcgs), batch_size=64, hidden_dim=6,
+                      latent_dim=3)
+    _, log = fit(small_split(), cfg, PiaConfig(**pia_settings))
+    assert [rec["epoch"] for rec in log] == list(range(1, len(ndcgs) + 1))
+    return [rec["lambda_a"] for rec in log]
 
 
 class TestLambdaSchedule:
-    def test_improving_sequence_never_scales(self):
-        cfg = PiaConfig(lambda_a=8.0, lambda_scale=2.0, patience=5)
-        s = LambdaSchedule(lambda_a=cfg.lambda_a)
-        for epoch, ndcg in enumerate([0.1, 0.2, 0.3], start=1):
-            s = schedule_update(s, cfg, epoch, ndcg)
-        assert s.lambda_a == 8.0
-        assert s.best_epoch == 3
+    # The log records the strength in force during each epoch, so a change
+    # decided after epoch e shows at epoch e + 1.
+    def test_improving_sequence_never_scales(self, monkeypatch):
+        lambdas = scripted_lambdas(monkeypatch, [0.1, 0.2, 0.3, 0.4],
+                                   lambda_a=8.0, lambda_scale=2.0, patience=5)
+        assert lambdas == [8.0, 8.0, 8.0, 8.0]
 
-    def test_flat_sequence_scales_at_patience(self):
-        cfg = PiaConfig(lambda_a=8.0, lambda_scale=2.0, patience=5)
-        s = LambdaSchedule(lambda_a=8.0)
-        s = schedule_update(s, cfg, 0, 0.5)  # best at epoch 0
-        lambdas = []
-        for epoch in range(1, 6):
-            s = schedule_update(s, cfg, epoch, 0.5)  # never improves
-            lambdas.append(s.lambda_a)
-        assert lambdas == [8.0, 8.0, 8.0, 8.0, 16.0]
+    def test_flat_sequence_scales_at_patience(self, monkeypatch):
+        # Best at epoch 1, then five stalls: the fifth scales.
+        lambdas = scripted_lambdas(monkeypatch, [0.5] * 7, lambda_a=8.0,
+                                   lambda_scale=2.0, patience=5)
+        assert lambdas == [8.0] * 6 + [16.0]
 
-    def test_patience_one_doubles_on_every_stall(self):
-        cfg = PiaConfig(lambda_a=8.0, lambda_scale=2.0, patience=1)
-        s = LambdaSchedule(lambda_a=8.0)
-        values = [0.1, 0.1, 0.2, 0.2, 0.3, 0.3]
-        expected = [8.0, 16.0, 16.0, 32.0, 32.0, 64.0]
-        observed = []
-        for epoch, ndcg in enumerate(values, start=1):
-            s = schedule_update(s, cfg, epoch, ndcg)
-            observed.append(s.lambda_a)
-        assert observed == expected
+    def test_patience_one_doubles_on_every_stall(self, monkeypatch):
+        values = [0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.3]
+        lambdas = scripted_lambdas(monkeypatch, values, lambda_a=8.0,
+                                   lambda_scale=2.0, patience=1)
+        assert lambdas == [8.0, 8.0, 16.0, 16.0, 32.0, 32.0, 64.0]
 
-    def test_lambda_never_decreases_and_scales_exactly(self):
-        rng = np.random.default_rng(40)
-        cfg = PiaConfig(lambda_a=8.0, lambda_scale=2.0, patience=3)
-        s = LambdaSchedule(lambda_a=8.0)
-        prev = s.lambda_a
-        for epoch in range(1, 60):
-            s = schedule_update(s, cfg, epoch, float(rng.random()))
-            assert s.lambda_a >= prev
-            ratio = s.lambda_a / prev
-            assert ratio in (1.0, 2.0)
-            prev = s.lambda_a
+    def test_lambda_never_decreases_and_scales_exactly(self, monkeypatch):
+        values = np.random.default_rng(40).random(60).tolist()
+        lambdas = scripted_lambdas(monkeypatch, values, lambda_a=8.0,
+                                   lambda_scale=2.0, patience=3)
+        ratios = [b / a for a, b in zip(lambdas, lambdas[1:])]
+        assert set(ratios) == {1.0, 2.0}
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
