@@ -15,7 +15,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,20 +90,13 @@ def _parse_int_list(value: str, key: str) -> tuple[int, ...]:
 
 
 # Kinds are the field annotations, which stay strings under
-# `from __future__ import annotations`.
+# `from __future__ import annotations`; a field without a default
+# (MISSING) is a required key.
 TRAIN_KEYS = {f.name: (f.type, f.default)
               for cls in (TrainConfig, PiaConfig) for f in fields(cls)}
-
-SYNTH_KEYS = {
-    "cohort_sizes": ("int_list", None),
-    "cohort_support_sizes": ("int_list", None),
-    "n_items": ("int", None),
-    "noise_rate": ("float", 0.0),
-    "seed": ("int", 0),
-    "n_val_users": ("int", 0),
-    "n_test_users": ("int", 0),
-    "fold_in_fraction": ("float", 0.8),
-}
+SYNTH_KEYS = {**{f.name: (f.type, f.default) for f in fields(SynthSpec)},
+              "n_val_users": ("int", 0), "n_test_users": ("int", 0),
+              "fold_in_fraction": ("float", 0.8)}
 
 
 def resolve_config(raw: dict[str, str], schema: dict, source: str) -> dict:
@@ -114,7 +107,7 @@ def resolve_config(raw: dict[str, str], schema: dict, source: str) -> dict:
     resolved = {}
     for key, (kind, default) in schema.items():
         if key not in raw:
-            if default is None and kind != "float | None":
+            if default is MISSING:
                 raise UsageError(f"{source}: missing required key {key!r}")
             resolved[key] = default
             continue
@@ -129,8 +122,8 @@ def resolve_config(raw: dict[str, str], schema: dict, source: str) -> dict:
                     else float(value)
             elif kind == "bool":
                 resolved[key] = _parse_bool(value, key)
-            elif kind == "int_list":
-                resolved[key] = list(_parse_int_list(value, key))
+            elif kind == "tuple[int, ...]":
+                resolved[key] = _parse_int_list(value, key)
             else:  # pragma: no cover
                 raise AssertionError(kind)
         except ValueError:
@@ -209,11 +202,7 @@ def _cmd_synth(args) -> int:
     out = _ensure_out(args.out)
     config = resolve_config(parse_kv_file(args.spec), SYNTH_KEYS, args.spec)
     try:
-        spec = SynthSpec(cohort_sizes=tuple(config["cohort_sizes"]),
-                         cohort_support_sizes=tuple(config["cohort_support_sizes"]),
-                         n_items=config["n_items"],
-                         noise_rate=config["noise_rate"],
-                         seed=config["seed"])
+        spec = _from_config(SynthSpec, config)
     except ValueError as exc:
         raise UsageError(f"{args.spec}: {exc}") from None
     matrix = synth_block_dataset(spec)
@@ -255,8 +244,8 @@ def _cmd_train(args) -> int:
     with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
         for record in log:
             fh.write(_dump_json(record) + "\n")
-    inputs = [Path(args.data) / name for name in
-              ("train.csr", "val_fold.csr", "val_hold.csr")]
+    inputs = [Path(args.data) / SPLIT_FILES[part]
+              for part in ("train", "val_fold_in", "val_holdout")]
     if args.config:
         inputs.append(Path(args.config))
     write_manifest(out / "manifest.json", "train", config, config["seed"],

@@ -142,8 +142,8 @@ class SynthSpec:
     cohort_sizes: tuple[int, ...]
     cohort_support_sizes: tuple[int, ...]
     n_items: int
-    noise_rate: float
-    seed: int
+    noise_rate: float = 0.0
+    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "cohort_sizes", tuple(int(c) for c in self.cohort_sizes))

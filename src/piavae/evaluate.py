@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import InteractionMatrix, SplitDataset, entry_rows
-from .errors import MetricError, ShapeError
+from .errors import MetricError, ShapeError, SplitError
 
 logger = logging.getLogger(__name__)
 
@@ -154,12 +154,14 @@ def stratified_report(params, split: SplitDataset, k_list: list[int],
     """Overall and per-activity-bucket means over held-out users.
 
     Users are bucketed by their fold-in interaction count; empty buckets
-    are omitted with a log note.
+    are omitted with a log note. A part with no users is a SplitError.
     """
     from .model import score_matrix
 
     fold = getattr(split, f"{part}_fold_in")
     hold = getattr(split, f"{part}_holdout")
+    if fold.n_users == 0:
+        raise SplitError(f"the {part} part has no users to evaluate")
     scores = score_matrix(params, fold)
     per_k = per_user_metrics(scores, fold, hold, list(k_list))
     all_users = np.arange(fold.n_users)

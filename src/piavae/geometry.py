@@ -7,6 +7,10 @@ distance/KL bound, the Bernoulli-family Jensen-gap decomposition of the
 pairwise objective, the quadratic shrinkage toy model, and empirical
 gradient-sharing probes, which encode through `model.encode_rows` and
 batch their samples.
+
+The masked-distance distribution and bounds take a binary pair's counts
+(h disagreeing coordinates, s shared positives); the enumeration oracle
+takes the two rows, so comparing them also checks that reduction.
 """
 
 from __future__ import annotations
@@ -20,38 +24,18 @@ import numpy as np
 from scipy.special import ndtri, xlogy
 
 from .corpus import InteractionMatrix
-from .errors import DimensionMismatch, NumericalError
+from .errors import DimensionMismatch, NumericalError, SplitError
 from .model import ModelParams, draw_mask, encode_rows, posterior_means
 from .numerics import GaussianPosterior, kl_diag_gaussian
 
 __all__ = [
-    "GeometryReport", "PairGrid", "PairStats",
+    "GeometryReport", "PairGrid",
     "contraction_bound", "expansion_bound",
     "masked_distance_exact", "masked_distance_enumerate",
     "t1_bound_check", "dataset_bound_report",
     "pairwise_decomposition_check", "quadratic_toy",
     "sharing_probe", "export_latents",
 ]
-
-
-@dataclass(frozen=True)
-class PairStats:
-    """Disagreeing coordinate count h and shared positive count s."""
-
-    h: int
-    s: int
-
-    def __post_init__(self):
-        if self.h < 0 or self.s < 0:
-            raise ValueError("h and s must be nonnegative")
-
-    @classmethod
-    def of(cls, x_u: np.ndarray, x_v: np.ndarray) -> "PairStats":
-        x_u = np.asarray(x_u, dtype=np.float64)
-        x_v = np.asarray(x_v, dtype=np.float64)
-        if x_u.shape != x_v.shape:
-            raise DimensionMismatch("input vectors differ in length")
-        return cls(h=int(np.sum(np.abs(x_u - x_v))), s=int(np.dot(x_u, x_v)))
 
 
 @dataclass
@@ -65,24 +49,21 @@ class GeometryReport:
     name: str
     values: dict[str, float]
     tolerances: dict[str, float] = field(default_factory=dict)
-    passed: bool = True
 
     def __post_init__(self):
         missing = [k for k in self.tolerances if k not in self.values]
         if missing:
             raise ValueError(f"tolerance keys without values: {missing}")
 
-    @classmethod
-    def check(cls, name: str, values: dict[str, float],
-              tolerances: dict[str, float]) -> "GeometryReport":
-        passed = all(values[k] <= tol for k, tol in tolerances.items())
-        return cls(name=name, values=values, tolerances=tolerances, passed=passed)
+    @property
+    def passed(self) -> bool:
+        return all(self.values[k] <= tol for k, tol in self.tolerances.items())
 
     def extend(self, name: str, values: dict[str, float],
                tolerances: dict[str, float]) -> "GeometryReport":
-        """A renamed copy with more values and tolerances, re-checked."""
-        return GeometryReport.check(name, {**self.values, **values},
-                                    {**self.tolerances, **tolerances})
+        """A renamed copy with more values and tolerances."""
+        return GeometryReport(name, {**self.values, **values},
+                              {**self.tolerances, **tolerances})
 
     def to_dict(self) -> dict:
         return {"name": self.name, "values": dict(self.values),
@@ -109,8 +90,9 @@ def _binom_pmf(n: int, p: float) -> np.ndarray:
                      for k in range(n + 1)], dtype=np.float64)
 
 
-def contraction_bound(stats: PairStats, keep_prob: float, delta: float) -> float:
-    """Lower bound on Pr[masked distance < delta].
+def contraction_bound(h: int, s: int, keep_prob: float, delta: float) -> float:
+    """Lower bound on Pr[masked distance < delta] for a pair with h
+    disagreeing coordinates and s shared positives.
 
     (rho^2 + (1-rho)^2)^s * Pr[Binomial(h, rho) <= ceil(delta) - 1]: the
     event that every shared positive survives or dies in both masks and
@@ -120,9 +102,11 @@ def contraction_bound(stats: PairStats, keep_prob: float, delta: float) -> float
         raise ValueError("keep_prob must lie strictly between 0 and 1")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
+    if h < 0 or s < 0:
+        raise ValueError("h and s must be nonnegative")
     rho = keep_prob
-    tail = float(np.sum(_binom_pmf(stats.h, rho)[:math.ceil(delta)]))
-    return float((rho**2 + (1.0 - rho) ** 2) ** stats.s * tail)
+    tail = float(np.sum(_binom_pmf(h, rho)[:math.ceil(delta)]))
+    return float((rho**2 + (1.0 - rho) ** 2) ** s * tail)
 
 
 def expansion_bound(s: int, keep_prob: float, delta: float) -> float:
@@ -138,29 +122,27 @@ def expansion_bound(s: int, keep_prob: float, delta: float) -> float:
     return float(np.sum(_binom_pmf(s, p)[math.ceil(delta):]))
 
 
-def masked_distance_exact(x_u: np.ndarray, x_v: np.ndarray,
-                          keep_prob: float) -> np.ndarray:
-    """Full distribution of the masked l1 distance D'.
+def masked_distance_exact(h: int, s: int, keep_prob: float) -> np.ndarray:
+    """Full distribution of the masked l1 distance D' of a pair with h
+    disagreeing coordinates and s shared positives.
 
     D' decomposes into independent Binomial(h, rho) survivals on the
     disagreeing coordinates plus Binomial(s, 2 rho (1-rho)) mask
     disagreements on the shared positives; the table is their
-    convolution, exact for any input size. Entry d is Pr[D' = d].
+    convolution, exact for any input size (at keep_prob 1 both are point
+    masses, so the table is exactly 1 at d = h). Entry d is Pr[D' = d].
     """
-    stats = PairStats.of(x_u, x_v)
+    if h < 0 or s < 0:
+        raise ValueError("h and s must be nonnegative")
     rho = keep_prob
-    if rho >= 1.0:
-        table = np.zeros(stats.h + stats.s + 1)
-        table[stats.h] = 1.0
-        return table
-    y = _binom_pmf(stats.h, rho)
-    z = _binom_pmf(stats.s, 2.0 * rho * (1.0 - rho))
-    return np.convolve(y, z)
+    return np.convolve(_binom_pmf(h, rho),
+                       _binom_pmf(s, 2.0 * rho * (1.0 - rho)))
 
 
 def masked_distance_enumerate(x_u: np.ndarray, x_v: np.ndarray,
                               keep_prob: float) -> np.ndarray:
-    """Brute-force oracle: enumerate every mask pair over both supports.
+    """Brute-force oracle for masked_distance_exact: enumerate every mask
+    pair over the supports of the binary rows x_u and x_v.
 
     Costs 2^(|support u| + |support v|); intended for supports of at most
     8 combined coordinates.
@@ -254,7 +236,7 @@ def t1_bound_check(q_u: GaussianPosterior, q_v: GaussianPosterior,
         values["mean_gap_minus_bound"] = gap - bound
         tolerances = {"mean_gap_minus_bound": 1e-8}
         name = "transport-entropy-mean-gap"
-    return GeometryReport.check(name, values, tolerances)
+    return GeometryReport(name, values, tolerances)
 
 
 def dataset_bound_report(p: ModelParams, matrix: InteractionMatrix,
@@ -284,8 +266,8 @@ def dataset_bound_report(p: ModelParams, matrix: InteractionMatrix,
     values = {"mean_kl": mean_kl, "rhs": rhs, "mean_gap": mean_gap,
               "mean_w2": float(np.mean(w2_diag_gaussian(q_a, q_b))),
               "gap_minus_rhs": mean_gap - rhs}
-    return GeometryReport.check("dataset-average-bound", values,
-                                {"gap_minus_rhs": 1e-8})
+    return GeometryReport("dataset-average-bound", values,
+                          {"gap_minus_rhs": 1e-8})
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +396,7 @@ def pairwise_decomposition_check(x_u: np.ndarray, x_v: np.ndarray,
     rel_err = abs(lhs - rhs) / max(1.0, abs(lhs))
     values = {"lhs": lhs, "rhs": rhs, "const": const,
               "gap_integral": gap_integral, "rel_err": rel_err}
-    return GeometryReport.check("pairwise-decomposition", values,
-                                {"rel_err": 1e-6})
+    return GeometryReport("pairwise-decomposition", values, {"rel_err": 1e-6})
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +459,9 @@ def quadratic_toy(hessian_eigs: np.ndarray, mask_offsets, lambda_a: float,
         "trace_ratio_minus_tau_sq": trace_ratio - tau**2,
         "drift_ratio_minus_tau": drift_ratio - tau,
     }
-    return GeometryReport.check("quadratic-shrinkage", values,
-                                {"trace_ratio_minus_tau_sq": 1e-12,
-                                 "drift_ratio_minus_tau": 1e-12})
+    return GeometryReport("quadratic-shrinkage", values,
+                          {"trace_ratio_minus_tau_sq": 1e-12,
+                           "drift_ratio_minus_tau": 1e-12})
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +556,7 @@ def export_latents(p: ModelParams, matrix: InteractionMatrix,
     mu_d; float values are repr-formatted so they round-trip bit-exactly.
     """
     if matrix.n_users == 0:
-        raise ValueError("need at least one user row to export")
+        raise SplitError("the part to export has no users")
     means = posterior_means(p, matrix)
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -2,16 +2,18 @@
 loop, scoring, and checkpoint serialization.
 
 The encoder is input -> tanh(hidden) -> (mean, logvar) heads; the decoder
-is a single linear layer back to item logits. `_encoder_heads` is the one
-encoder definition, and `_input_layer` the one sparse input-layer product:
-training (`loss_and_grads_fixed`, on CSR batches of the training matrix)
-and `encode_rows`, the one encoder entry point over CSR rows, share both.
-`score_matrix` and `posterior_means` run `encode_rows` over a matrix in
-fixed-size chunks, and the geometry probes call it directly; there is no
-dense encoder path. The mask is drawn on the nonzeros of a batch only.
-During `fit` the parameters are views into one flat buffer that
-`adam_step` updates in place. All gradients are derived by hand;
-`finite_diff_check` in the test suite guards every term.
+is a single linear layer back to item logits. `_weight_shapes` is the one
+parameter layout, which init, shape checks, the flat vector and the
+checkpoint follow. `_encoder_heads` is the one encoder definition, and
+`_input_layer` the one sparse input-layer product: training
+(`loss_and_grads_fixed`, on CSR batches of the training matrix) and
+`encode_rows`, the one encoder entry point over CSR rows, share both.
+`posterior_means` runs `encode_rows` over a matrix in fixed-size chunks
+and `score_matrix` decodes its means; there is no dense encoder path.
+The mask is drawn on the nonzeros of a batch only, and the alignment
+term is `pia.alignment_closed_form`. During `fit` the parameters are
+views into one flat buffer that `adam_step` updates in place. All
+gradients are derived by hand; `finite_diff_check` guards every term.
 """
 
 from __future__ import annotations
@@ -28,19 +30,30 @@ from .corpus import (InteractionMatrix, SplitDataset, check_end, entry_rows,
 from .errors import NumericalError, ShapeError, SplitError
 from .numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState, GaussianPosterior,
                        adam_step)
-from .pia import PiaConfig
+from .pia import PiaConfig, alignment_closed_form
 
 MODEL_MAGIC = b"PIAM"
 ANCHOR_SECTION = b"ANCH"
 
-# Users per scoring chunk. Fixed, not a parameter: batched sums depend on
-# the chunk, so a fixed size keeps seeded scores repeatable.
+# Users per encoder chunk in posterior_means. Fixed, not a parameter:
+# batched sums depend on the chunk, so a fixed size keeps seeded scores
+# repeatable.
 SCORE_CHUNK = 256
-# Rows of enc_w1 per sparse product in scoring (see _score_rows).
+# Rows of enc_w1 per sparse product (see _input_layer).
 HIDDEN_BLOCK = 64
 
-_WEIGHT_FIELDS = ("enc_w1", "enc_b1", "enc_w_mu", "enc_b_mu",
-                  "enc_w_lv", "enc_b_lv", "dec_w", "dec_b")
+
+def _weight_shapes(n_items: int, hidden: int,
+                   latent: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each weight array, in flat-vector and checkpoint order;
+    anchors, when present, come last and take dec_w's shape."""
+    return {"enc_w1": (hidden, n_items), "enc_b1": (hidden,),
+            "enc_w_mu": (latent, hidden), "enc_b_mu": (latent,),
+            "enc_w_lv": (latent, hidden), "enc_b_lv": (latent,),
+            "dec_w": (n_items, latent), "dec_b": (n_items,)}
+
+
+_WEIGHT_FIELDS = tuple(_weight_shapes(0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -70,12 +83,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Encoder/decoder weights plus the optional anchor table.
-
-    Weight layout: enc_w1 (hidden x items), heads (latent x hidden),
-    dec_w (items x latent); biases match the output side of each layer.
-    input_normalize records whether the encoder expects L2-normalized
-    inputs so checkpoints are self-describing.
+    """Encoder/decoder weights plus the optional anchor table, laid out
+    as `_weight_shapes` says. input_normalize records whether the encoder
+    expects L2-normalized inputs so checkpoints are self-describing.
     """
 
     enc_w1: np.ndarray
@@ -93,17 +103,13 @@ class ModelParams:
         for name in _trained_fields(self):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=np.float64))
-        h, i = self.enc_w1.shape
-        d = self.enc_w_mu.shape[0]
-        ok = (self.enc_b1.shape == (h,)
-              and self.enc_w_mu.shape == (d, h) and self.enc_b_mu.shape == (d,)
-              and self.enc_w_lv.shape == (d, h) and self.enc_b_lv.shape == (d,)
-              and self.dec_w.shape == (i, d) and self.dec_b.shape == (i,))
-        if not ok:
-            raise ShapeError("inconsistent parameter shapes")
-        if self.anchors is not None and self.anchors.shape != (i, d):
-            raise ShapeError(
-                f"anchors {self.anchors.shape} must be ({i}, {d})")
+        shapes = _weight_shapes(self.n_items, self.hidden_dim, self.latent_dim)
+        shapes["anchors"] = shapes["dec_w"]
+        bad = [f"{name} {getattr(self, name).shape} must be {shapes[name]}"
+               for name in _trained_fields(self)
+               if getattr(self, name).shape != shapes[name]]
+        if bad:
+            raise ShapeError("parameter shapes disagree: " + ", ".join(bad))
 
     @property
     def n_items(self) -> int:
@@ -121,22 +127,14 @@ class ModelParams:
 def init_params(n_items: int, hidden_dim: int, latent_dim: int,
                 rng: np.random.Generator, input_normalize: bool = True,
                 anchors: np.ndarray | None = None) -> ModelParams:
-    """Scaled-normal weight init (std 1/sqrt(fan_in)), zero biases."""
-    def layer(out_dim, in_dim):
-        return rng.standard_normal((out_dim, in_dim)) / np.sqrt(in_dim)
-
-    return ModelParams(
-        enc_w1=layer(hidden_dim, n_items),
-        enc_b1=np.zeros(hidden_dim),
-        enc_w_mu=layer(latent_dim, hidden_dim),
-        enc_b_mu=np.zeros(latent_dim),
-        enc_w_lv=layer(latent_dim, hidden_dim),
-        enc_b_lv=np.zeros(latent_dim),
-        dec_w=layer(n_items, latent_dim),
-        dec_b=np.zeros(n_items),
-        input_normalize=input_normalize,
-        anchors=anchors,
-    )
+    """Scaled-normal weight init (std 1/sqrt(fan_in)), zero biases; the
+    weight matrices are drawn from rng in `_weight_shapes` order."""
+    arrays = {name: (rng.standard_normal(shape) / np.sqrt(shape[1])
+                     if len(shape) == 2 else np.zeros(shape))
+              for name, shape in _weight_shapes(n_items, hidden_dim,
+                                                latent_dim).items()}
+    return ModelParams(**arrays, input_normalize=input_normalize,
+                       anchors=anchors)
 
 
 def _trained_fields(p: ModelParams) -> tuple[str, ...]:
@@ -274,10 +272,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
         entry_weight = 1.0 / counts[row_of]
         weights = sparse.csr_matrix((entry_weight, col_of, indptr),
                                     shape=(n, items.size))
-        ebar = weights @ anchors
-        sq_norms = np.einsum("ij,ij->i", anchors, anchors)
-        const = weights @ sq_norms - np.sum(ebar**2, axis=1)
-        align = np.sum((mu - ebar) ** 2, axis=1) + np.sum(var, axis=1) + const
+        align, ebar = alignment_closed_form(mu, var, weights, anchors)
         per_row = per_row + lambda_a * align
 
     if not np.all(np.isfinite(per_row)):
@@ -444,45 +439,39 @@ def encode_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
                              logvar=np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX))
 
 
+def posterior_means(p: ModelParams, matrix: InteractionMatrix) -> np.ndarray:
+    """Posterior means of every user's clean input row, encoded from the
+    matrix's CSR arrays SCORE_CHUNK users at a time, with no dense users x
+    items input. A matrix over another number of items than the model's
+    is a ShapeError."""
+    if matrix.n_items != p.n_items:
+        raise ShapeError(f"the model has {p.n_items} items but the data has "
+                         f"{matrix.n_items}")
+    means = np.empty((matrix.n_users, p.latent_dim), dtype=np.float64)
+    for start in range(0, matrix.n_users, SCORE_CHUNK):
+        stop = min(start + SCORE_CHUNK, matrix.n_users)
+        lo, hi = matrix.indptr[start], matrix.indptr[stop]
+        means[start:stop] = encode_rows(p, matrix.indptr[start:stop + 1] - lo,
+                                        matrix.indices[lo:hi],
+                                        np.ones(hi - lo)).mean
+    return means
+
+
 def score_matrix(p: ModelParams, fold: InteractionMatrix) -> np.ndarray:
     """Deterministic item scores for every user of a fold-in matrix: the
     posterior mean of the clean fold-in row, decoded to logits, with the
     fold-in items forced to -inf.
 
-    Users are scored SCORE_CHUNK at a time from the fold-in's CSR arrays,
-    with no dense users x items input. Batched products sum in another
-    order than a one-user call, so a row here agrees with the same user
-    scored alone to 1e-12 on finite entries (about 1e-15 at the reference
-    shape), with the same -inf entries, but not bit for bit. The chunk
-    size is fixed, so the same inputs always give the same bits.
+    Batched products sum in another order than a one-user call, so a row
+    here agrees with the same user scored alone to 1e-12 on finite
+    entries (about 1e-15 at the reference shape), with the same -inf
+    entries, but not bit for bit. The encoder's chunk size is fixed, so
+    the same inputs always give the same bits.
     """
-    scores = np.empty((fold.n_users, p.n_items), dtype=np.float64)
-    for rows, indptr, indices in _csr_chunks(fold):
-        out = scores[rows]
-        mu = encode_rows(p, indptr, indices, np.ones(indices.size)).mean
-        np.matmul(mu, p.dec_w.T, out=out)
-        out += p.dec_b
-        out[entry_rows(indptr), indices] = -np.inf
+    scores = posterior_means(p, fold) @ p.dec_w.T
+    scores += p.dec_b
+    scores[entry_rows(fold.indptr), fold.indices] = -np.inf
     return scores
-
-
-def posterior_means(p: ModelParams, matrix: InteractionMatrix) -> np.ndarray:
-    """Posterior means of every user's clean input row, SCORE_CHUNK users
-    at a time as in score_matrix."""
-    means = np.empty((matrix.n_users, p.latent_dim), dtype=np.float64)
-    for rows, indptr, indices in _csr_chunks(matrix):
-        means[rows] = encode_rows(p, indptr, indices,
-                                  np.ones(indices.size)).mean
-    return means
-
-
-def _csr_chunks(matrix: InteractionMatrix):
-    """(row slice, indptr, indices) of each run of SCORE_CHUNK users."""
-    for start in range(0, matrix.n_users, SCORE_CHUNK):
-        stop = min(start + SCORE_CHUNK, matrix.n_users)
-        lo, hi = matrix.indptr[start], matrix.indptr[stop]
-        yield (slice(start, stop), matrix.indptr[start:stop + 1] - lo,
-               matrix.indices[lo:hi])
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +501,13 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             raise ShapeError(f"bad checkpoint magic {magic!r}")
         n_items, hidden, latent, flags = map(
             int, read_array(fh, "<u8", (4,), path, "header"))
-        shapes = {
-            "enc_w1": (hidden, n_items), "enc_b1": (hidden,),
-            "enc_w_mu": (latent, hidden), "enc_b_mu": (latent,),
-            "enc_w_lv": (latent, hidden), "enc_b_lv": (latent,),
-            "dec_w": (n_items, latent), "dec_b": (n_items,),
-        }
+        shapes = _weight_shapes(n_items, hidden, latent)
         arrays = {name: read_array(fh, "<f8", shape, path, name)
                   for name, shape in shapes.items()}
         anchors = None
         section = fh.read(4)
         if section == ANCHOR_SECTION:
-            anchors = read_array(fh, "<f8", (n_items, latent), path, "anchors")
+            anchors = read_array(fh, "<f8", shapes["dec_w"], path, "anchors")
             check_end(fh, path)
         elif section:
             raise ShapeError(f"unexpected trailing section {section!r}")

@@ -5,10 +5,10 @@ The alignment loss for a user with positives S and posterior q is
 mean_{i in S} E_{z~q} ||z - e_i||^2, where e_i is row i of the (items x
 latent) anchor array. For a diagonal Gaussian it equals ||mu - ebar||^2 +
 tr(Sigma) + (mean_i ||e_i||^2 - ||ebar||^2) with ebar the anchor centroid
-of S; training uses this closed form inside model.loss_and_grads_fixed.
-The Monte-Carlo estimator exists only to verify the closed form and never
-feeds training. `model.fit` draws the anchors and runs the schedule that
-PiaConfig parameterizes.
+of S. Training (model.loss_and_grads_fixed) and the `prop1` geometry
+suite run the one closed form, `alignment_closed_form`; the Monte-Carlo
+estimator exists only to verify it and never feeds training. `model.fit`
+draws the anchors and runs the schedule that PiaConfig parameterizes.
 """
 
 from __future__ import annotations
@@ -49,20 +49,19 @@ def _positives_array(positives) -> np.ndarray:
     return idx
 
 
-def alignment_closed_form(q: GaussianPosterior, anchors: np.ndarray,
-                          positives) -> float:
-    """||mu - ebar||^2 + tr(Sigma) + (mean_i ||e_i||^2 - ||ebar||^2).
-
-    The constant term is the variance of the selected anchors around
-    their centroid, hence always >= 0.
+def alignment_closed_form(mu: np.ndarray, var: np.ndarray, weights,
+                          anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ||mu - ebar||^2 + tr(Sigma) + (sum_i w_i ||e_i||^2 -
+    ||ebar||^2), and ebar = weights @ anchors, for posterior means and
+    variances in the rows of mu and var and a row-stochastic weights
+    matrix (dense or scipy CSR; 1/|S| on each positive of S gives the loss
+    above). The last term, the weighted spread of the anchors around
+    ebar, is always >= 0.
     """
-    idx = _positives_array(positives)
-    selected = anchors[idx]
-    ebar = selected.mean(axis=0)
-    const = float(np.mean(np.sum(selected**2, axis=1)) - np.sum(ebar**2))
-    mean_term = float(np.sum((q.mean - ebar) ** 2))
-    trace_term = float(np.sum(q.var))
-    return mean_term + trace_term + const
+    ebar = weights @ anchors
+    sq_norms = np.einsum("ij,ij->i", anchors, anchors)
+    const = weights @ sq_norms - np.sum(ebar**2, axis=1)
+    return np.sum((mu - ebar) ** 2, axis=1) + np.sum(var, axis=1) + const, ebar
 
 
 def alignment_mc_standard_error(q: GaussianPosterior, anchors: np.ndarray,
@@ -71,8 +70,9 @@ def alignment_mc_standard_error(q: GaussianPosterior, anchors: np.ndarray,
     """Empirical mean over z ~ q of mean_i ||z - e_i||^2, plus its standard
     error (for tolerance checks).
 
-    Verification oracle for alignment_closed_form; computed literally
-    anchor by anchor rather than through the centroid identity.
+    Verification oracle for alignment_closed_form with weights 1/|S| on
+    the positives; computed literally anchor by anchor rather than through
+    the centroid identity.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")

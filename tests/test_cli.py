@@ -10,11 +10,13 @@ from piavae.suites import SUITE_NAMES
 from tests.test_model import tiny_params
 
 
+RUN_SPEC = SynthSpec(cohort_sizes=(20, 20), cohort_support_sizes=(4, 12),
+                     n_items=24, noise_rate=0.05, seed=0)
+
+
 @pytest.fixture
 def run_dir(tmp_path):
-    spec = SynthSpec(cohort_sizes=(20, 20), cohort_support_sizes=(4, 12),
-                     n_items=24, noise_rate=0.05, seed=0)
-    save_split(split_dataset(synth_block_dataset(spec), 6, 6, 0.8, seed=0),
+    save_split(split_dataset(synth_block_dataset(RUN_SPEC), 6, 6, 0.8, seed=0),
                tmp_path / "data")
     save_checkpoint(tiny_params(seed=30, n_items=24, normalize=True,
                                 with_anchors=True), tmp_path / "model.ckpt")
@@ -69,6 +71,32 @@ class TestEvaluateExitCodes:
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert flag in err and len(err.strip().splitlines()) == 1
+
+
+class TestModelAndSplitMismatch:
+    @pytest.mark.parametrize("command", ["evaluate", "export"])
+    def test_item_count_mismatch_exits_2(self, run_dir, command, capsys):
+        # A 20-item checkpoint on the 24-item split.
+        save_checkpoint(tiny_params(seed=31, n_items=20), run_dir / "m20.ckpt")
+        out = run_dir / f"{command}-out"
+        assert dispatch([command, "--model", str(run_dir / "m20.ckpt"),
+                         "--data", str(run_dir / "data"),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "20 items" in err and "24" in err and "Traceback" not in err
+        assert not out.is_file() and not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "export"])
+    def test_part_without_users_exits_2(self, run_dir, command, capsys):
+        save_split(split_dataset(synth_block_dataset(RUN_SPEC), 0, 6, 0.8,
+                                 seed=0), run_dir / "no-val")
+        out = run_dir / f"{command}-out"
+        assert dispatch([command, "--model", str(run_dir / "model.ckpt"),
+                         "--data", str(run_dir / "no-val"), "--part", "val",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "no users" in err and "Traceback" not in err
+        assert not out.is_file() and not (out / "metrics.json").exists()
 
 
 CUSTOM_CONFIG = """\
@@ -309,9 +337,10 @@ class TestSynthExitCodes:
 class TestGeometryGate:
     # Every shipped suite runs here and every report must pass. eq4's
     # kl-direction-in-beta check trains with `fit`; it passes at seed 0
-    # since the mask is drawn on the nonzeros only (medians 0.660, 0.608,
-    # 0.436 at beta 0, 0.2, 1; before, 0.482, 0.562, 0.387 failed). The
-    # random draws moved, not the protocol: see ROADMAP.md item 1.
+    # since the mask is drawn on the nonzeros only, in training and in the
+    # KL it measures (medians 0.598, 0.547, 0.414 at beta 0, 0.2, 1; with
+    # a dense mask in training, 0.482, 0.562, 0.387 failed). The random
+    # draws moved, not the protocol: see ROADMAP.md item 1.
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_suite_exit_code_and_failures(self, tmp_path, suite):
         code = dispatch(["geometry", "--suite", suite, "--seed", "0",

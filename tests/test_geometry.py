@@ -1,10 +1,11 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from piavae.errors import DimensionMismatch
-from piavae.geometry import (PairGrid, PairStats, contraction_bound,
+from piavae.geometry import (PairGrid, contraction_bound,
                              dataset_bound_report, expansion_bound,
                              export_latents, jensen_gap_bernoulli,
                              masked_distance_enumerate,
@@ -19,7 +20,14 @@ from piavae.numerics import GaussianPosterior, kl_diag_gaussian
 from tests.test_model import encode_one, tiny_params
 
 
+@pytest.mark.parametrize("module", ["piavae", "piavae.geometry"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
 def pair_vectors(h, s):
+    """A binary pair with s shared positives and h disagreements."""
     x_u = np.zeros(h + s)
     x_v = np.zeros(h + s)
     x_u[:h + s] = 1.0
@@ -29,19 +37,18 @@ def pair_vectors(h, s):
 
 class TestMaskedDistanceBounds:
     def test_identical_empty_overlap_pair_never_moves(self):
-        assert contraction_bound(PairStats(h=0, s=0), 0.5, 1.0) == 1.0
-        assert contraction_bound(PairStats(h=0, s=0), 0.3, 5.0) == 1.0
+        assert contraction_bound(0, 0, 0.5, 1.0) == 1.0
+        assert contraction_bound(0, 0, 0.3, 5.0) == 1.0
 
     def test_contraction_hand_case(self):
         # h=2, s=1, rho=0.5, delta=1: 0.5 * C(2,0) * 0.25 = 0.125.
-        val = contraction_bound(PairStats(h=2, s=1), 0.5, 1.0)
+        val = contraction_bound(2, 1, 0.5, 1.0)
         assert val == pytest.approx(0.125, abs=1e-15)
 
     def test_contraction_tight_at_single_disagreement(self):
-        val = contraction_bound(PairStats(h=1, s=0), 0.5, 1.0)
+        val = contraction_bound(1, 0, 0.5, 1.0)
         assert val == pytest.approx(0.5, abs=1e-15)
-        x_u, x_v = pair_vectors(1, 0)
-        table = masked_distance_exact(x_u, x_v, 0.5)
+        table = masked_distance_exact(1, 0, 0.5)
         assert float(table[0]) == pytest.approx(0.5, abs=1e-15)  # bound is tight
 
     def test_expansion_empty_overlap(self):
@@ -54,17 +61,22 @@ class TestMaskedDistanceBounds:
     def test_expansion_beyond_support_is_zero(self):
         assert expansion_bound(1, 0.5, 2.0) == 0.0
 
+    @pytest.mark.parametrize("h, s", [(-1, 0), (0, -1)])
+    def test_negative_counts_rejected(self, h, s):
+        with pytest.raises(ValueError, match="nonnegative"):
+            contraction_bound(h, s, 0.5, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            masked_distance_exact(h, s, 0.5)
+
     def test_bounds_hold_on_grid_sample(self):
         for h in range(0, 6):
             for s in range(0, 6):
-                x_u, x_v = pair_vectors(h, s)
                 for rho in (0.1, 0.5, 0.9):
-                    table = masked_distance_exact(x_u, x_v, rho)
+                    table = masked_distance_exact(h, s, rho)
                     for delta in (1.0, 2.0, 3.0):
                         lt = float(np.sum(table[:math.ceil(delta)]))
                         ge = float(np.sum(table[math.ceil(delta):]))
-                        assert lt >= contraction_bound(PairStats(h=h, s=s),
-                                                       rho, delta) - 1e-12
+                        assert lt >= contraction_bound(h, s, rho, delta) - 1e-12
                         assert ge >= expansion_bound(s, rho, delta) - 1e-12
 
     def test_bounds_match_their_binomial_sums(self):
@@ -83,7 +95,7 @@ class TestMaskedDistanceBounds:
                                        * sum(term(h, rho, k)
                                              for k in range(min(h, t - 1) + 1)))
                         expansion = sum(term(s, p, k) for k in range(t, s + 1))
-                        assert contraction_bound(PairStats(h=h, s=s), rho, delta) \
+                        assert contraction_bound(h, s, rho, delta) \
                             == pytest.approx(contraction, rel=0.0, abs=1e-15)
                         assert expansion_bound(s, rho, delta) \
                             == pytest.approx(expansion, rel=0.0, abs=1e-15)
@@ -93,23 +105,21 @@ class TestMaskedDistanceExact:
     def test_convolution_hand_case(self):
         # x_u = [1,1,0], x_v = [1,0,1]: h=2, s=1.
         # P[D'=0] = P[Bin(2,.5)=0] * P[Bin(1,.5)=0] = 0.25 * 0.5.
-        table = masked_distance_exact(np.array([1.0, 1, 0]),
-                                      np.array([1.0, 0, 1]), 0.5)
+        table = masked_distance_exact(2, 1, 0.5)
         assert table[0] == pytest.approx(0.125, abs=1e-15)
 
     def test_keep_prob_one_concentrates_at_h(self):
-        x_u = np.array([1.0, 1, 0, 1])
-        x_v = np.array([1.0, 0, 1, 1])
-        table = masked_distance_exact(x_u, x_v, 1.0)
+        # x_u = [1,1,0,1], x_v = [1,0,1,1]: h=2, s=2.
+        table = masked_distance_exact(2, 2, 1.0)
         assert table[2] == 1.0
         assert table.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            x_u = (rng.random(12) < 0.5).astype(float)
-            x_v = (rng.random(12) < 0.5).astype(float)
-            table = masked_distance_exact(x_u, x_v, float(rng.uniform(0.05, 0.95)))
+            h, s = rng.integers(0, 13, size=2)
+            table = masked_distance_exact(int(h), int(s),
+                                          float(rng.uniform(0.05, 0.95)))
             assert abs(table.sum() - 1.0) < 1e-12
 
     def test_enumeration_agrees_with_convolution(self):
@@ -117,15 +127,15 @@ class TestMaskedDistanceExact:
             for s in range(0, 9 - h):
                 x_u, x_v = pair_vectors(h, s)
                 for rho in (0.3, 0.7):
-                    conv = masked_distance_exact(x_u, x_v, rho)
+                    conv = masked_distance_exact(h, s, rho)
                     enum = masked_distance_enumerate(x_u, x_v, rho)
                     np.testing.assert_allclose(conv, enum, atol=1e-12)
 
     def test_enumeration_on_interleaved_supports(self):
-        # Disagreements split across both sides, not just one.
+        # Disagreements split across both sides, not just one: h=4, s=1.
         x_u = np.array([1.0, 1, 0, 0, 1])
         x_v = np.array([0.0, 1, 1, 1, 0])
-        conv = masked_distance_exact(x_u, x_v, 0.4)
+        conv = masked_distance_exact(4, 1, 0.4)
         enum = masked_distance_enumerate(x_u, x_v, 0.4)
         np.testing.assert_allclose(conv, enum, atol=1e-12)
 

@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from piavae.corpus import (SynthSpec, matrix_from_rows, split_dataset,
                            synth_block_dataset)
-from piavae.errors import CorruptFileError, NumericalError, SplitError
+from piavae.errors import (CorruptFileError, NumericalError, ShapeError,
+                           SplitError)
 from piavae import model
 from piavae.model import (ModelParams, TrainConfig, draw_mask, encode_rows,
                           fit, init_params, load_checkpoint, loss_and_grads,
@@ -636,6 +638,13 @@ class TestCheckpoint:
 
 
 class TestPackUnpack:
+    @pytest.mark.parametrize("name", ["enc_b1", "dec_w", "anchors"])
+    def test_shape_mismatch_names_the_array(self, name):
+        p = tiny_params(seed=27, with_anchors=True)
+        with pytest.raises(ShapeError, match=f"{name} .* must be") as exc:
+            replace(p, **{name: getattr(p, name)[:-1]})
+        assert str(exc.value).count("must be") == 1
+
     def test_roundtrip(self):
         p = tiny_params(seed=21, with_anchors=True)
         vec = pack_params(p)

@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from piavae import model
-from piavae.errors import EmptySupportError
+from piavae.errors import NumericalError
 from piavae.model import (TrainConfig, draw_mask_and_noise, fit, loss_and_grads,
                           loss_and_grads_fixed, pack_params, unpack_params)
 from piavae.numerics import GaussianPosterior, finite_diff_check
@@ -13,11 +14,26 @@ from piavae.pia import (PiaConfig, alignment_closed_form,
 from tests.test_model import small_split, tiny_params, to_csr
 
 
+def uniform_weights(n_anchors, positives):
+    """One weights row: 1/|S| on each positive of S, 0 elsewhere."""
+    weights = np.zeros(n_anchors)
+    weights[list(positives)] = 1.0 / len(positives)
+    return weights
+
+
+def closed_form(q, weights, anchors):
+    """alignment_closed_form of one posterior and one weights row."""
+    values, _ = alignment_closed_form(q.mean[None], q.var[None],
+                                      np.atleast_2d(weights),
+                                      np.asarray(anchors, dtype=float))
+    return float(values[0])
+
+
 def closed_form_at(anchors, positives, mean):
-    """alignment_closed_form of a zero-variance posterior at `mean`:
-    ||mean - ebar||^2 plus the spread of the positives' anchors."""
+    """closed_form of a zero-variance posterior at `mean` with uniform
+    weights on the positives: ||mean - ebar||^2 plus their spread."""
     q = GaussianPosterior(mean=mean, logvar=np.full(len(mean), -np.inf))
-    return alignment_closed_form(q, np.asarray(anchors, dtype=float), positives)
+    return closed_form(q, uniform_weights(len(anchors), positives), anchors)
 
 
 class TestAnchorCentroid:
@@ -44,27 +60,33 @@ class TestAnchorCentroid:
                 pytest.approx(spread + np.sum(np.square(step)), abs=1e-15)
 
     def test_empty_positives_rejected(self):
-        with pytest.raises(EmptySupportError):
-            closed_form_at(np.zeros((3, 2)), [], [0.0, 0.0])
+        # A row with no positives has no centroid; the training kernel,
+        # which builds the weights, rejects it and names the row.
+        p = tiny_params(seed=29, with_anchors=True)
+        indptr, indices = np.array([0, 2, 2]), np.array([1, 3])
+        with pytest.raises(NumericalError, match="positive") as exc:
+            loss_and_grads_fixed(p, indptr, indices, np.ones(2),
+                                 np.zeros((2, 4)), beta=0.2, lambda_a=1.0)
+        assert exc.value.row_index == 1
 
 
 class TestAlignmentClosedForm:
     def test_degenerate_at_centroid_is_exactly_zero(self):
         anchors = np.array([[0.7, -0.3]])
         q = GaussianPosterior(mean=[0.7, -0.3], logvar=[-np.inf, -np.inf])
-        assert alignment_closed_form(q, anchors, [0]) == 0.0
+        assert closed_form(q, [1.0], anchors) == 0.0
 
     def test_unit_variance_at_origin_single_anchor(self):
         # E||z||^2 = d for a standard 2-D Gaussian and an anchor at 0.
         anchors = np.zeros((1, 2))
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
-        assert alignment_closed_form(q, anchors, [0]) == pytest.approx(2.0, abs=1e-12)
+        assert closed_form(q, [1.0], anchors) == pytest.approx(2.0, abs=1e-12)
 
     def test_opposed_anchors_add_their_spread(self):
         # Mean term 0, trace 2, anchor variance around centroid 1.
         anchors = np.array([[1.0, 0.0], [-1.0, 0.0]])
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
-        assert alignment_closed_form(q, anchors, [0, 1]) == pytest.approx(3.0, abs=1e-12)
+        assert closed_form(q, [0.5, 0.5], anchors) == pytest.approx(3.0, abs=1e-12)
 
     def test_constant_term_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -80,17 +102,28 @@ class TestAlignmentClosedForm:
             # The closed form with q centered at the centroid and zero
             # variance reduces to exactly that constant.
             q = GaussianPosterior(mean=ebar, logvar=np.full(d, -np.inf))
-            assert alignment_closed_form(q, anchors, positives) == pytest.approx(
-                const, abs=1e-12)
+            assert closed_form(q, uniform_weights(n, positives), anchors) == \
+                pytest.approx(const, abs=1e-12)
 
     def test_invariant_to_positive_order(self):
+        # A dense row and CSR rows storing the same weights in two orders
+        # give the same values, rows of a batch independently.
         rng = np.random.default_rng(1)
         anchors = rng.standard_normal((6, 3))
-        q = GaussianPosterior(mean=rng.standard_normal(3),
-                              logvar=rng.uniform(-1, 1, 3))
-        a = alignment_closed_form(q, anchors, [0, 2, 5])
-        b = alignment_closed_form(q, anchors, [5, 0, 2])
-        assert a == pytest.approx(b, abs=1e-15)
+        mu = rng.standard_normal((2, 3))
+        var = np.exp(rng.uniform(-1, 1, (2, 3)))
+        dense = np.array([uniform_weights(6, [0, 2, 5]), uniform_weights(6, [1])])
+        values, ebar = alignment_closed_form(mu, var, dense, anchors)
+        np.testing.assert_array_equal(ebar, dense @ anchors)
+        for order in ([0, 2, 5, 1], [5, 0, 2, 1]):
+            csr = sparse.csr_matrix((dense[[0, 0, 0, 1], order], order, [0, 3, 4]),
+                                    shape=(2, 6))
+            got, _ = alignment_closed_form(mu, var, csr, anchors)
+            np.testing.assert_allclose(got, values, rtol=0.0, atol=1e-15)
+        for r in range(2):
+            row, _ = alignment_closed_form(mu[r:r + 1], var[r:r + 1],
+                                           dense[r:r + 1], anchors)
+            assert row[0] == pytest.approx(values[r], abs=1e-15)
 
 
 class TestAlignmentMcOracle:
@@ -142,7 +175,7 @@ class TestAlignmentMcOracle:
                                   logvar=rng.uniform(-2.0, 1.0, d))
             positives = rng.choice(n, size=int(rng.integers(1, n + 1)),
                                    replace=False)
-            closed = alignment_closed_form(q, anchors, positives)
+            closed = closed_form(q, uniform_weights(n, positives), anchors)
             mc, se = alignment_mc_standard_error(q, anchors, positives,
                                                  100_000, rng)
             assert abs(closed - mc) <= 3 * se
