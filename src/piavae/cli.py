@@ -166,12 +166,6 @@ def write_manifest(path: Path, command: str, config: dict, seed,
                     encoding="utf-8")
 
 
-def _ensure_out(path_text: str) -> Path:
-    out = Path(path_text)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -182,7 +176,7 @@ SPLIT_OUTPUTS = [*SPLIT_FILES.values(), "idmap.tsv", "seed.txt"]
 def _cmd_preprocess(args) -> int:
     if args.min_user < 0 or args.min_item < 0:
         raise UsageError("--min-user and --min-item must be >= 0")
-    out = _ensure_out(args.out)
+    out = Path(args.out)
     matrix = ingest_events(args.input, args.min_user, args.min_item,
                            args.threshold)
     split = split_dataset(matrix, args.val, args.test, args.fold_in, args.seed)
@@ -199,7 +193,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    out = _ensure_out(args.out)
+    out = Path(args.out)
     config = resolve_config(parse_kv_file(args.spec), SYNTH_KEYS, args.spec)
     try:
         spec = _from_config(SynthSpec, config)
@@ -219,14 +213,9 @@ def _from_config(cls, config: dict):
     return cls(**{f.name: config[f.name] for f in fields(cls)})
 
 
-FAST_PROFILE = {"epochs": 30, "latent_dim": 32, "hidden_dim": 100}
-
-
 def _cmd_train(args) -> int:
     raw = parse_kv_file(args.config) if args.config else {}
     config = resolve_config(raw, TRAIN_KEYS, args.config or "<defaults>")
-    if args.fast:
-        config.update(FAST_PROFILE)
     if args.seed is not None:
         config["seed"] = args.seed
     if args.epochs is not None:
@@ -237,9 +226,10 @@ def _cmd_train(args) -> int:
         pia_cfg = _from_config(PiaConfig, config) if args.pia == "on" else None
     except ValueError as exc:
         raise UsageError(f"{args.config or '<defaults>'}: {exc}") from None
-    out = _ensure_out(args.out)
     split = load_split(args.data)
     params, log = fit(split, cfg, pia_cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, out / "model.ckpt")
     with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
         for record in log:
@@ -265,11 +255,12 @@ def _cmd_evaluate(args) -> int:
         raise UsageError(f"--k {args.k!r}: every K must be >= 1")
     if len(edges) < 2:
         raise UsageError(f"--strata {args.strata!r}: need at least two edges")
-    out = _ensure_out(args.out)
     params = load_checkpoint(args.model)
     split = load_split(args.data)
     report = stratified_report(params, split, k_list, bucket_edges=edges,
                                part=args.part)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(
         json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
@@ -291,8 +282,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
-    out = _ensure_out(args.out)
     reports = run_suite(args.suite, seed=args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     fname = f"{args.suite}.jsonl"
     with open(out / fname, "w", encoding="utf-8") as fh:
         for report in reports:
@@ -350,8 +342,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--pia", choices=("on", "off"), default="off")
-    p.add_argument("--fast", action="store_true",
-                   help="CI profile: epochs 30, latent 32, hidden 100")
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--out", required=True)

@@ -1,12 +1,13 @@
 """Numerical verification lab for the masking/latent-geometry theory.
 
 Covers: exact masked-distance distributions with contraction/expansion
-lower bounds, closed-form Gaussian transport distances with quadrature
-and coupling oracles, the transport-entropy (T1) bound, the dataset-level
-distance/KL bound, the Bernoulli-family Jensen-gap decomposition of the
-pairwise objective, the quadratic shrinkage toy model, and empirical
-gradient-sharing probes, which encode through `model.encode_rows` and
-batch their samples.
+lower bounds and a brute-force enumeration oracle, Gaussian transport
+distances (closed-form W2 for diagonal Gaussians, closed-form W1 in 1-D),
+the transport-entropy (T1) bound, the dataset-level distance/KL bound,
+the Bernoulli-family Jensen-gap decomposition of the pairwise objective
+on a midpoint grid built from the pair itself, the quadratic shrinkage
+toy model, and empirical gradient-sharing probes, which encode through
+`model.encode_rows`, batch their samples and return plain report values.
 
 The masked-distance distribution and bounds take a binary pair's counts
 (h disagreeing coordinates, s shared positives); the enumeration oracle
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri, xlogy
+from scipy.special import xlogy
 
 from .corpus import InteractionMatrix
 from .errors import DimensionMismatch, NumericalError, SplitError
@@ -29,7 +30,7 @@ from .model import ModelParams, draw_mask, encode_rows, posterior_means
 from .numerics import GaussianPosterior, kl_diag_gaussian
 
 __all__ = [
-    "GeometryReport", "PairGrid",
+    "GeometryReport",
     "contraction_bound", "expansion_bound",
     "masked_distance_exact", "masked_distance_enumerate",
     "t1_bound_check", "dataset_bound_report",
@@ -68,17 +69,6 @@ class GeometryReport:
     def to_dict(self) -> dict:
         return {"name": self.name, "values": dict(self.values),
                 "tolerances": dict(self.tolerances), "pass": self.passed}
-
-
-@dataclass(frozen=True)
-class SharingDiagnostics:
-    """Empirical ingredients of the gradient-sharing radius for one pair."""
-
-    w2_latent: float
-    grad_norm_u: float
-    delta_x: float
-    lipschitz_probe: float
-    r_share_estimate: float
 
 
 # ---------------------------------------------------------------------------
@@ -190,30 +180,32 @@ def w2_diag_gaussian(a: GaussianPosterior,
     return float(w2) if w2.ndim == 0 else w2
 
 
-def w1_1d_numeric(a: GaussianPosterior, b: GaussianPosterior,
-                  n_quad: int = 100_000) -> float:
-    """Quantile-coupling quadrature of the 1-D W1 distance.
+def w1_1d_numeric(a: GaussianPosterior, b: GaussianPosterior) -> float:
+    """Closed-form W1 distance between two 1-D Gaussians.
 
-    Integrates |F_a^{-1}(t) - F_b^{-1}(t)| over (0, 1) with the midpoint
-    rule on n_quad cells.
+    The quantile coupling, optimal in 1-D, pairs mu_a + sigma_a Z with
+    mu_b + sigma_b Z, so W1 = E|m + s Z| for m = mu_a - mu_b and
+    s = |sigma_a - sigma_b|: the folded-normal mean
+    m erf(m / (s sqrt 2)) + s sqrt(2 / pi) exp(-m^2 / (2 s^2)), and |m|
+    when s = 0.
     """
     if a.dim != 1 or b.dim != 1:
         raise DimensionMismatch("w1_1d_numeric handles 1-D Gaussians only")
-    if n_quad < 100:
-        raise ValueError("n_quad must be >= 100")
-    t = (np.arange(n_quad) + 0.5) / n_quad
-    quantiles = ndtri(t)
-    qa = a.mean[0] + a.std[0] * quantiles
-    qb = b.mean[0] + b.std[0] * quantiles
-    return float(np.mean(np.abs(qa - qb)))
+    m = float(a.mean[0] - b.mean[0])
+    s = abs(float(a.std[0] - b.std[0]))
+    if s == 0.0:
+        return abs(m)
+    r = m / s
+    return (m * math.erf(r / math.sqrt(2.0))
+            + s * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * r * r))
 
 
 def t1_bound_check(q_u: GaussianPosterior, q_v: GaussianPosterior,
-                   prior_var: float, n_quad: int = 100_000) -> GeometryReport:
+                   prior_var: float) -> GeometryReport:
     """Transport-entropy check: a provable lower bound on W1(q_u, q_v)
-    must not exceed sqrt(2C KL_u) + sqrt(2C KL_v).
+    must not exceed sqrt(2C KL_u) + sqrt(2C KL_v) for prior N(0, C I).
 
-    In 1-D the lower bound is the quadrature W1 itself; in higher
+    In 1-D the lower bound is the closed-form W1 itself; in higher
     dimension it is the mean gap ||mu_u - mu_v||.
     """
     if q_u.dim != q_v.dim:
@@ -225,7 +217,7 @@ def t1_bound_check(q_u: GaussianPosterior, q_v: GaussianPosterior,
     values = {"kl_u": kl_u, "kl_v": kl_v, "bound": bound,
               "w2": w2_diag_gaussian(q_u, q_v)}
     if q_u.dim == 1:
-        w1 = w1_1d_numeric(q_u, q_v, n_quad=n_quad)
+        w1 = w1_1d_numeric(q_u, q_v)
         values["w1"] = w1
         values["w1_minus_bound"] = w1 - bound
         tolerances = {"w1_minus_bound": 1e-8}
@@ -240,28 +232,27 @@ def t1_bound_check(q_u: GaussianPosterior, q_v: GaussianPosterior,
 
 
 def dataset_bound_report(p: ModelParams, matrix: InteractionMatrix,
-                         keep_prob: float, prior_var: float, n_pairs: int,
+                         keep_prob: float, n_pairs: int,
                          rng: np.random.Generator) -> GeometryReport:
     """Dataset-average latent-distance bound on sampled masked user pairs.
 
     The 2 n_pairs rows are drawn in one call (pair j is rows 2j and
     2j + 1), masked on their nonzeros and encoded in one batch. Every pair
     contributes a mean-gap lower bound on its W1 and both encodings feed
-    the average KL, so mean gap <= 2 sqrt(2C mean KL) holds
-    deterministically for the sample (pairwise bound followed by
+    the average KL to the N(0, I) prior, so mean gap <= 2 sqrt(2 mean KL)
+    holds deterministically for the sample (pairwise bound followed by
     concavity of the square root).
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    c = prior_var
     indptr, indices = matrix.csr_rows(rng.integers(matrix.n_users,
                                                    size=2 * n_pairs))
     q = encode_rows(p, indptr, indices,
                     draw_mask((indices.size,), keep_prob, rng))
-    mean_kl = float(np.mean(kl_diag_gaussian(q, c)))
+    mean_kl = float(np.mean(kl_diag_gaussian(q)))
     q_a = GaussianPosterior(mean=q.mean[0::2], logvar=q.logvar[0::2])
     q_b = GaussianPosterior(mean=q.mean[1::2], logvar=q.logvar[1::2])
-    rhs = 2.0 * math.sqrt(2.0 * c * mean_kl)
+    rhs = 2.0 * math.sqrt(2.0 * mean_kl)
     mean_gap = float(np.mean(np.linalg.norm(q_a.mean - q_b.mean, axis=1)))
     values = {"mean_kl": mean_kl, "rhs": rhs, "mean_gap": mean_gap,
               "mean_w2": float(np.mean(w2_diag_gaussian(q_a, q_b))),
@@ -302,38 +293,33 @@ def jensen_gap_bernoulli(t1: np.ndarray, t2: np.ndarray, alpha) -> np.ndarray | 
     return float(gap[0]) if scalar else gap
 
 
-@dataclass(frozen=True)
-class PairGrid:
-    """Midpoint quadrature nodes and weights for a pair of 1-D Gaussians."""
+GRID_CELLS = 4000        # midpoint cells per window of the pair grid
+GRID_HALF_WIDTH = 8.0    # window half-width in posterior standard deviations
 
-    points: np.ndarray
-    weights: np.ndarray
 
-    @classmethod
-    def for_pair(cls, q_u: GaussianPosterior, q_v: GaussianPosterior,
-                 n_points: int = 4000, half_width: float = 8.0) -> "PairGrid":
-        """One window per posterior (mean +/- half_width sigma), merged
-        when they overlap; n_points midpoint cells per window."""
-        if n_points < 2000:
-            raise ValueError("use at least 2000 quadrature points")
-        windows = []
-        for q in (q_u, q_v):
-            mu, sd = float(q.mean[0]), float(q.std[0])
-            windows.append((mu - half_width * sd, mu + half_width * sd))
-        windows.sort()
-        merged = [windows[0]]
-        for lo, hi in windows[1:]:
-            last_lo, last_hi = merged[-1]
-            if lo <= last_hi:
-                merged[-1] = (last_lo, max(last_hi, hi))
-            else:
-                merged.append((lo, hi))
-        points, weights = [], []
-        for lo, hi in merged:
-            step = (hi - lo) / n_points
-            points.append(lo + (np.arange(n_points) + 0.5) * step)
-            weights.append(np.full(n_points, step))
-        return cls(points=np.concatenate(points), weights=np.concatenate(weights))
+def _pair_grid(q_u: GaussianPosterior,
+               q_v: GaussianPosterior) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint nodes and weights for a pair of 1-D Gaussians: one window
+    per posterior (mean +/- GRID_HALF_WIDTH sigma), merged when they
+    overlap, GRID_CELLS cells per window."""
+    windows = []
+    for q in (q_u, q_v):
+        mu, sd = float(q.mean[0]), float(q.std[0])
+        windows.append((mu - GRID_HALF_WIDTH * sd, mu + GRID_HALF_WIDTH * sd))
+    windows.sort()
+    merged = [windows[0]]
+    for lo, hi in windows[1:]:
+        last_lo, last_hi = merged[-1]
+        if lo <= last_hi:
+            merged[-1] = (last_lo, max(last_hi, hi))
+        else:
+            merged.append((lo, hi))
+    points, weights = [], []
+    for lo, hi in merged:
+        step = (hi - lo) / GRID_CELLS
+        points.append(lo + (np.arange(GRID_CELLS) + 0.5) * step)
+        weights.append(np.full(GRID_CELLS, step))
+    return np.concatenate(points), np.concatenate(weights)
 
 
 def _gauss_pdf(q: GaussianPosterior, z: np.ndarray) -> np.ndarray:
@@ -347,14 +333,14 @@ def _softplus(eta: np.ndarray) -> np.ndarray:
 
 def pairwise_decomposition_check(x_u: np.ndarray, x_v: np.ndarray,
                                  q_u: GaussianPosterior, q_v: GaussianPosterior,
-                                 beta: float,
-                                 grid: PairGrid) -> GeometryReport:
+                                 beta: float) -> GeometryReport:
     """Two-user objective identity for a per-coordinate Bernoulli decoder.
 
-    Left side: at each grid point the reconstruction integrand is
-    minimized over the natural parameter (closed form: the logit of the
-    posterior-weighted mixture of the two inputs) and integrated, plus
-    the beta-weighted KL terms. Right side: a constant from the conjugate
+    Both sides are integrated on a midpoint grid built from the pair's
+    posteriors. Left side: at each grid point the reconstruction
+    integrand is minimized over the natural parameter (closed form: the
+    logit of the posterior-weighted mixture of the two inputs) and
+    integrated, plus the beta-weighted KL terms. Right side: a constant from the conjugate
     at the data points plus the integrated Jensen gap plus the same KL
     terms. Both sides must agree to 1e-6 relative.
     """
@@ -365,8 +351,7 @@ def pairwise_decomposition_check(x_u: np.ndarray, x_v: np.ndarray,
     if x_u.size > 5:
         raise ValueError("decomposition check is meant for <= 5 items")
 
-    z = grid.points
-    w = grid.weights
+    z, w = _pair_grid(q_u, q_v)
     pdf_u = _gauss_pdf(q_u, z)
     pdf_v = _gauss_pdf(q_v, z)
     total = pdf_u + pdf_v
@@ -498,8 +483,10 @@ def _encode_one(p: ModelParams, x: np.ndarray) -> GaussianPosterior:
 
 def sharing_probe(p: ModelParams, x_u: np.ndarray, x_v: np.ndarray,
                   n_samples: int, perturb_scale: float,
-                  rng: np.random.Generator) -> SharingDiagnostics:
-    """Monte-Carlo estimates feeding the gradient-sharing radius.
+                  rng: np.random.Generator) -> dict[str, float]:
+    """Monte-Carlo estimates feeding the gradient-sharing radius, as report
+    values: w2_latent, grad_norm_u, delta_x, lipschitz_probe and
+    r_share_estimate.
 
     All gradients are over decoder parameters only: for input x and
     latent z the gradient of -loglik(dec_w z + dec_b, x) is
@@ -542,9 +529,8 @@ def sharing_probe(p: ModelParams, x_u: np.ndarray, x_v: np.ndarray,
         r_share = max(0.0, grad_norm_u - delta_x) / lipschitz
     else:
         r_share = math.inf
-    return SharingDiagnostics(w2_latent=w2, grad_norm_u=grad_norm_u,
-                              delta_x=delta_x, lipschitz_probe=lipschitz,
-                              r_share_estimate=r_share)
+    return {"w2_latent": w2, "grad_norm_u": grad_norm_u, "delta_x": delta_x,
+            "lipschitz_probe": lipschitz, "r_share_estimate": r_share}
 
 
 def export_latents(p: ModelParams, matrix: InteractionMatrix,

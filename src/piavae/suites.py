@@ -7,7 +7,6 @@ them one JSON object per line.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
 
 import numpy as np
 
@@ -109,8 +108,7 @@ def suite_eq3(seed: int = 0) -> list[geo.GeometryReport]:
     x = np.array([1.0, 0.0, 1.0])
     q_u = GaussianPosterior(mean=[0.0], logvar=[0.0])
     q_v = GaussianPosterior(mean=[1.0], logvar=[math.log(2.0)])
-    grid = geo.PairGrid.for_pair(q_u, q_v)
-    same = geo.pairwise_decomposition_check(x, x, q_u, q_v, beta=0.2, grid=grid)
+    same = geo.pairwise_decomposition_check(x, x, q_u, q_v, beta=0.2)
     reports.append(same.extend(
         "pairwise-decomposition-equal-inputs",
         {"gap_integral_abs": abs(same.values["gap_integral"])},
@@ -120,9 +118,8 @@ def suite_eq3(seed: int = 0) -> list[geo.GeometryReport]:
     far_v = GaussianPosterior(mean=[40.0], logvar=[0.0])
     x_u = np.array([1.0, 1.0, 0.0])
     x_v = np.array([0.0, 1.0, 1.0])
-    grid = geo.PairGrid.for_pair(far_u, far_v)
     disjoint = geo.pairwise_decomposition_check(x_u, x_v, far_u, far_v,
-                                                beta=0.2, grid=grid)
+                                                beta=0.2)
     reports.append(disjoint.extend(
         "pairwise-decomposition-disjoint-posteriors",
         {"gap_integral_abs": abs(disjoint.values["gap_integral"])},
@@ -130,9 +127,8 @@ def suite_eq3(seed: int = 0) -> list[geo.GeometryReport]:
 
     near_u = GaussianPosterior(mean=[0.0], logvar=[0.0])
     near_v = GaussianPosterior(mean=[1.0], logvar=[0.0])
-    grid = geo.PairGrid.for_pair(near_u, near_v)
     generic = geo.pairwise_decomposition_check(x_u, x_v, near_u, near_v,
-                                               beta=0.2, grid=grid)
+                                               beta=0.2)
     generic.name = "pairwise-decomposition-generic-overlap"
     reports.append(generic)
 
@@ -143,10 +139,8 @@ def suite_eq3(seed: int = 0) -> list[geo.GeometryReport]:
         xv = (rng.random(n) < 0.5).astype(np.float64)
         qu = _random_gaussian(rng, 1)
         qv = _random_gaussian(rng, 1)
-        grid = geo.PairGrid.for_pair(qu, qv)
         r = geo.pairwise_decomposition_check(xu, xv, qu, qv,
-                                             beta=float(rng.uniform(0.0, 1.0)),
-                                             grid=grid)
+                                             beta=float(rng.uniform(0.0, 1.0)))
         r.name = f"pairwise-decomposition #{j}"
         reports.append(r)
     return reports
@@ -272,8 +266,7 @@ def suite_eq4(seed: int = 0) -> list[geo.GeometryReport]:
         rows = [model_rng.choice(30, size=int(model_rng.integers(2, 10)),
                                  replace=False) for _ in range(40)]
         r = geo.dataset_bound_report(params, matrix_from_rows(rows, 30),
-                                     keep_prob=0.5, prior_var=1.0,
-                                     n_pairs=30, rng=rng)
+                                     keep_prob=0.5, n_pairs=30, rng=rng)
         r.name = f"dataset-average-bound #{j}"
         reports.append(r)
     reports.append(beta_kl_direction())
@@ -292,12 +285,12 @@ def suite_probe(seed: int = 0) -> list[geo.GeometryReport]:
     same = geo.sharing_probe(params, x_u, x_u, n_samples=400,
                              perturb_scale=0.1, rng=rng)
     reports.append(geo.GeometryReport(
-        "sharing-probe-identical-pair", asdict(same),
+        "sharing-probe-identical-pair", same,
         {"w2_latent": 1e-12, "delta_x": 1e-12}))
     diff = geo.sharing_probe(params, x_u, x_v, n_samples=400,
                              perturb_scale=0.1, rng=rng)
     reports.append(geo.GeometryReport(name="sharing-probe-distinct-pair",
-                                      values=asdict(diff)))
+                                      values=diff))
     return reports
 
 

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from piavae.errors import DimensionMismatch
-from piavae.geometry import (PairGrid, contraction_bound,
+from piavae.geometry import (GeometryReport, contraction_bound,
                              dataset_bound_report, expansion_bound,
                              export_latents, jensen_gap_bernoulli,
                              masked_distance_enumerate,
@@ -24,6 +25,12 @@ from tests.test_model import encode_one, tiny_params
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+class TestGeometryReport:
+    def test_tolerance_without_value_rejected(self):
+        with pytest.raises(ValueError, match=r"\['slack'\]"):
+            GeometryReport("r", {"gap": 0.0}, {"gap": 1.0, "slack": 0.0})
 
 
 def pair_vectors(h, s):
@@ -191,22 +198,47 @@ class TestW2DiagGaussian:
             assert abs(sq.mean() - w2_diag_gaussian(a, b) ** 2) <= 3 * se
 
 
+def w1_midpoint_quadrature(a, b, n_quad=100_000):
+    """Reference 1-D W1: |F_a^{-1}(t) - F_b^{-1}(t)| integrated over
+    (0, 1) by the midpoint rule on n_quad cells."""
+    quantiles = ndtri((np.arange(n_quad) + 0.5) / n_quad)
+    return float(np.mean(np.abs((a.mean[0] + a.std[0] * quantiles)
+                                - (b.mean[0] + b.std[0] * quantiles))))
+
+
 class TestW11dNumeric:
     def test_identical_gaussians(self):
         q = GaussianPosterior(mean=[0.3], logvar=[0.4])
-        assert w1_1d_numeric(q, q, 10_000) < 1e-10
+        assert w1_1d_numeric(q, q) == 0.0
 
     def test_pure_shift_is_exact(self):
-        a = GaussianPosterior(mean=[0.0], logvar=[0.0])
-        b = GaussianPosterior(mean=[3.0], logvar=[0.0])
-        assert w1_1d_numeric(a, b, 10_000) == pytest.approx(3.0, abs=1e-6)
+        # Equal scales: s = 0, so W1 is |m| exactly.
+        a = GaussianPosterior(mean=[0.0], logvar=[0.7])
+        b = GaussianPosterior(mean=[3.0], logvar=[0.7])
+        assert w1_1d_numeric(a, b) == pytest.approx(3.0, rel=0.0, abs=1e-12)
+        assert w1_1d_numeric(b, a) == pytest.approx(3.0, rel=0.0, abs=1e-12)
 
     def test_scale_difference_formula(self):
         # W1(N(0,1), N(0,4)) = (2-1) E|Z| = sqrt(2/pi).
         a = GaussianPosterior(mean=[0.0], logvar=[0.0])
         b = GaussianPosterior(mean=[0.0], logvar=[math.log(4.0)])
         expected = math.sqrt(2.0 / math.pi)
-        assert w1_1d_numeric(a, b, 100_000) == pytest.approx(expected, abs=1e-4)
+        assert w1_1d_numeric(a, b) == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    def test_matches_midpoint_quadrature(self):
+        rng = np.random.default_rng(9)
+        for _ in range(120):
+            a = GaussianPosterior(mean=2 * rng.standard_normal(1),
+                                  logvar=rng.uniform(-2, 2, 1))
+            b = GaussianPosterior(mean=2 * rng.standard_normal(1),
+                                  logvar=rng.uniform(-2, 2, 1))
+            assert abs(w1_1d_numeric(a, b)
+                       - w1_midpoint_quadrature(a, b)) <= 1e-5
+
+    def test_only_1d_accepted(self):
+        q = GaussianPosterior(mean=[0.0, 1.0], logvar=[0.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            w1_1d_numeric(q, q)
 
 
 class TestT1BoundCheck:
@@ -214,7 +246,7 @@ class TestT1BoundCheck:
         q = GaussianPosterior(mean=[0.0], logvar=[0.0])
         report = t1_bound_check(q, q, prior_var=1.0)
         assert report.passed
-        assert report.values["w1"] == pytest.approx(0.0, abs=1e-10)
+        assert report.values["w1"] == 0.0
         assert report.values["bound"] == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_shift_is_tight(self):
@@ -223,7 +255,7 @@ class TestT1BoundCheck:
         q_v = GaussianPosterior(mean=[0.0], logvar=[0.0])
         report = t1_bound_check(q_u, q_v, prior_var=1.0)
         assert report.passed
-        assert report.values["w1"] == pytest.approx(1.0, abs=1e-6)
+        assert report.values["w1"] == 1.0
         assert report.values["bound"] == pytest.approx(1.0, abs=1e-12)
 
     def test_random_1d_pairs_pass(self):
@@ -259,8 +291,8 @@ class TestDatasetBoundReport:
         zeros = unpack_params(np.zeros(pack_params(p).size), p)
         rows = matrix_from_rows([np.array([0, 1]), np.array([2, 3, 4]),
                                  np.array([5])], 20)
-        report = dataset_bound_report(zeros, rows, keep_prob=0.5, prior_var=1.0,
-                                      n_pairs=10, rng=np.random.default_rng(0))
+        report = dataset_bound_report(zeros, rows, keep_prob=0.5, n_pairs=10,
+                                      rng=np.random.default_rng(0))
         assert report.passed
         assert report.values["mean_kl"] == 0.0
         assert report.values["rhs"] == 0.0
@@ -273,8 +305,8 @@ class TestDatasetBoundReport:
             rows = matrix_from_rows(
                 [rng.choice(20, size=int(rng.integers(2, 8)), replace=False)
                  for _ in range(30)], 20)
-            report = dataset_bound_report(p, rows, keep_prob=0.5, prior_var=1.0,
-                                          n_pairs=25, rng=rng)
+            report = dataset_bound_report(p, rows, keep_prob=0.5, n_pairs=25,
+                                          rng=rng)
             assert report.passed, report.values
 
 
@@ -307,9 +339,7 @@ class TestPairwiseDecomposition:
         x = np.array([1.0, 0.0, 1.0])
         q_u = GaussianPosterior(mean=[0.0], logvar=[0.0])
         q_v = GaussianPosterior(mean=[0.8], logvar=[math.log(0.5)])
-        grid = PairGrid.for_pair(q_u, q_v)
-        report = pairwise_decomposition_check(x, x, q_u, q_v, beta=0.4,
-                                              grid=grid)
+        report = pairwise_decomposition_check(x, x, q_u, q_v, beta=0.4)
         assert report.passed
         assert abs(report.values["gap_integral"]) < 1e-10
         expected = 0.4 * (kl_diag_gaussian(q_u) + kl_diag_gaussian(q_v))
@@ -320,9 +350,7 @@ class TestPairwiseDecomposition:
         x_v = np.array([0.0, 1.0, 1.0])
         q_u = GaussianPosterior(mean=[-40.0], logvar=[0.0])
         q_v = GaussianPosterior(mean=[40.0], logvar=[0.0])
-        grid = PairGrid.for_pair(q_u, q_v)
-        report = pairwise_decomposition_check(x_u, x_v, q_u, q_v, beta=0.2,
-                                              grid=grid)
+        report = pairwise_decomposition_check(x_u, x_v, q_u, q_v, beta=0.2)
         assert report.passed
         assert report.values["gap_integral"] < 1e-8
 
@@ -331,9 +359,7 @@ class TestPairwiseDecomposition:
         x_v = np.array([0.0, 1.0, 1.0])
         q_u = GaussianPosterior(mean=[0.0], logvar=[0.0])
         q_v = GaussianPosterior(mean=[1.0], logvar=[0.0])
-        grid = PairGrid.for_pair(q_u, q_v)
-        report = pairwise_decomposition_check(x_u, x_v, q_u, q_v, beta=0.2,
-                                              grid=grid)
+        report = pairwise_decomposition_check(x_u, x_v, q_u, q_v, beta=0.2)
         assert report.passed
         assert report.values["rel_err"] < 1e-6
         assert report.values["gap_integral"] > 0.0
@@ -348,9 +374,8 @@ class TestPairwiseDecomposition:
                                     logvar=rng.uniform(-2, 2, 1))
             q_v = GaussianPosterior(mean=2 * rng.standard_normal(1),
                                     logvar=rng.uniform(-2, 2, 1))
-            grid = PairGrid.for_pair(q_u, q_v)
             report = pairwise_decomposition_check(
-                x_u, x_v, q_u, q_v, beta=float(rng.uniform(0, 1)), grid=grid)
+                x_u, x_v, q_u, q_v, beta=float(rng.uniform(0, 1)))
             assert report.passed, report.values
 
 
@@ -462,8 +487,8 @@ class TestSharingProbe:
             expected = reference_sharing_probe(p, x_u, x_v, 150, scale,
                                                np.random.default_rng(seed))
             np.testing.assert_allclose(
-                [diag.w2_latent, diag.grad_norm_u, diag.delta_x,
-                 diag.lipschitz_probe, diag.r_share_estimate],
+                [diag["w2_latent"], diag["grad_norm_u"], diag["delta_x"],
+                 diag["lipschitz_probe"], diag["r_share_estimate"]],
                 expected, rtol=1e-12, atol=0.0)
 
     def test_identical_users_have_no_mismatch(self):
@@ -472,10 +497,10 @@ class TestSharingProbe:
         x[[2, 5, 9]] = 1.0
         diag = sharing_probe(p, x, x, n_samples=200, perturb_scale=0.1,
                              rng=np.random.default_rng(1))
-        assert diag.w2_latent == 0.0
-        assert diag.delta_x <= 1e-12
-        assert diag.grad_norm_u > 0.0
-        assert diag.lipschitz_probe > 0.0
+        assert diag["w2_latent"] == 0.0
+        assert diag["delta_x"] <= 1e-12
+        assert diag["grad_norm_u"] > 0.0
+        assert diag["lipschitz_probe"] > 0.0
 
     def test_zero_decoder_weights_probe_finite(self):
         p = tiny_params(seed=71)
@@ -487,8 +512,8 @@ class TestSharingProbe:
         x_v[[0, 1, 2, 3]] = 1.0
         diag = sharing_probe(zero_dec, x_u, x_v, n_samples=200,
                              perturb_scale=0.1, rng=np.random.default_rng(2))
-        assert np.isfinite(diag.lipschitz_probe)
-        assert diag.lipschitz_probe > 0.0
+        assert np.isfinite(diag["lipschitz_probe"])
+        assert diag["lipschitz_probe"] > 0.0
         # With a zero weight matrix the bias block of the gradient gap is
         # exactly softmax(dec_b) (k_u - k_v) - (x_u - x_v), z-independent,
         # and the full norm can only exceed that block's norm.
@@ -496,7 +521,7 @@ class TestSharingProbe:
         soft = np.exp(logits - logits.max())
         soft /= soft.sum()
         bias_gap = soft * (x_u.sum() - x_v.sum()) - (x_u - x_v)
-        assert diag.delta_x >= np.linalg.norm(bias_gap) - 1e-9
+        assert diag["delta_x"] >= np.linalg.norm(bias_gap) - 1e-9
 
     def test_fixed_seed_reproducible(self):
         p = tiny_params(seed=72)

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from piavae import model
-from piavae.errors import NumericalError
+from piavae.errors import EmptySupportError, NumericalError
 from piavae.model import (TrainConfig, draw_mask_and_noise, fit, loss_and_grads,
                           loss_and_grads_fixed, pack_params, unpack_params)
 from piavae.numerics import GaussianPosterior, finite_diff_check
@@ -163,6 +163,14 @@ class TestAlignmentMcOracle:
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
         with pytest.raises(ValueError, match="n_samples"):
             alignment_mc_standard_error(q, anchors, [0], n_samples,
+                                        np.random.default_rng(0))
+
+    @pytest.mark.parametrize("positives", [[], np.array([], dtype=np.int64)])
+    def test_empty_positives_rejected(self, positives):
+        anchors = np.zeros((3, 2))
+        q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
+        with pytest.raises(EmptySupportError, match="at least one positive"):
+            alignment_mc_standard_error(q, anchors, positives, 100,
                                         np.random.default_rng(0))
 
     def test_closed_form_matches_mc_over_random_instances(self):
