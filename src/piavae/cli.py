@@ -66,13 +66,13 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("1", "true", "on", "yes"):
         return True
     if lowered in ("0", "false", "off", "no"):
         return False
-    raise UsageError(f"config key {key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def _seed(text: str) -> int:
@@ -117,16 +117,13 @@ def resolve_config(raw: dict[str, str], schema: dict, source: str) -> dict:
                 resolved[key] = int(value)
             elif kind == "float":
                 resolved[key] = float(value)
-            elif kind == "float | None":
-                resolved[key] = None if value.lower() in ("", "none", "auto") \
-                    else float(value)
             elif kind == "bool":
-                resolved[key] = _parse_bool(value, key)
+                resolved[key] = _parse_bool(value)
             elif kind == "tuple[int, ...]":
                 resolved[key] = _parse_int_list(value, key)
             else:  # pragma: no cover
                 raise AssertionError(kind)
-        except ValueError:
+        except (ValueError, UsageError):
             raise UsageError(f"{source}: bad value for {key}: {value!r}") from None
     return resolved
 
@@ -240,6 +237,10 @@ def _cmd_train(args) -> int:
         inputs.append(Path(args.config))
     write_manifest(out / "manifest.json", "train", config, config["seed"],
                    inputs, ["model.ckpt", "train_log.jsonl"])
+    if log and log[-1].get("event") == "aborted":
+        print("error: training aborted at epoch {epoch}, batch {batch}, row "
+              "{row_index}: {error}".format(**log[-1]), file=sys.stderr)
+        return 2
     best = max((r for r in log if "val_ndcg100" in r),
                key=lambda r: r["val_ndcg100"], default=None)
     if best is not None:
@@ -274,8 +275,11 @@ def _cmd_evaluate(args) -> int:
             fh.write(",".join([label, str(rep.n_users)] + cells) + "\n")
     config = {"model": args.model, "data": args.data, "k": k_list,
               "strata": list(edges), "part": args.part}
-    write_manifest(out / "manifest.json", "evaluate", config, None,
-                   [Path(args.model)], ["metrics.json", "metrics.csv"])
+    inputs = [Path(args.model)] + [
+        Path(args.data) / SPLIT_FILES[f"{args.part}_{kind}"]
+        for kind in ("fold_in", "holdout")]
+    write_manifest(out / "manifest.json", "evaluate", config, None, inputs,
+                   ["metrics.json", "metrics.csv"])
     summary = ", ".join(f"ndcg@{k}={report.ndcg[k]:.4f}" for k in k_list)
     print(f"evaluate: {report.n_users} users; {summary}")
     return 0

@@ -41,11 +41,8 @@ class MatrixError(PiaVaeError):
 
 
 class ShapeError(PiaVaeError):
-    """Array arguments do not match the expected layout."""
-
-
-class DimensionMismatch(PiaVaeError):
-    """Two distributions or vectors have different dimensions."""
+    """Array arguments do not match the expected layout, or two
+    distributions or vectors have different dimensions."""
 
 
 class NumericalError(PiaVaeError):

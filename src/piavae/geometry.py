@@ -6,8 +6,10 @@ distances (closed-form W2 for diagonal Gaussians, closed-form W1 in 1-D),
 the transport-entropy (T1) bound, the dataset-level distance/KL bound,
 the Bernoulli-family Jensen-gap decomposition of the pairwise objective
 on a midpoint grid built from the pair itself, the quadratic shrinkage
-toy model, and empirical gradient-sharing probes, which encode through
-`model.encode_rows`, batch their samples and return plain report values.
+toy model, and the empirical gradient-sharing probe. The probe runs the
+model's own kernels: `model.encode_rows` encodes its pair and
+`model.decode_loss`, the decoder training runs, gives every gradient it
+measures, in one batched pass; it returns plain report values.
 
 The masked-distance distribution and bounds take a binary pair's counts
 (h disagreeing coordinates, s shared positives); the enumeration oracle
@@ -25,8 +27,9 @@ import numpy as np
 from scipy.special import xlogy
 
 from .corpus import InteractionMatrix
-from .errors import DimensionMismatch, NumericalError, SplitError
-from .model import ModelParams, draw_mask, encode_rows, posterior_means
+from .errors import NumericalError, ShapeError, SplitError
+from .model import (ModelParams, decode_loss, draw_mask, encode_rows,
+                    posterior_means)
 from .numerics import GaussianPosterior, kl_diag_gaussian
 
 __all__ = [
@@ -174,7 +177,7 @@ def w2_diag_gaussian(a: GaussianPosterior,
     """sqrt(||mu_a - mu_b||^2 + ||sigma_a - sigma_b||^2); one value per row
     when a and b hold batches of posteriors."""
     if a.dim != b.dim:
-        raise DimensionMismatch(f"{a.dim} vs {b.dim}")
+        raise ShapeError(f"{a.dim} vs {b.dim}")
     w2 = np.sqrt(np.sum((a.mean - b.mean) ** 2, axis=-1)
                  + np.sum((a.std - b.std) ** 2, axis=-1))
     return float(w2) if w2.ndim == 0 else w2
@@ -190,7 +193,7 @@ def w1_1d_numeric(a: GaussianPosterior, b: GaussianPosterior) -> float:
     when s = 0.
     """
     if a.dim != 1 or b.dim != 1:
-        raise DimensionMismatch("w1_1d_numeric handles 1-D Gaussians only")
+        raise ShapeError("w1_1d_numeric handles 1-D Gaussians only")
     m = float(a.mean[0] - b.mean[0])
     s = abs(float(a.std[0] - b.std[0]))
     if s == 0.0:
@@ -209,7 +212,7 @@ def t1_bound_check(q_u: GaussianPosterior, q_v: GaussianPosterior,
     dimension it is the mean gap ||mu_u - mu_v||.
     """
     if q_u.dim != q_v.dim:
-        raise DimensionMismatch(f"{q_u.dim} vs {q_v.dim}")
+        raise ShapeError(f"{q_u.dim} vs {q_v.dim}")
     c = prior_var
     kl_u = kl_diag_gaussian(q_u, c)
     kl_v = kl_diag_gaussian(q_v, c)
@@ -232,23 +235,19 @@ def t1_bound_check(q_u: GaussianPosterior, q_v: GaussianPosterior,
 
 
 def dataset_bound_report(p: ModelParams, matrix: InteractionMatrix,
-                         keep_prob: float, n_pairs: int,
                          rng: np.random.Generator) -> GeometryReport:
     """Dataset-average latent-distance bound on sampled masked user pairs.
 
-    The 2 n_pairs rows are drawn in one call (pair j is rows 2j and
-    2j + 1), masked on their nonzeros and encoded in one batch. Every pair
-    contributes a mean-gap lower bound on its W1 and both encodings feed
-    the average KL to the N(0, I) prior, so mean gap <= 2 sqrt(2 mean KL)
-    holds deterministically for the sample (pairwise bound followed by
-    concavity of the square root).
+    The 60 rows of 30 pairs are drawn in one call (pair j is rows 2j and
+    2j + 1), masked on their nonzeros with keep probability 0.5 and
+    encoded in one batch. Every pair contributes a mean-gap lower bound on
+    its W1 and both encodings feed the average KL to the N(0, I) prior, so
+    mean gap <= 2 sqrt(2 mean KL) holds deterministically for the sample
+    (pairwise bound followed by concavity of the square root).
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    indptr, indices = matrix.csr_rows(rng.integers(matrix.n_users,
-                                                   size=2 * n_pairs))
+    indptr, indices = matrix.csr_rows(rng.integers(matrix.n_users, size=60))
     q = encode_rows(p, indptr, indices,
-                    draw_mask((indices.size,), keep_prob, rng))
+                    draw_mask((indices.size,), 0.5, rng))
     mean_kl = float(np.mean(kl_diag_gaussian(q)))
     q_a = GaussianPosterior(mean=q.mean[0::2], logvar=q.logvar[0::2])
     q_b = GaussianPosterior(mean=q.mean[1::2], logvar=q.logvar[1::2])
@@ -280,7 +279,7 @@ def jensen_gap_bernoulli(t1: np.ndarray, t2: np.ndarray, alpha) -> np.ndarray | 
     t1 = np.asarray(t1, dtype=np.float64)
     t2 = np.asarray(t2, dtype=np.float64)
     if t1.shape != t2.shape:
-        raise DimensionMismatch("t1 and t2 must have equal length")
+        raise ShapeError("t1 and t2 must have equal length")
     if np.any(t1 < 0) or np.any(t1 > 1) or np.any(t2 < 0) or np.any(t2 > 1):
         raise ValueError("mean parameters must lie in [0, 1]")
     alpha_arr = np.asarray(alpha, dtype=np.float64)
@@ -347,7 +346,7 @@ def pairwise_decomposition_check(x_u: np.ndarray, x_v: np.ndarray,
     x_u = np.asarray(x_u, dtype=np.float64)
     x_v = np.asarray(x_v, dtype=np.float64)
     if x_u.shape != x_v.shape:
-        raise DimensionMismatch("inputs differ in length")
+        raise ShapeError("inputs differ in length")
     if x_u.size > 5:
         raise ValueError("decomposition check is meant for <= 5 items")
 
@@ -453,15 +452,6 @@ def quadratic_toy(hessian_eigs: np.ndarray, mask_offsets, lambda_a: float,
 # Gradient-sharing probe
 # ---------------------------------------------------------------------------
 
-def _softmax_rows(p: ModelParams, z: np.ndarray) -> np.ndarray:
-    """softmax(dec_w z + dec_b) for each row z of an (n, latent) array."""
-    probs = z @ p.dec_w.T + p.dec_b
-    probs -= np.max(probs, axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= np.sum(probs, axis=1, keepdims=True)
-    return probs
-
-
 def _mean_grad_norm(d_logits: np.ndarray, z: np.ndarray) -> float:
     """Norm of the mean over rows of the flat (dec_w, dec_b) gradient
     (outer(d, z), d) of the row pairs (d, z)."""
@@ -473,51 +463,50 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _encode_one(p: ModelParams, x: np.ndarray) -> GaussianPosterior:
-    """Posterior of one dense input vector, encoded alone as a one-row CSR
-    batch of its nonzeros."""
-    idx = np.flatnonzero(x)
-    q = encode_rows(p, np.array([0, idx.size]), idx, x[idx])
-    return GaussianPosterior(mean=q.mean[0], logvar=q.logvar[0])
+PROBE_SAMPLES = 400   # latent samples per user in sharing_probe
+PROBE_PERTURB = 0.1   # std of the latent perturbation of the Lipschitz probe
 
 
-def sharing_probe(p: ModelParams, x_u: np.ndarray, x_v: np.ndarray,
-                  n_samples: int, perturb_scale: float,
+def sharing_probe(p: ModelParams, items_u, items_v,
                   rng: np.random.Generator) -> dict[str, float]:
-    """Monte-Carlo estimates feeding the gradient-sharing radius, as report
-    values: w2_latent, grad_norm_u, delta_x, lipschitz_probe and
-    r_share_estimate.
+    """Monte-Carlo estimates feeding the gradient-sharing radius of users
+    with the distinct positives items_u and items_v, as report values:
+    w2_latent, grad_norm_u, delta_x, lipschitz_probe and r_share_estimate.
 
-    All gradients are over decoder parameters only: for input x and
-    latent z the gradient of -loglik(dec_w z + dec_b, x) is
-    (outer(d, z), d) with d = sum(x) softmax(dec_w z + dec_b) - x. Every
-    sample is one row of a batched softmax. The Lipschitz probe is an
-    empirical lower bound on the true constant, so the resulting radius
-    is a diagnostic, not a certified quantity.
+    Both rows are encoded in one `model.encode_rows` call. Gradients are
+    over decoder parameters only: for target x and latent z, (outer(d, z),
+    d) with d = |x| softmax(dec_w z + dec_b) - x, the logit gradient of
+    `model.decode_loss`, the decoder training runs, at scale 1. Its one
+    pass covers PROBE_SAMPLES rows each of (z_u, u), (z_v, u), (z_v, v)
+    and (z_u + eps, u), with z_u, z_v and eps drawn in that order. The
+    Lipschitz probe is an empirical lower bound on the true constant, so
+    the radius is a diagnostic, not a certified quantity.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be >= 100")
-    x_u = np.asarray(x_u, dtype=np.float64)
-    x_v = np.asarray(x_v, dtype=np.float64)
-    k_u, k_v = np.sum(x_u), np.sum(x_v)
-    q_u = _encode_one(p, x_u)
-    q_v = _encode_one(p, x_v)
-    w2 = w2_diag_gaussian(q_u, q_v)
-    shape = (n_samples, p.latent_dim)
-
+    items_u = np.asarray(items_u, dtype=np.int64)
+    items_v = np.asarray(items_v, dtype=np.int64)
+    both = np.concatenate([items_u, items_v])
+    q = encode_rows(p, np.array([0, items_u.size, both.size]), both,
+                    np.ones(both.size))
+    q_u = GaussianPosterior(mean=q.mean[0], logvar=q.logvar[0])
+    q_v = GaussianPosterior(mean=q.mean[1], logvar=q.logvar[1])
+    shape = (PROBE_SAMPLES, p.latent_dim)
     z_u = q_u.mean + rng.standard_normal(shape) * q_u.std
-    d_u = k_u * _softmax_rows(p, z_u) - x_u
-    grad_norm_u = _mean_grad_norm(d_u, z_u)
-
     z_v = q_v.mean + rng.standard_normal(shape) * q_v.std
-    soft_v = _softmax_rows(p, z_v)
-    delta_x = _mean_grad_norm((k_u * soft_v - x_u) - (k_v * soft_v - x_v), z_v)
+    eps = PROBE_PERTURB * rng.standard_normal(shape)
+
+    targets = (items_u, items_u, items_v, items_u)
+    indptr = np.concatenate(([0], np.cumsum(np.repeat(
+        [t.size for t in targets], PROBE_SAMPLES))))
+    indices = np.concatenate([np.tile(t, PROBE_SAMPLES) for t in targets])
+    _, d_logits = decode_loss(p, np.vstack([z_u, z_v, z_v, z_u + eps]),
+                              indptr, indices, 1)
+    d_u, d_vu, d_vv, d_e = np.split(d_logits, 4)
+    grad_norm_u = _mean_grad_norm(d_u, z_u)
+    delta_x = _mean_grad_norm(d_vu - d_vv, z_v)
 
     # Per sample, ||(outer(d_u, z) - outer(d_e, z + eps), d_u - d_e)|| with
     # d_e at z + eps; with a = d_u - d_e its square is
     # |a|^2 (|z|^2 + 1) + |d_e|^2 |eps|^2 - 2 (a . d_e)(z . eps).
-    eps = perturb_scale * rng.standard_normal(shape)
-    d_e = k_u * _softmax_rows(p, z_u + eps) - x_u
     a = d_u - d_e
     sq = (_row_dot(a, a) * (_row_dot(z_u, z_u) + 1.0)
           + _row_dot(d_e, d_e) * _row_dot(eps, eps)
@@ -529,7 +518,8 @@ def sharing_probe(p: ModelParams, x_u: np.ndarray, x_v: np.ndarray,
         r_share = max(0.0, grad_norm_u - delta_x) / lipschitz
     else:
         r_share = math.inf
-    return {"w2_latent": w2, "grad_norm_u": grad_norm_u, "delta_x": delta_x,
+    return {"w2_latent": w2_diag_gaussian(q_u, q_v),
+            "grad_norm_u": grad_norm_u, "delta_x": delta_x,
             "lipschitz_probe": lipschitz, "r_share_estimate": r_share}
 
 

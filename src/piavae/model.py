@@ -8,6 +8,8 @@ checkpoint follow. `_encoder_heads` is the one encoder definition, and
 `_input_layer` the one sparse input-layer product: training
 (`loss_and_grads_fixed`, on CSR batches of the training matrix) and
 `encode_rows`, the one encoder entry point over CSR rows, share both.
+`decode_loss` is the one decoder, with its loss and logit gradient: the
+training kernel and `geometry.sharing_probe` run it.
 `posterior_means` runs `encode_rows` over a matrix in fixed-size chunks
 and `score_matrix` decodes its means; there is no dense encoder path.
 The mask is drawn on the nonzeros of a batch only, and the alignment
@@ -71,8 +73,11 @@ class TrainConfig:
     latent_dim: int = 200
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        # Written so that NaN fails too.
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must lie in (0, 1]")
         if self.batch_size < 1 or self.epochs < 1:
@@ -214,6 +219,28 @@ def _input_layer(p: ModelParams, x) -> np.ndarray:
     return a1
 
 
+def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
+                indices: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
+    """The one decoder: -loglik(softmax(dec_w z[r] + dec_b), x_r) per row
+    r, and its logit gradient (|x_r| softmax - x_r) / scale as a (rows,
+    items) array, for binary targets x_r with 1s at the distinct items
+    indices[indptr[r]:indptr[r+1]]. Training passes scale = batch size."""
+    n = indptr.size - 1
+    counts = np.diff(indptr).astype(np.float64)
+    row_of = entry_rows(indptr)
+    # The logits buffer becomes exp(logits - max), then d_logits.
+    work = z @ p.dec_w.T
+    work += p.dec_b
+    work -= np.max(work, axis=1, keepdims=True)
+    picked = np.bincount(row_of, weights=work[row_of, indices], minlength=n)
+    np.exp(work, out=work)
+    sums = np.sum(work, axis=1)
+    recon = counts * np.log(sums) - picked
+    work *= (counts / (scale * sums))[:, None]
+    work[row_of, indices] -= 1.0 / scale
+    return recon, work
+
+
 def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
                          indices: np.ndarray, keep: np.ndarray,
                          noise: np.ndarray, beta: float, lambda_a: float = 0.0,
@@ -251,14 +278,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     sigma = np.exp(0.5 * lv)
     z = mu + noise * sigma
 
-    # The logits buffer becomes exp(logits - max), then d_logits.
-    work = z @ p.dec_w.T
-    work += p.dec_b
-    work -= np.max(work, axis=1, keepdims=True)
-    picked = np.bincount(row_of, weights=work[row_of, indices], minlength=n)
-    np.exp(work, out=work)
-    sums = np.sum(work, axis=1)
-    recon = counts * np.log(sums) - picked
+    recon, d_logits = decode_loss(p, z, indptr, indices, n)
     var = np.exp(lv)
     kl = 0.5 * np.sum(mu**2 + var - 1.0 - lv, axis=1)
     per_row = recon + beta * kl
@@ -281,14 +301,11 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     loss = float(np.mean(per_row))
 
     # Backward pass; every d(loss)/d(per-row term) carries the 1/n factor.
-    d_logits = work
-    d_logits *= (counts / (n * sums))[:, None]
-    d_logits[row_of, indices] -= 1.0 / n
     # (z.T @ d_logits).T runs faster in OpenBLAS than d_logits.T @ z.
     g.dec_w[...] = (z.T @ d_logits).T
     np.sum(d_logits, axis=0, out=g.dec_b)
     d_z = d_logits @ p.dec_w
-    del work, d_logits
+    del d_logits
 
     d_mu = d_z + (beta / n) * mu
     d_lv = 0.5 * d_z * noise * sigma + (beta / n) * 0.5 * (var - 1.0)
@@ -348,10 +365,10 @@ def loss_and_grads(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
 
 
 def _mean_val_ndcg(p: ModelParams, fold: InteractionMatrix,
-                   hold: InteractionMatrix, k: int = 100) -> float:
+                   hold: InteractionMatrix) -> float:
     from .evaluate import per_user_metrics
 
-    _, ndcg = per_user_metrics(score_matrix(p, fold), fold, hold, [k])[k]
+    _, ndcg = per_user_metrics(score_matrix(p, fold), fold, hold, [100])[100]
     return float(np.mean(ndcg))
 
 
@@ -368,11 +385,14 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     NDCG once the best epoch is at least pia.patience epochs back. A
     NumericalError ends training with an "aborted" record naming the
     epoch, the batch (from 1) and the batch row of the error. A split
-    with no validation users is a SplitError, raised before any training.
+    with no training or no validation users is a SplitError, raised
+    before any training. Anchors are drawn with scale 1/sqrt(latent).
 
     The parameters are views into one flat buffer that adam_step updates
     in place, and each batch's gradient is written into one reused buffer.
     """
+    if data.train.n_users == 0:
+        raise SplitError("the split has no training users to train on")
     if data.val_fold_in.n_users == 0:
         raise SplitError("training needs validation users to choose its best "
                          "epoch; split with n_val_users >= 1 (synth) or "
@@ -382,16 +402,15 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     lam = 0.0
     if pia is not None:
         # Unspecified upstream; 1/sqrt(d) keeps ||e_i|| around 1.
-        scale = (pia.anchor_init_scale if pia.anchor_init_scale is not None
-                 else 1.0 / np.sqrt(cfg.latent_dim))
-        anchors = scale * rng.standard_normal((data.n_items, cfg.latent_dim))
+        anchors = (1.0 / np.sqrt(cfg.latent_dim)) * rng.standard_normal(
+            (data.n_items, cfg.latent_dim))
         lam = pia.lambda_a
     p = init_params(data.n_items, cfg.hidden_dim, cfg.latent_dim, rng,
                     input_normalize=cfg.input_normalize, anchors=anchors)
     theta = pack_params(p)
     p = unpack_params(theta, p)
     grads = np.empty_like(theta)
-    adam = AdamState.init(theta.size, lr=cfg.lr)
+    adam = AdamState.init(theta.size, cfg.lr)
 
     log: list[dict] = []
     best_ndcg = -np.inf
@@ -412,7 +431,7 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                 adam_step(adam, theta, grads)
                 losses.append(loss)
             batch = None
-            val_ndcg = _mean_val_ndcg(p, data.val_fold_in, data.val_holdout, k=100)
+            val_ndcg = _mean_val_ndcg(p, data.val_fold_in, data.val_holdout)
             log.append({"epoch": epoch, "loss": float(np.mean(losses)),
                         "val_ndcg100": val_ndcg, "lambda_a": lam})
             if val_ndcg > best_ndcg:

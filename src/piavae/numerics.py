@@ -19,31 +19,32 @@ LOGVAR_MAX = 20.0
 # Entries per block of an in-place Adam update: a block's slices of the
 # four vectors and its two temporaries (6 x 256 KiB) stay in a 2 MiB L2.
 ADAM_BLOCK = 1 << 15
-
-
-def clamp_logvar(logvar: np.ndarray) -> np.ndarray:
-    """Clip log-variances into [-20, 20] so exp() can never overflow.
-
-    -inf entries are passed through unchanged: they denote an exactly
-    degenerate (zero-variance) component, which several closed-form
-    checks rely on.
-    """
-    logvar = np.asarray(logvar, dtype=np.float64)
-    clipped = np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX)
-    return np.where(np.isneginf(logvar), logvar, clipped)
+# Adam's moment decays and denominator guard (Kingma & Ba, arXiv:1412.6980).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# Central-difference step of finite_diff_check.
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class GaussianPosterior:
     """Diagonal Gaussian given by its mean and log-variance vectors; a
-    batch of posteriors holds one row per posterior."""
+    batch of posteriors holds one row per posterior.
+
+    Log-variances are clipped into [LOGVAR_MIN, LOGVAR_MAX] so exp() can
+    never overflow, except -inf entries: they denote an exactly degenerate
+    (zero-variance) component, which several closed-form checks rely on.
+    """
 
     mean: np.ndarray
     logvar: np.ndarray
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
-        logvar = clamp_logvar(self.logvar)
+        logvar = np.asarray(self.logvar, dtype=np.float64)
+        logvar = np.where(np.isneginf(logvar), logvar,
+                          np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX))
         if mean.shape != logvar.shape:
             raise ShapeError(f"mean {mean.shape} vs logvar {logvar.shape}")
         object.__setattr__(self, "mean", mean)
@@ -76,21 +77,18 @@ def kl_diag_gaussian(q: GaussianPosterior,
 
 @dataclass
 class AdamState:
-    """Adam moments matched to a flat parameter vector."""
+    """Adam moments matched to a flat parameter vector, and the step size."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, n_params: int, **hyper) -> "AdamState":
-        """Zero moments; `hyper` overrides lr, beta1, beta2 or eps."""
+    def init(cls, n_params: int, lr: float = 1e-3) -> "AdamState":
+        """Zero moments."""
         return cls(first_moment=np.zeros(n_params, dtype=np.float64),
-                   second_moment=np.zeros(n_params, dtype=np.float64), **hyper)
+                   second_moment=np.zeros(n_params, dtype=np.float64), lr=lr)
 
 
 def adam_step(state: AdamState, params: np.ndarray,
@@ -113,7 +111,7 @@ def adam_step(state: AdamState, params: np.ndarray,
             f"moments {state.first_moment.shape}"
         )
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_scale, v_scale = 1.0 - b1**t, 1.0 - b2**t
     buf = np.empty(min(ADAM_BLOCK, params.size))
     den = np.empty_like(buf)
@@ -135,7 +133,7 @@ def adam_step(state: AdamState, params: np.ndarray,
         # params -= lr * (m / m_scale) / (sqrt(v / v_scale) + eps)
         np.divide(v, v_scale, out=d)
         np.sqrt(d, out=d)
-        d += state.eps
+        d += ADAM_EPS
         np.divide(m, m_scale, out=tmp)
         tmp *= state.lr
         tmp /= d
@@ -144,15 +142,14 @@ def adam_step(state: AdamState, params: np.ndarray,
     return params, state
 
 
-def finite_diff_check(loss_fn, params: np.ndarray, analytic_grads: np.ndarray,
-                      h: float = 1e-5) -> float:
+def finite_diff_check(loss_fn, params: np.ndarray,
+                      analytic_grads: np.ndarray) -> float:
     """Max relative error between analytic_grads and central differences.
 
-    Per coordinate j: fd_j = (f(p + h e_j) - f(p - h e_j)) / (2h) and the
-    error is |fd_j - g_j| / max(1, |fd_j|, |g_j|).
+    Per coordinate j, with h = FD_STEP: fd_j = (f(p + h e_j) - f(p - h e_j))
+    / (2h) and the error is |fd_j - g_j| / max(1, |fd_j|, |g_j|).
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = FD_STEP
     params = np.asarray(params, dtype=np.float64)
     analytic_grads = np.asarray(analytic_grads, dtype=np.float64)
     if params.shape != analytic_grads.shape:

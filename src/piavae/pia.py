@@ -13,6 +13,7 @@ draws the anchors and runs the schedule that PiaConfig parameterizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,29 +25,20 @@ from .numerics import GaussianPosterior
 @dataclass(frozen=True)
 class PiaConfig:
     """Alignment hyperparameters; defaults follow the reference settings
-    (initial strength 8, doubling after 5 stalled epochs). With
-    anchor_init_scale None, fit draws anchors with scale 1/sqrt(latent)."""
+    (initial strength 8, doubling after 5 stalled epochs)."""
 
     lambda_a: float = 8.0
     lambda_scale: float = 2.0
     patience: int = 5
-    anchor_init_scale: float | None = None
 
     def __post_init__(self):
-        if self.lambda_a <= 0:
-            raise ValueError("lambda_a must be positive")
-        if self.lambda_scale <= 1:
-            raise ValueError("lambda_scale must exceed 1")
+        # Written so that NaN fails too.
+        if not 0.0 < self.lambda_a < math.inf:
+            raise ValueError("lambda_a must be finite and positive")
+        if not 1.0 < self.lambda_scale < math.inf:
+            raise ValueError("lambda_scale must be finite and exceed 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-
-
-def _positives_array(positives) -> np.ndarray:
-    idx = np.asarray(list(positives) if not isinstance(positives, np.ndarray)
-                     else positives, dtype=np.int64)
-    if idx.size == 0:
-        raise EmptySupportError("alignment needs at least one positive item")
-    return idx
 
 
 def alignment_closed_form(mu: np.ndarray, var: np.ndarray, weights,
@@ -76,7 +68,9 @@ def alignment_mc_standard_error(q: GaussianPosterior, anchors: np.ndarray,
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    idx = _positives_array(positives)
+    idx = np.asarray(positives, dtype=np.int64)
+    if idx.size == 0:
+        raise EmptySupportError("alignment needs at least one positive item")
     noise = rng.standard_normal((n_samples, q.dim))
     z = q.mean + noise * q.std
     per_sample = np.zeros(n_samples, dtype=np.float64)

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from piavae.cli import dispatch
-from piavae.corpus import SynthSpec, save_split, split_dataset, synth_block_dataset
+from piavae.corpus import (SynthSpec, matrix_from_rows, save_split,
+                           split_dataset, synth_block_dataset)
 from piavae.model import save_checkpoint
 from piavae.suites import SUITE_NAMES
 from tests.test_model import tiny_params
@@ -37,6 +39,27 @@ class TestEvaluateExitCodes:
     def test_intact_files_exit_0(self, run_dir):
         assert _evaluate(run_dir) == 0
         assert (run_dir / "eval" / "metrics.json").exists()
+        # The manifest digests everything the metrics were computed from.
+        manifest = json.loads((run_dir / "eval" / "manifest.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(
+            str(path) for path in (run_dir / "model.ckpt",
+                                   run_dir / "data" / "test_fold.csr",
+                                   run_dir / "data" / "test_hold.csr"))
+
+    @pytest.mark.parametrize("damage", ["magic", "trailing-section"])
+    def test_malformed_checkpoint_exits_2(self, run_dir, damage, capsys):
+        path = run_dir / "model.ckpt"
+        if damage == "magic":
+            path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+        else:
+            # Without anchors, anything after dec_b must be an anchor section.
+            save_checkpoint(tiny_params(seed=30, n_items=24), path)
+            path.write_bytes(path.read_bytes() + b"JUNK")
+        assert _evaluate(run_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert ("magic" if damage == "magic" else "trailing section") in err
+        assert not (run_dir / "eval").exists()
 
     @pytest.mark.parametrize("cut", [20, 100, -3])
     def test_truncated_checkpoint_exits_2(self, run_dir, cut, capsys):
@@ -114,17 +137,16 @@ latent_dim = 5
 lambda_a = 2
 lambda_scale = 3
 patience = 2
-anchor_init_scale = 0.5
 """
 
 DEFAULT_TRAIN_CONFIG = {
-    "anchor_init_scale": None, "batch_size": 500, "beta": 0.2, "epochs": 1,
+    "batch_size": 500, "beta": 0.2, "epochs": 1,
     "hidden_dim": 600, "input_normalize": True, "keep_prob": 0.5,
     "lambda_a": 8.0, "lambda_scale": 2.0, "latent_dim": 200, "lr": 0.001,
     "patience": 5, "seed": 0}
 
 CUSTOM_TRAIN_CONFIG = {
-    "anchor_init_scale": 0.5, "batch_size": 8, "beta": 0.3, "epochs": 2,
+    "batch_size": 8, "beta": 0.3, "epochs": 2,
     "hidden_dim": 12, "input_normalize": False, "keep_prob": 0.6,
     "lambda_a": 2.0, "lambda_scale": 3.0, "latent_dim": 5, "lr": 0.01,
     "patience": 2, "seed": 3}
@@ -139,10 +161,12 @@ def _train(run_dir, pia, *extra):
 
 class TestTrainManifest:
     # The resolved config and its hash, pinned so that where the defaults
-    # are kept can change without changing what a run records.
+    # are kept can change without changing what a run records. The ids
+    # leave the hash out, so a changed pin keeps the test's name.
     @pytest.mark.parametrize("pia, sha", [
-        ("on", "57183d60317099def15b18b58f440cd82f5a71209fc1147525a62eb6b03e6aaf"),
-        ("off", "c09977f9422a87156662ec5d878a71e80984e3347f0918e4d16a4ce5816ffb50")])
+        ("on", "4af815d0af2d191e4deffbc2ad205d42f4ee7bdabee5548983d6d36ee1462bf4"),
+        ("off", "f81d4ab4f9dbb68d6d13db38640d41a4bbb13d3e3eed072218da67665531049e")],
+        ids=["on", "off"])
     def test_default_config(self, run_dir, pia, sha):
         code, out = _train(run_dir, pia, "--epochs", "1")
         assert code == 0
@@ -151,8 +175,9 @@ class TestTrainManifest:
         assert manifest["config_sha256"] == sha
 
     @pytest.mark.parametrize("pia, sha", [
-        ("on", "4bfc7abe5a63f0a789be0c7e67ccc10a771a11ee5eb77f62446f1dc07d273e62"),
-        ("off", "d10e940abc2cc9e7a79b43f4ff6657594a02becf73cfb6547f4d30af1a213e17")])
+        ("on", "086fe4d6e141239ca2f86aae108e19ec94c0376838b94d7a1b56f238232aee20"),
+        ("off", "30b5aa2f9a6c9d034da55659b77331dcf696f986120beda5f2ac9d39237243d8")],
+        ids=["on", "off"])
     def test_custom_config(self, run_dir, pia, sha):
         (run_dir / "train.cfg").write_text(CUSTOM_CONFIG)
         code, out = _train(run_dir, pia, "--config", str(run_dir / "train.cfg"))
@@ -163,10 +188,14 @@ class TestTrainManifest:
 
 
 class TestTrainUsageErrors:
-    @pytest.mark.parametrize("pia, setting", [("off", b"beta = -1"),
-                                              ("on", b"lambda_a = 0"),
-                                              ("off", b"seed = -1"),
-                                              ("off", b"beta = 0.\xb2")])
+    # Every bound is written so that NaN fails it too.
+    @pytest.mark.parametrize("pia, setting", [
+        ("off", b"beta = -1"), ("on", b"lambda_a = 0"), ("off", b"seed = -1"),
+        ("off", b"beta = 0.\xb2"), ("off", b"beta = nan"), ("off", b"beta = inf"),
+        ("off", b"lr = 0"), ("off", b"lr = -0.001"), ("off", b"lr = nan"),
+        ("off", b"lr = inf"), ("on", b"lambda_a = nan"), ("on", b"lambda_a = inf"),
+        ("on", b"lambda_scale = 1"), ("on", b"lambda_scale = nan"),
+        ("on", b"lambda_scale = inf")])
     def test_invalid_config_exits_1(self, run_dir, pia, setting, capsys):
         (run_dir / "bad.cfg").write_bytes(setting + b"\n")
         code, out = _train(run_dir, pia, "--config", str(run_dir / "bad.cfg"))
@@ -174,6 +203,32 @@ class TestTrainUsageErrors:
         err = capsys.readouterr().err
         assert "bad.cfg" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+
+class TestTrainConfigFile:
+    @pytest.mark.parametrize("text, message", [
+        ("# lr = 1\ncolour = blue\n", "unknown config keys ['colour']"),
+        ("beta 0.3\n", "bad.cfg:1: expected `key = value`"),
+        ("= 0.3\n", "bad.cfg:1: empty key"),
+        ("beta = 0.1\nbeta = 0.2\n", "bad.cfg:2: duplicate key 'beta'"),
+        ("input_normalize = maybe\n",
+         "bad.cfg: bad value for input_normalize: 'maybe'")])
+    def test_malformed_config_file_exits_1(self, run_dir, text, message,
+                                           capsys):
+        (run_dir / "bad.cfg").write_text(text)
+        code, out = _train(run_dir, "off", "--config", str(run_dir / "bad.cfg"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_seed_flag_overrides_the_config(self, run_dir):
+        (run_dir / "train.cfg").write_text(CUSTOM_CONFIG)
+        code, out = _train(run_dir, "off", "--config",
+                           str(run_dir / "train.cfg"), "--seed", "7")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["seed"] == 7
 
 
 class TestNegativeSeed:
@@ -201,6 +256,33 @@ class TestTrainDataErrors:
         err = capsys.readouterr().err
         assert "n_val_users >= 1" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_no_training_users_exits_2(self, run_dir, capsys):
+        split = split_dataset(synth_block_dataset(RUN_SPEC), 6, 6, 0.8, seed=0)
+        save_split(replace(split, train=matrix_from_rows([], 24)),
+                   run_dir / "data")
+        code, out = _train(run_dir, "off", "--epochs", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no training users" in err and "Traceback" not in err
+        assert not out.exists()
+
+    # At lr 1e300 the first Adam step wrecks the weights, so the second
+    # batch's forward pass overflows; numpy warns on the way.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_abort_exits_2_after_writing_the_run(self, run_dir, capsys):
+        (run_dir / "bad.cfg").write_text(
+            "lr = 1e300\nhidden_dim = 8\nlatent_dim = 4\nbatch_size = 8\n")
+        code, out = _train(run_dir, "off", "--config", str(run_dir / "bad.cfg"))
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == ("error: training aborted at epoch 1, batch 2, row 0: "
+                           "non-finite loss at batch row 0")
+        log = [json.loads(line) for line in
+               (out / "train_log.jsonl").read_text().splitlines()]
+        assert log[-1]["event"] == "aborted"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["model.ckpt", "train_log.jsonl"]
 
     @pytest.mark.parametrize("name, content", [
         ("seed.txt", b"zero\n"),
@@ -321,7 +403,8 @@ class TestSynthExitCodes:
     @pytest.mark.parametrize("spec", [SYNTH_SPEC + "colour = blue\n",
                                       SYNTH_SPEC.replace("n_items = 24\n", ""),
                                       SYNTH_SPEC.replace("= 24", "= many"),
-                                      SYNTH_SPEC + "seed = -2\n"])
+                                      SYNTH_SPEC + "seed = -2\n",
+                                      SYNTH_SPEC.replace("= 20,20", "= 20,x")])
     def test_usage_error_exits_1(self, tmp_path, spec, capsys):
         assert self._synth(tmp_path, spec) == 1
         assert "spec.cfg" in capsys.readouterr().err

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from piavae.errors import DimensionMismatch
-from piavae.geometry import (GeometryReport, contraction_bound,
+from piavae.errors import ShapeError
+from piavae.geometry import (PROBE_PERTURB, PROBE_SAMPLES, GeometryReport,
+                             contraction_bound,
                              dataset_bound_report, expansion_bound,
                              export_latents, jensen_gap_bernoulli,
                              masked_distance_enumerate,
@@ -176,7 +177,7 @@ class TestW2DiagGaussian:
     def test_dimension_mismatch(self):
         a = GaussianPosterior(mean=[0.0], logvar=[0.0])
         b = GaussianPosterior(mean=[0.0, 1.0], logvar=[0.0, 0.0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeError):
             w2_diag_gaussian(a, b)
 
     def test_matches_explicit_coupling_mc(self):
@@ -237,7 +238,7 @@ class TestW11dNumeric:
 
     def test_only_1d_accepted(self):
         q = GaussianPosterior(mean=[0.0, 1.0], logvar=[0.0, 0.0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeError):
             w1_1d_numeric(q, q)
 
 
@@ -291,8 +292,7 @@ class TestDatasetBoundReport:
         zeros = unpack_params(np.zeros(pack_params(p).size), p)
         rows = matrix_from_rows([np.array([0, 1]), np.array([2, 3, 4]),
                                  np.array([5])], 20)
-        report = dataset_bound_report(zeros, rows, keep_prob=0.5, n_pairs=10,
-                                      rng=np.random.default_rng(0))
+        report = dataset_bound_report(zeros, rows, np.random.default_rng(0))
         assert report.passed
         assert report.values["mean_kl"] == 0.0
         assert report.values["rhs"] == 0.0
@@ -305,8 +305,7 @@ class TestDatasetBoundReport:
             rows = matrix_from_rows(
                 [rng.choice(20, size=int(rng.integers(2, 8)), replace=False)
                  for _ in range(30)], 20)
-            report = dataset_bound_report(p, rows, keep_prob=0.5, n_pairs=25,
-                                          rng=rng)
+            report = dataset_bound_report(p, rows, rng)
             assert report.passed, report.values
 
 
@@ -449,20 +448,21 @@ def _decoder_grad(p, x, z):
     return np.concatenate([np.outer(d_logits, z).ravel(), d_logits])
 
 
-def reference_sharing_probe(p, x_u, x_v, n_samples, perturb_scale, rng):
+def reference_sharing_probe(p, x_u, x_v, rng):
     """The per-sample loops that the batched sharing_probe replaced, kept
-    as its reference; it consumes the same random stream."""
+    as its reference with their own softmax; it consumes the same random
+    stream."""
     q_u, q_v = encode_one(p, x_u), encode_one(p, x_v)
-    z_u = q_u.mean + rng.standard_normal((n_samples, p.latent_dim)) * q_u.std
+    z_u = q_u.mean + rng.standard_normal((PROBE_SAMPLES, p.latent_dim)) * q_u.std
     grad_norm_u = np.linalg.norm(
-        sum(_decoder_grad(p, x_u, z) for z in z_u) / n_samples)
-    z_v = q_v.mean + rng.standard_normal((n_samples, p.latent_dim)) * q_v.std
+        sum(_decoder_grad(p, x_u, z) for z in z_u) / PROBE_SAMPLES)
+    z_v = q_v.mean + rng.standard_normal((PROBE_SAMPLES, p.latent_dim)) * q_v.std
     delta_x = np.linalg.norm(
         sum(_decoder_grad(p, x_u, z) - _decoder_grad(p, x_v, z)
-            for z in z_v) / n_samples)
+            for z in z_v) / PROBE_SAMPLES)
     lipschitz = 0.0
     for z in z_u:
-        eps = perturb_scale * rng.standard_normal(p.latent_dim)
+        eps = PROBE_PERTURB * rng.standard_normal(p.latent_dim)
         num = np.linalg.norm(_decoder_grad(p, x_u, z)
                              - _decoder_grad(p, x_u, z + eps))
         lipschitz = max(lipschitz, float(num / np.linalg.norm(eps)))
@@ -481,10 +481,9 @@ class TestSharingProbe:
             x_u[seed] = 1.0
             # Seed 0 probes an identical pair.
             x_v = x_u if seed == 0 else (rng.random(20) < 0.3).astype(float)
-            scale = float(rng.uniform(0.01, 0.5))
-            diag = sharing_probe(p, x_u, x_v, 150, scale,
+            diag = sharing_probe(p, np.flatnonzero(x_u), np.flatnonzero(x_v),
                                  np.random.default_rng(seed))
-            expected = reference_sharing_probe(p, x_u, x_v, 150, scale,
+            expected = reference_sharing_probe(p, x_u, x_v,
                                                np.random.default_rng(seed))
             np.testing.assert_allclose(
                 [diag["w2_latent"], diag["grad_norm_u"], diag["delta_x"],
@@ -493,10 +492,7 @@ class TestSharingProbe:
 
     def test_identical_users_have_no_mismatch(self):
         p = tiny_params(seed=70)
-        x = np.zeros(20)
-        x[[2, 5, 9]] = 1.0
-        diag = sharing_probe(p, x, x, n_samples=200, perturb_scale=0.1,
-                             rng=np.random.default_rng(1))
+        diag = sharing_probe(p, [2, 5, 9], [2, 5, 9], np.random.default_rng(1))
         assert diag["w2_latent"] == 0.0
         assert diag["delta_x"] <= 1e-12
         assert diag["grad_norm_u"] > 0.0
@@ -510,8 +506,8 @@ class TestSharingProbe:
         x_u[[0, 1]] = 1.0
         x_v = np.zeros(20)
         x_v[[0, 1, 2, 3]] = 1.0
-        diag = sharing_probe(zero_dec, x_u, x_v, n_samples=200,
-                             perturb_scale=0.1, rng=np.random.default_rng(2))
+        diag = sharing_probe(zero_dec, np.flatnonzero(x_u),
+                             np.flatnonzero(x_v), np.random.default_rng(2))
         assert np.isfinite(diag["lipschitz_probe"])
         assert diag["lipschitz_probe"] > 0.0
         # With a zero weight matrix the bias block of the gradient gap is
@@ -525,12 +521,8 @@ class TestSharingProbe:
 
     def test_fixed_seed_reproducible(self):
         p = tiny_params(seed=72)
-        x_u = np.zeros(20)
-        x_u[[3, 4]] = 1.0
-        x_v = np.zeros(20)
-        x_v[[3, 8, 10]] = 1.0
-        a = sharing_probe(p, x_u, x_v, 150, 0.05, np.random.default_rng(5))
-        b = sharing_probe(p, x_u, x_v, 150, 0.05, np.random.default_rng(5))
+        a = sharing_probe(p, [3, 4], [3, 8, 10], np.random.default_rng(5))
+        b = sharing_probe(p, [3, 4], [3, 8, 10], np.random.default_rng(5))
         assert a == b
 
 

@@ -347,7 +347,7 @@ class TestLossAndGrads:
             return loss_and_grads_fixed(unpack_params(vec, p), indptr, indices,
                                         keep, noise, beta=0.2)[0]
 
-        assert finite_diff_check(loss_fn, theta, grads, h=1e-5) < 1e-4
+        assert finite_diff_check(loss_fn, theta, grads) < 1e-4
 
     def test_gradient_check_with_normalization(self):
         p = tiny_params(normalize=True, seed=10)
@@ -364,7 +364,7 @@ class TestLossAndGrads:
             return loss_and_grads_fixed(unpack_params(vec, p), indptr, indices,
                                         keep, noise, beta=0.3)[0]
 
-        assert finite_diff_check(loss_fn, theta, grads, h=1e-5) < 1e-4
+        assert finite_diff_check(loss_fn, theta, grads) < 1e-4
 
     def test_non_finite_loss_reports_row(self):
         p = tiny_params(seed=12)
@@ -422,7 +422,7 @@ class TestCsrKernel:
                                             indices, keep, noise, beta=0.2,
                                             lambda_a=1.5)[0]
 
-            err = finite_diff_check(loss_fn, theta[block], grads[block], h=1e-5)
+            err = finite_diff_check(loss_fn, theta[block], grads[block])
             assert err < 1e-4, name
 
     def test_gradient_written_into_out(self):
@@ -503,6 +503,12 @@ class TestFit:
         for pia in (None, PiaConfig()):
             with pytest.raises(SplitError, match="n_val_users >= 1"):
                 fit(split, cfg, pia)
+
+    def test_no_training_users_is_an_error_before_training(self):
+        split = replace(small_split(), train=matrix_from_rows([], 24))
+        cfg = TrainConfig(epochs=2, batch_size=16, hidden_dim=10, latent_dim=4)
+        with pytest.raises(SplitError, match="no training users"):
+            fit(split, cfg)
 
     def test_numeric_abort_names_epoch_batch_and_row(self, monkeypatch):
         def nan_decoder(*args, **kwargs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from piavae.errors import NumericalError, ShapeError
-from piavae.numerics import (AdamState, GaussianPosterior, adam_step,
+from piavae.numerics import (FD_STEP, AdamState, GaussianPosterior, adam_step,
                              finite_diff_check, kl_diag_gaussian)
 from tests.test_model import multinomial_loglik
 
@@ -167,9 +167,9 @@ class TestFiniteDiffCheck:
     def test_sine_within_truncation_error(self):
         rng = np.random.default_rng(2)
         params = rng.uniform(-1, 1, 5)
-        h = 1e-5
+        h = FD_STEP
         err = finite_diff_check(lambda t: np.sum(np.sin(t)), params,
-                                np.cos(params), h=h)
+                                np.cos(params))
         assert err < 10 * h**2
 
     def test_wrong_gradient_detected(self):

@@ -223,7 +223,7 @@ class TestPiaLossAndGrads:
             return loss_and_grads_fixed(unpack_params(vec, p), indptr, indices,
                                         keep, noise, beta=0.2, lambda_a=1.5)[0]
 
-        assert finite_diff_check(loss_fn, theta, grads, h=1e-5) < 1e-4
+        assert finite_diff_check(loss_fn, theta, grads) < 1e-4
 
     def test_absent_items_get_zero_anchor_gradient(self):
         p = tiny_params(seed=34, with_anchors=True)
