@@ -4,10 +4,12 @@ loop, scoring, and checkpoint serialization.
 The encoder is input -> tanh(hidden) -> (mean, logvar) heads; the decoder
 is a single linear layer back to item logits. `_weight_shapes` is the one
 parameter layout, which init, shape checks, the flat vector and the
-checkpoint follow. `_encoder_heads` is the one encoder definition, and
-`_input_layer` the one sparse input-layer product: training
-(`loss_and_grads_fixed`, on CSR batches of the training matrix) and
-`encode_rows`, the one encoder entry point over CSR rows, share both.
+checkpoint follow; `_order` keeps enc_w1 items-major (column-major) in
+memory, while the checkpoint stays row-major. `_encoder_heads` is the one
+encoder definition, and `_input_layer` the one sparse input-layer
+product: training (`loss_and_grads_fixed`, on CSR batches of the
+training matrix) and `encode_rows`, the one encoder entry point over CSR
+rows, share both.
 `decode_loss` is the one decoder, with its loss and logit gradient: the
 training kernel and `geometry.sharing_probe` run it.
 `posterior_means` runs `encode_rows` over a matrix in fixed-size chunks
@@ -41,8 +43,8 @@ ANCHOR_SECTION = b"ANCH"
 # batched sums depend on the chunk, so a fixed size keeps seeded scores
 # repeatable.
 SCORE_CHUNK = 256
-# Rows of enc_w1 per sparse product (see _input_layer).
-HIDDEN_BLOCK = 64
+# Most bytes of enc_w1 that save_checkpoint copies to row-major at once.
+SAVE_BLOCK_BYTES = 1 << 18
 
 
 def _weight_shapes(n_items: int, hidden: int,
@@ -56,6 +58,14 @@ def _weight_shapes(n_items: int, hidden: int,
 
 
 _WEIGHT_FIELDS = tuple(_weight_shapes(0, 0, 0))
+
+
+def _order(name: str) -> str:
+    """Memory order of a trained array in ModelParams and the flat vector.
+    enc_w1 is column-major, so enc_w1.T is the C-ordered operand that
+    scipy's sparse product reads without a copy, and an item's gradient
+    is one contiguous row of it."""
+    return "F" if name == "enc_w1" else "C"
 
 
 @dataclass(frozen=True)
@@ -89,8 +99,10 @@ class TrainConfig:
 @dataclass(frozen=True)
 class ModelParams:
     """Encoder/decoder weights plus the optional anchor table, laid out
-    as `_weight_shapes` says. input_normalize records whether the encoder
-    expects L2-normalized inputs so checkpoints are self-describing.
+    as `_weight_shapes` says, each stored in `_order` (a row-major enc_w1
+    is stored as a column-major copy). input_normalize records whether
+    the encoder expects L2-normalized inputs so checkpoints are
+    self-describing.
     """
 
     enc_w1: np.ndarray
@@ -106,8 +118,8 @@ class ModelParams:
 
     def __post_init__(self):
         for name in _trained_fields(self):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=np.float64))
+            object.__setattr__(self, name, np.asarray(
+                getattr(self, name), dtype=np.float64, order=_order(name)))
         shapes = _weight_shapes(self.n_items, self.hidden_dim, self.latent_dim)
         shapes["anchors"] = shapes["dec_w"]
         bad = [f"{name} {getattr(self, name).shape} must be {shapes[name]}"
@@ -148,8 +160,10 @@ def _trained_fields(p: ModelParams) -> tuple[str, ...]:
 
 
 def pack_params(p: ModelParams) -> np.ndarray:
-    """Flatten all trainable arrays (anchors last) into one new vector."""
-    return np.concatenate([getattr(p, name).ravel() for name in _trained_fields(p)])
+    """Flatten all trainable arrays (anchors last), each in its `_order`,
+    into one new vector."""
+    return np.concatenate([getattr(p, name).ravel(_order(name))
+                           for name in _trained_fields(p)])
 
 
 def unpack_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
@@ -161,7 +175,8 @@ def unpack_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
     for name in _trained_fields(template):
         shape = getattr(template, name).shape
         size = math.prod(shape)
-        views[name] = vec[offset:offset + size].reshape(shape)
+        views[name] = vec[offset:offset + size].reshape(shape,
+                                                        order=_order(name))
         offset += size
     if offset != vec.size:
         raise ShapeError(f"flat vector has {vec.size} entries, expected {offset}")
@@ -206,17 +221,10 @@ def _csr_input(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
 
 
 def _input_layer(p: ModelParams, x) -> np.ndarray:
-    """x @ enc_w1.T for a scipy CSR x, one block of hidden units at a time.
-
-    scipy multiplies a sparse matrix by a C-ordered copy of the dense
-    operand; the block bounds that copy to HIDDEN_BLOCK columns of
-    enc_w1.T instead of all of it.
-    """
-    a1 = np.empty((x.shape[0], p.hidden_dim))
-    for start in range(0, p.hidden_dim, HIDDEN_BLOCK):
-        stop = start + HIDDEN_BLOCK
-        a1[:, start:stop] = x @ p.enc_w1[start:stop].T
-    return a1
+    """x @ enc_w1.T for a scipy CSR x. scipy copies a dense operand that
+    is not C-ordered; enc_w1 is column-major, so enc_w1.T is read in
+    place."""
+    return x @ p.enc_w1.T
 
 
 def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
@@ -329,14 +337,12 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     np.sum(d_lv_raw, axis=0, out=g.enc_b_lv)
     d_h1 = d_mu @ p.enc_w_mu + d_lv_raw @ p.enc_w_lv
     d_a1 = d_h1 * (1.0 - h1**2)
-    # enc_w1's gradient d_a1.T @ x_in is zero outside the batch's items.
+    # enc_w1's gradient d_a1.T @ x_in is zero outside the batch's items;
+    # each item's is one row of the C-ordered g.enc_w1.T.
     x_items = sparse.csr_matrix((x_in.data, col_of[kept], kept_indptr),
                                 shape=(n, items.size)).T
-    g_w1 = g.enc_w1
-    g_w1.fill(0.0)
-    for start in range(0, p.hidden_dim, HIDDEN_BLOCK):
-        stop = start + HIDDEN_BLOCK
-        g_w1[start:stop, items] = (x_items @ d_a1[:, start:stop]).T
+    g.enc_w1.T.fill(0.0)
+    g.enc_w1.T[items] = x_items @ d_a1
     np.sum(d_a1, axis=0, out=g.enc_b1)
     return loss, out
 
@@ -418,32 +424,36 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     best_epoch = 0
     n_train = data.train.n_users
     epoch = batch = None
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            perm = rng.permutation(n_train)
-            losses = []
-            for batch, start in enumerate(range(0, n_train, cfg.batch_size),
-                                          start=1):
-                indptr, indices = data.train.csr_rows(
-                    perm[start:start + cfg.batch_size])
-                loss, _ = loss_and_grads(p, indptr, indices, cfg, rng,
-                                         lambda_a=lam, out=grads)
-                adam_step(adam, theta, grads)
-                losses.append(loss)
-            batch = None
-            val_ndcg = _mean_val_ndcg(p, data.val_fold_in, data.val_holdout)
-            log.append({"epoch": epoch, "loss": float(np.mean(losses)),
-                        "val_ndcg100": val_ndcg, "lambda_a": lam})
-            if val_ndcg > best_ndcg:
-                best_ndcg = val_ndcg
-                np.copyto(best_theta, theta)
-                best_epoch = epoch
-            elif pia is not None and epoch - best_epoch >= pia.patience:
-                lam *= pia.lambda_scale
-    except NumericalError as exc:
-        log.append({"event": "aborted", "error": str(exc),
-                    "last_good_epoch": best_epoch, "epoch": epoch,
-                    "batch": batch, "row_index": exc.row_index})
+    # A diverging step overflows on the way to a non-finite loss; the loss
+    # check is the one detector, so numpy's warnings stay quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for epoch in range(1, cfg.epochs + 1):
+                perm = rng.permutation(n_train)
+                losses = []
+                for batch, start in enumerate(
+                        range(0, n_train, cfg.batch_size), start=1):
+                    indptr, indices = data.train.csr_rows(
+                        perm[start:start + cfg.batch_size])
+                    loss, _ = loss_and_grads(p, indptr, indices, cfg, rng,
+                                             lambda_a=lam, out=grads)
+                    adam_step(adam, theta, grads)
+                    losses.append(loss)
+                batch = None
+                val_ndcg = _mean_val_ndcg(p, data.val_fold_in,
+                                          data.val_holdout)
+                log.append({"epoch": epoch, "loss": float(np.mean(losses)),
+                            "val_ndcg100": val_ndcg, "lambda_a": lam})
+                if val_ndcg > best_ndcg:
+                    best_ndcg = val_ndcg
+                    np.copyto(best_theta, theta)
+                    best_epoch = epoch
+                elif pia is not None and epoch - best_epoch >= pia.patience:
+                    lam *= pia.lambda_scale
+        except NumericalError as exc:
+            log.append({"event": "aborted", "error": str(exc),
+                        "last_good_epoch": best_epoch, "epoch": epoch,
+                        "batch": batch, "row_index": exc.row_index})
     return unpack_params(best_theta, p), log
 
 
@@ -498,19 +508,25 @@ def score_matrix(p: ModelParams, fold: InteractionMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(p: ModelParams, path: str | Path) -> None:
-    """Magic, shape header, raw little-endian f64 arrays, anchors last."""
+    """Magic, shape header, raw little-endian f64 arrays, anchors last.
+    Every array is written row-major, so the bytes do not depend on the
+    memory order: enc_w1 is copied to row-major a block of rows at a time.
+    """
     flags = 1 if p.input_normalize else 0
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<QQQQ", p.n_items, p.hidden_dim,
                              p.latent_dim, flags))
-        # Written from the arrays' own buffers: a copy of enc_w1 would set
-        # the peak memory of a save.
-        for name in _WEIGHT_FIELDS:
-            fh.write(np.ascontiguousarray(getattr(p, name), dtype="<f8"))
-        if p.anchors is not None:
-            fh.write(ANCHOR_SECTION)
-            fh.write(np.ascontiguousarray(p.anchors, dtype="<f8"))
+        for name in _trained_fields(p):
+            if name == "anchors":
+                fh.write(ANCHOR_SECTION)
+            # A row-major array is written from its own buffer; a whole
+            # copy of enc_w1 would set the peak memory of a save.
+            a = getattr(p, name)
+            row_bytes = max(1, 8 * math.prod(a.shape[1:]))
+            step = max(1, SAVE_BLOCK_BYTES // row_bytes)
+            for start in range(0, len(a), step):
+                fh.write(np.ascontiguousarray(a[start:start + step], "<f8"))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

@@ -268,8 +268,8 @@ class TestTrainDataErrors:
         assert not out.exists()
 
     # At lr 1e300 the first Adam step wrecks the weights, so the second
-    # batch's forward pass overflows; numpy warns on the way.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # batch's forward pass overflows. The run is under pytest's
+    # error::RuntimeWarning, so an overflow warning would end it first.
     def test_numeric_abort_exits_2_after_writing_the_run(self, run_dir, capsys):
         (run_dir / "bad.cfg").write_text(
             "lr = 1e300\nhidden_dim = 8\nlatent_dim = 4\nbatch_size = 8\n")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -148,11 +149,10 @@ def dense_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
     g_w1 = d_a1.T @ x_in
     g_b1 = np.sum(d_a1, axis=0)
 
-    parts = [g_w1.ravel(), g_b1, g_mu_w.ravel(), g_mu_b,
-             g_lv_w.ravel(), g_lv_b, g_dec_w.ravel(), g_dec_b]
-    if g_anchors is not None:
-        parts.append(g_anchors.ravel())
-    return loss, np.concatenate(parts)
+    return loss, pack_params(ModelParams(
+        enc_w1=g_w1, enc_b1=g_b1, enc_w_mu=g_mu_w, enc_b_mu=g_mu_b,
+        enc_w_lv=g_lv_w, enc_b_lv=g_lv_b, dec_w=g_dec_w, dec_b=g_dec_b,
+        anchors=g_anchors))
 
 
 def param_blocks(p):
@@ -605,6 +605,22 @@ class TestCheckpoint:
         save_checkpoint(p, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
+    # 5,000 items x 131 hidden units spans several of save_checkpoint's
+    # blocks of enc_w1 rows, the last one partial.
+    @pytest.mark.parametrize("n_items, hidden", [(20, 8), (5000, 131)])
+    def test_enc_w1_section_is_row_major(self, tmp_path, n_items, hidden):
+        p = tiny_params(seed=29, with_anchors=True, n_items=n_items,
+                        hidden=hidden)
+        save_checkpoint(p, tmp_path / "a.ckpt")
+        blob = (tmp_path / "a.ckpt").read_bytes()
+        want = np.ascontiguousarray(p.enc_w1, "<f8").tobytes()
+        start = 4 + 4 * 8  # magic, then four u8 header fields
+        assert blob[start:start + len(want)] == want
+        back = load_checkpoint(tmp_path / "a.ckpt")
+        assert back.enc_w1.flags.f_contiguous
+        save_checkpoint(back, tmp_path / "b.ckpt")
+        assert (tmp_path / "b.ckpt").read_bytes() == blob
+
     def test_magic_and_anchor_section_markers(self, tmp_path):
         p = tiny_params(seed=20, with_anchors=True)
         save_checkpoint(p, tmp_path / "m.ckpt")
@@ -659,6 +675,17 @@ class TestPackUnpack:
                      "enc_b_lv", "dec_w", "dec_b", "anchors"):
             np.testing.assert_array_equal(getattr(back, name), getattr(p, name))
 
+    def test_enc_w1_is_held_column_major(self):
+        p = tiny_params(seed=28)
+        row_major = np.ascontiguousarray(p.enc_w1)
+        q = replace(p, enc_w1=row_major)
+        assert q.enc_w1.flags.f_contiguous and not q.enc_w1.flags.c_contiguous
+        np.testing.assert_array_equal(q.enc_w1, row_major)
+        vec = pack_params(q)
+        view = unpack_params(vec, q).enc_w1
+        assert view.flags.f_contiguous and np.shares_memory(view, vec)
+        np.testing.assert_array_equal(view, row_major)
+
     def test_loss_identical_through_pack_cycle(self):
         p = tiny_params(seed=22)
         rng = np.random.default_rng(23)
@@ -671,3 +698,41 @@ class TestPackUnpack:
         l2, g2 = loss_and_grads(p2, indptr, indices, cfg, np.random.default_rng(1))
         assert l1 == l2
         assert g1.tobytes() == g2.tobytes()
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while fn(*args) runs, as tracemalloc sees them
+    (numpy reports its array buffers to it). A first, untraced call does
+    the imports fn makes on first use."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocation:
+    # Byte counts, not timings: a copy of enc_w1, or of a large block of
+    # it, fails these.
+    @staticmethod
+    def wide_params():
+        return tiny_params(seed=31, n_items=5000, hidden=128, latent=4)
+
+    def test_encode_rows_reads_enc_w1_in_place(self):
+        p = self.wide_params()
+        rng = np.random.default_rng(32)
+        indices = np.concatenate([rng.choice(5000, 20, replace=False)
+                                  for _ in range(32)])
+        indptr = np.arange(0, indices.size + 1, 20)
+        peak = traced_peak(encode_rows, p, indptr, indices,
+                           np.ones(indices.size))
+        w1_bytes = p.enc_w1.nbytes
+        assert peak < w1_bytes / 16
+
+    def test_save_checkpoint_copies_enc_w1_in_blocks(self, tmp_path):
+        p = self.wide_params()
+        peak = traced_peak(save_checkpoint, p, tmp_path / "m.ckpt")
+        w1_bytes = p.enc_w1.nbytes
+        assert peak <= w1_bytes / 8
