@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (InteractionMatrix, SplitDataset, check_end, entry_rows,
-                     read_array)
+from .corpus import (ROW_BLOCKS, InteractionMatrix, SplitDataset, check_end,
+                     entry_rows, read_array)
 from .errors import NumericalError, ShapeError, SplitError
 from .numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState, GaussianPosterior,
                        adam_step)
@@ -43,8 +43,6 @@ ANCHOR_SECTION = b"ANCH"
 # batched sums depend on the chunk, so a fixed size keeps seeded scores
 # repeatable.
 SCORE_CHUNK = 256
-# Most bytes of enc_w1 that save_checkpoint copies to row-major at once.
-SAVE_BLOCK_BYTES = 1 << 18
 
 
 def _weight_shapes(n_items: int, hidden: int,
@@ -274,8 +272,11 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     if out is None:
         out = np.empty(sum(getattr(p, name).size for name in _trained_fields(p)))
     g = unpack_params(out, p)
-    # The batch's items; col_of maps each stored entry to its item's place.
-    items, col_of = np.unique(indices, return_inverse=True)
+    # The batch's items, ascending; col_of maps each stored entry to its
+    # item's place among them (np.unique's inverse, without the sort).
+    present = np.bincount(indices, minlength=p.n_items) > 0
+    items = np.flatnonzero(present)
+    col_of = (np.cumsum(present) - 1)[indices]
 
     kept = keep > 0
     kept_indptr = np.concatenate(
@@ -510,7 +511,8 @@ def score_matrix(p: ModelParams, fold: InteractionMatrix) -> np.ndarray:
 def save_checkpoint(p: ModelParams, path: str | Path) -> None:
     """Magic, shape header, raw little-endian f64 arrays, anchors last.
     Every array is written row-major, so the bytes do not depend on the
-    memory order: enc_w1 is copied to row-major a block of rows at a time.
+    memory order: enc_w1 is copied to row-major in ROW_BLOCKS blocks of
+    rows.
     """
     flags = 1 if p.input_normalize else 0
     with open(path, "wb") as fh:
@@ -523,8 +525,7 @@ def save_checkpoint(p: ModelParams, path: str | Path) -> None:
             # A row-major array is written from its own buffer; a whole
             # copy of enc_w1 would set the peak memory of a save.
             a = getattr(p, name)
-            row_bytes = max(1, 8 * math.prod(a.shape[1:]))
-            step = max(1, SAVE_BLOCK_BYTES // row_bytes)
+            step = len(a) // ROW_BLOCKS + 1
             for start in range(0, len(a), step):
                 fh.write(np.ascontiguousarray(a[start:start + step], "<f8"))
 
@@ -537,7 +538,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         n_items, hidden, latent, flags = map(
             int, read_array(fh, "<u8", (4,), path, "header"))
         shapes = _weight_shapes(n_items, hidden, latent)
-        arrays = {name: read_array(fh, "<f8", shape, path, name)
+        arrays = {name: read_array(fh, "<f8", shape, path, name, _order(name))
                   for name, shape in shapes.items()}
         anchors = None
         section = fh.read(4)

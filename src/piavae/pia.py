@@ -9,6 +9,18 @@ of S. Training (model.loss_and_grads_fixed) and the `prop1` geometry
 suite run the one closed form, `alignment_closed_form`; the Monte-Carlo
 estimator exists only to verify it and never feeds training. `model.fit`
 draws the anchors and runs the schedule that PiaConfig parameterizes.
+
+The oracle stays literal: it sums ||z - e_i||^2 anchor by anchor, and
+never uses the centroid identity or the ||z||^2 - 2 z.e + ||e||^2
+expansion, since it is the reference the closed form is checked against.
+It works latent-major: the normals are drawn as (n, d), in the same
+order as ever, and copied once into a (d, n) array, so each numpy call
+runs over n contiguous values of one coordinate. On a row-major (n, d)
+array with d <= 5 most of each call goes to its short inner axis. The
+squared coordinates are added one dimension at a time, left to right;
+numpy's row sum adds fewer than 8 terms the same way, so the result is
+bit for bit the row-major one for d <= 7 and may differ in the last bit
+beyond.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySupportError
+from .errors import EmptySupportError, ShapeError
 from .numerics import GaussianPosterior
 
 
@@ -41,6 +53,12 @@ class PiaConfig:
             raise ValueError("patience must be >= 1")
 
 
+def _check_anchor_width(anchors: np.ndarray, dim: int) -> None:
+    shape = np.shape(anchors)
+    if len(shape) != 2 or shape[1] != dim:
+        raise ShapeError(f"anchors {shape} must be (n_anchors, {dim})")
+
+
 def alignment_closed_form(mu: np.ndarray, var: np.ndarray, weights,
                           anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row ||mu - ebar||^2 + tr(Sigma) + (sum_i w_i ||e_i||^2 -
@@ -50,6 +68,7 @@ def alignment_closed_form(mu: np.ndarray, var: np.ndarray, weights,
     above). The last term, the weighted spread of the anchors around
     ebar, is always >= 0.
     """
+    _check_anchor_width(anchors, mu.shape[-1])
     ebar = weights @ anchors
     sq_norms = np.einsum("ij,ij->i", anchors, anchors)
     const = weights @ sq_norms - np.sum(ebar**2, axis=1)
@@ -64,19 +83,34 @@ def alignment_mc_standard_error(q: GaussianPosterior, anchors: np.ndarray,
 
     Verification oracle for alignment_closed_form with weights 1/|S| on
     the positives; computed literally anchor by anchor rather than through
-    the centroid identity.
+    the centroid identity. anchors must be (n_anchors, q.dim) and each
+    positive a row of it.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    anchors = np.asarray(anchors)
+    _check_anchor_width(anchors, q.dim)
     idx = np.asarray(positives, dtype=np.int64)
     if idx.size == 0:
         raise EmptySupportError("alignment needs at least one positive item")
+    outside = (idx < 0) | (idx >= len(anchors))
+    if outside.any():
+        raise ValueError(f"positive {idx[outside][0]} is outside "
+                         f"[0, {len(anchors)})")
     noise = rng.standard_normal((n_samples, q.dim))
-    z = q.mean + noise * q.std
+    z = np.ascontiguousarray(noise.T)
+    z *= q.std[:, None]
+    z += q.mean[:, None]
     per_sample = np.zeros(n_samples, dtype=np.float64)
-    for i in idx:
-        diff = z - anchors[i]
-        per_sample += np.sum(diff * diff, axis=1)
+    sq_dist = np.empty(n_samples)
+    sq_coord = np.empty(n_samples)
+    for e in anchors[idx]:
+        sq_dist.fill(0.0)
+        for z_k, e_k in zip(z, e):
+            np.subtract(z_k, e_k, out=sq_coord)
+            sq_coord *= sq_coord
+            sq_dist += sq_coord
+        per_sample += sq_dist
     per_sample /= idx.size
     est = float(np.mean(per_sample))
     se = float(np.std(per_sample, ddof=1) / np.sqrt(n_samples))

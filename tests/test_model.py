@@ -736,3 +736,11 @@ class TestAllocation:
         peak = traced_peak(save_checkpoint, p, tmp_path / "m.ckpt")
         w1_bytes = p.enc_w1.nbytes
         assert peak <= w1_bytes / 8
+
+    def test_load_checkpoint_reads_enc_w1_in_blocks(self, tmp_path):
+        # The result is alive at the peak; a row-major enc_w1 read whole
+        # and then copied column-major would add its full size.
+        p = self.wide_params()
+        save_checkpoint(p, tmp_path / "m.ckpt")
+        peak = traced_peak(load_checkpoint, tmp_path / "m.ckpt")
+        assert peak <= pack_params(p).nbytes + p.enc_w1.nbytes / 8

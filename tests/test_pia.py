@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from piavae import model
-from piavae.errors import EmptySupportError, NumericalError
+from piavae.errors import EmptySupportError, NumericalError, ShapeError
 from piavae.model import (TrainConfig, draw_mask_and_noise, fit, loss_and_grads,
                           loss_and_grads_fixed, pack_params, unpack_params)
 from piavae.numerics import GaussianPosterior, finite_diff_check
@@ -124,6 +124,81 @@ class TestAlignmentClosedForm:
             row, _ = alignment_closed_form(mu[r:r + 1], var[r:r + 1],
                                            dense[r:r + 1], anchors)
             assert row[0] == pytest.approx(values[r], abs=1e-15)
+
+
+def row_major_oracle(q, anchors, positives, n_samples, rng):
+    """The oracle computed row-major: samples in the rows of an
+    (n_samples, d) array, each anchor's squared distance a row sum. The
+    reference that the latent-major oracle reproduces."""
+    idx = np.asarray(positives, dtype=np.int64)
+    noise = rng.standard_normal((n_samples, q.dim))
+    z = q.mean + noise * q.std
+    per_sample = np.zeros(n_samples, dtype=np.float64)
+    for i in idx:
+        diff = z - anchors[i]
+        per_sample += np.sum(diff * diff, axis=1)
+    per_sample /= idx.size
+    est = float(np.mean(per_sample))
+    se = float(np.std(per_sample, ddof=1) / np.sqrt(n_samples))
+    return est, se
+
+
+def oracle_pair(q, anchors, positives, n_samples, seed):
+    """(latent-major oracle, row-major reference) on the same draws."""
+    return (alignment_mc_standard_error(q, anchors, positives, n_samples,
+                                        np.random.default_rng(seed)),
+            row_major_oracle(q, anchors, positives, n_samples,
+                             np.random.default_rng(seed)))
+
+
+class TestOracleMatchesRowMajorReference:
+    # numpy sums fewer than 8 terms of a row left to right, as the oracle
+    # adds its coordinates, so up to d = 7 the two agree bit for bit.
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_bit_identical_up_to_seven_dimensions(self, d):
+        rng = np.random.default_rng(100 + d)
+        for n_anchors in range(1, 8):
+            anchors = rng.standard_normal((n_anchors, d))
+            logvar = rng.uniform(-2.0, 1.0, d)
+            logvar[n_anchors % d] = -np.inf
+            q = GaussianPosterior(mean=rng.standard_normal(d), logvar=logvar)
+            positives = rng.integers(0, n_anchors, size=n_anchors + 2)
+            for n_samples in (2, 3000):
+                got, want = oracle_pair(q, anchors, positives, n_samples,
+                                        seed=n_anchors)
+                assert got == want
+
+    @pytest.mark.parametrize("d", [8, 200])
+    def test_within_last_bit_beyond_seven_dimensions(self, d):
+        rng = np.random.default_rng(200 + d)
+        anchors = rng.standard_normal((5, d))
+        q = GaussianPosterior(mean=rng.standard_normal(d),
+                              logvar=rng.uniform(-2.0, 1.0, d))
+        got, want = oracle_pair(q, anchors, [0, 1, 1, 4], 3000, seed=d)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * abs(w)
+
+
+class TestAnchorShapes:
+    # Broadcasting alone would accept anchors narrower than the posterior.
+    def test_closed_form_rejects_anchor_width(self):
+        with pytest.raises(ShapeError, match="anchors"):
+            alignment_closed_form(np.zeros((1, 3)), np.ones((1, 3)),
+                                  np.array([[0.5, 0.5]]), np.ones((2, 1)))
+
+    def test_oracle_rejects_anchor_width(self):
+        q = GaussianPosterior(mean=np.zeros(3), logvar=np.zeros(3))
+        with pytest.raises(ShapeError, match="anchors"):
+            alignment_mc_standard_error(q, np.ones((2, 1)), [0, 1], 100,
+                                        np.random.default_rng(0))
+
+    @pytest.mark.parametrize("positive", [-1, 3])
+    def test_oracle_rejects_positive_out_of_range(self, positive):
+        # Indexing alone would wrap -1 to the last anchor.
+        q = GaussianPosterior(mean=np.zeros(2), logvar=np.zeros(2))
+        with pytest.raises(ValueError, match=f"positive {positive} "):
+            alignment_mc_standard_error(q, np.ones((3, 2)), [0, positive], 100,
+                                        np.random.default_rng(0))
 
 
 class TestAlignmentMcOracle:
