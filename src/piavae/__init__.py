@@ -1,7 +1,7 @@
 """Masked VAE collaborative filtering with personalized item alignment,
 plus a numerical lab that verifies the masking/latent-geometry theory."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .corpus import (InteractionMatrix, SplitDataset, SynthSpec,
                      ingest_events, split_dataset, synth_block_dataset)

@@ -25,12 +25,6 @@ from .errors import (CorruptFileError, EmptyDatasetError, MatrixError,
                      ParseError, SpecError, SplitError)
 
 CSR_MAGIC = b"PIA1"
-# An array held in another memory order than its row-major file section
-# is read or written through blocks of len // ROW_BLOCKS + 1 rows, so
-# about 1/16 of it is staged at once. Each block's copy touches every
-# page of the column-major side, so a few tall blocks run faster than
-# one row at a time.
-ROW_BLOCKS = 16
 # Characters that would break an idmap.tsv row.
 _ID_BREAK = re.compile("[\t\r\n]")
 
@@ -386,31 +380,20 @@ def write_csr(m: InteractionMatrix, path: str | Path) -> None:
         fh.write(m.indices.astype("<u8").tobytes())
 
 
-def read_array(fh, dtype: str, shape: tuple[int, ...], path, what: str,
-               order: str = "C") -> np.ndarray:
-    """Read the row-major array `what` from a binary file into a new
-    buffer of the given memory order, or raise CorruptFileError at the
-    byte where the file ends. The length is checked against the file
-    before anything is allocated, so a corrupt header cannot ask for more
-    memory than the file holds. A C-ordered array is read straight into
-    its buffer; any other goes through ROW_BLOCKS blocks of rows, so no
-    second full-size copy is made."""
+def read_array(fh, dtype: str, shape: tuple[int, ...], path,
+               what: str) -> np.ndarray:
+    """Read the C-ordered array `what` from a binary file straight into a
+    new buffer, or raise CorruptFileError at the byte where the file ends.
+    The length is checked against the file before anything is allocated,
+    so a corrupt header cannot ask for more memory than the file holds."""
     size = np.dtype(dtype).itemsize * math.prod(shape)  # Python ints: no wrap
     offset = fh.tell()
     end = os.fstat(fh.fileno()).st_size
     if size > end - offset:
         raise CorruptFileError(
             path, end, f"truncated: {what} needs {size} bytes from byte {offset}")
-    out = np.empty(shape, dtype=dtype, order=order)
-    if out.flags.c_contiguous:
-        fh.readinto(memoryview(out).cast("B"))
-        return out
-    step = shape[0] // ROW_BLOCKS + 1
-    block = np.empty((step,) + tuple(shape[1:]), dtype=dtype)
-    for start in range(0, shape[0], step):
-        rows = block[:shape[0] - start]
-        fh.readinto(memoryview(rows).cast("B"))
-        out[start:start + len(rows)] = rows
+    out = np.empty(shape, dtype=dtype)
+    fh.readinto(memoryview(out).cast("B"))
     return out
 
 

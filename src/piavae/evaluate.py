@@ -125,7 +125,7 @@ def _bucket_label(lo: int, hi: int | None) -> str:
 def bucket_users(counts: np.ndarray, edges) -> dict[str, np.ndarray]:
     """Map bucket labels to user-index arrays.
 
-    Edges (a, b, c, d) produce [a-b], [b+1-c], [c+1-d] and [d+] buckets,
+    Edges (a, b, c, d) produce [a-b], [b+1-c], [c+1-d] and [d+1+] buckets,
     following the usual activity-group table layout. Users below the first
     edge fall in no bucket.
     """
@@ -138,7 +138,7 @@ def bucket_users(counts: np.ndarray, edges) -> dict[str, np.ndarray]:
         label = _bucket_label(lo, hi)
         buckets[label] = np.flatnonzero((counts >= lo) & (counts <= hi))
         lo = hi + 1
-    buckets[_bucket_label(edges[-1], None)] = np.flatnonzero(counts > edges[-1])
+    buckets[_bucket_label(lo, None)] = np.flatnonzero(counts >= lo)
     return buckets
 
 

@@ -4,12 +4,12 @@ loop, scoring, and checkpoint serialization.
 The encoder is input -> tanh(hidden) -> (mean, logvar) heads; the decoder
 is a single linear layer back to item logits. `_weight_shapes` is the one
 parameter layout, which init, shape checks, the flat vector and the
-checkpoint follow; `_order` keeps enc_w1 items-major (column-major) in
-memory, while the checkpoint stays row-major. `_encoder_heads` is the one
-encoder definition, and `_input_layer` the one sparse input-layer
-product: training (`loss_and_grads_fixed`, on CSR batches of the
-training matrix) and `encode_rows`, the one encoder entry point over CSR
-rows, share both.
+checkpoint follow; `_order` keeps enc_w1 items-major (column-major), and
+each array is stored in its memory order in the flat vector and the
+checkpoint alike. `_encoder_heads` is the one encoder definition, and
+`_input_layer` the one sparse input-layer product: training
+(`loss_and_grads_fixed`, on CSR batches of the training matrix) and
+`encode_rows`, the one encoder entry point over CSR rows, share both.
 `decode_loss` is the one decoder, with its loss and logit gradient: the
 training kernel and `geometry.sharing_probe` run it.
 `posterior_means` runs `encode_rows` over a matrix in fixed-size chunks
@@ -29,14 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (ROW_BLOCKS, InteractionMatrix, SplitDataset, check_end,
-                     entry_rows, read_array)
-from .errors import NumericalError, ShapeError, SplitError
+from .corpus import (InteractionMatrix, SplitDataset, check_end, entry_rows,
+                     read_array)
+from .errors import CorruptFileError, NumericalError, ShapeError, SplitError
 from .numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState, GaussianPosterior,
                        adam_step)
 from .pia import PiaConfig, alignment_closed_form
 
-MODEL_MAGIC = b"PIAM"
+MODEL_MAGIC = b"PIM2"
 ANCHOR_SECTION = b"ANCH"
 
 # Users per encoder chunk in posterior_means. Fixed, not a parameter:
@@ -59,10 +59,10 @@ _WEIGHT_FIELDS = tuple(_weight_shapes(0, 0, 0))
 
 
 def _order(name: str) -> str:
-    """Memory order of a trained array in ModelParams and the flat vector.
-    enc_w1 is column-major, so enc_w1.T is the C-ordered operand that
-    scipy's sparse product reads without a copy, and an item's gradient
-    is one contiguous row of it."""
+    """Memory order of a trained array in ModelParams, the flat vector and
+    the checkpoint. enc_w1 is column-major, so enc_w1.T is the C-ordered
+    operand that scipy's sparse product reads without a copy, and an
+    item's gradient is one contiguous row of it."""
     return "F" if name == "enc_w1" else "C"
 
 
@@ -92,6 +92,8 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.hidden_dim < 1 or self.latent_dim < 1:
+            raise ValueError("hidden_dim and latent_dim must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -509,11 +511,10 @@ def score_matrix(p: ModelParams, fold: InteractionMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(p: ModelParams, path: str | Path) -> None:
-    """Magic, shape header, raw little-endian f64 arrays, anchors last.
-    Every array is written row-major, so the bytes do not depend on the
-    memory order: enc_w1 is copied to row-major in ROW_BLOCKS blocks of
-    rows.
-    """
+    """Magic, shape header, then each trained array as raw little-endian
+    f64 in its `_order`, written from its own buffer, with the ANCH marker
+    before the anchors: the body is pack_params(p) with that marker
+    inserted."""
     flags = 1 if p.input_normalize else 0
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
@@ -522,30 +523,38 @@ def save_checkpoint(p: ModelParams, path: str | Path) -> None:
         for name in _trained_fields(p):
             if name == "anchors":
                 fh.write(ANCHOR_SECTION)
-            # A row-major array is written from its own buffer; a whole
-            # copy of enc_w1 would set the peak memory of a save.
-            a = getattr(p, name)
-            step = len(a) // ROW_BLOCKS + 1
-            for start in range(0, len(a), step):
-                fh.write(np.ascontiguousarray(a[start:start + step], "<f8"))
+            flat = getattr(p, name).ravel(_order(name))
+            fh.write(flat.astype("<f8", copy=False))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Read what save_checkpoint writes: each section is read flat and
+    reshaped in its `_order`, with no copy. A zero dimension or an unknown
+    flag bit is a CorruptFileError at the header."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
             raise ShapeError(f"bad checkpoint magic {magic!r}")
         n_items, hidden, latent, flags = map(
             int, read_array(fh, "<u8", (4,), path, "header"))
+        if min(n_items, hidden, latent) < 1 or flags & ~1:
+            raise CorruptFileError(
+                path, 4, f"bad header: {n_items} items, hidden {hidden}, "
+                f"latent {latent}, flags {flags}")
         shapes = _weight_shapes(n_items, hidden, latent)
-        arrays = {name: read_array(fh, "<f8", shape, path, name, _order(name))
-                  for name, shape in shapes.items()}
+        shapes["anchors"] = shapes["dec_w"]
+
+        def read_section(name):
+            flat = read_array(fh, "<f8", (math.prod(shapes[name]),), path, name)
+            return flat.reshape(shapes[name], order=_order(name))
+
+        arrays = {name: read_section(name) for name in _WEIGHT_FIELDS}
         anchors = None
-        section = fh.read(4)
-        if section == ANCHOR_SECTION:
-            anchors = read_array(fh, "<f8", shapes["dec_w"], path, "anchors")
+        marker = fh.read(4)
+        if marker == ANCHOR_SECTION:
+            anchors = read_section("anchors")
             check_end(fh, path)
-        elif section:
-            raise ShapeError(f"unexpected trailing section {section!r}")
+        elif marker:
+            raise ShapeError(f"unexpected trailing section {marker!r}")
     return ModelParams(**arrays, input_normalize=bool(flags & 1),
                        anchors=anchors)

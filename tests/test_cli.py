@@ -1,9 +1,13 @@
 import json
+import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import piavae
 from piavae.cli import dispatch
 from piavae.corpus import (SynthSpec, matrix_from_rows, save_split,
                            split_dataset, synth_block_dataset)
@@ -46,19 +50,33 @@ class TestEvaluateExitCodes:
                                    run_dir / "data" / "test_fold.csr",
                                    run_dir / "data" / "test_hold.csr"))
 
-    @pytest.mark.parametrize("damage", ["magic", "trailing-section"])
+    # Header fields after the magic: n_items, hidden, latent, flags (u8).
+    HEADER_DAMAGE = {"zero-items": (4, 0), "zero-hidden": (12, 0),
+                     "zero-latent": (20, 0), "unknown-flags": (28, 6)}
+
+    @pytest.mark.parametrize("damage", [
+        "magic", "trailing-section", "old-magic", *HEADER_DAMAGE])
     def test_malformed_checkpoint_exits_2(self, run_dir, damage, capsys):
         path = run_dir / "model.ckpt"
-        if damage == "magic":
-            path.write_bytes(b"XXXX" + path.read_bytes()[4:])
-        else:
+        blob = bytearray(path.read_bytes())
+        if damage in ("magic", "old-magic"):
+            # PIAM files hold enc_w1 row-major; read as they are, it would
+            # come back transposed.
+            blob[:4] = b"XXXX" if damage == "magic" else b"PIAM"
+        elif damage == "trailing-section":
             # Without anchors, anything after dec_b must be an anchor section.
             save_checkpoint(tiny_params(seed=30, n_items=24), path)
-            path.write_bytes(path.read_bytes() + b"JUNK")
+            blob = bytearray(path.read_bytes() + b"JUNK")
+        else:
+            at, value = self.HEADER_DAMAGE[damage]
+            blob[at:at + 8] = value.to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
         assert _evaluate(run_dir) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert ("magic" if damage == "magic" else "trailing section") in err
+        assert {"magic": "magic", "old-magic": "magic",
+                "trailing-section": "trailing section"}.get(
+                    damage, "bad header") in err
         assert not (run_dir / "eval").exists()
 
     @pytest.mark.parametrize("cut", [20, 100, -3])
@@ -187,6 +205,17 @@ class TestTrainManifest:
         assert manifest["config_sha256"] == sha
 
 
+def test_pyproject_version_is_the_package_version():
+    # Manifests record piavae.__version__; it marks the checkpoint format.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    if sys.version_info >= (3, 11):
+        import tomllib
+        version = tomllib.loads(text)["project"]["version"]
+    else:
+        version = re.search(r'^version = "([^"]+)"', text, re.M).group(1)
+    assert version == piavae.__version__
+
+
 class TestTrainUsageErrors:
     # Every bound is written so that NaN fails it too.
     @pytest.mark.parametrize("pia, setting", [
@@ -195,7 +224,9 @@ class TestTrainUsageErrors:
         ("off", b"lr = 0"), ("off", b"lr = -0.001"), ("off", b"lr = nan"),
         ("off", b"lr = inf"), ("on", b"lambda_a = nan"), ("on", b"lambda_a = inf"),
         ("on", b"lambda_scale = 1"), ("on", b"lambda_scale = nan"),
-        ("on", b"lambda_scale = inf")])
+        ("on", b"lambda_scale = inf"), ("off", b"hidden_dim = 0"),
+        ("off", b"latent_dim = 0"), ("off", b"hidden_dim = -3"),
+        ("on", b"latent_dim = -3")])
     def test_invalid_config_exits_1(self, run_dir, pia, setting, capsys):
         (run_dir / "bad.cfg").write_bytes(setting + b"\n")
         code, out = _train(run_dir, pia, "--config", str(run_dir / "bad.cfg"))

@@ -156,16 +156,16 @@ class TestBucketUsers:
     def test_default_edges_reproduce_four_groups(self):
         counts = np.array([5, 10, 11, 50, 51, 100, 101, 500])
         buckets = bucket_users(counts, (5, 10, 50, 100))
-        assert list(buckets) == ["[5-10]", "[11-50]", "[51-100]", "[100+]"]
+        assert list(buckets) == ["[5-10]", "[11-50]", "[51-100]", "[101+]"]
         assert buckets["[5-10]"].tolist() == [0, 1]
         assert buckets["[11-50]"].tolist() == [2, 3]
         assert buckets["[51-100]"].tolist() == [4, 5]
-        assert buckets["[100+]"].tolist() == [6, 7]
+        assert buckets["[101+]"].tolist() == [6, 7]
 
     def test_users_below_first_edge_fall_nowhere(self):
         buckets = bucket_users(np.array([1, 2, 7]), (5, 10))
         assert buckets["[5-10]"].tolist() == [2]
-        assert buckets["[10+]"].tolist() == []
+        assert buckets["[11+]"].tolist() == []
 
 
 class TestStratifiedReport:
@@ -203,14 +203,14 @@ class TestStratifiedReport:
             assert report.strata["[1-5]"].recall[5] == pytest.approx(
                 float(np.mean(rec[lo])), abs=1e-12)
         if hi.size:
-            assert report.strata["[5+]"].ndcg[5] == pytest.approx(
+            assert report.strata["[6+]"].ndcg[5] == pytest.approx(
                 float(np.mean(nd[hi])), abs=1e-12)
 
     def test_empty_buckets_are_omitted(self, caplog):
         split = self._split(seed=3)
         p = tiny_params(seed=52, n_items=24, normalize=True)
         report = stratified_report(p, split, [5], bucket_edges=(1, 2, 10_000))
-        assert "[10000+]" not in report.strata
+        assert "[10001+]" not in report.strata
 
     def test_report_serializes(self):
         split = self._split(seed=4)

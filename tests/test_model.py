@@ -605,15 +605,15 @@ class TestCheckpoint:
         save_checkpoint(p, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
-    # 5,000 items x 131 hidden units spans several of save_checkpoint's
-    # blocks of enc_w1 rows, the last one partial.
+    # A wide enc_w1 as well as a small one: read in the wrong order, each
+    # comes back transposed.
     @pytest.mark.parametrize("n_items, hidden", [(20, 8), (5000, 131)])
-    def test_enc_w1_section_is_row_major(self, tmp_path, n_items, hidden):
+    def test_enc_w1_section_is_items_major(self, tmp_path, n_items, hidden):
         p = tiny_params(seed=29, with_anchors=True, n_items=n_items,
                         hidden=hidden)
         save_checkpoint(p, tmp_path / "a.ckpt")
         blob = (tmp_path / "a.ckpt").read_bytes()
-        want = np.ascontiguousarray(p.enc_w1, "<f8").tobytes()
+        want = p.enc_w1.ravel("F").astype("<f8").tobytes()
         start = 4 + 4 * 8  # magic, then four u8 header fields
         assert blob[start:start + len(want)] == want
         back = load_checkpoint(tmp_path / "a.ckpt")
@@ -625,7 +625,7 @@ class TestCheckpoint:
         p = tiny_params(seed=20, with_anchors=True)
         save_checkpoint(p, tmp_path / "m.ckpt")
         blob = (tmp_path / "m.ckpt").read_bytes()
-        assert blob[:4] == b"PIAM"
+        assert blob[:4] == b"PIM2"
         assert b"ANCH" in blob
 
 
@@ -732,15 +732,15 @@ class TestAllocation:
         assert peak < w1_bytes / 16
 
     def test_save_checkpoint_copies_enc_w1_in_blocks(self, tmp_path):
+        # Each array is written from its own buffer: nothing is staged.
         p = self.wide_params()
         peak = traced_peak(save_checkpoint, p, tmp_path / "m.ckpt")
-        w1_bytes = p.enc_w1.nbytes
-        assert peak <= w1_bytes / 8
+        assert peak <= 64 * 1024
 
     def test_load_checkpoint_reads_enc_w1_in_blocks(self, tmp_path):
-        # The result is alive at the peak; a row-major enc_w1 read whole
-        # and then copied column-major would add its full size.
+        # The result is alive at the peak; any copy of enc_w1, or of a
+        # large block of it, would add to it.
         p = self.wide_params()
         save_checkpoint(p, tmp_path / "m.ckpt")
         peak = traced_peak(load_checkpoint, tmp_path / "m.ckpt")
-        assert peak <= pack_params(p).nbytes + p.enc_w1.nbytes / 8
+        assert peak <= pack_params(p).nbytes + 64 * 1024
