@@ -173,6 +173,11 @@ SPLIT_OUTPUTS = [*SPLIT_FILES.values(), "idmap.tsv", "seed.txt"]
 def _cmd_preprocess(args) -> int:
     if args.min_user < 0 or args.min_item < 0:
         raise UsageError("--min-user and --min-item must be >= 0")
+    if args.val < 0 or args.test < 0:
+        raise UsageError("--val and --test must be >= 0")
+    if not 0.0 < args.fold_in < 1.0:
+        raise UsageError(f"--fold-in {args.fold_in}: must lie strictly "
+                         "between 0 and 1")
     out = Path(args.out)
     matrix = ingest_events(args.input, args.min_user, args.min_item,
                            args.threshold)

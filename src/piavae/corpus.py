@@ -281,28 +281,34 @@ def split_dataset(m: InteractionMatrix, n_val_users: int, n_test_users: int,
                   fold_in_fraction: float, seed: int) -> SplitDataset:
     """Sample disjoint val/test user sets and partition their rows.
 
-    Each held-out user's items go round_half_up(fraction * |row|) into the
-    fold-in part (clamped so both parts stay nonempty) and the rest into
-    the holdout. Deterministic given the seed.
+    The held-out users are the first n_val_users + n_test_users users of a
+    seeded permutation among those with at least 2 interactions (val
+    first); every other user trains. Each held-out user's items go
+    round_half_up(fraction * |row|) into the fold-in part (clamped so both
+    parts stay nonempty) and the rest into the holdout. Deterministic
+    given the seed.
     """
     if not 0.0 < fold_in_fraction < 1.0:
         raise SplitError("fold_in_fraction must lie strictly between 0 and 1")
+    if n_val_users < 0 or n_test_users < 0:
+        raise SplitError(f"cannot hold out a negative number of users: "
+                         f"{n_val_users} val and {n_test_users} test users")
     n_held = n_val_users + n_test_users
-    if n_val_users < 0 or n_test_users < 0 or n_held >= m.n_users:
+    if n_held >= m.n_users:
         raise SplitError(
             f"cannot hold out {n_held} users from a {m.n_users}-user matrix"
         )
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m.n_users)
-    val_users = np.sort(perm[:n_val_users])
-    test_users = np.sort(perm[n_val_users:n_held])
-    train_users = np.sort(perm[n_held:])
-
-    for u in np.concatenate([val_users, test_users]):
-        if m.row(int(u)).size < 2:
-            raise SplitError(
-                f"held-out user {m.user_ids[int(u)]} has fewer than 2 interactions"
-            )
+    held = perm[m.row_lengths()[perm] >= 2][:n_held]
+    if held.size < n_held:
+        raise SplitError(
+            f"cannot hold out {n_held} users: only {held.size} of the "
+            f"{m.n_users} users have at least 2 interactions"
+        )
+    val_users = np.sort(held[:n_val_users])
+    test_users = np.sort(held[n_val_users:])
+    train_users = np.setdiff1d(perm, held)
 
     def partition(users: np.ndarray) -> tuple[InteractionMatrix, InteractionMatrix]:
         fold_rows, hold_rows, ids = [], [], []

@@ -27,8 +27,9 @@ class SpecError(PiaVaeError):
 
 
 class CorruptFileError(PiaVaeError):
-    """A binary file's length disagrees with its header; carries the file
-    and the byte offset where the disagreement shows."""
+    """A binary file's length disagrees with its header, or the file holds
+    a value its writer never writes; carries the file and the byte offset
+    where the fault shows."""
 
     def __init__(self, path, offset: int, message: str):
         super().__init__(f"{path}: {message} (byte {offset})")

@@ -102,10 +102,13 @@ def per_user_metrics(scores: np.ndarray, fold: InteractionMatrix,
     pos = np.minimum(np.searchsorted(hold_keys, top_keys), hold_keys.size - 1)
     hits = hold_keys[pos] == top_keys
 
-    discounts = 1.0 / np.log2(np.arange(2, max(ks) + 2))
+    discounts = 1.0 / np.log2(np.arange(2, width + 2))
     # One np.sum per prefix length, not a cumsum: numpy sums pairwise, so
-    # this is the normalizer a direct sum over the ideal prefix gives.
-    idcg = np.array([np.sum(discounts[:m]) for m in range(max(ks) + 1)])
+    # this is the normalizer a direct sum over the ideal prefix gives. The
+    # ideal prefix min(k, hold_len) is never longer than the longest
+    # holdout, so the table stops there, whatever K is.
+    longest_ideal = min(max(ks), int(hold_len.max(initial=0)))
+    idcg = np.array([np.sum(discounts[:m]) for m in range(longest_ideal + 1)])
     # Running sums in rank order add the same terms in the same order as
     # a sum over the hits, so each DCG@K is one column.
     hit_count = np.cumsum(hits, axis=1)

@@ -6,10 +6,11 @@ is a single linear layer back to item logits. `_weight_shapes` is the one
 parameter layout, which init, shape checks, the flat vector and the
 checkpoint follow; `_order` keeps enc_w1 items-major (column-major), and
 each array is stored in its memory order in the flat vector and the
-checkpoint alike. `_encoder_heads` is the one encoder definition, and
-`_input_layer` the one sparse input-layer product: training
+checkpoint alike. `_encode` is the one encoder: it drops zero (masked)
+entries of its CSR input rows, L2-normalizes them, applies the sparse
+input layer and both heads, and clips the logvar. Training
 (`loss_and_grads_fixed`, on CSR batches of the training matrix) and
-`encode_rows`, the one encoder entry point over CSR rows, share both.
+`encode_rows`, the encoder entry point over CSR rows, both run it.
 `decode_loss` is the one decoder, with its loss and logit gradient: the
 training kernel and `geometry.sharing_probe` run it.
 `posterior_means` runs `encode_rows` over a matrix in fixed-size chunks
@@ -33,7 +34,7 @@ from .corpus import (InteractionMatrix, SplitDataset, check_end, entry_rows,
                      read_array)
 from .errors import CorruptFileError, NumericalError, ShapeError, SplitError
 from .numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState, GaussianPosterior,
-                       adam_step)
+                       adam_step, kl_diag_gaussian)
 from .pia import PiaConfig, alignment_closed_form
 
 MODEL_MAGIC = b"PIM2"
@@ -196,35 +197,32 @@ def draw_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) < keep_prob).astype(np.float64)
 
 
-def _encoder_heads(p: ModelParams, a1: np.ndarray):
-    """Hidden layer and raw (mean, logvar) heads from the input-layer
-    product a1 = x_in @ enc_w1.T of a batch of rows."""
-    h1 = np.tanh(a1 + p.enc_b1)
-    mu = h1 @ p.enc_w_mu.T + p.enc_b_mu
-    lv_raw = h1 @ p.enc_w_lv.T + p.enc_b_lv
-    return h1, mu, lv_raw
-
-
-def _csr_input(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
-               data: np.ndarray):
-    """scipy CSR encoder input, each row L2-normalized when
-    p.input_normalize (an empty row stays empty)."""
+def _encode(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
+            data: np.ndarray):
+    """The one encoder, over CSR rows whose values data[indptr[r]:indptr[r+1]]
+    sit at items indices[indptr[r]:indptr[r+1]]: zero entries (masked ones)
+    are dropped, each row is L2-normalized when p.input_normalize (an
+    empty row stays empty), and the scipy CSR input x goes through
+    h1 = tanh(x @ enc_w1.T + enc_b1) to the mean and clipped logvar heads.
+    Returns (x, h1, mu, lv). scipy copies a dense operand that is not
+    C-ordered; enc_w1 is column-major, so enc_w1.T is read in place."""
     from scipy import sparse
 
     n_rows = indptr.size - 1
+    nonzero = data != 0
+    row_of = entry_rows(indptr)[nonzero]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of,
+                                                         minlength=n_rows))))
+    indices, data = indices[nonzero], data[nonzero]
     if p.input_normalize:
-        row_of = entry_rows(indptr)
         norms = np.sqrt(np.bincount(row_of, weights=data * data,
                                     minlength=n_rows))
         data = data / np.where(norms > 0.0, norms, 1.0)[row_of]
-    return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, p.n_items))
-
-
-def _input_layer(p: ModelParams, x) -> np.ndarray:
-    """x @ enc_w1.T for a scipy CSR x. scipy copies a dense operand that
-    is not C-ordered; enc_w1 is column-major, so enc_w1.T is read in
-    place."""
-    return x @ p.enc_w1.T
+    x = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, p.n_items))
+    h1 = np.tanh(x @ p.enc_w1.T + p.enc_b1)
+    mu = h1 @ p.enc_w_mu.T + p.enc_b_mu
+    lv = np.clip(h1 @ p.enc_w_lv.T + p.enc_b_lv, LOGVAR_MIN, LOGVAR_MAX)
+    return x, h1, mu, lv
 
 
 def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
@@ -274,24 +272,21 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     if out is None:
         out = np.empty(sum(getattr(p, name).size for name in _trained_fields(p)))
     g = unpack_params(out, p)
-    # The batch's items, ascending; col_of maps each stored entry to its
-    # item's place among them (np.unique's inverse, without the sort).
+    # The batch's items, ascending; rank maps an item, and col_of each
+    # stored entry, to its place among them (np.unique's inverse, without
+    # the sort).
     present = np.bincount(indices, minlength=p.n_items) > 0
     items = np.flatnonzero(present)
-    col_of = (np.cumsum(present) - 1)[indices]
+    rank = np.cumsum(present) - 1
+    col_of = rank[indices]
 
-    kept = keep > 0
-    kept_indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(row_of[kept], minlength=n))))
-    x_in = _csr_input(p, kept_indptr, indices[kept], keep[kept])
-    h1, mu, lv_raw = _encoder_heads(p, _input_layer(p, x_in))
-    lv = np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX)
+    x, h1, mu, lv = _encode(p, indptr, indices, keep)
     sigma = np.exp(0.5 * lv)
     z = mu + noise * sigma
 
     recon, d_logits = decode_loss(p, z, indptr, indices, n)
     var = np.exp(lv)
-    kl = 0.5 * np.sum(mu**2 + var - 1.0 - lv, axis=1)
+    kl = kl_diag_gaussian(GaussianPosterior(mean=mu, logvar=lv))
     per_row = recon + beta * kl
 
     use_align = lambda_a > 0.0 and p.anchors is not None
@@ -332,17 +327,18 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     elif p.anchors is not None:
         g.anchors.fill(0.0)
 
-    inside = (lv_raw > LOGVAR_MIN) & (lv_raw < LOGVAR_MAX)
-    d_lv_raw = d_lv * inside
+    # Strict inequalities on the clipped lv hold exactly where they hold
+    # on the raw head, and NaN fails both.
+    d_lv *= (lv > LOGVAR_MIN) & (lv < LOGVAR_MAX)
     np.matmul(d_mu.T, h1, out=g.enc_w_mu)
     np.sum(d_mu, axis=0, out=g.enc_b_mu)
-    np.matmul(d_lv_raw.T, h1, out=g.enc_w_lv)
-    np.sum(d_lv_raw, axis=0, out=g.enc_b_lv)
-    d_h1 = d_mu @ p.enc_w_mu + d_lv_raw @ p.enc_w_lv
+    np.matmul(d_lv.T, h1, out=g.enc_w_lv)
+    np.sum(d_lv, axis=0, out=g.enc_b_lv)
+    d_h1 = d_mu @ p.enc_w_mu + d_lv @ p.enc_w_lv
     d_a1 = d_h1 * (1.0 - h1**2)
-    # enc_w1's gradient d_a1.T @ x_in is zero outside the batch's items;
+    # enc_w1's gradient d_a1.T @ x is zero outside the batch's items;
     # each item's is one row of the C-ordered g.enc_w1.T.
-    x_items = sparse.csr_matrix((x_in.data, col_of[kept], kept_indptr),
+    x_items = sparse.csr_matrix((x.data, rank[x.indices], x.indptr),
                                 shape=(n, items.size)).T
     g.enc_w1.T.fill(0.0)
     g.enc_w1.T[items] = x_items @ d_a1
@@ -464,11 +460,9 @@ def encode_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
                 data: np.ndarray) -> GaussianPosterior:
     """Posterior (mean, clipped logvar) of each CSR input row, whose values
     data[indptr[r]:indptr[r+1]] sit at items indices[indptr[r]:indptr[r+1]]:
-    the one encoder entry point, on training's sparse input layer."""
-    x = _csr_input(p, indptr, indices, data)
-    _, mu, lv_raw = _encoder_heads(p, _input_layer(p, x))
-    return GaussianPosterior(mean=mu,
-                             logvar=np.clip(lv_raw, LOGVAR_MIN, LOGVAR_MAX))
+    `_encode`, the encoder training runs, without its hidden layer."""
+    _, _, mu, lv = _encode(p, indptr, indices, data)
+    return GaussianPosterior(mean=mu, logvar=lv)
 
 
 def posterior_means(p: ModelParams, matrix: InteractionMatrix) -> np.ndarray:
@@ -530,7 +524,8 @@ def save_checkpoint(p: ModelParams, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read what save_checkpoint writes: each section is read flat and
     reshaped in its `_order`, with no copy. A zero dimension or an unknown
-    flag bit is a CorruptFileError at the header."""
+    flag bit is a CorruptFileError at the header, and a non-finite value
+    one at that value's byte."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
@@ -545,7 +540,13 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         shapes["anchors"] = shapes["dec_w"]
 
         def read_section(name):
+            start = fh.tell()
             flat = read_array(fh, "<f8", (math.prod(shapes[name]),), path, name)
+            # min and max propagate NaN and allocate nothing.
+            if not np.isfinite((flat.min(), flat.max())).all():
+                bad = int(np.argmin(np.isfinite(flat)))
+                raise CorruptFileError(path, start + 8 * bad,
+                                       f"non-finite value in {name}")
             return flat.reshape(shapes[name], order=_order(name))
 
         arrays = {name: read_section(name) for name in _WEIGHT_FIELDS}

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -55,7 +57,8 @@ class TestEvaluateExitCodes:
                      "zero-latent": (20, 0), "unknown-flags": (28, 6)}
 
     @pytest.mark.parametrize("damage", [
-        "magic", "trailing-section", "old-magic", *HEADER_DAMAGE])
+        "magic", "trailing-section", "old-magic", *HEADER_DAMAGE,
+        "nan-enc_w1", "inf-anchors"])
     def test_malformed_checkpoint_exits_2(self, run_dir, damage, capsys):
         path = run_dir / "model.ckpt"
         blob = bytearray(path.read_bytes())
@@ -67,6 +70,10 @@ class TestEvaluateExitCodes:
             # Without anchors, anything after dec_b must be an anchor section.
             save_checkpoint(tiny_params(seed=30, n_items=24), path)
             blob = bytearray(path.read_bytes() + b"JUNK")
+        elif damage == "nan-enc_w1":
+            blob[44:52] = struct.pack("<d", math.nan)  # its second entry
+        elif damage == "inf-anchors":
+            blob[-8:] = struct.pack("<d", math.inf)  # the last anchor entry
         else:
             at, value = self.HEADER_DAMAGE[damage]
             blob[at:at + 8] = value.to_bytes(8, "little")
@@ -75,7 +82,9 @@ class TestEvaluateExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert {"magic": "magic", "old-magic": "magic",
-                "trailing-section": "trailing section"}.get(
+                "trailing-section": "trailing section",
+                "nan-enc_w1": "non-finite value in enc_w1",
+                "inf-anchors": "non-finite value in anchors"}.get(
                     damage, "bad header") in err
         assert not (run_dir / "eval").exists()
 
@@ -378,7 +387,10 @@ class TestPreprocessExitCodes:
         assert (tmp_path / "split" / "train.csr").exists()
 
     @pytest.mark.parametrize("extra", [["--val", "many"], ["--min-user", "-1"],
-                                       ["--bogus"], ["--seed", "-1"]])
+                                       ["--bogus"], ["--seed", "-1"],
+                                       ["--val", "-1"], ["--test", "-1"],
+                                       ["--fold-in", "1.5"],
+                                       ["--fold-in", "nan"]])
     def test_usage_error_exits_1(self, tmp_path, extra, capsys):
         events = _write_events(tmp_path / "e.csv")
         assert _preprocess(tmp_path, events, *extra) == 1

@@ -13,6 +13,7 @@ from piavae.corpus import (InteractionMatrix, SynthSpec, ingest_events,
                            write_csr, write_idmap)
 from piavae.errors import (CorruptFileError, EmptyDatasetError, MatrixError,
                            ParseError, SpecError, SplitError)
+from piavae.suites import _tiny_split
 
 TOY_CSV = """user,item,rating
 u1,i1,5
@@ -225,13 +226,24 @@ class TestSplitDataset:
         with pytest.raises(SplitError):
             split_dataset(m, 5, 5, 0.8, seed=0)
 
-    def test_single_interaction_holdout_user_rejected(self):
+    def test_single_interaction_user_trains(self):
+        # A one-item row cannot give both a fold-in and a holdout item, so
+        # that user trains wherever the permutation puts it.
         rows = [np.array([0]), np.array([0, 1]), np.array([1, 2]),
                 np.array([0, 2])]
         m = matrix_from_rows(rows, 3)
-        with pytest.raises(SplitError):
-            # With only one train survivor some held-out user has 1 item.
-            split_dataset(m, 2, 1, 0.8, seed=0)
+        for seed in range(10):
+            split = split_dataset(m, 2, 1, 0.8, seed=seed)
+            assert split.train.user_ids == (m.user_ids[0],)
+        m = matrix_from_rows(rows + [np.array([2])], 3)
+        with pytest.raises(SplitError, match="only 3 of the 5 users"):
+            split_dataset(m, 2, 2, 0.8, seed=0)
+
+    def test_tiny_split_holds_at_every_seed(self):
+        # The geometry lab's planted split has one-item users at many seeds.
+        for seed in range(200):
+            split = _tiny_split(seed)
+            assert split.val_fold_in.n_users == split.test_fold_in.n_users == 8
 
     def test_bad_fraction_rejected(self):
         m = _random_matrix(20)

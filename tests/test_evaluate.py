@@ -151,6 +151,16 @@ class TestOnePassRanking:
                 want = reference_metrics(scores[u], set(holds[u]), set(folds[u]), k)
                 assert (rec[u], nd[u]) == want
 
+    def test_huge_k_equals_k_at_item_count(self):
+        # Past the item count the ranked list ends; the ideal prefix never
+        # outgrows the longest holdout, so K = 10**6 costs what K = 8 does.
+        scores = np.random.default_rng(5).standard_normal((3, 8))
+        fold = matrix_from_rows([[0], [1, 2], []], 8)
+        hold = matrix_from_rows([[3, 4], [0], [5, 6, 7]], 8)
+        per_k = per_user_metrics(scores, fold, hold, [8, 10**6])
+        for at_n, at_huge in zip(per_k[8], per_k[10**6]):
+            assert at_n.tobytes() == at_huge.tobytes()
+
 
 class TestBucketUsers:
     def test_default_edges_reproduce_four_groups(self):

@@ -282,6 +282,23 @@ class TestSharedForward:
             np.testing.assert_allclose(batch.logvar, [q.logvar for q in rows],
                                        rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_explicit_zeros_change_no_bit(self, normalize):
+        # A masked entry stored as 0 encodes exactly like an absent one:
+        # the same row in both forms gives the same bits.
+        p = tiny_params(normalize=normalize, seed=44)
+        rng = np.random.default_rng(45)
+        x = (rng.random((6, 20)) < 0.4) * rng.uniform(0.5, 2.0, (6, 20))
+        x[2] = 0.0
+        mask = rng.random((6, 20)) < 0.5
+        mask[4] = False  # every entry of a nonempty row masked
+        indptr, indices = to_csr(x)
+        stored = encode_rows(p, indptr, indices, (x * mask)[x != 0])
+        indptr, indices = to_csr(x * mask)
+        dropped = encode_rows(p, indptr, indices, (x * mask)[x * mask != 0])
+        assert stored.mean.tobytes() == dropped.mean.tobytes()
+        assert stored.logvar.tobytes() == dropped.logvar.tobytes()
+
     @pytest.mark.parametrize("normalize, beta", [(False, 0.0), (True, 0.2),
                                                  (True, 1.5)])
     def test_training_loss_matches_numerics_reference(self, normalize, beta):
@@ -648,6 +665,29 @@ class TestCheckpoint:
         with pytest.raises(CorruptFileError) as exc:
             load_checkpoint(tmp_path / "m.ckpt")
         assert exc.value.offset == len(blob)
+
+    @pytest.mark.parametrize("name, value", [("enc_w1", math.nan),
+                                             ("dec_b", -math.inf),
+                                             ("anchors", math.inf)])
+    def test_non_finite_value_names_array_and_offset(self, tmp_path, name,
+                                                      value):
+        # The named array's last entry turns non-finite. Its byte follows
+        # the 36-byte header, 8 bytes per earlier entry and, for an
+        # anchor, the 4-byte ANCH marker.
+        p = tiny_params(seed=28, with_anchors=True)
+        order = ("enc_w1", "enc_b1", "enc_w_mu", "enc_b_mu", "enc_w_lv",
+                 "enc_b_lv", "dec_w", "dec_b", "anchors")
+        k = sum(getattr(p, f).size for f in order[:order.index(name) + 1]) - 1
+        vec = pack_params(p)
+        vec[k] = value
+        save_checkpoint(unpack_params(vec, p), tmp_path / "m.ckpt")
+        with pytest.raises(CorruptFileError) as exc:
+            load_checkpoint(tmp_path / "m.ckpt")
+        at = 36 + 8 * k + (4 if name == "anchors" else 0)
+        assert exc.value.offset == at
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        assert not np.isfinite(np.frombuffer(blob, "<f8", count=1, offset=at)[0])
+        assert f"non-finite value in {name}" in str(exc.value)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         save_checkpoint(tiny_params(seed=25, with_anchors=True), tmp_path / "m.ckpt")
