@@ -201,6 +201,13 @@ def _cmd_synth(args) -> int:
         spec = _from_config(SynthSpec, config)
     except ValueError as exc:
         raise UsageError(f"{args.spec}: {exc}") from None
+    if config["n_val_users"] < 0 or config["n_test_users"] < 0:
+        raise UsageError(f"{args.spec}: n_val_users and n_test_users "
+                         "must be >= 0")
+    if not 0.0 < config["fold_in_fraction"] < 1.0:
+        raise UsageError(f"{args.spec}: fold_in_fraction "
+                         f"{config['fold_in_fraction']} must lie strictly "
+                         "between 0 and 1")
     matrix = synth_block_dataset(spec)
     split = split_dataset(matrix, config["n_val_users"], config["n_test_users"],
                           config["fold_in_fraction"], config["seed"])

@@ -231,11 +231,11 @@ def beta_kl_direction() -> geo.GeometryReport:
     mean over training rows under one mask draw (keep probability 0.5) on
     the nonzeros, the way training draws it."""
     betas = (0.0, 0.2, 1.0)
+    splits = [_tiny_split(seed) for seed in range(5)]
     medians = []
     for beta in betas:
         kls = []
-        for seed in range(5):
-            split = _tiny_split(seed)
+        for seed, split in enumerate(splits):
             cfg = TrainConfig(beta=beta, keep_prob=0.5, batch_size=32,
                               epochs=4, lr=1e-2, seed=seed,
                               hidden_dim=16, latent_dim=8)

@@ -447,7 +447,13 @@ class TestSynthExitCodes:
                                       SYNTH_SPEC.replace("n_items = 24\n", ""),
                                       SYNTH_SPEC.replace("= 24", "= many"),
                                       SYNTH_SPEC + "seed = -2\n",
-                                      SYNTH_SPEC.replace("= 20,20", "= 20,x")])
+                                      SYNTH_SPEC.replace("= 20,20", "= 20,x"),
+                                      SYNTH_SPEC.replace("n_val_users = 6",
+                                                         "n_val_users = -1"),
+                                      SYNTH_SPEC.replace("n_test_users = 6",
+                                                         "n_test_users = -1"),
+                                      SYNTH_SPEC + "fold_in_fraction = 1.5\n",
+                                      SYNTH_SPEC + "fold_in_fraction = 0\n"])
     def test_usage_error_exits_1(self, tmp_path, spec, capsys):
         assert self._synth(tmp_path, spec) == 1
         assert "spec.cfg" in capsys.readouterr().err

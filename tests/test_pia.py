@@ -9,9 +9,9 @@ from piavae.errors import EmptySupportError, NumericalError, ShapeError
 from piavae.model import (TrainConfig, draw_mask_and_noise, fit, loss_and_grads,
                           loss_and_grads_fixed, pack_params, unpack_params)
 from piavae.numerics import GaussianPosterior, finite_diff_check
-from piavae.pia import (PiaConfig, alignment_closed_form,
+from piavae.pia import (ORACLE_BLOCK, PiaConfig, alignment_closed_form,
                         alignment_mc_standard_error)
-from tests.test_model import small_split, tiny_params, to_csr
+from tests.test_model import small_split, tiny_params, to_csr, traced_peak
 
 
 def uniform_weights(n_anchors, positives):
@@ -163,7 +163,9 @@ class TestOracleMatchesRowMajorReference:
             logvar[n_anchors % d] = -np.inf
             q = GaussianPosterior(mean=rng.standard_normal(d), logvar=logvar)
             positives = rng.integers(0, n_anchors, size=n_anchors + 2)
-            for n_samples in (2, 3000):
+            # The last four straddle the oracle's block boundaries.
+            for n_samples in (2, 3000, ORACLE_BLOCK - 1, ORACLE_BLOCK,
+                              ORACLE_BLOCK + 1, 2 * ORACLE_BLOCK + 3):
                 got, want = oracle_pair(q, anchors, positives, n_samples,
                                         seed=n_anchors)
                 assert got == want
@@ -174,9 +176,29 @@ class TestOracleMatchesRowMajorReference:
         anchors = rng.standard_normal((5, d))
         q = GaussianPosterior(mean=rng.standard_normal(d),
                               logvar=rng.uniform(-2.0, 1.0, d))
-        got, want = oracle_pair(q, anchors, [0, 1, 1, 4], 3000, seed=d)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-15 * abs(w)
+        # The second sample count spans three blocks, the last one short.
+        for n_samples in (3000, 2 * ORACLE_BLOCK + 3):
+            got, want = oracle_pair(q, anchors, [0, 1, 1, 4], n_samples,
+                                    seed=d)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-15 * abs(w)
+
+
+class TestOracleAllocation:
+    # Byte counts, not timings: the draw, the per-sample vector and numpy's
+    # std temporaries, plus one block's scratch. A latent-major copy of the
+    # whole draw fails this.
+    def test_works_on_one_block_at_a_time(self):
+        n, d = 100_000, 5
+        rng = np.random.default_rng(5)
+        anchors = rng.standard_normal((4, d))
+        q = GaussianPosterior(mean=rng.standard_normal(d),
+                              logvar=rng.uniform(-2.0, 1.0, d))
+        peak = traced_peak(alignment_mc_standard_error, q, anchors, [0, 1, 3],
+                           n, rng)
+        noise_bytes = n * d * 8
+        assert peak < (noise_bytes + 3 * n * 8 + (d + 2) * ORACLE_BLOCK * 8
+                       + 64 * 1024)
 
 
 class TestAnchorShapes:
