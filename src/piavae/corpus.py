@@ -426,8 +426,10 @@ def read_csr(path: str | Path, user_ids: list[str] | None = None,
             n_items=n_items,
             indptr=indptr.astype(np.int64),
             indices=indices.astype(np.int64),
-            user_ids=tuple(user_ids or map(str, range(n_users))),
-            item_ids=tuple(item_ids or map(str, range(n_items))),
+            user_ids=tuple(map(str, range(n_users)) if user_ids is None
+                           else user_ids),
+            item_ids=tuple(map(str, range(n_items)) if item_ids is None
+                           else item_ids),
         )
     except MatrixError as exc:
         raise MatrixError(f"{path}: {exc}") from None
@@ -449,6 +451,8 @@ def write_idmap(path: str | Path, user_ids: dict[str, list[str]],
 
 
 def read_idmap(path: str | Path) -> tuple[dict[str, list[str]], list[str]]:
+    """Read write_idmap's rows; each dense index must count the earlier
+    rows of its kind (item, or user:<part>), or it is a ParseError."""
     users: dict[str, list[str]] = {}
     items: list[str] = []
     with _open_utf8(path) as fh:
@@ -459,13 +463,17 @@ def read_idmap(path: str | Path) -> tuple[dict[str, list[str]], list[str]]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ParseError(line_no, "idmap rows need 3 tab-separated fields")
-            kind, _, ext = parts
+            kind, index, ext = parts
             if kind == "item":
-                items.append(ext)
+                ids = items
             elif kind.startswith("user:"):
-                users.setdefault(kind.split(":", 1)[1], []).append(ext)
+                ids = users.setdefault(kind.split(":", 1)[1], [])
             else:
                 raise ParseError(line_no, f"unknown idmap kind {kind!r}")
+            if index != str(len(ids)):
+                raise ParseError(line_no, f"{path}: {kind} row has index "
+                                 f"{index!r}, expected {len(ids)}")
+            ids.append(ext)
     return users, items
 
 
@@ -503,7 +511,7 @@ def load_split(data_dir: str | Path) -> SplitDataset:
         "test_fold_in": "test", "test_holdout": "test",
     }
     matrices = {
-        attr: read_csr(data / fname, user_ids=users.get(part_of[attr], None),
+        attr: read_csr(data / fname, user_ids=users.get(part_of[attr], []),
                        item_ids=items)
         for attr, fname in SPLIT_FILES.items()
     }

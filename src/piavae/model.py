@@ -17,7 +17,8 @@ training kernel and `geometry.sharing_probe` run it.
 and `score_matrix` decodes its means; there is no dense encoder path.
 The mask is drawn on the nonzeros of a batch only, and the alignment
 term is `pia.alignment_closed_form`. During `fit` the parameters are
-views into one flat buffer that `adam_step` updates in place. All
+views into one flat buffer that `adam_step` updates in place from the
+kernel's per-array gradient pieces, which `pack_grads` flattens. All
 gradients are derived by hand; `finite_diff_check` guards every term.
 """
 
@@ -167,6 +168,23 @@ def pack_params(p: ModelParams) -> np.ndarray:
                            for name in _trained_fields(p)])
 
 
+def pack_grads(p: ModelParams, grads, out: np.ndarray | None = None
+               ) -> np.ndarray:
+    """The kernel's gradient pieces (enc_w1's is of enc_w1.T) as one
+    pack_params-ordered vector, out or a new one; omitted rows are 0."""
+    if out is None:
+        out = np.empty(sum(getattr(p, name).size for name in _trained_fields(p)))
+    g = unpack_params(out, p)
+    for name, piece in zip(_trained_fields(p), grads, strict=True):
+        view = getattr(g, name).T if _order(name) == "F" else getattr(g, name)
+        if isinstance(piece, tuple):
+            view.fill(0.0)
+            view[piece[0]] = piece[1]
+        else:
+            view[...] = piece
+    return out
+
+
 def unpack_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
     """ModelParams shaped like template whose trained arrays are views into
     the float64 vector vec, in pack_params order, so an in-place update of
@@ -249,10 +267,9 @@ def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
 
 def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
                          indices: np.ndarray, keep: np.ndarray,
-                         noise: np.ndarray, beta: float, lambda_a: float = 0.0,
-                         out: np.ndarray | None = None
-                         ) -> tuple[float, np.ndarray]:
-    """Loss and flat gradient of a CSR batch for fixed mask and noise draws.
+                         noise: np.ndarray, beta: float, lambda_a: float = 0.0
+                         ) -> tuple[float, list]:
+    """Loss and gradient of a CSR batch for fixed mask and noise draws.
 
     Row r of the batch x holds a 1 at items indices[indptr[r]:indptr[r+1]];
     keep holds the mask's 0/1 value at each of those entries (the mask is
@@ -261,17 +278,15 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     closed-form alignment penalty of the row's positives; the total is the
     batch mean. Only the decoder is dense (rows x items): the input layer,
     its gradient and the alignment term are sparse products over the
-    batch's items. The gradient is written in pack_params order into out,
-    or into a new vector.
+    batch's items. The gradient is one piece per trained array in
+    pack_params order, as adam_step takes it: enc_w1's and the anchors' as
+    (present, rows), the batch's item rows of enc_w1.T and of anchors.
     """
     from scipy import sparse
 
     n = indptr.size - 1
     counts = np.diff(indptr).astype(np.float64)
     row_of = entry_rows(indptr)
-    if out is None:
-        out = np.empty(sum(getattr(p, name).size for name in _trained_fields(p)))
-    g = unpack_params(out, p)
     # The batch's items, ascending; rank maps an item, and col_of each
     # stored entry, to its place among them (np.unique's inverse, without
     # the sort).
@@ -308,8 +323,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
 
     # Backward pass; every d(loss)/d(per-row term) carries the 1/n factor.
     # (z.T @ d_logits).T runs faster in OpenBLAS than d_logits.T @ z.
-    g.dec_w[...] = (z.T @ d_logits).T
-    np.sum(d_logits, axis=0, out=g.dec_b)
+    g_dec = [(z.T @ d_logits).T, np.sum(d_logits, axis=0)]
     d_z = d_logits @ p.dec_w
     del d_logits
 
@@ -322,28 +336,24 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
             anchors * np.bincount(col_of, weights=entry_weight,
                                   minlength=items.size)[:, None]
             - weights.T @ mu)
-        g.anchors.fill(0.0)
-        g.anchors[items] = g_items
-    elif p.anchors is not None:
-        g.anchors.fill(0.0)
+        g_anchors = [(present, g_items)]
+    else:
+        g_anchors = [] if p.anchors is None else [
+            (np.zeros_like(present), np.empty((0, p.latent_dim)))]
 
     # Strict inequalities on the clipped lv hold exactly where they hold
     # on the raw head, and NaN fails both.
     d_lv *= (lv > LOGVAR_MIN) & (lv < LOGVAR_MAX)
-    np.matmul(d_mu.T, h1, out=g.enc_w_mu)
-    np.sum(d_mu, axis=0, out=g.enc_b_mu)
-    np.matmul(d_lv.T, h1, out=g.enc_w_lv)
-    np.sum(d_lv, axis=0, out=g.enc_b_lv)
+    g_heads = [d_mu.T @ h1, np.sum(d_mu, axis=0), d_lv.T @ h1,
+               np.sum(d_lv, axis=0)]
     d_h1 = d_mu @ p.enc_w_mu + d_lv @ p.enc_w_lv
     d_a1 = d_h1 * (1.0 - h1**2)
     # enc_w1's gradient d_a1.T @ x is zero outside the batch's items;
-    # each item's is one row of the C-ordered g.enc_w1.T.
+    # each item's is one row of the C-ordered enc_w1.T.
     x_items = sparse.csr_matrix((x.data, rank[x.indices], x.indptr),
                                 shape=(n, items.size)).T
-    g.enc_w1.T.fill(0.0)
-    g.enc_w1.T[items] = x_items @ d_a1
-    np.sum(d_a1, axis=0, out=g.enc_b1)
-    return loss, out
+    return loss, [(present, x_items @ d_a1), np.sum(d_a1, axis=0),
+                  *g_heads, *g_dec, *g_anchors]
 
 
 def draw_mask_and_noise(indptr: np.ndarray, latent_dim: int, keep_prob: float,
@@ -356,8 +366,7 @@ def draw_mask_and_noise(indptr: np.ndarray, latent_dim: int, keep_prob: float,
 
 def loss_and_grads(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
                    cfg: TrainConfig, rng: np.random.Generator,
-                   lambda_a: float = 0.0, out: np.ndarray | None = None
-                   ) -> tuple[float, np.ndarray]:
+                   lambda_a: float = 0.0) -> tuple[float, list]:
     """Draw the mask on the nonzeros and one latent sample per row of the
     CSR batch (indptr, indices), then backpropagate."""
     indptr = np.asarray(indptr, dtype=np.int64)
@@ -366,7 +375,7 @@ def loss_and_grads(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
         raise ValueError("batch must be nonempty")
     keep, noise = draw_mask_and_noise(indptr, p.latent_dim, cfg.keep_prob, rng)
     return loss_and_grads_fixed(p, indptr, indices, keep, noise, cfg.beta,
-                                lambda_a=lambda_a, out=out)
+                                lambda_a=lambda_a)
 
 
 def _mean_val_ndcg(p: ModelParams, fold: InteractionMatrix,
@@ -394,7 +403,7 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     before any training. Anchors are drawn with scale 1/sqrt(latent).
 
     The parameters are views into one flat buffer that adam_step updates
-    in place, and each batch's gradient is written into one reused buffer.
+    in place from each batch's gradient pieces; no gradient vector is made.
     """
     if data.train.n_users == 0:
         raise SplitError("the split has no training users to train on")
@@ -414,7 +423,7 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                     input_normalize=cfg.input_normalize, anchors=anchors)
     theta = pack_params(p)
     p = unpack_params(theta, p)
-    grads = np.empty_like(theta)
+    del anchors  # the table before packing; p's anchors view theta
     adam = AdamState.init(theta.size, cfg.lr)
 
     log: list[dict] = []
@@ -434,9 +443,10 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                         range(0, n_train, cfg.batch_size), start=1):
                     indptr, indices = data.train.csr_rows(
                         perm[start:start + cfg.batch_size])
-                    loss, _ = loss_and_grads(p, indptr, indices, cfg, rng,
-                                             lambda_a=lam, out=grads)
+                    loss, grads = loss_and_grads(p, indptr, indices, cfg,
+                                                 rng, lambda_a=lam)
                     adam_step(adam, theta, grads)
+                    del grads  # not alive through the next batch's kernel
                     losses.append(loss)
                 batch = None
                 val_ndcg = _mean_val_ndcg(p, data.val_fold_in,

@@ -16,8 +16,8 @@ from .errors import NumericalError, ShapeError
 
 LOGVAR_MIN = -20.0
 LOGVAR_MAX = 20.0
-# Entries per block of an in-place Adam update: a block's slices of the
-# four vectors and its two temporaries (6 x 256 KiB) stay in a 2 MiB L2.
+# Entries per block of an in-place Adam update: a block's params, moments,
+# gradient and two temporaries (6 x 256 KiB) stay in a 2 MiB L2.
 ADAM_BLOCK = 1 << 15
 # Adam's moment decays and denominator guard (Kingma & Ba, arXiv:1412.6980).
 ADAM_BETA1 = 0.9
@@ -92,52 +92,74 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray,
-              grads: np.ndarray) -> tuple[np.ndarray, AdamState]:
+              grads) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update of params and both moments, in place.
 
-    Every entry is updated, including those with a zero gradient (dense
-    Adam). The arithmetic is that of the textbook expression
-    `params - lr * m_hat / (sqrt(v_hat) + eps)`, operation for operation,
-    so the result is bit-identical to it; it runs ADAM_BLOCK entries at a
-    time so the temporaries stay in cache. Returns params and state, both
-    updated.
+    grads is one flat array, or pieces that tile params in order: a dense
+    array, whose C-order ravel is its part, or (present, rows) for a
+    C-ordered part, rows giving in order the rows the boolean mask present
+    marks; every other row's gradient is 0. Every entry is updated (dense
+    Adam), operation for operation as in the textbook expression
+    `params - lr * m_hat / (sqrt(v_hat) + eps)`, so bit-identical to it.
+    Row blocks of at most ADAM_BLOCK entries (or one row) keep temporaries
+    in cache: each block's gradient is built in scratch (a dense piece's
+    rows, or zeros and then the marked rows) and the same 14 operations
+    run on it, so pieces give their zero-filled flat gradient's bits, zero
+    moments' signs included. Returns params and state, both updated.
     """
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
         raise TypeError("params must be a float64 array, updated in place")
-    grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape or params.shape != state.first_moment.shape:
-        raise ShapeError(
-            f"params {params.shape}, grads {grads.shape}, "
-            f"moments {state.first_moment.shape}"
-        )
+    parts = []
+    for piece in [grads] if isinstance(grads, np.ndarray) else grads:
+        mark, rows = (piece if isinstance(piece, tuple)
+                      else (None, piece.reshape(len(piece), -1)))
+        if mark is not None and np.count_nonzero(mark) != len(rows):
+            raise ShapeError("a piece's mask does not match its rows")
+        parts.append((mark, rows, len(rows if mark is None else mark)))
+    size = sum(n_rows * rows.shape[1] for _, rows, n_rows in parts)
+    if not params.shape == state.first_moment.shape == (size,):
+        raise ShapeError(f"params {params.shape}, grads of {size} entries, "
+                         f"moments {state.first_moment.shape}")
     t = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_scale, v_scale = 1.0 - b1**t, 1.0 - b2**t
-    buf = np.empty(min(ADAM_BLOCK, params.size))
-    den = np.empty_like(buf)
-    for start in range(0, params.size, ADAM_BLOCK):
-        stop = min(start + ADAM_BLOCK, params.size)
-        g = grads[start:stop]
-        m = state.first_moment[start:stop]
-        v = state.second_moment[start:stop]
-        tmp, d = buf[:stop - start], den[:stop - start]
-        # m = b1 * m + (1 - b1) * g
-        m *= b1
-        np.multiply(1.0 - b1, g, out=tmp)
-        m += tmp
-        # v = b2 * v + (1 - b2) * g**2
-        v *= b2
-        np.square(g, out=tmp)
-        tmp *= 1.0 - b2
-        v += tmp
-        # params -= lr * (m / m_scale) / (sqrt(v / v_scale) + eps)
-        np.divide(v, v_scale, out=d)
-        np.sqrt(d, out=d)
-        d += ADAM_EPS
-        np.divide(m, m_scale, out=tmp)
-        tmp *= state.lr
-        tmp /= d
-        params[start:stop] -= tmp
+    start = 0
+    for mark, rows, n_rows in parts:
+        width, given = rows.shape[1], 0
+        step = max(1, ADAM_BLOCK // width)
+        grad, buf, den = np.empty((3, min(step, n_rows) * width))
+        for r0 in range(0, n_rows, step):
+            r1 = min(r0 + step, n_rows)
+            stop = start + (r1 - r0) * width
+            g, tmp, d = grad[:stop - start], buf[:stop - start], den[:stop - start]
+            block = g.reshape(r1 - r0, width)
+            if mark is None:
+                block[...] = rows[r0:r1]
+            else:
+                k = np.count_nonzero(mark[r0:r1])
+                block.fill(0.0)
+                block[mark[r0:r1]] = rows[given:given + k]
+                given += k
+            m = state.first_moment[start:stop]
+            v = state.second_moment[start:stop]
+            # m = b1 * m + (1 - b1) * g
+            m *= b1
+            np.multiply(1.0 - b1, g, out=tmp)
+            m += tmp
+            # v = b2 * v + (1 - b2) * g**2
+            v *= b2
+            np.square(g, out=tmp)
+            tmp *= 1.0 - b2
+            v += tmp
+            # params -= lr * (m / m_scale) / (sqrt(v / v_scale) + eps)
+            np.divide(v, v_scale, out=d)
+            np.sqrt(d, out=d)
+            d += ADAM_EPS
+            np.divide(m, m_scale, out=tmp)
+            tmp *= state.lr
+            tmp /= d
+            params[start:stop] -= tmp
+            start = stop
     state.step_count = t
     return params, state
 

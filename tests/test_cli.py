@@ -335,6 +335,30 @@ class TestTrainDataErrors:
         assert err.startswith("error:") and name in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    # Each idmap row's index must be the running count of its kind; a part
+    # with users but no idmap rows is an id map that misses them.
+    @pytest.mark.parametrize("damage", ["swap", "banana", "gap", "no-val"])
+    def test_damaged_idmap_exits_2(self, run_dir, damage, capsys):
+        path = run_dir / "data" / "idmap.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        first = next(k for k, line in enumerate(lines) if line.startswith("item\t"))
+        want = f"line {first + 1}: "
+        if damage == "swap":
+            lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        elif damage == "banana":
+            lines[first] = lines[first].replace("\t0\t", "\tbanana\t")
+        elif damage == "gap":
+            del lines[first + 1]
+            want = f"line {first + 2}: "
+        else:
+            lines = [line for line in lines if not line.startswith("user:val\t")]
+            want = "id maps must cover every dense index"
+        path.write_text("".join(lines))
+        assert _evaluate(run_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and want in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_idmap_error_names_the_line(self, run_dir, capsys):
         path = run_dir / "data" / "idmap.tsv"
         lines = path.read_bytes().splitlines(keepends=True)

@@ -13,10 +13,11 @@ from piavae.errors import (CorruptFileError, NumericalError, ShapeError,
 from piavae import model
 from piavae.model import (ModelParams, TrainConfig, draw_mask, encode_rows,
                           fit, init_params, load_checkpoint, loss_and_grads,
-                          loss_and_grads_fixed, pack_params, save_checkpoint,
-                          score_matrix, unpack_params)
-from piavae.numerics import (LOGVAR_MAX, LOGVAR_MIN, GaussianPosterior,
-                             finite_diff_check, kl_diag_gaussian)
+                          loss_and_grads_fixed, pack_grads, pack_params,
+                          save_checkpoint, score_matrix, unpack_params)
+from piavae.numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState,
+                             GaussianPosterior, adam_step, finite_diff_check,
+                             kl_diag_gaussian)
 from piavae.pia import PiaConfig
 
 
@@ -80,8 +81,9 @@ def csr_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
     """The training kernel on a dense batch x, with the dense mask
     restricted to x's nonzeros."""
     indptr, indices = to_csr(x)
-    return loss_and_grads_fixed(p, indptr, indices, mask[x > 0], noise, beta,
-                                lambda_a=lambda_a)
+    loss, grads = loss_and_grads_fixed(p, indptr, indices, mask[x > 0], noise,
+                                       beta, lambda_a=lambda_a)
+    return loss, pack_grads(p, grads)
 
 
 def dense_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
@@ -358,7 +360,8 @@ class TestLossAndGrads:
         keep = (rng.random(indices.size) < 0.5).astype(float)
         noise = rng.standard_normal((4, 4))
         theta = pack_params(p)
-        _, grads = loss_and_grads_fixed(p, indptr, indices, keep, noise, beta=0.2)
+        grads = pack_grads(p, loss_and_grads_fixed(p, indptr, indices, keep,
+                                                   noise, beta=0.2)[1])
 
         def loss_fn(vec):
             return loss_and_grads_fixed(unpack_params(vec, p), indptr, indices,
@@ -375,7 +378,8 @@ class TestLossAndGrads:
         keep = (rng.random(indices.size) < 0.5).astype(float)
         noise = rng.standard_normal((3, 4))
         theta = pack_params(p)
-        _, grads = loss_and_grads_fixed(p, indptr, indices, keep, noise, beta=0.3)
+        grads = pack_grads(p, loss_and_grads_fixed(p, indptr, indices, keep,
+                                                   noise, beta=0.3)[1])
 
         def loss_fn(vec):
             return loss_and_grads_fixed(unpack_params(vec, p), indptr, indices,
@@ -429,8 +433,8 @@ class TestCsrKernel:
         indptr, indices = to_csr(x)
         keep = mask[x > 0]
         theta = pack_params(p)
-        _, grads = loss_and_grads_fixed(p, indptr, indices, keep, noise,
-                                        beta=0.2, lambda_a=1.5)
+        grads = pack_grads(p, loss_and_grads_fixed(
+            p, indptr, indices, keep, noise, beta=0.2, lambda_a=1.5)[1])
         for name, block in param_blocks(p):
             def loss_fn(part, block=block):
                 vec = theta.copy()
@@ -447,12 +451,14 @@ class TestCsrKernel:
         x, mask, noise = self.batch(49)
         indptr, indices = to_csr(x)
         out = np.full(pack_params(p).size, np.nan)
-        loss, grads = loss_and_grads_fixed(p, indptr, indices, mask[x > 0],
-                                           noise, 0.2, lambda_a=2.0, out=out)
+        loss, pieces = loss_and_grads_fixed(p, indptr, indices, mask[x > 0],
+                                            noise, 0.2, lambda_a=2.0)
+        grads = pack_grads(p, pieces, out=out)
         assert grads is out
         fresh = loss_and_grads_fixed(p, indptr, indices, mask[x > 0], noise,
                                      0.2, lambda_a=2.0)
-        assert loss == fresh[0] and out.tobytes() == fresh[1].tobytes()
+        assert loss == fresh[0]
+        assert out.tobytes() == pack_grads(p, fresh[1]).tobytes()
 
     def test_mask_draws_one_flag_per_nonzero_then_noise(self):
         indptr = np.array([0, 3, 3, 7])
@@ -461,6 +467,46 @@ class TestCsrKernel:
         rng = np.random.default_rng(50)
         assert keep.tobytes() == draw_mask((7,), 0.5, rng).tobytes()
         assert noise.tobytes() == rng.standard_normal((3, 4)).tobytes()
+
+
+class TestPieceStep:
+    # The kernel's pieces through adam_step against the flat path they
+    # replace: the zero-filled gradient from pack_grads, then adam_step on
+    # flat arrays. enc_w1 spans several Adam row blocks, and the moments
+    # start with -0.0 entries, so .tobytes() also compares zero signs.
+    @pytest.mark.parametrize("with_anchors, lambda_a, density", [
+        (True, 1.5, 0.3), (False, 0.0, 0.3), (True, 0.0, 0.3),
+        (True, 1.5, 0.002)])
+    def test_pieces_step_like_the_flat_gradient(self, with_anchors, lambda_a,
+                                                density):
+        p = tiny_params(with_anchors=with_anchors, seed=60, n_items=3000,
+                        hidden=24, latent=4)
+        rng = np.random.default_rng(61)
+        theta = pack_params(p)
+        first = rng.standard_normal(theta.size) * (rng.random(theta.size) < 0.5)
+        first[::3] = -0.0
+        second = first**2
+        second[::5] = -0.0
+        runs = [(theta.copy(), AdamState(first.copy(), second.copy(), 2, 1e-2))
+                for _ in range(2)]
+        for _ in range(3):
+            x = (rng.random((8, 3000)) < density).astype(float)
+            x[x.sum(axis=1) == 0, 0] = 1.0
+            indptr, indices = to_csr(x)
+            keep, noise = model.draw_mask_and_noise(indptr, 4, 0.5, rng)
+            _, pieces = loss_and_grads_fixed(unpack_params(runs[0][0], p),
+                                             indptr, indices, keep, noise,
+                                             beta=0.2, lambda_a=lambda_a)
+            present = pieces[0][0]
+            assert (present.sum() < 300) == (density < 0.01)
+            adam_step(runs[1][1], runs[1][0], pack_grads(p, pieces))
+            adam_step(runs[0][1], runs[0][0], pieces)
+            (got, got_state), (want, want_state) = runs
+            assert got.tobytes() == want.tobytes()
+            assert got_state.first_moment.tobytes() == \
+                want_state.first_moment.tobytes()
+            assert got_state.second_moment.tobytes() == \
+                want_state.second_moment.tobytes()
 
 
 def small_split(seed=0):
@@ -737,7 +783,7 @@ class TestPackUnpack:
         p2 = unpack_params(pack_params(p), p)
         l2, g2 = loss_and_grads(p2, indptr, indices, cfg, np.random.default_rng(1))
         assert l1 == l2
-        assert g1.tobytes() == g2.tobytes()
+        assert pack_grads(p, g1).tobytes() == pack_grads(p2, g2).tobytes()
 
 
 def traced_peak(fn, *args) -> int:
@@ -776,6 +822,19 @@ class TestAllocation:
         p = self.wide_params()
         peak = traced_peak(save_checkpoint, p, tmp_path / "m.ckpt")
         assert peak <= 64 * 1024
+
+    def test_fit_holds_no_gradient_vector(self):
+        # theta, both moments and the best-epoch snapshot are four
+        # parameter vectors; a fifth, gradient-sized one would pass 5x.
+        # The batch's decoder buffer is a quarter of a vector here.
+        spec = SynthSpec(cohort_sizes=(20, 20), cohort_support_sizes=(10, 40),
+                         n_items=20_000, noise_rate=0.001, seed=0)
+        split = split_dataset(synth_block_dataset(spec), 4, 0, 0.8, seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=20, hidden_dim=64,
+                          latent_dim=8, seed=0)
+        peak = traced_peak(fit, split, cfg, PiaConfig())
+        p = tiny_params(with_anchors=True, n_items=20_000, hidden=64, latent=8)
+        assert peak <= 4.5 * pack_params(p).nbytes
 
     def test_load_checkpoint_reads_enc_w1_in_blocks(self, tmp_path):
         # The result is alive at the peak; any copy of enc_w1, or of a

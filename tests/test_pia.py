@@ -7,7 +7,8 @@ from scipy import sparse
 from piavae import model
 from piavae.errors import EmptySupportError, NumericalError, ShapeError
 from piavae.model import (TrainConfig, draw_mask_and_noise, fit, loss_and_grads,
-                          loss_and_grads_fixed, pack_params, unpack_params)
+                          loss_and_grads_fixed, pack_grads, pack_params,
+                          unpack_params)
 from piavae.numerics import GaussianPosterior, finite_diff_check
 from piavae.pia import (ORACLE_BLOCK, PiaConfig, alignment_closed_form,
                         alignment_mc_standard_error)
@@ -300,6 +301,8 @@ class TestPiaLossAndGrads:
                                          np.random.default_rng(9))
         loss_b, grads_b = loss_and_grads(p, *batch, cfg, np.random.default_rng(9),
                                          lambda_a=0.0)
+        grads_a = pack_grads(replace(p, anchors=None), grads_a)
+        grads_b = pack_grads(p, grads_b)
         assert loss_a == loss_b
         assert grads_a.tobytes() == grads_b[:grads_a.size].tobytes()
         assert not grads_b[grads_a.size:].any()
@@ -313,8 +316,8 @@ class TestPiaLossAndGrads:
         keep = (rng.random(indices.size) < 0.5).astype(float)
         noise = rng.standard_normal((4, 4))
         theta = pack_params(p)
-        _, grads = loss_and_grads_fixed(p, indptr, indices, keep, noise,
-                                        beta=0.2, lambda_a=1.5)
+        grads = pack_grads(p, loss_and_grads_fixed(
+            p, indptr, indices, keep, noise, beta=0.2, lambda_a=1.5)[1])
 
         def loss_fn(vec):
             return loss_and_grads_fixed(unpack_params(vec, p), indptr, indices,
@@ -328,6 +331,7 @@ class TestPiaLossAndGrads:
         noise = np.zeros((2, 4))
         _, grads = loss_and_grads_fixed(p, np.array(indptr), np.array(indices),
                                         np.ones(4), noise, beta=0.0, lambda_a=2.0)
+        grads = pack_grads(p, grads)
         anchor_grads = grads[-p.anchors.size:].reshape(p.anchors.shape)
         touched = {1, 3, 7}
         for item in range(20):
@@ -352,6 +356,7 @@ class TestPiaLossAndGrads:
         enc_size = (p.enc_w1.size + p.enc_b1.size + p.enc_w_mu.size
                     + p.enc_b_mu.size + p.enc_w_lv.size + p.enc_b_lv.size)
         dec_size = p.dec_w.size + p.dec_b.size
+        g0, g1 = pack_grads(p, g0), pack_grads(p, g1)
         dec0 = g0[enc_size:enc_size + dec_size]
         dec1 = g1[enc_size:enc_size + dec_size]
         assert dec0.tobytes() == dec1.tobytes()
@@ -369,6 +374,7 @@ class TestPiaLossAndGrads:
                                              lambda_a=8.0)
         loss_vae, _ = loss_and_grads(p, *batch, cfg, np.random.default_rng(3))
         assert loss_pia > loss_vae  # alignment penalty is nonnegative
+        grads_pia = pack_grads(replace(p, anchors=anchors), grads_pia)
         assert grads_pia.size == pack_params(p).size + anchors.size
 
 
