@@ -471,8 +471,8 @@ def read_idmap(path: str | Path) -> tuple[dict[str, list[str]], list[str]]:
             else:
                 raise ParseError(line_no, f"unknown idmap kind {kind!r}")
             if index != str(len(ids)):
-                raise ParseError(line_no, f"{path}: {kind} row has index "
-                                 f"{index!r}, expected {len(ids)}")
+                raise ParseError(line_no, f"{kind} row has index {index!r}, "
+                                 f"expected {len(ids)}")
             ids.append(ext)
     return users, items
 

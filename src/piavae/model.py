@@ -168,20 +168,15 @@ def pack_params(p: ModelParams) -> np.ndarray:
                            for name in _trained_fields(p)])
 
 
-def pack_grads(p: ModelParams, grads, out: np.ndarray | None = None
-               ) -> np.ndarray:
-    """The kernel's gradient pieces (enc_w1's is of enc_w1.T) as one
-    pack_params-ordered vector, out or a new one; omitted rows are 0."""
-    if out is None:
-        out = np.empty(sum(getattr(p, name).size for name in _trained_fields(p)))
+def pack_grads(p: ModelParams, grads) -> np.ndarray:
+    """The kernel's gradient pieces (enc_w1's is of enc_w1.T) as one new
+    pack_params-ordered vector; omitted rows are 0."""
+    out = np.zeros(sum(getattr(p, name).size for name in _trained_fields(p)))
     g = unpack_params(out, p)
     for name, piece in zip(_trained_fields(p), grads, strict=True):
         view = getattr(g, name).T if _order(name) == "F" else getattr(g, name)
-        if isinstance(piece, tuple):
-            view.fill(0.0)
-            view[piece[0]] = piece[1]
-        else:
-            view[...] = piece
+        at, rows = piece if isinstance(piece, tuple) else (..., piece)
+        view[at] = rows
     return out
 
 

@@ -109,12 +109,16 @@ def adam_step(state: AdamState, params: np.ndarray,
     """
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
         raise TypeError("params must be a float64 array, updated in place")
+    if isinstance(grads, np.ndarray) and grads.ndim != 1:
+        raise ShapeError(f"a flat gradient must be 1-D, not {grads.shape}")
     parts = []
     for piece in [grads] if isinstance(grads, np.ndarray) else grads:
-        mark, rows = (piece if isinstance(piece, tuple)
-                      else (None, piece.reshape(len(piece), -1)))
-        if mark is not None and np.count_nonzero(mark) != len(rows):
-            raise ShapeError("a piece's mask does not match its rows")
+        mark, rows = piece if isinstance(piece, tuple) else (None, piece)
+        if mark is None:
+            rows = np.reshape(rows, (len(rows), -1))
+        elif not (np.asarray(mark).dtype == bool
+                  and np.count_nonzero(mark) == len(rows)):
+            raise ShapeError("a piece's mask must be boolean, one per row")
         parts.append((mark, rows, len(rows if mark is None else mark)))
     size = sum(n_rows * rows.shape[1] for _, rows, n_rows in parts)
     if not params.shape == state.first_moment.shape == (size,):

@@ -447,18 +447,17 @@ class TestCsrKernel:
             assert err < 1e-4, name
 
     def test_gradient_written_into_out(self):
+        # The kernel returns new pieces; two calls must agree to the bit.
         p = tiny_params(with_anchors=True, seed=48)
         x, mask, noise = self.batch(49)
         indptr, indices = to_csr(x)
-        out = np.full(pack_params(p).size, np.nan)
         loss, pieces = loss_and_grads_fixed(p, indptr, indices, mask[x > 0],
                                             noise, 0.2, lambda_a=2.0)
-        grads = pack_grads(p, pieces, out=out)
-        assert grads is out
         fresh = loss_and_grads_fixed(p, indptr, indices, mask[x > 0], noise,
                                      0.2, lambda_a=2.0)
         assert loss == fresh[0]
-        assert out.tobytes() == pack_grads(p, fresh[1]).tobytes()
+        assert (pack_grads(p, pieces).tobytes()
+                == pack_grads(p, fresh[1]).tobytes())
 
     def test_mask_draws_one_flag_per_nonzero_then_noise(self):
         indptr = np.array([0, 3, 3, 7])
@@ -826,14 +825,16 @@ class TestAllocation:
     def test_fit_holds_no_gradient_vector(self):
         # theta, both moments and the best-epoch snapshot are four
         # parameter vectors; a fifth, gradient-sized one would pass 5x.
-        # The batch's decoder buffer is a quarter of a vector here.
+        # Beyond the four, the peak holds the batch's decoder buffer and
+        # the dec_w piece, each under a tenth of a vector at this shape.
         spec = SynthSpec(cohort_sizes=(20, 20), cohort_support_sizes=(10, 40),
                          n_items=20_000, noise_rate=0.001, seed=0)
         split = split_dataset(synth_block_dataset(spec), 4, 0, 0.8, seed=0)
-        cfg = TrainConfig(epochs=1, batch_size=20, hidden_dim=64,
+        cfg = TrainConfig(epochs=1, batch_size=10, hidden_dim=128,
                           latent_dim=8, seed=0)
         peak = traced_peak(fit, split, cfg, PiaConfig())
-        p = tiny_params(with_anchors=True, n_items=20_000, hidden=64, latent=8)
+        p = tiny_params(with_anchors=True, n_items=20_000, hidden=128,
+                        latent=8)
         assert peak <= 4.5 * pack_params(p).nbytes
 
     def test_load_checkpoint_reads_enc_w1_in_blocks(self, tmp_path):

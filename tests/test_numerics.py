@@ -156,6 +156,18 @@ class TestAdamStep:
         with pytest.raises(ShapeError):
             adam_step(AdamState.init(3), np.zeros(3), np.zeros(4))
 
+    def test_malformed_pieces_are_refused(self):
+        # A flat gradient is 1-D; a mask is boolean, one True per given row.
+        state, params = AdamState.init(4), np.zeros(4)
+        for grads in (np.zeros((2, 2)),
+                      [(np.array([1, 1]), np.zeros((2, 2)))],
+                      [(np.array([True, False]), np.zeros((2, 2)))]):
+            with pytest.raises(ShapeError):
+                adam_step(state, params, grads)
+        with pytest.raises(TypeError):
+            adam_step(state, params, [0.0, 0.0, 0.0, 0.0])
+        assert state.step_count == 0 and not params.any()
+
 
 class TestFiniteDiffCheck:
     def test_quadratic_is_exact(self):
