@@ -6,14 +6,16 @@ offset array ((n_users + 1) * u64) and the column index array (nnz * u64).
 External ids live in a sidecar ``idmap.tsv``. Rows move through the
 package as these CSR arrays, built from integer codes by `ingest_events`
 and sliced by `InteractionMatrix.csr_rows`; no dense rows are built.
+
+`ingest_events` reads events with the two readers of `piavae.events`,
+which give one result: a byte reader for plain LF or CRLF files and the
+record-by-record csv.reader loop for every other file.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
-import re
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -25,8 +27,6 @@ from .errors import (CorruptFileError, EmptyDatasetError, MatrixError,
                      ParseError, SpecError, SplitError)
 
 CSR_MAGIC = b"PIA1"
-# Characters that would break an idmap.tsv row.
-_ID_BREAK = re.compile("[\t\r\n]")
 
 
 @dataclass(frozen=True)
@@ -195,47 +195,30 @@ def ingest_events(path: str | Path, min_user_interactions: int,
     users and items left with no pair are dropped at any minimum. An id
     holding a tab or a line break, which the idmap cannot hold, is a
     ParseError.
+
+    Ids are `str.strip`ped fields and ratings `float` of the stripped
+    field, whichever reader runs (piavae.events). A file of unquoted
+    3-field records ending in LF or CRLF, with no NUL and no field that
+    would be an error or is over csv.field_size_limit(), is read as bytes
+    with numpy; any other file goes whole to the csv.reader loop, which
+    raises every ParseError, a csv.Error included, with the record's line.
     """
     if min_user_interactions < 0 or min_item_users < 0:
         raise ValueError("min counts must be >= 0")
-    user_code: dict[str, int] = {}
-    item_code: dict[str, int] = {}
-    user_of: list[int] = []
-    item_of: list[int] = []
-    with _open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "missing header") from None
-        if len(header) < 3:
-            raise ParseError(1, "header must have user,item,rating columns")
-        for line_no, fields in enumerate(reader, start=2):
-            if not fields or (len(fields) == 1 and not fields[0].strip()):
-                continue
-            if len(fields) != 3:
-                raise ParseError(line_no, f"expected 3 fields, got {len(fields)}")
-            user, item, rating_text = map(str.strip, fields)
-            if not user or not item:
-                raise ParseError(line_no, "empty user or item id")
-            broken = _ID_BREAK.search(user) or _ID_BREAK.search(item)
-            if broken:
-                raise ParseError(line_no, f"id {broken.string!r} holds a tab "
-                                 "or a line break, which the idmap cannot hold")
-            try:
-                rating = float(rating_text)
-            except ValueError:
-                raise ParseError(line_no, f"bad rating {rating_text!r}") from None
-            if rating >= rating_threshold:
-                user_of.append(user_code.setdefault(user, len(user_code)))
-                item_of.append(item_code.setdefault(item, len(item_code)))
+    # Imported here: the geometry lab, which never reads events, does not
+    # load the readers.
+    from .events import read_events
+    user_of, item_of, user_ids, item_ids = read_events(path, rating_threshold)
 
     # One key per distinct pair, sorted by user code, then item code
     # (np.unique hashes int64 keys: about 100x slower than this sort on a
-    # million keys with numpy 2.4).
-    n_codes = len(item_code)
-    keys = np.sort(np.array(user_of, dtype=np.int64) * n_codes
-                   + np.array(item_of, dtype=np.int64))
+    # million keys with numpy 2.4). The codes go as soon as the keys hold
+    # them, to keep the peak down.
+    n_codes = len(item_ids)
+    keys = user_of * n_codes
+    keys += item_of
+    del user_of, item_of
+    keys.sort()
     keys = keys[np.diff(keys, prepend=-1) > 0]
     user, item = np.divmod(keys, n_codes)
     # Alternate the two filters until neither removes a pair.
@@ -243,7 +226,7 @@ def ingest_events(path: str | Path, min_user_interactions: int,
     while True:
         n_alive = np.count_nonzero(alive)
         alive &= np.bincount(item[alive], minlength=n_codes)[item] >= min_item_users
-        alive &= (np.bincount(user[alive], minlength=len(user_code))[user]
+        alive &= (np.bincount(user[alive], minlength=len(user_ids))[user]
                   >= min_user_interactions)
         if np.count_nonzero(alive) == n_alive:
             break
@@ -254,7 +237,6 @@ def ingest_events(path: str | Path, min_user_interactions: int,
     kept_users, row = np.unique(user[alive], return_inverse=True)
     kept_items, indices = np.unique(item[alive], return_inverse=True)
     indptr = np.searchsorted(row, np.arange(kept_users.size + 1))
-    user_ids, item_ids = list(user_code), list(item_code)
     return InteractionMatrix(
         n_users=kept_users.size,
         n_items=kept_items.size,

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import piavae
-from piavae.cli import dispatch
+from piavae import events
+from piavae.cli import SPLIT_OUTPUTS, dispatch
 from piavae.corpus import (SynthSpec, matrix_from_rows, save_split,
                            split_dataset, synth_block_dataset)
 from piavae.model import save_checkpoint
@@ -445,6 +447,46 @@ class TestPreprocessExitCodes:
     def test_missing_input_exits_2(self, tmp_path):
         assert _preprocess(tmp_path, tmp_path / "absent.csv") == 2
         assert not (tmp_path / "split").exists()
+
+    @pytest.mark.parametrize("in_header", [False, True])
+    def test_field_over_the_csv_field_limit_exits_2(self, tmp_path, in_header,
+                                                    capsys):
+        events = _write_events(tmp_path / "e.csv")
+        text = events.read_text()
+        if in_header:
+            line_no, text = 1, "u" * 140_000 + text
+        else:
+            line_no = len(text.splitlines()) + 1
+            text += "u" * 140_000 + ",i1,5\n"
+        events.write_text(text)
+        assert _preprocess(tmp_path, events) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line_no}: field larger than "
+                              f"field limit ({csv.field_size_limit()})")
+        assert "Traceback" not in err
+        assert not (tmp_path / "split").exists()
+
+
+class TestPreprocessOutputs:
+    def test_lf_crlf_and_quoted_events_give_identical_splits(self, tmp_path):
+        # The first two take the byte reader, the quoted file the csv loop.
+        rows = [line.split(",") for line in
+                _write_events(tmp_path / "e.csv").read_text().splitlines()]
+        texts = {"lf": "\n".join(map(",".join, rows)) + "\n",
+                 "crlf": "\r\n".join(map(",".join, rows)) + "\r\n",
+                 "quoted": "".join(",".join(f'"{f}"' for f in row) + "\n"
+                                   for row in rows)}
+        outputs = {}
+        for name, text in texts.items():
+            path = tmp_path / name / "events.csv"
+            path.parent.mkdir()
+            path.write_bytes(text.encode())
+            assert ((events._code_events_bytes(path, 3) is None)
+                    == (name == "quoted"))
+            assert _preprocess(path.parent, path) == 0
+            outputs[name] = {f: (path.parent / "split" / f).read_bytes()
+                             for f in SPLIT_OUTPUTS}
+        assert outputs["lf"] == outputs["crlf"] == outputs["quoted"]
 
 
 SYNTH_SPEC = """\
