@@ -45,12 +45,13 @@ def read_events(path: str | Path, rating_threshold: float):
 
 
 def _csv_records(fh):
-    """(line number, fields) of each CSV record, numbered from 1. A
-    csv.Error, such as a field over csv.field_size_limit(), is a
-    ParseError naming the record it stopped in."""
+    """(line number, fields) of each CSV record, numbered by the file line
+    it starts on, from 1. A csv.Error, such as a field over
+    csv.field_size_limit(), is a ParseError naming the record it stopped
+    in."""
     reader = csv.reader(fh)
-    line_no = 1
     while True:
+        line_no = reader.line_num + 1
         try:
             fields = next(reader)
         except StopIteration:
@@ -58,7 +59,6 @@ def _csv_records(fh):
         except csv.Error as exc:
             raise ParseError(line_no, str(exc)) from None
         yield line_no, fields
-        line_no += 1
 
 
 def _code_events_csv(path: str | Path, rating_threshold: float):

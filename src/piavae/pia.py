@@ -10,21 +10,10 @@ suite run the one closed form, `alignment_closed_form`; the Monte-Carlo
 estimator exists only to verify it and never feeds training. `model.fit`
 draws the anchors and runs the schedule that PiaConfig parameterizes.
 
-The oracle stays literal: it sums ||z - e_i||^2 anchor by anchor, and
-never uses the centroid identity or the ||z||^2 - 2 z.e + ||e||^2
-expansion, since it is the reference the closed form is checked against.
-It draws the normals as (n, d), in one call and the same order as ever,
-and then works on blocks of ORACLE_BLOCK samples small enough to stay in
-L2. Each block is written latent-major into a (d, block) buffer as
-noise * std + mean, the two float operations of the whole-array form, so
-each numpy call runs over contiguous values of one coordinate. The
-squared coordinates of each anchor are added one dimension at a time,
-left to right, and each anchor's sum is added to the per-sample total in
-`positives` order. No value depends on the block it falls in, and the
-mean and standard deviation are taken over the full per-sample vector, so
-the result does not depend on ORACLE_BLOCK. numpy's row sum adds fewer
-than 8 terms left to right too, so the result is bit for bit the
-row-major one for d <= 7 and may differ in the last bit beyond.
+The oracle stays literal: it sums ||z - e_i||^2 anchor by anchor over an
+(n, d) array of draws z = mean + noise * std, and never uses the centroid
+identity or the ||z||^2 - 2 z.e + ||e||^2 expansion, since it is the
+reference the closed form is checked against.
 """
 
 from __future__ import annotations
@@ -36,13 +25,6 @@ import numpy as np
 
 from .errors import EmptySupportError, ShapeError
 from .numerics import GaussianPosterior
-
-# Samples per block of the Monte-Carlo oracle. A block's latent-major
-# copy and scratch vectors, (d + 2) * ORACLE_BLOCK doubles (448 KiB at the
-# suites' largest d = 5), stay in a 2 MB L2 beside the block of draws;
-# a (d, n) copy of all 100,000 draws (3.8 MiB) did not. `prop1`'s time was
-# flat from 8192 to 32768 and rose outside that range.
-ORACLE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -109,26 +91,11 @@ def alignment_mc_standard_error(q: GaussianPosterior, anchors: np.ndarray,
         raise ValueError(f"positive {idx[outside][0]} is outside "
                          f"[0, {len(anchors)})")
     noise = rng.standard_normal((n_samples, q.dim))
-    block = min(ORACLE_BLOCK, n_samples)
-    z = np.empty((q.dim, block))
-    sq_dist = np.empty(block)
-    sq_coord = np.empty(block)
+    z = q.mean + noise * q.std
     per_sample = np.zeros(n_samples, dtype=np.float64)
-    std, mean = q.std[:, None], q.mean[:, None]
-    positive_anchors = anchors[idx]
-    for start in range(0, n_samples, block):
-        stop = min(start + block, n_samples)
-        width = stop - start
-        z_block, dist, coord = z[:, :width], sq_dist[:width], sq_coord[:width]
-        np.multiply(noise[start:stop].T, std, out=z_block)
-        z_block += mean
-        for e in positive_anchors:
-            dist.fill(0.0)
-            for z_k, e_k in zip(z_block, e):
-                np.subtract(z_k, e_k, out=coord)
-                coord *= coord
-                dist += coord
-            per_sample[start:stop] += dist
+    for i in idx:
+        diff = z - anchors[i]
+        per_sample += np.sum(diff * diff, axis=1)
     per_sample /= idx.size
     est = float(np.mean(per_sample))
     se = float(np.std(per_sample, ddof=1) / np.sqrt(n_samples))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import geometry as geo
 from .corpus import (SynthSpec, matrix_from_rows, split_dataset,
@@ -23,6 +24,13 @@ MASK_GRID_H = range(0, 11)
 MASK_GRID_S = range(0, 11)
 MASK_GRID_RHO = (0.1, 0.3, 0.5, 0.7, 0.9)
 MASK_GRID_DELTA = (1, 2, 3, 4, 5)
+
+# prop1's random instances and its Monte-Carlo gate's two-sided Bonferroni
+# z: an instance fails correct code with probability PROP1_ALPHA /
+# PROP1_INSTANCES, so a seed fails with probability at most PROP1_ALPHA.
+PROP1_INSTANCES = 100
+PROP1_ALPHA = 1e-3
+PROP1_Z = float(ndtri(1.0 - PROP1_ALPHA / (2 * PROP1_INSTANCES)))
 
 
 def _pair_vectors(h: int, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +165,15 @@ def _closed_form(q: GaussianPosterior, anchors: np.ndarray,
 
 
 def suite_prop1(seed: int = 0) -> list[geo.GeometryReport]:
-    """Closed-form alignment loss versus its Monte-Carlo oracle."""
+    """Closed-form alignment loss against its literal expectation and its
+    Monte-Carlo oracle, on PROP1_INSTANCES random instances.
+
+    Each instance gates two values. The exact one: the closed form equals
+    mean_i ||mu - e_i||^2 + tr(Sigma), summed anchor by anchor, to within
+    1e-12 * max(1, |closed|). The Monte-Carlo one: |closed - mc| is at most
+    PROP1_Z standard errors of a 10,000-sample oracle, so correct code fails
+    some instance of a seed with probability at most PROP1_ALPHA = 1e-3.
+    """
     reports = []
     degenerate = GaussianPosterior(mean=[0.5, -1.0], logvar=[-np.inf, -np.inf])
     closed = _closed_form(degenerate, np.array([[0.5, -1.0]]), np.array([0]))
@@ -165,7 +181,7 @@ def suite_prop1(seed: int = 0) -> list[geo.GeometryReport]:
         "alignment-degenerate-exact-zero", {"closed": closed, "abs": abs(closed)},
         {"abs": 0.0}))
     rng = np.random.default_rng(seed)
-    for j in range(100):
+    for j in range(PROP1_INSTANCES):
         d = int(rng.integers(1, 6))
         n_anchors = int(rng.integers(1, 8))
         anchors = rng.standard_normal((n_anchors, d))
@@ -174,12 +190,16 @@ def suite_prop1(seed: int = 0) -> list[geo.GeometryReport]:
         positives = rng.choice(n_anchors, size=int(rng.integers(1, n_anchors + 1)),
                                replace=False)
         closed = _closed_form(q, anchors, positives)
-        mc, se = alignment_mc_standard_error(q, anchors, positives, 100_000, rng)
-        slack = abs(closed - mc) - 3.0 * se
+        literal = float(np.mean([np.sum((q.mean - anchors[i]) ** 2)
+                                 for i in positives]) + np.sum(q.var))
+        mc, se = alignment_mc_standard_error(q, anchors, positives, 10_000, rng)
         reports.append(geo.GeometryReport(
-            f"alignment-closed-vs-mc #{j}",
-            {"closed": closed, "mc": mc, "se": se, "abs_diff_minus_3se": slack},
-            {"abs_diff_minus_3se": 0.0}))
+            f"alignment-closed-vs-literal-and-mc #{j}",
+            {"closed": closed, "literal": literal, "mc": mc, "se": se,
+             "positives": float(positives.size),
+             "literal_slack": abs(closed - literal) - 1e-12 * max(1.0, abs(closed)),
+             "mc_slack": abs(closed - mc) - PROP1_Z * se},
+            {"literal_slack": 0.0, "mc_slack": 0.0}))
     return reports
 
 

@@ -100,7 +100,12 @@ def loop_ingest_events(path, min_user_interactions, min_item_users,
             raise ParseError(1, "missing header") from None
         if len(header) < 3:
             raise ParseError(1, "header must have user,item,rating columns")
-        for line_no, fields in enumerate(reader, start=2):
+        while True:
+            # Each record is numbered by the file line it starts on.
+            line_no = reader.line_num + 1
+            fields = next(reader, None)
+            if fields is None:
+                break
             if not fields or (len(fields) == 1 and not fields[0].strip()):
                 continue
             if len(fields) != 3:
@@ -212,6 +217,15 @@ class TestIngestEvents:
         with pytest.raises(ParseError) as exc:
             ingest_events(_write(tmp_path, text), 0, 0, 0.0)
         assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_number_counts_file_lines_not_records(self, tmp_path, newline):
+        # The quoted rating's line break is valid CSV: the bad record that
+        # follows starts on file line 4, though it is the third record.
+        text = newline.join(["user,item,rating", 'u1,i1,"5', '"', "u2,i2,good", ""])
+        with pytest.raises(ParseError, match="bad rating 'good'") as exc:
+            ingest_events(_write(tmp_path, text), 0, 0, 0.0)
+        assert exc.value.line_number == 4
 
     def test_bad_rating_raises(self, tmp_path):
         text = "user,item,rating\nu1,i1,good\n"

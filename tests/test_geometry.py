@@ -1,10 +1,15 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import piavae
 from piavae.errors import ShapeError
 from piavae.geometry import (PROBE_PERTURB, PROBE_SAMPLES, GeometryReport,
                              contraction_bound,
@@ -26,6 +31,18 @@ from tests.test_model import encode_one, tiny_params
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_suites_import_leaves_scipy_stats_unloaded():
+    # The geometry lab's set-up is this import in a fresh interpreter:
+    # 0.03-0.06 s on a 2-core x86_64 machine, where importing scipy.stats
+    # (for a chi-squared p-value, say) adds 0.5-0.8 s.
+    env = {**os.environ, "PYTHONPATH": str(Path(piavae.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, piavae.suites; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestGeometryReport:

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from piavae import model
+from piavae import model, suites
 from piavae.errors import EmptySupportError, NumericalError, ShapeError
 from piavae.model import (TrainConfig, draw_mask_and_noise, fit, loss_and_grads,
                           loss_and_grads_fixed, pack_grads, pack_params,
                           unpack_params)
 from piavae.numerics import GaussianPosterior, finite_diff_check
-from piavae.pia import (ORACLE_BLOCK, PiaConfig, alignment_closed_form,
+from piavae.pia import (PiaConfig, alignment_closed_form,
                         alignment_mc_standard_error)
-from tests.test_model import small_split, tiny_params, to_csr, traced_peak
+from tests.test_model import small_split, tiny_params, to_csr
 
 
 def uniform_weights(n_anchors, positives):
@@ -130,7 +130,9 @@ class TestAlignmentClosedForm:
 def row_major_oracle(q, anchors, positives, n_samples, rng):
     """The oracle computed row-major: samples in the rows of an
     (n_samples, d) array, each anchor's squared distance a row sum. The
-    reference that the latent-major oracle reproduces."""
+    oracle it replaced, which added the coordinates of each sample left to
+    right, gave the same bits up to d = 7, so `prop1` values at a fixed
+    sample count did not move with it."""
     idx = np.asarray(positives, dtype=np.int64)
     noise = rng.standard_normal((n_samples, q.dim))
     z = q.mean + noise * q.std
@@ -145,7 +147,7 @@ def row_major_oracle(q, anchors, positives, n_samples, rng):
 
 
 def oracle_pair(q, anchors, positives, n_samples, seed):
-    """(latent-major oracle, row-major reference) on the same draws."""
+    """(oracle, row-major reference) on the same draws."""
     return (alignment_mc_standard_error(q, anchors, positives, n_samples,
                                         np.random.default_rng(seed)),
             row_major_oracle(q, anchors, positives, n_samples,
@@ -153,8 +155,8 @@ def oracle_pair(q, anchors, positives, n_samples, seed):
 
 
 class TestOracleMatchesRowMajorReference:
-    # numpy sums fewer than 8 terms of a row left to right, as the oracle
-    # adds its coordinates, so up to d = 7 the two agree bit for bit.
+    # numpy sums fewer than 8 terms of a row left to right, so up to d = 7
+    # any literal oracle that adds coordinates in order agrees bit for bit.
     @pytest.mark.parametrize("d", range(1, 8))
     def test_bit_identical_up_to_seven_dimensions(self, d):
         rng = np.random.default_rng(100 + d)
@@ -164,9 +166,7 @@ class TestOracleMatchesRowMajorReference:
             logvar[n_anchors % d] = -np.inf
             q = GaussianPosterior(mean=rng.standard_normal(d), logvar=logvar)
             positives = rng.integers(0, n_anchors, size=n_anchors + 2)
-            # The last four straddle the oracle's block boundaries.
-            for n_samples in (2, 3000, ORACLE_BLOCK - 1, ORACLE_BLOCK,
-                              ORACLE_BLOCK + 1, 2 * ORACLE_BLOCK + 3):
+            for n_samples in (2, 3000):
                 got, want = oracle_pair(q, anchors, positives, n_samples,
                                         seed=n_anchors)
                 assert got == want
@@ -177,29 +177,9 @@ class TestOracleMatchesRowMajorReference:
         anchors = rng.standard_normal((5, d))
         q = GaussianPosterior(mean=rng.standard_normal(d),
                               logvar=rng.uniform(-2.0, 1.0, d))
-        # The second sample count spans three blocks, the last one short.
-        for n_samples in (3000, 2 * ORACLE_BLOCK + 3):
-            got, want = oracle_pair(q, anchors, [0, 1, 1, 4], n_samples,
-                                    seed=d)
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-15 * abs(w)
-
-
-class TestOracleAllocation:
-    # Byte counts, not timings: the draw, the per-sample vector and numpy's
-    # std temporaries, plus one block's scratch. A latent-major copy of the
-    # whole draw fails this.
-    def test_works_on_one_block_at_a_time(self):
-        n, d = 100_000, 5
-        rng = np.random.default_rng(5)
-        anchors = rng.standard_normal((4, d))
-        q = GaussianPosterior(mean=rng.standard_normal(d),
-                              logvar=rng.uniform(-2.0, 1.0, d))
-        peak = traced_peak(alignment_mc_standard_error, q, anchors, [0, 1, 3],
-                           n, rng)
-        noise_bytes = n * d * 8
-        assert peak < (noise_bytes + 3 * n * 8 + (d + 2) * ORACLE_BLOCK * 8
-                       + 64 * 1024)
+        got, want = oracle_pair(q, anchors, [0, 1, 1, 4], 3000, seed=d)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * abs(w)
 
 
 class TestAnchorShapes:
@@ -271,20 +251,41 @@ class TestAlignmentMcOracle:
             alignment_mc_standard_error(q, anchors, positives, 100,
                                         np.random.default_rng(0))
 
-    def test_closed_form_matches_mc_over_random_instances(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            d = int(rng.integers(1, 6))
-            n = int(rng.integers(1, 8))
-            anchors = rng.standard_normal((n, d))
-            q = GaussianPosterior(mean=rng.standard_normal(d),
-                                  logvar=rng.uniform(-2.0, 1.0, d))
-            positives = rng.choice(n, size=int(rng.integers(1, n + 1)),
-                                   replace=False)
-            closed = closed_form(q, uniform_weights(n, positives), anchors)
-            mc, se = alignment_mc_standard_error(q, anchors, positives,
-                                                 100_000, rng)
-            assert abs(closed - mc) <= 3 * se
+
+# Three wrong closed forms, each with alignment_closed_form's signature.
+def without_trace(mu, var, weights, anchors):
+    values, ebar = alignment_closed_form(mu, var, weights, anchors)
+    return values - np.sum(var, axis=1), ebar
+
+
+def without_spread(mu, var, weights, anchors):
+    ebar = weights @ anchors
+    return np.sum((mu - ebar) ** 2, axis=1) + np.sum(var, axis=1), ebar
+
+
+def first_anchor_for_centroid(mu, var, weights, anchors):
+    ebar = weights @ anchors
+    first = anchors[np.argmax(weights > 0, axis=1)]
+    spread = weights @ np.sum(anchors**2, axis=1) - np.sum(ebar**2, axis=1)
+    return (np.sum((mu - first) ** 2, axis=1) + np.sum(var, axis=1) + spread,
+            ebar)
+
+
+class TestProp1Gate:
+    # Each mutant is wrong wherever a user has two or more positives, so the
+    # exact part must fail there, at any seed; one positive makes the last
+    # two no-ops. The Monte-Carlo part must catch each mutant too, so the
+    # gate does not rest on the exact part alone.
+    @pytest.mark.parametrize("mutant", [without_trace, without_spread,
+                                        first_anchor_for_centroid])
+    def test_mutated_closed_form_fails(self, monkeypatch, mutant):
+        monkeypatch.setattr(suites, "alignment_closed_form", mutant)
+        instances = [r.values for r in suites.suite_prop1(seed=0)
+                     if "positives" in r.values]
+        shared = [v for v in instances if v["positives"] >= 2]
+        assert len(instances) == suites.PROP1_INSTANCES and shared
+        assert all(v["literal_slack"] > 0.0 for v in shared)
+        assert any(v["mc_slack"] > 0.0 for v in instances)
 
 
 class TestPiaLossAndGrads:
