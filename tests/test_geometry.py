@@ -41,7 +41,7 @@ def test_suites_import_leaves_scipy_stats_unloaded():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, piavae.suites; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        env=env, capture_output=True, text=True, check=True, timeout=120).stdout
     assert out.strip() == "False"
 
 
