@@ -4,7 +4,8 @@ An id is its field after `str.strip`, and a rating is `float` of its
 stripped field, whichever reader runs. The byte reader takes a file of
 unquoted 3-field records with LF or CRLF endings, no NUL, and no field
 that would be an error or is over csv.field_size_limit(): it reads the
-file as bytes, tokenizes it with numpy in blocks, and decodes each
+file in chunks, carrying a partial record into the next block,
+tokenizes each block of whole records with numpy, and decodes each
 distinct field once in Python. Every other file (quoting, blank lines,
 lone CRs, NULs, or any bad record) goes whole to the record-by-record
 csv.reader loop, which alone raises the ParseErrors.
@@ -109,42 +110,66 @@ def _code_events_bytes(path: str | Path, rating_threshold: float):
     csv.field_size_limit() bytes; every distinct id field must strip to
     an id the idmap can hold and every distinct rating field to a float.
     A file that decodes as UTF-8 field by field decodes as a whole, since
-    the separators are ASCII.
+    the separators are ASCII. Each block of whole records is checked and
+    parsed as it is read, so a CRLF that a read splits is checked as one
+    pair, and the first block that fails returns None.
     """
-    data = Path(path).read_bytes()
-    if b'"' in data or b"\0" in data or (
-            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
-        return None
     limit = csv.field_size_limit()
-    start = data.find(b"\n") + 1 or len(data)
-    header = data[:start].rstrip(b"\r\n")
-    if header.count(b",") < 2 or len(header) > limit:
-        return None
-    try:
-        header.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
     users, items = _Column(_id_of), _Column(_id_of)
     ratings = _Column(lambda field: float(field.decode("utf-8").strip())
                       >= rating_threshold)
     user_of, item_of = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    while start < len(data):
-        stop = data.find(b"\n", start + _INGEST_BLOCK - 1) + 1 or len(data)
-        split = _split_block(np.frombuffer(data, np.uint8, stop - start, start),
-                             limit)
-        start = stop
-        if split is None:
+    with open(path, "rb") as fh:
+        header = fh.readline(limit + 2)
+        name = header.rstrip(b"\r\n")
+        if not _plain(header) or name.count(b",") < 2 or len(name) > limit:
             return None
-        buf, user, item, rating = split
-        rating = ratings.slots(buf, *rating)
-        user, item = users.slots(buf, *user), items.slots(buf, *item)
-        if rating is None or user is None or item is None:
+        try:
+            name.decode("utf-8")
+        except UnicodeDecodeError:
             return None
-        positive = np.array(ratings.values, dtype=bool)[rating]
-        user_of.append(users.codes(user[positive]))
-        item_of.append(items.codes(item[positive]))
+        # A valid record is at most 3 fields of `limit` bytes, 2 commas
+        # and a CR.
+        for data in _record_blocks(fh, 3 * limit + 3):
+            split = _plain(data) and _split_block(np.frombuffer(data, np.uint8),
+                                                  limit)
+            if not split:
+                return None
+            buf, user, item, rating = split
+            rating = ratings.slots(buf, *rating)
+            user, item = users.slots(buf, *user), items.slots(buf, *item)
+            if rating is None or user is None or item is None:
+                return None
+            positive = np.array(ratings.values, dtype=bool)[rating]
+            user_of.append(users.codes(user[positive]))
+            item_of.append(items.codes(item[positive]))
     return (np.concatenate(user_of), np.concatenate(item_of),
             list(users.code_of), list(items.code_of))
+
+
+def _plain(data: bytes | None) -> bool:
+    """Whether data is bytes with no quote, NUL or CR outside a CRLF."""
+    return data is not None and b'"' not in data and b"\0" not in data and (
+        b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))
+
+
+def _record_blocks(fh, longest: int):
+    """The rest of fh as blocks of whole records, read _INGEST_BLOCK bytes
+    at a time; the bytes after a read's last LF start the next block, so
+    only the last block may lack its LF. A partial record carried past
+    `longest` bytes yields None, so a block and a record bound memory."""
+    carry = b""
+    while chunk := fh.read(_INGEST_BLOCK):
+        data = carry + chunk
+        cut = data.rfind(b"\n") + 1
+        block, carry = data[:cut], data[cut:]
+        if len(carry) > longest:
+            yield None
+            return
+        if block:
+            yield block
+    if carry:
+        yield carry
 
 
 def _split_block(block: np.ndarray, limit: int):

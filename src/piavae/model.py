@@ -12,14 +12,17 @@ input layer and both heads, and clips the logvar. Training
 (`loss_and_grads_fixed`, on CSR batches of the training matrix) and
 `encode_rows`, the encoder entry point over CSR rows, both run it.
 `decode_loss` is the one decoder, with its loss and logit gradient: the
-training kernel and `geometry.sharing_probe` run it.
+training kernel and `geometry.sharing_probe` run it, its elementwise
+passes over the logits in row blocks of DECODE_BLOCK entries.
 `posterior_means` runs `encode_rows` over a matrix in fixed-size chunks
 and `score_matrix` decodes its means; there is no dense encoder path.
 The mask is drawn on the nonzeros of a batch only, and the alignment
-term is `pia.alignment_closed_form`. During `fit` the parameters are
-views into one flat buffer that `adam_step` updates in place from the
-kernel's per-array gradient pieces, which `pack_grads` flattens. All
-gradients are derived by hand; `finite_diff_check` guards every term.
+term is `pia.alignment_closed_form` on the anchor table in place.
+During `fit` the parameters are views into one flat buffer that
+`adam_step` updates in place from the kernel's per-array gradient
+pieces, which `pack_grads` flattens; enc_w1's covers only the items the
+mask keeps. All gradients are derived by hand; `finite_diff_check`
+guards every term.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ ANCHOR_SECTION = b"ANCH"
 # batched sums depend on the chunk, so a fixed size keeps seeded scores
 # repeatable.
 SCORE_CHUNK = 256
+# Entries per row block of decode_loss's elementwise passes: a block
+# (512 KiB) stays in a 2 MiB L2 from pass to pass.
+DECODE_BLOCK = 1 << 16
 
 
 def _weight_shapes(n_items: int, hidden: int,
@@ -243,20 +249,29 @@ def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
     """The one decoder: -loglik(softmax(dec_w z[r] + dec_b), x_r) per row
     r, and its logit gradient (|x_r| softmax - x_r) / scale as a (rows,
     items) array, for binary targets x_r with 1s at the distinct items
-    indices[indptr[r]:indptr[r+1]]. Training passes scale = batch size."""
+    indices[indptr[r]:indptr[r+1]]. Training passes scale = batch size.
+    After one z @ dec_w.T, each elementwise pass runs on blocks of whole
+    rows of DECODE_BLOCK entries (or one row), giving the same bits."""
     n = indptr.size - 1
     counts = np.diff(indptr).astype(np.float64)
-    row_of = entry_rows(indptr)
+    recon = np.empty(n)
     # The logits buffer becomes exp(logits - max), then d_logits.
     work = z @ p.dec_w.T
-    work += p.dec_b
-    work -= np.max(work, axis=1, keepdims=True)
-    picked = np.bincount(row_of, weights=work[row_of, indices], minlength=n)
-    np.exp(work, out=work)
-    sums = np.sum(work, axis=1)
-    recon = counts * np.log(sums) - picked
-    work *= (counts / (scale * sums))[:, None]
-    work[row_of, indices] -= 1.0 / scale
+    step = max(1, DECODE_BLOCK // p.n_items)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        block, rows = work[r0:r1], slice(r0, r1)
+        row_of = entry_rows(indptr[r0:r1 + 1] - indptr[r0])
+        cols = indices[indptr[r0]:indptr[r1]]
+        block += p.dec_b
+        block -= np.max(block, axis=1, keepdims=True)
+        picked = np.bincount(row_of, weights=block[row_of, cols],
+                             minlength=r1 - r0)
+        np.exp(block, out=block)
+        sums = np.sum(block, axis=1)
+        recon[rows] = counts[rows] * np.log(sums) - picked
+        block *= (counts[rows] / (scale * sums))[:, None]
+        block[row_of, cols] -= 1.0 / scale
     return recon, work
 
 
@@ -273,23 +288,17 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     closed-form alignment penalty of the row's positives; the total is the
     batch mean. Only the decoder is dense (rows x items): the input layer,
     its gradient and the alignment term are sparse products over the
-    batch's items. The gradient is one piece per trained array in
-    pack_params order, as adam_step takes it: enc_w1's and the anchors' as
-    (present, rows), the batch's item rows of enc_w1.T and of anchors.
+    batch's items; the alignment reads the anchor table in place. The
+    gradient is one piece per trained array in pack_params order, as
+    adam_step takes it: enc_w1's and the anchors' as (mark, rows), the
+    rows of enc_w1.T for the items with a kept entry (none if all are
+    masked) and of anchors for the batch's items, the latter formed in
+    place after the logits are freed.
     """
     from scipy import sparse
 
     n = indptr.size - 1
     counts = np.diff(indptr).astype(np.float64)
-    row_of = entry_rows(indptr)
-    # The batch's items, ascending; rank maps an item, and col_of each
-    # stored entry, to its place among them (np.unique's inverse, without
-    # the sort).
-    present = np.bincount(indices, minlength=p.n_items) > 0
-    items = np.flatnonzero(present)
-    rank = np.cumsum(present) - 1
-    col_of = rank[indices]
-
     x, h1, mu, lv = _encode(p, indptr, indices, keep)
     sigma = np.exp(0.5 * lv)
     z = mu + noise * sigma
@@ -304,11 +313,10 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
         if np.any(counts < 1):
             raise NumericalError("alignment needs at least one positive per row",
                                  row_index=int(np.argmin(counts)))
-        anchors = p.anchors[items]
-        entry_weight = 1.0 / counts[row_of]
-        weights = sparse.csr_matrix((entry_weight, col_of, indptr),
-                                    shape=(n, items.size))
-        align, ebar = alignment_closed_form(mu, var, weights, anchors)
+        entry_weight = 1.0 / counts[entry_rows(indptr)]
+        weights = sparse.csr_matrix((entry_weight, indices, indptr),
+                                    shape=(n, p.n_items))
+        align, ebar = alignment_closed_form(mu, var, weights, p.anchors)
         per_row = per_row + lambda_a * align
 
     if not np.all(np.isfinite(per_row)):
@@ -327,14 +335,20 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     if use_align:
         d_mu = d_mu + (lambda_a / n) * 2.0 * (mu - ebar)
         d_lv = d_lv + (lambda_a / n) * var
-        g_items = (2.0 * lambda_a / n) * (
-            anchors * np.bincount(col_of, weights=entry_weight,
-                                  minlength=items.size)[:, None]
-            - weights.T @ mu)
+        # col_of places each entry among the batch's items.
+        present = np.bincount(indices, minlength=p.n_items) > 0
+        col_of = (np.cumsum(present) - 1)[indices]
+        weights_t = sparse.csr_matrix((entry_weight, col_of, indptr), shape=(
+            n, np.count_nonzero(present))).T.tocsr()
+        g_items = p.anchors[present]
+        g_items *= np.bincount(col_of, weights=entry_weight,
+                               minlength=len(g_items))[:, None]
+        g_items -= weights_t @ mu
+        g_items *= 2.0 * lambda_a / n
         g_anchors = [(present, g_items)]
     else:
         g_anchors = [] if p.anchors is None else [
-            (np.zeros_like(present), np.empty((0, p.latent_dim)))]
+            (np.zeros(p.n_items, dtype=bool), np.empty((0, p.latent_dim)))]
 
     # Strict inequalities on the clipped lv hold exactly where they hold
     # on the raw head, and NaN fails both.
@@ -343,11 +357,12 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
                np.sum(d_lv, axis=0)]
     d_h1 = d_mu @ p.enc_w_mu + d_lv @ p.enc_w_lv
     d_a1 = d_h1 * (1.0 - h1**2)
-    # enc_w1's gradient d_a1.T @ x is zero outside the batch's items;
-    # each item's is one row of the C-ordered enc_w1.T.
-    x_items = sparse.csr_matrix((x.data, rank[x.indices], x.indptr),
-                                shape=(n, items.size)).T
-    return loss, [(present, x_items @ d_a1), np.sum(d_a1, axis=0),
+    # enc_w1's gradient d_a1.T @ x is zero outside the items x keeps;
+    # each such item's is one row of the C-ordered enc_w1.T.
+    kept = np.bincount(x.indices, minlength=p.n_items) > 0
+    x_t = sparse.csr_matrix((x.data, (np.cumsum(kept) - 1)[x.indices], x.indptr),
+                            shape=(n, np.count_nonzero(kept))).T.tocsr()
+    return loss, [(kept, x_t @ d_a1), np.sum(d_a1, axis=0),
                   *g_heads, *g_dec, *g_anchors]
 
 

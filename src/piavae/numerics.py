@@ -101,11 +101,13 @@ def adam_step(state: AdamState, params: np.ndarray,
     marks; every other row's gradient is 0. Every entry is updated (dense
     Adam), operation for operation as in the textbook expression
     `params - lr * m_hat / (sqrt(v_hat) + eps)`, so bit-identical to it.
-    Row blocks of at most ADAM_BLOCK entries (or one row) keep temporaries
-    in cache: each block's gradient is built in scratch (a dense piece's
-    rows, or zeros and then the marked rows) and the same 14 operations
-    run on it, so pieces give their zero-filled flat gradient's bits, zero
-    moments' signs included. Returns params and state, both updated.
+    One walk fills blocks of at most ADAM_BLOCK entries with whole rows
+    of consecutive parts (a longer row is a block of its own), so
+    temporaries stay in cache and a small model is one block. Each
+    block's gradient is built in scratch (a dense piece's rows, or zeros
+    and then the marked rows) and the same 14 operations run on it once,
+    so pieces give their zero-filled flat gradient's bits, zero moments'
+    signs included. Returns params and state, both updated.
     """
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
         raise TypeError("params must be a float64 array, updated in place")
@@ -127,16 +129,40 @@ def adam_step(state: AdamState, params: np.ndarray,
     t = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_scale, v_scale = 1.0 - b1**t, 1.0 - b2**t
-    start = 0
+    grad, buf, den = np.empty((3, min(size, max(
+        [ADAM_BLOCK] + [rows.shape[1] for _, rows, _ in parts]))))
+
+    def update(start, stop):
+        g, tmp, d = grad[:stop - start], buf[:stop - start], den[:stop - start]
+        m = state.first_moment[start:stop]
+        v = state.second_moment[start:stop]
+        # m = b1 * m + (1 - b1) * g
+        m *= b1
+        np.multiply(1.0 - b1, g, out=tmp)
+        m += tmp
+        # v = b2 * v + (1 - b2) * g**2
+        v *= b2
+        np.square(g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        # params -= lr * (m / m_scale) / (sqrt(v / v_scale) + eps)
+        np.divide(v, v_scale, out=d)
+        np.sqrt(d, out=d)
+        d += ADAM_EPS
+        np.divide(m, m_scale, out=tmp)
+        tmp *= state.lr
+        tmp /= d
+        params[start:stop] -= tmp
+
+    start = fill = 0
     for mark, rows, n_rows in parts:
-        width, given = rows.shape[1], 0
-        step = max(1, ADAM_BLOCK // width)
-        grad, buf, den = np.empty((3, min(step, n_rows) * width))
-        for r0 in range(0, n_rows, step):
-            r1 = min(r0 + step, n_rows)
-            stop = start + (r1 - r0) * width
-            g, tmp, d = grad[:stop - start], buf[:stop - start], den[:stop - start]
-            block = g.reshape(r1 - r0, width)
+        width, r0, given = rows.shape[1], 0, 0
+        while r0 < n_rows:
+            if fill and fill + width > ADAM_BLOCK:
+                update(start, start + fill)
+                start, fill = start + fill, 0
+            r1 = min(r0 + max(1, (ADAM_BLOCK - fill) // width), n_rows)
+            block = grad[fill:fill + (r1 - r0) * width].reshape(r1 - r0, width)
             if mark is None:
                 block[...] = rows[r0:r1]
             else:
@@ -144,26 +170,9 @@ def adam_step(state: AdamState, params: np.ndarray,
                 block.fill(0.0)
                 block[mark[r0:r1]] = rows[given:given + k]
                 given += k
-            m = state.first_moment[start:stop]
-            v = state.second_moment[start:stop]
-            # m = b1 * m + (1 - b1) * g
-            m *= b1
-            np.multiply(1.0 - b1, g, out=tmp)
-            m += tmp
-            # v = b2 * v + (1 - b2) * g**2
-            v *= b2
-            np.square(g, out=tmp)
-            tmp *= 1.0 - b2
-            v += tmp
-            # params -= lr * (m / m_scale) / (sqrt(v / v_scale) + eps)
-            np.divide(v, v_scale, out=d)
-            np.sqrt(d, out=d)
-            d += ADAM_EPS
-            np.divide(m, m_scale, out=tmp)
-            tmp *= state.lr
-            tmp /= d
-            params[start:stop] -= tmp
-            start = stop
+            fill += block.size
+            r0 = r1
+    update(start, start + fill)
     state.step_count = t
     return params, state
 

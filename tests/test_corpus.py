@@ -686,6 +686,63 @@ class TestByteReader:
         assert got == expected
         assert (byte_read is None) == (bad is not None)
 
+    @staticmethod
+    def chunked_case(case):
+        """(file bytes, chunk size, whether the byte reader takes it)."""
+        rows = [b"user,item,rating"] + [b"u%d,i%d,%d" % (u, i, 3 + (u + i) % 3)
+                                        for u in range(6) for i in range(5)]
+        data = b"\n".join(rows) + b"\n"
+        if case == "records straddle":
+            return data, 7, True
+        if case == "CRLF straddles":
+            data = b"\r\n".join(rows) + b"\r\n"
+            return data, data.index(b"\r\n", 40) + 1, True
+        if case == "field longer than a chunk":
+            return data.replace(b"u3,i2", b"u3," + b"i" * 150), 64, True
+        if case == "size a multiple of the chunk":
+            data = data.replace(b"rating", b"rating" + b"x" * (-len(data) % 8))
+            return data, len(data) // 8, True
+        if case == "last record without LF":
+            return data[:-1], 16, True
+        if case == "quote first in the last chunk":
+            data = data[:-1] + b'\nu9,"i9",5\n'
+            return data, len(data) - 5, False
+        raise AssertionError(case)
+
+    @pytest.mark.parametrize("case", [
+        "records straddle", "CRLF straddles", "field longer than a chunk",
+        "size a multiple of the chunk",
+        "last record without LF", "quote first in the last chunk"])
+    def test_chunked_reads_match_the_record_loop(self, tmp_path, case):
+        data, chunk, taken = self.chunked_case(case)
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        got, expected, byte_read = _ingest_both(path, 0, 0, 3.5, block=chunk)
+        assert got == expected
+        assert (byte_read is not None) == taken
+
+    def test_record_carried_past_three_fields_goes_to_the_loop(self, tmp_path):
+        # No record of 3 fields within the limit is this long, so the
+        # byte reader stops carrying it, and the loop names its line.
+        path = tmp_path / "events.csv"
+        path.write_text("user,item,rating\nu1,i1,5\n"
+                        + "u" * (3 * csv.field_size_limit() + 4) + ",i1,5\n")
+        assert events._code_events_bytes(path, 3.5) is None
+        with pytest.raises(ParseError, match="line 3: field larger"):
+            ingest_events(path, 0, 0, 3.5)
+
+    def test_reader_holds_chunks_not_the_file(self, tmp_path):
+        # 60,000 records of 86 bytes. Beyond the codes it returns, the
+        # byte reader holds a block's temporaries, not the whole file.
+        rng = np.random.default_rng(9)
+        rows = rng.integers([0, 0, 1], [300, 500, 6], size=(60_000, 3))
+        path = tmp_path / "events.csv"
+        path.write_text("user,item,rating\n" + "".join(
+            "user-{:036d},item-{:036d},{}\n".format(*r) for r in rows.tolist()))
+        user_of, item_of, _, _ = events._code_events_bytes(path, 3.5)
+        peak = traced_peak(events._code_events_bytes, path, 3.5)
+        assert peak - user_of.nbytes - item_of.nbytes < path.stat().st_size
+
     def test_peak_memory_stays_under_the_loops(self, tmp_path):
         # 218,803 rows: 190,264 distinct positive pairs of 1,000 users and
         # 2,000 items, and 15% more rows rated below the threshold. With

@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from piavae.corpus import (SynthSpec, matrix_from_rows, split_dataset,
-                           synth_block_dataset)
+from piavae.corpus import (SynthSpec, entry_rows, matrix_from_rows,
+                           split_dataset, synth_block_dataset)
 from piavae.errors import (CorruptFileError, NumericalError, ShapeError,
                            SplitError)
 from piavae import model
-from piavae.model import (ModelParams, TrainConfig, draw_mask, encode_rows,
-                          fit, init_params, load_checkpoint, loss_and_grads,
+from piavae.model import (DECODE_BLOCK, ModelParams, TrainConfig, decode_loss,
+                          draw_mask, encode_rows, fit, init_params,
+                          load_checkpoint, loss_and_grads,
                           loss_and_grads_fixed, pack_grads, pack_params,
                           save_checkpoint, score_matrix, unpack_params)
 from piavae.numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState,
@@ -155,6 +156,25 @@ def dense_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
         enc_w1=g_w1, enc_b1=g_b1, enc_w_mu=g_mu_w, enc_b_mu=g_mu_b,
         enc_w_lv=g_lv_w, enc_b_lv=g_lv_b, dec_w=g_dec_w, dec_b=g_dec_b,
         anchors=g_anchors))
+
+
+def whole_array_decode_loss(p, z, indptr, indices, scale):
+    """Reference: decode_loss with each elementwise pass over the whole
+    (rows, items) logits array at once, the way it ran before its passes
+    went row block by row block."""
+    n = indptr.size - 1
+    counts = np.diff(indptr).astype(np.float64)
+    row_of = entry_rows(indptr)
+    work = z @ p.dec_w.T
+    work += p.dec_b
+    work -= np.max(work, axis=1, keepdims=True)
+    picked = np.bincount(row_of, weights=work[row_of, indices], minlength=n)
+    np.exp(work, out=work)
+    sums = np.sum(work, axis=1)
+    recon = counts * np.log(sums) - picked
+    work *= (counts / (scale * sums))[:, None]
+    work[row_of, indices] -= 1.0 / scale
+    return recon, work
 
 
 def param_blocks(p):
@@ -466,6 +486,80 @@ class TestCsrKernel:
         rng = np.random.default_rng(50)
         assert keep.tobytes() == draw_mask((7,), 0.5, rng).tobytes()
         assert noise.tobytes() == rng.standard_normal((3, 4)).tobytes()
+
+
+# Rows of 5000 items per decode_loss row block; a row wider than
+# DECODE_BLOCK takes a block on its own.
+PER_BLOCK = DECODE_BLOCK // 5000
+
+
+class TestRowBlockedDecoder:
+    # decode_loss runs its passes DECODE_BLOCK entries of rows at a time;
+    # every pass works row by row, so any row count gives the whole-array
+    # passes' bits. Row 0 has no targets.
+    @staticmethod
+    def batch(n_items, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        p = tiny_params(seed=seed, n_items=n_items, hidden=4, latent=3)
+        rows = [np.sort(rng.choice(n_items, 0 if r == 0 else
+                                   rng.integers(1, 40), replace=False))
+                for r in range(n_rows)]
+        indptr = np.concatenate(([0], np.cumsum([r.size for r in rows])))
+        z = 2.0 * rng.standard_normal((n_rows, 3))
+        return p, z, indptr, np.concatenate(rows).astype(np.int64)
+
+    @pytest.mark.parametrize("n_items, n_rows", [
+        *((5000, n) for n in (1, PER_BLOCK - 1, PER_BLOCK, PER_BLOCK + 1,
+                              3 * PER_BLOCK + 5)),
+        *((DECODE_BLOCK + 100, n) for n in (1, 2, 8))])
+    @pytest.mark.parametrize("scale", ["batch", 1])
+    def test_row_blocks_give_whole_array_bits(self, n_items, n_rows, scale):
+        p, z, indptr, indices = self.batch(n_items, n_rows, seed=n_rows)
+        scale = n_rows if scale == "batch" else scale
+        want = whole_array_decode_loss(p, z, indptr, indices, scale)
+        got = decode_loss(p, z, indptr, indices, scale)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestKernelPieces:
+    def test_enc_w1_piece_marks_the_items_with_a_kept_entry(self):
+        p = tiny_params(with_anchors=True, seed=70)
+        x, mask, noise = TestCsrKernel.batch(71)
+        indptr, indices = to_csr(x)
+        keep = mask[x > 0]
+        pieces = loss_and_grads_fixed(p, indptr, indices, keep, noise, 0.2,
+                                      lambda_a=1.5)[1]
+        kept = np.zeros(p.n_items, dtype=bool)
+        kept[indices[keep != 0]] = True
+        assert kept.sum() < np.unique(indices).size
+        assert np.array_equal(pieces[0][0], kept)
+        present = np.zeros(p.n_items, dtype=bool)
+        present[indices] = True
+        assert np.array_equal(pieces[-1][0], present)
+
+    def test_fully_masked_batch_gives_an_empty_piece(self):
+        p = tiny_params(with_anchors=True, seed=72)
+        x, _, noise = TestCsrKernel.batch(73)
+        indptr, indices = to_csr(x)
+        pieces = loss_and_grads_fixed(p, indptr, indices,
+                                      np.zeros(indices.size), noise, 0.2,
+                                      lambda_a=1.5)[1]
+        mark, rows = pieces[0]
+        assert not mark.any() and rows.shape == (0, p.hidden_dim)
+        flat = pack_grads(p, pieces)
+        w1 = param_blocks(p)[0][1]
+        assert flat[w1].tobytes() == np.zeros(p.enc_w1.size).tobytes()
+        runs = [(pack_params(p), AdamState.init(flat.size, 1e-2))
+                for _ in range(2)]
+        adam_step(runs[0][1], runs[0][0], pieces)
+        adam_step(runs[1][1], runs[1][0], flat)
+        (got, got_state), (want, want_state) = runs
+        assert got.tobytes() == want.tobytes()
+        assert got_state.first_moment.tobytes() == \
+            want_state.first_moment.tobytes()
+        assert got_state.second_moment.tobytes() == \
+            want_state.second_moment.tobytes()
 
 
 class TestPieceStep:
@@ -836,6 +930,25 @@ class TestAllocation:
         p = tiny_params(with_anchors=True, n_items=20_000, hidden=128,
                         latent=8)
         assert peak <= 4.5 * pack_params(p).nbytes
+
+    def test_kernel_transients_leave_out_masked_items_and_anchor_copies(self):
+        # 50 rows of 400 of 20k items: a third of the batch's items have
+        # every entry masked. At the peak only the logits buffer and the
+        # dec_w piece are large; a gathered copy of the batch's anchor
+        # rows beside them, or enc_w1 rows for the masked items, pass the
+        # bound.
+        rng = np.random.default_rng(80)
+        p = init_params(20_000, 32, 32, rng,
+                        anchors=0.2 * rng.standard_normal((20_000, 32)))
+        indices = np.concatenate([np.sort(rng.choice(20_000, 400,
+                                                     replace=False))
+                                  for _ in range(50)])
+        indptr = np.arange(0, indices.size + 1, 400)
+        keep, noise = model.draw_mask_and_noise(indptr, 32, 0.5, rng)
+        peak = traced_peak(loss_and_grads_fixed, p, indptr, indices, keep,
+                           noise, 0.2, 8.0)
+        logits = 50 * p.n_items * 8
+        assert peak <= logits + p.dec_w.nbytes + logits / 4
 
     def test_load_checkpoint_reads_enc_w1_in_blocks(self, tmp_path):
         # The result is alive at the peak; any copy of enc_w1, or of a

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from piavae.errors import NumericalError, ShapeError
-from piavae.numerics import (FD_STEP, AdamState, GaussianPosterior, adam_step,
-                             finite_diff_check, kl_diag_gaussian)
+from piavae.numerics import (ADAM_BLOCK, FD_STEP, AdamState, GaussianPosterior,
+                             adam_step, finite_diff_check, kl_diag_gaussian)
 from tests.test_model import multinomial_loglik
 
 
@@ -104,6 +104,30 @@ class TestMultinomialLoglik:
         assert np.isfinite(ll)
 
 
+def textbook_adam(m, v, t, params, grads, lr, b1, b2, eps):
+    """Fresh-array reference: the expression adam_step evaluates in place."""
+    m = b1 * m + (1.0 - b1) * grads
+    v = b2 * v + (1.0 - b2) * grads**2
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+# Piece layouts for adam_step's one block walk: ("dense", shape) or
+# ("rows", n_rows, width), a (mask, rows) piece with about a third of its
+# rows marked.
+B = ADAM_BLOCK
+BLOCK_WALKS = {
+    "all in one block": [("dense", (3, 5)), ("rows", 10, 4), ("dense", (7,))],
+    "boundary in a dense piece": [("rows", 30, 7), ("dense", (100, 500)),
+                                  ("dense", (9,))],
+    "boundary in a rows piece": [("dense", (20, 1000)), ("rows", 3000, 12),
+                                 ("dense", (4, 3))],
+    "rows longer than a block": [("dense", (5,)), ("dense", (3, B + 7)),
+                                 ("rows", 4, B + 1), ("dense", (2, 6))],
+}
+
+
 class TestAdamStep:
     def test_zero_grads_leave_params_unchanged(self):
         state = AdamState.init(3)
@@ -130,13 +154,7 @@ class TestAdamStep:
     def test_in_place_update_is_bitwise_the_textbook_step(self):
         # Fresh-array reference: the expression adam_step evaluates block
         # by block. 200,000 entries span several blocks and a partial one.
-        def reference(m, v, t, params, grads, lr, b1, b2, eps):
-            m = b1 * m + (1.0 - b1) * grads
-            v = b2 * v + (1.0 - b2) * grads**2
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
-
+        reference = textbook_adam
         rng = np.random.default_rng(1)
         n = 200_000
         params = rng.standard_normal(n)
@@ -148,6 +166,47 @@ class TestAdamStep:
             got, state = adam_step(state, params, grads)
             want, m, v = reference(m, v, t, want, grads, 3e-3, 0.9, 0.999, 1e-8)
             assert got is params and state.step_count == t
+            assert params.tobytes() == want.tobytes()
+            assert state.first_moment.tobytes() == m.tobytes()
+            assert state.second_moment.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("layout", BLOCK_WALKS.values(), ids=BLOCK_WALKS)
+    def test_block_walk_gives_the_flat_textbook_bits(self, layout):
+        # Blocks take whole rows from consecutive pieces; a piece's
+        # unmarked rows are zeros, so the flat gradient is zero-filled
+        # there. The moments start with -0.0 entries and .tobytes()
+        # compares zero signs.
+        rng = np.random.default_rng(5)
+        size = sum(math.prod(spec[1]) if spec[0] == "dense"
+                   else spec[1] * spec[2] for spec in layout)
+        params = rng.standard_normal(size)
+        m = rng.standard_normal(size) * (rng.random(size) < 0.5)
+        m[::3] = -0.0
+        v = m**2
+        v[::5] = -0.0
+        state = AdamState(m.copy(), v.copy(), 4, 1e-2)
+        want = params.copy()
+        for t in range(5, 8):
+            pieces, flat = [], []
+            for spec in layout:
+                if spec[0] == "dense":
+                    piece = rng.standard_normal(spec[1])
+                    piece.ravel()[::4] = -0.0
+                    pieces.append(piece)
+                    flat.append(piece.ravel())
+                else:
+                    _, n_rows, width = spec
+                    mark = rng.random(n_rows) < 0.35
+                    mark[0] = True
+                    rows = rng.standard_normal((mark.sum(), width))
+                    pieces.append((mark, rows))
+                    full = np.zeros((n_rows, width))
+                    full[mark] = rows
+                    flat.append(full.ravel())
+            flat = np.concatenate(flat)
+            adam_step(state, params, pieces)
+            want, m, v = textbook_adam(m, v, t, want, flat, 1e-2, 0.9, 0.999,
+                                       1e-8)
             assert params.tobytes() == want.tobytes()
             assert state.first_moment.tobytes() == m.tobytes()
             assert state.second_moment.tobytes() == v.tobytes()
