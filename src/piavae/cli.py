@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .corpus import (SPLIT_FILES, SynthSpec, ingest_events, load_split,
@@ -146,6 +148,9 @@ def _dump_json(obj) -> str:
 
 def write_manifest(path: Path, command: str, config: dict, seed,
                    inputs: list[Path], outputs: list[str]) -> None:
+    # Seeded outputs depend on the BLAS build and its thread count too:
+    # parameter digests differ between 1 and 2 BLAS threads.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "config": config,
@@ -157,6 +162,11 @@ def write_manifest(path: Path, command: str, config: dict, seed,
             "piavae": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "cpu_count": os.cpu_count(),
         },
     }
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
@@ -197,10 +207,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_synth(args) -> int:
     out = Path(args.out)
     config = resolve_config(parse_kv_file(args.spec), SYNTH_KEYS, args.spec)
-    try:
-        spec = _from_config(SynthSpec, config)
-    except ValueError as exc:
-        raise UsageError(f"{args.spec}: {exc}") from None
+    spec = _from_config(SynthSpec, config, args.spec)
     if config["n_val_users"] < 0 or config["n_test_users"] < 0:
         raise UsageError(f"{args.spec}: n_val_users and n_test_users "
                          "must be >= 0")
@@ -218,23 +225,26 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _from_config(cls, config: dict):
-    return cls(**{f.name: config[f.name] for f in fields(cls)})
+def _from_config(cls, config: dict, source: str):
+    """cls built from its fields' config values; a value cls refuses is a
+    UsageError that names the config source."""
+    try:
+        return cls(**{f.name: config[f.name] for f in fields(cls)})
+    except ValueError as exc:
+        raise UsageError(f"{source}: {exc}") from None
 
 
 def _cmd_train(args) -> int:
+    source = args.config or "<defaults>"
     raw = parse_kv_file(args.config) if args.config else {}
-    config = resolve_config(raw, TRAIN_KEYS, args.config or "<defaults>")
+    config = resolve_config(raw, TRAIN_KEYS, source)
     if args.seed is not None:
         config["seed"] = args.seed
     if args.epochs is not None:
         config["epochs"] = args.epochs
     config["pia"] = args.pia
-    try:
-        cfg = _from_config(TrainConfig, config)
-        pia_cfg = _from_config(PiaConfig, config) if args.pia == "on" else None
-    except ValueError as exc:
-        raise UsageError(f"{args.config or '<defaults>'}: {exc}") from None
+    cfg = _from_config(TrainConfig, config, source)
+    pia_cfg = _from_config(PiaConfig, config, source) if args.pia == "on" else None
     split = load_split(args.data)
     params, log = fit(split, cfg, pia_cfg)
     out = Path(args.out)
@@ -266,6 +276,8 @@ def _cmd_evaluate(args) -> int:
     edges = _parse_int_list(args.strata, "--strata")
     if not k_list or min(k_list) < 1:
         raise UsageError(f"--k {args.k!r}: every K must be >= 1")
+    if len(set(k_list)) < len(k_list):
+        raise UsageError(f"--k {args.k!r}: each K may appear once")
     if len(edges) < 2:
         raise UsageError(f"--strata {args.strata!r}: need at least two edges")
     params = load_checkpoint(args.model)

@@ -1,17 +1,18 @@
 """Ranking metrics over fold-in/holdout users and activity-stratified reports.
 
-Ranking rule: fold-in items are excluded (scored -inf), and the list is
-np.argsort(-scores, kind="stable"), so items with equal scores rank in
-ascending item index; this holds for all-tied rows, for -inf scores and
-for K above the number of candidates, where the tail is -inf items in
-index order. The metrics select the top max(K) of each row by partial
-selection, sort only that prefix, and read Recall@K and NDCG@K for every
-K from one hit vector.
+Ranking rule, kept by `per_user_metrics` alone: a user's fold-in items
+are excluded whatever their scores (they rank after every other item),
+and the rest is ranked by np.argsort(-scores, kind="stable"), so items
+with equal scores rank in ascending item index; this holds for all-tied
+rows, for -inf and NaN scores and for K above the number of candidates,
+where the tail is the excluded items in index order. The metrics select
+the top max(K) of each row by partial selection, sort only that prefix,
+and read Recall@K and NDCG@K for every K from one hit vector.
 
-Scores come from model.score_matrix, which scores users in fixed-size
-batches. A batched row agrees with the same user scored alone to 1e-12
-on every finite entry, with the same -inf entries; it is not bit for bit
-the same, so a score tie that only rounding decides may rank differently
+Scores are the logits of model.score_matrix, which encodes users in
+fixed-size batches. A batched row agrees with the same user scored alone
+to 1e-12 on every entry (about 1e-15 at the reference shape), not bit
+for bit, so a score tie that only rounding decides may rank differently
 in the two cases.
 """
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .corpus import InteractionMatrix, SplitDataset, entry_rows
 from .errors import MetricError, ShapeError, SplitError
+from .model import score_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +72,8 @@ def per_user_metrics(scores: np.ndarray, fold: InteractionMatrix,
     """(recall, ndcg) arrays over the rows of `scores` for each K.
 
     Row u of `scores` is ranked against row u of the fold-in and holdout
-    matrices. One ranked prefix per row, as long as the largest K, serves
-    every K.
+    matrices, by the module's ranking rule. One ranked prefix per row, as
+    long as the largest K, serves every K.
     """
     ks = [int(k) for k in k_list]
     if any(k < 1 for k in ks):
@@ -159,8 +161,6 @@ def stratified_report(params, split: SplitDataset, k_list: list[int],
     Users are bucketed by their fold-in interaction count; empty buckets
     are omitted with a log note. A part with no users is a SplitError.
     """
-    from .model import score_matrix
-
     fold = getattr(split, f"{part}_fold_in")
     hold = getattr(split, f"{part}_holdout")
     if fold.n_users == 0:

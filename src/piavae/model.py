@@ -8,14 +8,17 @@ checkpoint follow; `_order` keeps enc_w1 items-major (column-major), and
 each array is stored in its memory order in the flat vector and the
 checkpoint alike. `_encode` is the one encoder: it drops zero (masked)
 entries of its CSR input rows, L2-normalizes them, applies the sparse
-input layer and both heads, and clips the logvar. Training
+input layer and both heads, and returns the posterior they give, whose
+constructor is the one place a logvar is clipped. Training
 (`loss_and_grads_fixed`, on CSR batches of the training matrix) and
 `encode_rows`, the encoder entry point over CSR rows, both run it.
 `decode_loss` is the one decoder, with its loss and logit gradient: the
 training kernel and `geometry.sharing_probe` run it, its elementwise
 passes over the logits in row blocks of DECODE_BLOCK entries.
 `posterior_means` runs `encode_rows` over a matrix in fixed-size chunks
-and `score_matrix` decodes its means; there is no dense encoder path.
+and `score_matrix` decodes its means to logits, fold-in items included:
+excluding them is the ranker's rule (`evaluate.per_user_metrics`).
+There is no dense encoder path.
 The mask is drawn on the nonzeros of a batch only, and the alignment
 term is `pia.alignment_closed_form` on the anchor table in place.
 During `fit` the parameters are views into one flat buffer that
@@ -222,9 +225,10 @@ def _encode(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
     sit at items indices[indptr[r]:indptr[r+1]]: zero entries (masked ones)
     are dropped, each row is L2-normalized when p.input_normalize (an
     empty row stays empty), and the scipy CSR input x goes through
-    h1 = tanh(x @ enc_w1.T + enc_b1) to the mean and clipped logvar heads.
-    Returns (x, h1, mu, lv). scipy copies a dense operand that is not
-    C-ordered; enc_w1 is column-major, so enc_w1.T is read in place."""
+    h1 = tanh(x @ enc_w1.T + enc_b1) to the mean and logvar heads.
+    Returns (x, h1, q), q the GaussianPosterior of the raw heads. scipy
+    copies a dense operand that is not C-ordered; enc_w1 is column-major,
+    so enc_w1.T is read in place."""
     from scipy import sparse
 
     n_rows = indptr.size - 1
@@ -239,9 +243,8 @@ def _encode(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
         data = data / np.where(norms > 0.0, norms, 1.0)[row_of]
     x = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, p.n_items))
     h1 = np.tanh(x @ p.enc_w1.T + p.enc_b1)
-    mu = h1 @ p.enc_w_mu.T + p.enc_b_mu
-    lv = np.clip(h1 @ p.enc_w_lv.T + p.enc_b_lv, LOGVAR_MIN, LOGVAR_MAX)
-    return x, h1, mu, lv
+    return x, h1, GaussianPosterior(mean=h1 @ p.enc_w_mu.T + p.enc_b_mu,
+                                    logvar=h1 @ p.enc_w_lv.T + p.enc_b_lv)
 
 
 def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
@@ -299,14 +302,13 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
 
     n = indptr.size - 1
     counts = np.diff(indptr).astype(np.float64)
-    x, h1, mu, lv = _encode(p, indptr, indices, keep)
-    sigma = np.exp(0.5 * lv)
+    x, h1, q = _encode(p, indptr, indices, keep)
+    mu, lv, sigma = q.mean, q.logvar, q.std
     z = mu + noise * sigma
 
     recon, d_logits = decode_loss(p, z, indptr, indices, n)
-    var = np.exp(lv)
-    kl = kl_diag_gaussian(GaussianPosterior(mean=mu, logvar=lv))
-    per_row = recon + beta * kl
+    var = q.var
+    per_row = recon + beta * kl_diag_gaussian(q)
 
     use_align = lambda_a > 0.0 and p.anchors is not None
     if use_align:
@@ -478,11 +480,10 @@ def fit(data: SplitDataset, cfg: TrainConfig,
 
 def encode_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
                 data: np.ndarray) -> GaussianPosterior:
-    """Posterior (mean, clipped logvar) of each CSR input row, whose values
+    """Posterior of each CSR input row, whose values
     data[indptr[r]:indptr[r+1]] sit at items indices[indptr[r]:indptr[r+1]]:
     `_encode`, the encoder training runs, without its hidden layer."""
-    _, _, mu, lv = _encode(p, indptr, indices, data)
-    return GaussianPosterior(mean=mu, logvar=lv)
+    return _encode(p, indptr, indices, data)[2]
 
 
 def posterior_means(p: ModelParams, matrix: InteractionMatrix) -> np.ndarray:
@@ -496,27 +497,20 @@ def posterior_means(p: ModelParams, matrix: InteractionMatrix) -> np.ndarray:
     means = np.empty((matrix.n_users, p.latent_dim), dtype=np.float64)
     for start in range(0, matrix.n_users, SCORE_CHUNK):
         stop = min(start + SCORE_CHUNK, matrix.n_users)
-        lo, hi = matrix.indptr[start], matrix.indptr[stop]
-        means[start:stop] = encode_rows(p, matrix.indptr[start:stop + 1] - lo,
-                                        matrix.indices[lo:hi],
-                                        np.ones(hi - lo)).mean
+        indptr, indices = matrix.csr_rows(np.arange(start, stop))
+        means[start:stop] = encode_rows(p, indptr, indices,
+                                        np.ones(indices.size)).mean
     return means
 
 
 def score_matrix(p: ModelParams, fold: InteractionMatrix) -> np.ndarray:
-    """Deterministic item scores for every user of a fold-in matrix: the
-    posterior mean of the clean fold-in row, decoded to logits, with the
-    fold-in items forced to -inf.
-
-    Batched products sum in another order than a one-user call, so a row
-    here agrees with the same user scored alone to 1e-12 on finite
-    entries (about 1e-15 at the reference shape), with the same -inf
-    entries, but not bit for bit. The encoder's chunk size is fixed, so
-    the same inputs always give the same bits.
+    """Deterministic item logits for every user of a fold-in matrix: the
+    posterior mean of the clean fold-in row, decoded. Fold-in items keep
+    their logits; the ranker excludes them. The encoder's chunk size is
+    fixed, so the same inputs always give the same bits.
     """
     scores = posterior_means(p, fold) @ p.dec_w.T
     scores += p.dec_b
-    scores[entry_rows(fold.indptr), fold.indices] = -np.inf
     return scores
 
 

@@ -97,16 +97,13 @@ def suite_t1(seed: int = 0) -> list[geo.GeometryReport]:
          "abs_bound_minus_1": abs(tight.values["bound"] - 1.0)},
         {"abs_w1_minus_1": 1e-6, "abs_bound_minus_1": 1e-6}))
     rng = np.random.default_rng(seed)
-    for j in range(200):
-        r = geo.t1_bound_check(_random_gaussian(rng, 1), _random_gaussian(rng, 1),
-                               prior_var=float(rng.uniform(0.5, 2.0)))
-        r.name = f"transport-entropy-1d #{j}"
-        reports.append(r)
-    for j in range(200):
-        r = geo.t1_bound_check(_random_gaussian(rng, 8), _random_gaussian(rng, 8),
-                               prior_var=float(rng.uniform(0.5, 2.0)))
-        r.name = f"transport-entropy-mean-gap #{j}"
-        reports.append(r)
+    for dim in (1, 8):
+        for j in range(200):
+            r = geo.t1_bound_check(_random_gaussian(rng, dim),
+                                   _random_gaussian(rng, dim),
+                                   prior_var=float(rng.uniform(0.5, 2.0)))
+            r.name = f"{r.name} #{j}"
+            reports.append(r)
     return reports
 
 
@@ -249,7 +246,13 @@ def beta_kl_direction() -> geo.GeometryReport:
     """Median masked-posterior KL after 4-epoch trainings on the tiny
     splits of seeds 0-4 must not grow with the KL weight. The KL is the
     mean over training rows under one mask draw (keep probability 0.5) on
-    the nonzeros, the way training draws it."""
+    the nonzeros, the way training draws it.
+
+    The seeds are fixed, whatever the suite's seed. Training seeds
+    5s..5s+4 instead (mask seed + 99, one BLAS thread) fail this gate at
+    16 of s = 0..199, s = 1 among them (worst increase 0.045; at most
+    0.170, at s = 88), so deriving them from the suite's seed needs a
+    wider gate or more splits first."""
     betas = (0.0, 0.2, 1.0)
     splits = [_tiny_split(seed) for seed in range(5)]
     medians = []

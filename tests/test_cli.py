@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import platform
 import re
 import struct
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import piavae
 from piavae import events
@@ -117,7 +120,8 @@ class TestEvaluateExitCodes:
         assert "test_hold.csr" in err and "out of range" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--strata", "5")])
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "20,20,5"),
+                                             ("--strata", "5")])
     def test_bad_evaluate_arguments_exit_1(self, run_dir, flag, value, capsys):
         argv = ["evaluate", "--model", str(run_dir / "model.ckpt"),
                 "--data", str(run_dir / "data"), "--out", str(run_dir / "eval"),
@@ -125,6 +129,7 @@ class TestEvaluateExitCodes:
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert flag in err and len(err.strip().splitlines()) == 1
+        assert not (run_dir / "eval").exists()
 
 
 class TestModelAndSplitMismatch:
@@ -214,6 +219,28 @@ class TestTrainManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"] == {**CUSTOM_TRAIN_CONFIG, "pia": pia}
         assert manifest["config_sha256"] == sha
+
+    def test_versions_record_what_seeded_outputs_depend_on(self, run_dir,
+                                                           monkeypatch):
+        # Parameter digests differ between 1 and 2 BLAS threads, so the
+        # BLAS build and its thread settings are recorded beside the
+        # library versions; they stay out of the config and its hash.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        (run_dir / "train.cfg").write_text(CUSTOM_CONFIG)
+        code, out = _train(run_dir, "off", "--config", str(run_dir / "train.cfg"))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        versions = manifest["versions"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert versions == {
+            "piavae": piavae.__version__, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+            "cpu_count": os.cpu_count()}
+        assert manifest["config_sha256"] == (
+            "30b5aa2f9a6c9d034da55659b77331dcf696f986120beda5f2ac9d39237243d8")
 
 
 def test_pyproject_version_is_the_package_version():
@@ -548,8 +575,10 @@ class TestGeometryGate:
     # ROADMAP.md item 1); it passes since the mask is drawn on the nonzeros
     # only, in training and in the KL it measures (medians 0.598, 0.547,
     # 0.414 at beta 0, 0.2, 1; with a dense mask in training, 0.482, 0.562,
-    # 0.387 failed). The report counts are pinned so that no check is
-    # dropped unnoticed.
+    # 0.387 failed). Seeds 5s..5s+4 would fail it at 16 of s = 0..199,
+    # s = 1 among them (worst increase 0.045), so they stay fixed until
+    # the gate is reworked. The report counts are pinned so that no check
+    # is dropped unnoticed.
     CHECKS = {"thm3": 3070, "t1": 401, "eq3": 23, "prop1": 101, "prop2": 102,
               "eq4": 21, "probe": 2}
 

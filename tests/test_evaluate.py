@@ -115,8 +115,9 @@ def reference_metrics(scores, holdout, fold_in, k):
 @st.composite
 def ranking_cases(draw):
     """Integer scores (heavy ties, some -inf and NaN) for a few users, each
-    with a fold-in set to -inf in the scores and a nonempty disjoint
-    holdout, and several K, some above the number of candidates."""
+    with a fold-in and a nonempty disjoint holdout, and several K, some
+    above the number of candidates. Fold-in items draw their scores like
+    any other, so per_user_metrics alone must exclude them."""
     n_items = draw(st.integers(2, 30))
     n_users = draw(st.integers(1, 4))
     folds, holds, rows = [], [], []
@@ -127,9 +128,7 @@ def ranking_cases(draw):
                                max_size=n_items))
         special = {-2: np.nan, -1: -np.inf}
         row = np.array([special.get(v, float(v)) for v in levels])
-        fold = [i for i, r in enumerate(roles) if r == "f"]
-        row[fold] = -np.inf
-        folds.append(fold)
+        folds.append([i for i, r in enumerate(roles) if r == "f"])
         holds.append([i for i, r in enumerate(roles) if r == "h"])
         rows.append(row)
     k_list = draw(st.lists(st.integers(1, n_items + 5), min_size=1, max_size=4))

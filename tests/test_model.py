@@ -10,6 +10,7 @@ from piavae.corpus import (SynthSpec, entry_rows, matrix_from_rows,
                            split_dataset, synth_block_dataset)
 from piavae.errors import (CorruptFileError, NumericalError, ShapeError,
                            SplitError)
+from piavae.evaluate import per_user_metrics
 from piavae import model
 from piavae.model import (DECODE_BLOCK, ModelParams, TrainConfig, decode_loss,
                           draw_mask, encode_rows, fit, init_params,
@@ -267,7 +268,7 @@ class TestEncodeDecode:
 
     def test_hand_decoder_column(self):
         # Empty fold-in: the encoder's bias path decoded through both
-        # items' decoder rows, with nothing forced to -inf.
+        # items' decoder rows.
         p = hand_params()
         mu = 0.5 * math.tanh(0.1) - 0.4
         scores = score_one(p, np.zeros(2))
@@ -275,17 +276,14 @@ class TestEncodeDecode:
                                    rtol=0.0, atol=1e-15)
 
     def test_decoder_is_affine(self):
-        # Scores are dec_w @ mu + dec_b for the posterior mean, with the
-        # fold-in items at -inf.
+        # Scores are dec_w @ mu + dec_b for the posterior mean, at every
+        # item, fold-in items included.
         p = tiny_params(seed=3, normalize=True)
         x = np.zeros(20)
         x[[1, 4, 9]] = 1.0
         scores = score_one(p, x)
         expected = p.dec_w @ encode_one(p, x).mean + p.dec_b
-        assert np.all(np.isneginf(scores[[1, 4, 9]]))
-        keep = x == 0
-        np.testing.assert_allclose(scores[keep], expected[keep], rtol=0.0,
-                                   atol=1e-12)
+        np.testing.assert_allclose(scores, expected, rtol=0.0, atol=1e-12)
 
 
 class TestSharedForward:
@@ -683,19 +681,18 @@ class TestFit:
 
 
 class TestPredictScores:
-    def test_everything_seen_means_nothing_to_recommend(self):
-        p = tiny_params(seed=13)
-        scores = score_one(p, np.ones(20))
-        assert np.all(np.isneginf(scores))
-
     def test_zero_network_ties_fall_to_index_order(self):
+        # All scores tie, so with fold-in [0, 3] the top 3 is [1, 2, 4]:
+        # user u's one holdout item is the top 3's entry u, so it is a
+        # hit at K = 1, 2, 3 from K = u + 1 on.
         p = tiny_params(seed=14)
         zeros = unpack_params(np.zeros(pack_params(p).size), p)
-        fold = np.zeros(20)
-        fold[[0, 3]] = 1.0
-        scores = score_one(zeros, fold)
-        order = np.argsort(-scores, kind="stable")
-        assert order[:3].tolist() == [1, 2, 4]
+        fold = matrix_from_rows([[0, 3]] * 3, 20)
+        hold = matrix_from_rows([[1], [2], [4]], 20)
+        per_k = per_user_metrics(score_matrix(zeros, fold), fold, hold,
+                                 [1, 2, 3])
+        for k, (recall, _) in per_k.items():
+            assert recall.tolist() == [float(k >= u + 1) for u in range(3)]
 
     def test_hand_model_top1(self):
         p = hand_params()
@@ -706,7 +703,6 @@ class TestPredictScores:
         mu = 0.5 * h1 - 0.4
         expected = -0.5 * mu - 0.1
         scores = score_one(p, fold)
-        assert np.isneginf(scores[0])
         assert scores[1] == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_and_mask_free(self):
@@ -719,8 +715,8 @@ class TestPredictScores:
 
     def test_score_matrix_matches_single_row_path(self):
         # A user scored in a chunk and the same user scored alone sum in
-        # different orders, so scores agree to a tolerance; the -inf
-        # pattern and the ranking are exact.
+        # different orders, so scores agree to a tolerance; the ranking
+        # is exact.
         split = small_split(seed=1)
         for normalize in (False, True):
             p = tiny_params(seed=16, n_items=24, normalize=normalize)
@@ -729,11 +725,9 @@ class TestPredictScores:
                 x = np.zeros(24)
                 x[split.val_fold_in.row(u)] = 1.0
                 single = score_one(p, x)
-                finite = np.isfinite(single)
-                np.testing.assert_array_equal(np.isneginf(scores[u]), ~finite)
-                assert np.all(np.isfinite(scores[u][finite]))
-                np.testing.assert_allclose(scores[u][finite], single[finite],
-                                           rtol=0.0, atol=1e-12)
+                assert np.all(np.isfinite(scores[u]))
+                np.testing.assert_allclose(scores[u], single, rtol=0.0,
+                                           atol=1e-12)
                 np.testing.assert_array_equal(
                     np.argsort(-scores[u], kind="stable"),
                     np.argsort(-single, kind="stable"))
