@@ -6,6 +6,11 @@ are reproducible from the manifest alone. Commands that write a directory
 put it at --out/manifest.json; `export`, which writes one CSV file at
 --out, puts it next to that file as <out>.manifest.json. Exit codes:
 0 success, 1 usage error, 2 data or numeric error.
+
+Each flag and config value is checked by the parser of its kind
+(boolean, count, fraction, int_list, or plain int and float) before any
+data file or checkpoint is read; a value it refuses exits 1 with one
+stderr line naming the flag or the config file.
 """
 
 from __future__ import annotations
@@ -68,41 +73,54 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
+# One parser per value kind, used as argparse `type=` for flags and by
+# resolve_config for config values. Each raises ValueError on a value it
+# refuses; argparse reports that as `invalid <kind> value`.
+
+def boolean(text: str) -> bool:
+    lowered = text.lower()
     if lowered in ("1", "true", "on", "yes"):
         return True
     if lowered in ("0", "false", "off", "no"):
         return False
-    raise ValueError(f"expected a boolean, got {value!r}")
+    raise ValueError(text)
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: an integer >= 0."""
+def count(text: str) -> int:
+    """An integer >= 0, in decimal digits."""
     if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        raise ValueError(text)
     return int(text)
 
 
-def _parse_int_list(value: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in value.split(",") if v.strip())
-    except ValueError:
-        raise UsageError(f"config key {key}: expected comma-separated ints") from None
+def fraction(text: str) -> float:
+    """A float strictly between 0 and 1; NaN fails."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError(text)
+    return value
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated ints; an empty entry fails."""
+    return tuple(int(v) for v in text.split(","))
 
 
 # Kinds are the field annotations, which stay strings under
-# `from __future__ import annotations`; a field without a default
-# (MISSING) is a required key.
+# `from __future__ import annotations`, or a parser's name; a field
+# without a default (MISSING) is a required key.
+KIND_PARSERS = {"int": int, "float": float, "bool": boolean,
+                "tuple[int, ...]": int_list, "count": count,
+                "fraction": fraction}
 TRAIN_KEYS = {f.name: (f.type, f.default)
               for cls in (TrainConfig, PiaConfig) for f in fields(cls)}
 SYNTH_KEYS = {**{f.name: (f.type, f.default) for f in fields(SynthSpec)},
-              "n_val_users": ("int", 0), "n_test_users": ("int", 0),
-              "fold_in_fraction": ("float", 0.8)}
+              "n_val_users": ("count", 0), "n_test_users": ("count", 0),
+              "fold_in_fraction": ("fraction", 0.8)}
 
 
 def resolve_config(raw: dict[str, str], schema: dict, source: str) -> dict:
-    """Type-check raw key=value pairs against a schema; unknown keys fail."""
+    """Parse raw key=value pairs by their schema kinds; unknown keys fail."""
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise UsageError(f"{source}: unknown config keys {unknown}")
@@ -113,20 +131,10 @@ def resolve_config(raw: dict[str, str], schema: dict, source: str) -> dict:
                 raise UsageError(f"{source}: missing required key {key!r}")
             resolved[key] = default
             continue
-        value = raw[key]
         try:
-            if kind == "int":
-                resolved[key] = int(value)
-            elif kind == "float":
-                resolved[key] = float(value)
-            elif kind == "bool":
-                resolved[key] = _parse_bool(value)
-            elif kind == "tuple[int, ...]":
-                resolved[key] = _parse_int_list(value, key)
-            else:  # pragma: no cover
-                raise AssertionError(kind)
-        except (ValueError, UsageError):
-            raise UsageError(f"{source}: bad value for {key}: {value!r}") from None
+            resolved[key] = KIND_PARSERS[kind](raw[key])
+        except ValueError:
+            raise UsageError(f"{source}: bad value for {key}: {raw[key]!r}") from None
     return resolved
 
 
@@ -181,13 +189,6 @@ SPLIT_OUTPUTS = [*SPLIT_FILES.values(), "idmap.tsv", "seed.txt"]
 
 
 def _cmd_preprocess(args) -> int:
-    if args.min_user < 0 or args.min_item < 0:
-        raise UsageError("--min-user and --min-item must be >= 0")
-    if args.val < 0 or args.test < 0:
-        raise UsageError("--val and --test must be >= 0")
-    if not 0.0 < args.fold_in < 1.0:
-        raise UsageError(f"--fold-in {args.fold_in}: must lie strictly "
-                         "between 0 and 1")
     out = Path(args.out)
     matrix = ingest_events(args.input, args.min_user, args.min_item,
                            args.threshold)
@@ -208,13 +209,6 @@ def _cmd_synth(args) -> int:
     out = Path(args.out)
     config = resolve_config(parse_kv_file(args.spec), SYNTH_KEYS, args.spec)
     spec = _from_config(SynthSpec, config, args.spec)
-    if config["n_val_users"] < 0 or config["n_test_users"] < 0:
-        raise UsageError(f"{args.spec}: n_val_users and n_test_users "
-                         "must be >= 0")
-    if not 0.0 < config["fold_in_fraction"] < 1.0:
-        raise UsageError(f"{args.spec}: fold_in_fraction "
-                         f"{config['fold_in_fraction']} must lie strictly "
-                         "between 0 and 1")
     matrix = synth_block_dataset(spec)
     split = split_dataset(matrix, config["n_val_users"], config["n_test_users"],
                           config["fold_in_fraction"], config["seed"])
@@ -272,14 +266,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    k_list = list(_parse_int_list(args.k, "--k"))
-    edges = _parse_int_list(args.strata, "--strata")
-    if not k_list or min(k_list) < 1:
-        raise UsageError(f"--k {args.k!r}: every K must be >= 1")
+    k_list, edges = args.k, args.strata
+    if min(k_list) < 1:
+        raise UsageError("--k: every K must be >= 1")
     if len(set(k_list)) < len(k_list):
-        raise UsageError(f"--k {args.k!r}: each K may appear once")
+        raise UsageError("--k: each K may appear once")
     if len(edges) < 2:
-        raise UsageError(f"--strata {args.strata!r}: need at least two edges")
+        raise UsageError("--strata: need at least two edges")
     params = load_checkpoint(args.model)
     split = load_split(args.data)
     report = stratified_report(params, split, k_list, bucket_edges=edges,
@@ -298,7 +291,7 @@ def _cmd_evaluate(args) -> int:
             cells += [f"{rep.ndcg[k]:.6f}" for k in k_list]
             fh.write(",".join([label, str(rep.n_users)] + cells) + "\n")
     config = {"model": args.model, "data": args.data, "k": k_list,
-              "strata": list(edges), "part": args.part}
+              "strata": edges, "part": args.part}
     inputs = [Path(args.model)] + [
         Path(args.data) / SPLIT_FILES[f"{args.part}_{kind}"]
         for kind in ("fold_in", "holdout")]
@@ -351,13 +344,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("preprocess", help="ingest a ratings CSV and split users")
     p.add_argument("--input", required=True)
-    p.add_argument("--min-user", type=int, default=5, dest="min_user")
-    p.add_argument("--min-item", type=int, default=1, dest="min_item")
+    p.add_argument("--min-user", type=count, default=5, dest="min_user")
+    p.add_argument("--min-item", type=count, default=1, dest="min_item")
     p.add_argument("--threshold", type=float, default=4.0)
-    p.add_argument("--val", type=int, required=True)
-    p.add_argument("--test", type=int, required=True)
-    p.add_argument("--fold-in", type=float, default=0.8, dest="fold_in")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--val", type=count, required=True)
+    p.add_argument("--test", type=count, required=True)
+    p.add_argument("--fold-in", type=fraction, default=0.8, dest="fold_in")
+    p.add_argument("--seed", type=count, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess)
 
@@ -370,7 +363,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--pia", choices=("on", "off"), default="off")
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=count, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -378,15 +371,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="ranking metrics on held-out users")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--k", default="20,50,100")
-    p.add_argument("--strata", default=",".join(str(e) for e in DEFAULT_STRATA_EDGES))
+    p.add_argument("--k", type=int_list, default=(20, 50, 100))
+    p.add_argument("--strata", type=int_list, default=DEFAULT_STRATA_EDGES)
     p.add_argument("--part", choices=("val", "test"), default="test")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("geometry", help="run a theory-check suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=count, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_geometry)
 

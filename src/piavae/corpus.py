@@ -434,7 +434,8 @@ def write_idmap(path: str | Path, user_ids: dict[str, list[str]],
 
 def read_idmap(path: str | Path) -> tuple[dict[str, list[str]], list[str]]:
     """Read write_idmap's rows; each dense index must count the earlier
-    rows of its kind (item, or user:<part>), or it is a ParseError."""
+    rows of its kind (item, or user:<part>), or it is a ParseError naming
+    path and the line. Blank lines are skipped."""
     users: dict[str, list[str]] = {}
     items: list[str] = []
     with _open_utf8(path) as fh:
@@ -444,17 +445,17 @@ def read_idmap(path: str | Path) -> tuple[dict[str, list[str]], list[str]]:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ParseError(line_no, "idmap rows need 3 tab-separated fields")
+                raise ParseError(line_no, f"{path}: rows need 3 tab-separated fields")
             kind, index, ext = parts
             if kind == "item":
                 ids = items
             elif kind.startswith("user:"):
                 ids = users.setdefault(kind.split(":", 1)[1], [])
             else:
-                raise ParseError(line_no, f"unknown idmap kind {kind!r}")
+                raise ParseError(line_no, f"{path}: unknown kind {kind!r}")
             if index != str(len(ids)):
-                raise ParseError(line_no, f"{kind} row has index {index!r}, "
-                                 f"expected {len(ids)}")
+                raise ParseError(line_no, f"{path}: {kind} row has index "
+                                 f"{index!r}, expected {len(ids)}")
             ids.append(ext)
     return users, items
 

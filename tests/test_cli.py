@@ -131,6 +131,56 @@ class TestEvaluateExitCodes:
         assert flag in err and len(err.strip().splitlines()) == 1
         assert not (run_dir / "eval").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--k", "20,,5"), ("--k", "20,"),
+                                             ("--strata", "5,,10")])
+    def test_empty_list_entry_exits_1_before_reading(self, tmp_path, flag,
+                                                     value, capsys):
+        # Neither the checkpoint nor the split exists, so a refusal made
+        # after reading them would exit 2.
+        argv = ["evaluate", "--model", str(tmp_path / "absent.ckpt"),
+                "--data", str(tmp_path / "absent"),
+                "--out", str(tmp_path / "eval"), flag, value]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid int_list value: '{value}'" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "eval").exists()
+
+    # Offsets run from byte 28, after the magic and the three counts; the
+    # 6 test users have 7 of them.
+    @pytest.mark.parametrize("damage, message", [
+        ("first", "indptr must start at 0 and end at nnz"),
+        ("last", "indptr must start at 0 and end at nnz"),
+        ("falls", "indptr must be non-decreasing")])
+    def test_csr_offsets_out_of_order_exit_2(self, run_dir, damage, message,
+                                             capsys):
+        path = run_dir / "data" / "test_hold.csr"
+        blob = bytearray(path.read_bytes())
+        indptr = np.frombuffer(blob, "<u8", 7, 28).copy()
+        if damage == "first":
+            indptr[0] = 1
+        elif damage == "last":
+            indptr[-1] -= 1
+        else:
+            indptr[1] = indptr[-1]
+        blob[28:28 + indptr.nbytes] = indptr.tobytes()
+        path.write_bytes(bytes(blob))
+        assert _evaluate(run_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "test_hold.csr" in err
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not (run_dir / "eval").exists()
+
+    def test_blank_idmap_lines_are_skipped(self, run_dir):
+        assert _evaluate(run_dir) == 0
+        metrics = (run_dir / "eval" / "metrics.csv").read_bytes()
+        path = run_dir / "data" / "idmap.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(3, "\n")
+        path.write_text("".join(lines) + "\n")
+        assert _evaluate(run_dir) == 0
+        assert (run_dir / "eval" / "metrics.csv").read_bytes() == metrics
+
 
 class TestModelAndSplitMismatch:
     @pytest.mark.parametrize("command", ["evaluate", "export"])
@@ -264,7 +314,8 @@ class TestTrainUsageErrors:
         ("on", b"lambda_scale = 1"), ("on", b"lambda_scale = nan"),
         ("on", b"lambda_scale = inf"), ("off", b"hidden_dim = 0"),
         ("off", b"latent_dim = 0"), ("off", b"hidden_dim = -3"),
-        ("on", b"latent_dim = -3")])
+        ("on", b"latent_dim = -3"), ("off", b"keep_prob = 0"),
+        ("off", b"batch_size = 0"), ("on", b"epochs = 0")])
     def test_invalid_config_exits_1(self, run_dir, pia, setting, capsys):
         (run_dir / "bad.cfg").write_bytes(setting + b"\n")
         code, out = _train(run_dir, pia, "--config", str(run_dir / "bad.cfg"))
@@ -291,6 +342,15 @@ class TestTrainConfigFile:
         assert message in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["on", "yes", "1", "true", "True"])
+    def test_boolean_spellings_of_true(self, run_dir, value):
+        (run_dir / "train.cfg").write_text(CUSTOM_CONFIG.replace(
+            "input_normalize = off", f"input_normalize = {value}"))
+        code, out = _train(run_dir, "off", "--config", str(run_dir / "train.cfg"))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["input_normalize"] is True
+
     def test_seed_flag_overrides_the_config(self, run_dir):
         (run_dir / "train.cfg").write_text(CUSTOM_CONFIG)
         code, out = _train(run_dir, "off", "--config",
@@ -298,6 +358,12 @@ class TestTrainConfigFile:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == manifest["config"]["seed"] == 7
+
+
+def test_no_subcommand_prints_usage_and_exits_1(capsys):
+    assert dispatch([]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: piavae") and len(err.strip().splitlines()) == 1
 
 
 class TestNegativeSeed:
@@ -364,21 +430,29 @@ class TestTrainDataErrors:
         assert err.startswith("error:") and name in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
-    # Each idmap row's index must be the running count of its kind; a part
-    # with users but no idmap rows is an id map that misses them.
-    @pytest.mark.parametrize("damage", ["swap", "banana", "gap", "no-val"])
+    # Each idmap row has 3 fields, a known kind, and an index that is the
+    # running count of its kind; a part with users but no idmap rows is an
+    # id map that misses them.
+    @pytest.mark.parametrize("damage", ["swap", "banana", "gap", "two-fields",
+                                        "kind", "no-val"])
     def test_damaged_idmap_exits_2(self, run_dir, damage, capsys):
         path = run_dir / "data" / "idmap.tsv"
         lines = path.read_text().splitlines(keepends=True)
         first = next(k for k, line in enumerate(lines) if line.startswith("item\t"))
-        want = f"line {first + 1}: "
+        want = f"line {first + 1}: {path}: "
         if damage == "swap":
             lines[first], lines[first + 1] = lines[first + 1], lines[first]
         elif damage == "banana":
             lines[first] = lines[first].replace("\t0\t", "\tbanana\t")
         elif damage == "gap":
             del lines[first + 1]
-            want = f"line {first + 2}: "
+            want = f"line {first + 2}: {path}: "
+        elif damage == "two-fields":
+            lines[first] = "item\t0\n"
+            want += "rows need 3 tab-separated fields"
+        elif damage == "kind":
+            lines[first] = lines[first].replace("item", "shop")
+            want += "unknown kind 'shop'"
         else:
             lines = [line for line in lines if not line.startswith("user:val\t")]
             want = "id maps must cover every dense index"
@@ -471,6 +545,12 @@ class TestPreprocessExitCodes:
         assert "tab or a line break" in capsys.readouterr().err
         assert not (tmp_path / "split").exists()
 
+    def test_empty_input_exits_2(self, tmp_path, capsys):
+        (tmp_path / "e.csv").write_bytes(b"")
+        assert _preprocess(tmp_path, tmp_path / "e.csv") == 2
+        assert capsys.readouterr().err == "error: line 1: missing header\n"
+        assert not (tmp_path / "split").exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         assert _preprocess(tmp_path, tmp_path / "absent.csv") == 2
         assert not (tmp_path / "split").exists()
@@ -546,7 +626,10 @@ class TestSynthExitCodes:
                                       SYNTH_SPEC.replace("n_test_users = 6",
                                                          "n_test_users = -1"),
                                       SYNTH_SPEC + "fold_in_fraction = 1.5\n",
-                                      SYNTH_SPEC + "fold_in_fraction = 0\n"])
+                                      SYNTH_SPEC + "fold_in_fraction = 0\n",
+                                      SYNTH_SPEC.replace("= 20,20", "= 20,,20"),
+                                      SYNTH_SPEC.replace("= 20,20", "= 20,20,"),
+                                      SYNTH_SPEC.replace("= 20,20", "=")])
     def test_usage_error_exits_1(self, tmp_path, spec, capsys):
         assert self._synth(tmp_path, spec) == 1
         assert "spec.cfg" in capsys.readouterr().err
@@ -554,7 +637,11 @@ class TestSynthExitCodes:
 
     @pytest.mark.parametrize("spec", [
         SYNTH_SPEC.replace("4,12", "12,4"),          # supports not nested
-        SYNTH_SPEC.replace("n_val_users = 6", "n_val_users = 60")])
+        SYNTH_SPEC.replace("n_val_users = 6", "n_val_users = 60"),
+        SYNTH_SPEC.replace("= 20,20", "= 20,20,20"),  # cohorts misaligned
+        SYNTH_SPEC.replace("= 20,20", "= 0,20"),
+        SYNTH_SPEC.replace("= 4,12", "= 0,12"),
+        SYNTH_SPEC.replace("= 0.05", "= 1")])
     def test_bad_spec_data_exits_2(self, tmp_path, spec, capsys):
         assert self._synth(tmp_path, spec) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -477,6 +477,13 @@ class TestInteractionMatrixInvariants:
                               indptr=np.array([0, 1]), indices=np.array([5]),
                               user_ids=("a",), item_ids=("x", "y"))
 
+    def test_indptr_of_the_wrong_length_rejected(self):
+        # read_csr reads n_users + 1 offsets, so no file reaches this guard.
+        with pytest.raises(MatrixError, match="indptr length"):
+            InteractionMatrix(n_users=2, n_items=2,
+                              indptr=np.array([0, 1]), indices=np.array([0]),
+                              user_ids=("a", "b"), item_ids=("x", "y"))
+
     def test_first_unsorted_row_is_named(self):
         # Row 0 ends high and row 2 starts low: that step is allowed. Row 3
         # repeats an index and row 4 falls; row 3 is reported.
@@ -722,14 +729,35 @@ class TestByteReader:
         assert (byte_read is not None) == taken
 
     def test_record_carried_past_three_fields_goes_to_the_loop(self, tmp_path):
-        # No record of 3 fields within the limit is this long, so the
-        # byte reader stops carrying it, and the loop names its line.
+        # No record of 3 fields within the limit is longer than 3 * limit
+        # + 3 bytes. This one is 4 * limit: two 256 KiB reads bring no LF
+        # after it starts, so _record_blocks stops carrying it and yields
+        # None before any block holds it, and the loop names its line.
+        limit = csv.field_size_limit()
         path = tmp_path / "events.csv"
         path.write_text("user,item,rating\nu1,i1,5\n"
-                        + "u" * (3 * csv.field_size_limit() + 4) + ",i1,5\n")
-        assert events._code_events_bytes(path, 3.5) is None
+                        + "u" * (4 * limit) + ",i1,5\n")
+        blocks = []
+        record_blocks = events._record_blocks
+
+        def spy(fh, longest):
+            for block in record_blocks(fh, longest):
+                blocks.append(block)
+                yield block
+
+        with mock.patch.object(events, "_record_blocks", spy):
+            assert events._code_events_bytes(path, 3.5) is None
+        assert blocks == [b"u1,i1,5\n", None]
         with pytest.raises(ParseError, match="line 3: field larger"):
             ingest_events(path, 0, 0, 3.5)
+
+    def test_header_not_utf8_goes_to_the_loop(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"us\xe9r,item,rating\nu1,i1,5\n")
+        assert events._code_events_bytes(path, 3.5) is None
+        with pytest.raises(ParseError, match="not UTF-8 text") as exc:
+            ingest_events(path, 0, 0, 3.5)
+        assert exc.value.line_number == 1
 
     def test_reader_holds_chunks_not_the_file(self, tmp_path):
         # 60,000 records of 86 bytes. Beyond the codes it returns, the
