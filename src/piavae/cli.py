@@ -8,9 +8,9 @@ put it at --out/manifest.json; `export`, which writes one CSV file at
 0 success, 1 usage error, 2 data or numeric error.
 
 Each flag and config value is checked by the parser of its kind
-(boolean, count, fraction, int_list, or plain int and float) before any
-data file or checkpoint is read; a value it refuses exits 1 with one
-stderr line naming the flag or the config file.
+(boolean, count, positive, fraction, int_list, or plain int and float)
+before any data file or checkpoint is read; a value it refuses exits 1
+with one stderr line naming the flag or the config file.
 """
 
 from __future__ import annotations
@@ -89,6 +89,13 @@ def boolean(text: str) -> bool:
 def count(text: str) -> int:
     """An integer >= 0, in decimal digits."""
     if not text.strip().isdecimal():
+        raise ValueError(text)
+    return int(text)
+
+
+def positive(text: str) -> int:
+    """An integer >= 1, in decimal digits."""
+    if count(text) < 1:
         raise ValueError(text)
     return int(text)
 
@@ -327,8 +334,7 @@ def _cmd_export(args) -> int:
     part = EXPORT_PARTS[args.part]
     matrix = getattr(split, part)
     out_path = Path(args.out)
-    if out_path.parent != Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     export_latents(params, matrix, out_path)
     inputs = [Path(args.model), Path(args.data) / SPLIT_FILES[part]]
     write_manifest(out_path.with_name(out_path.name + ".manifest.json"),
@@ -364,7 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--pia", choices=("on", "off"), default="off")
     p.add_argument("--seed", type=count, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=positive, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 

@@ -9,11 +9,11 @@ where the tail is the excluded items in index order. The metrics select
 the top max(K) of each row by partial selection, sort only that prefix,
 and read Recall@K and NDCG@K for every K from one hit vector.
 
-Scores are the logits of model.score_matrix, which encodes users in
-fixed-size batches. A batched row agrees with the same user scored alone
-to 1e-12 on every entry (about 1e-15 at the reference shape), not bit
-for bit, so a score tie that only rounding decides may rank differently
-in the two cases.
+Scores are the logits of model.score_rows, which scores users in
+fixed-size chunks and yields them row by row. A batched row agrees with
+the same user scored alone to 1e-12 on every entry (about 1e-15 at the
+reference shape), not bit for bit, so a score tie that only rounding
+decides may rank differently in the two cases.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import InteractionMatrix, SplitDataset, entry_rows
 from .errors import MetricError, ShapeError, SplitError
-from .model import score_matrix
+from .model import score_rows
 
 logger = logging.getLogger(__name__)
 
@@ -66,22 +66,24 @@ class MetricReport:
         return out
 
 
-def per_user_metrics(scores: np.ndarray, fold: InteractionMatrix,
+def per_user_metrics(scores, fold: InteractionMatrix,
                      hold: InteractionMatrix,
                      k_list: list[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """(recall, ndcg) arrays over the rows of `scores` for each K.
+    """(recall, ndcg) arrays over the users of `fold` for each K.
 
-    Row u of `scores` is ranked against row u of the fold-in and holdout
-    matrices, by the module's ranking rule. One ranked prefix per row, as
+    `scores` is read once: any iterable of item-score rows (an array, or
+    model.score_rows), row u ranked against row u of the fold-in and
+    holdout matrices by the module's ranking rule; a row count or width
+    other than the fold's is a ShapeError. One ranked prefix per row, as
     long as the largest K, serves every K.
     """
     ks = [int(k) for k in k_list]
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
-    n_users, n_items = scores.shape
-    if fold.n_users != n_users or hold.n_users != n_users:
-        raise ShapeError(f"{n_users} score rows need {n_users} fold-in and "
-                         "holdout rows")
+    n_users, n_items = fold.n_users, fold.n_items
+    if (hold.n_users, hold.n_items) != (n_users, n_items):
+        raise ShapeError(f"fold-in is {n_users} x {n_items}, holdout "
+                         f"{hold.n_users} x {hold.n_items}")
     hold_len = hold.row_lengths()
     if np.any(hold_len == 0):
         raise MetricError(
@@ -96,10 +98,16 @@ def per_user_metrics(scores: np.ndarray, fold: InteractionMatrix,
 
     width = min(max(ks), n_items)
     top = np.empty((n_users, width), dtype=np.int64)
-    for u in range(n_users):
-        key = -np.asarray(scores[u], dtype=np.float64)
+    u = -1
+    for u, row in enumerate(scores):
+        key = -np.asarray(row, dtype=np.float64)
+        if u == n_users or key.shape != (n_items,):
+            raise ShapeError(f"score row {u} of shape {key.shape} for "
+                             f"{n_users} fold-in rows of {n_items} items")
         key[fold.row(u)] = np.inf
         top[u] = _ranked_top(key, width)
+    if u + 1 != n_users:
+        raise ShapeError(f"{u + 1} score rows for {n_users} fold-in rows")
     top_keys = top + (np.arange(n_users) * n_items)[:, None]
     pos = np.minimum(np.searchsorted(hold_keys, top_keys), hold_keys.size - 1)
     hits = hold_keys[pos] == top_keys
@@ -123,10 +131,6 @@ def per_user_metrics(scores: np.ndarray, fold: InteractionMatrix,
     return out
 
 
-def _bucket_label(lo: int, hi: int | None) -> str:
-    return f"[{lo}-{hi}]" if hi is not None else f"[{lo}+]"
-
-
 def bucket_users(counts: np.ndarray, edges) -> dict[str, np.ndarray]:
     """Map bucket labels to user-index arrays.
 
@@ -137,13 +141,10 @@ def bucket_users(counts: np.ndarray, edges) -> dict[str, np.ndarray]:
     edges = sorted(int(e) for e in edges)
     if len(edges) < 2:
         raise ValueError("need at least two bucket edges")
-    buckets: dict[str, np.ndarray] = {}
-    lo = edges[0]
-    for hi in edges[1:]:
-        label = _bucket_label(lo, hi)
-        buckets[label] = np.flatnonzero((counts >= lo) & (counts <= hi))
-        lo = hi + 1
-    buckets[_bucket_label(lo, None)] = np.flatnonzero(counts >= lo)
+    lows = [edges[0]] + [e + 1 for e in edges[1:]]
+    buckets = {f"[{lo}-{hi}]": np.flatnonzero((counts >= lo) & (counts <= hi))
+               for lo, hi in zip(lows, edges[1:])}
+    buckets[f"[{lows[-1]}+]"] = np.flatnonzero(counts >= lows[-1])
     return buckets
 
 
@@ -165,16 +166,12 @@ def stratified_report(params, split: SplitDataset, k_list: list[int],
     hold = getattr(split, f"{part}_holdout")
     if fold.n_users == 0:
         raise SplitError(f"the {part} part has no users to evaluate")
-    scores = score_matrix(params, fold)
-    per_k = per_user_metrics(scores, fold, hold, list(k_list))
-    all_users = np.arange(fold.n_users)
-    report = _aggregate(per_k, all_users)
-    counts = fold.row_lengths()
-    strata = {}
-    for label, users in bucket_users(counts, bucket_edges).items():
-        if users.size == 0:
-            logger.info("stratum %s is empty; omitted", label)
-            continue
-        strata[label] = _aggregate(per_k, users)
-    report.strata = strata
+    per_k = per_user_metrics(score_rows(params, fold), fold, hold,
+                             list(k_list))
+    report = _aggregate(per_k, np.arange(fold.n_users))
+    buckets = bucket_users(fold.row_lengths(), bucket_edges)
+    for label in [name for name, users in buckets.items() if not users.size]:
+        logger.info("stratum %s is empty; omitted", label)
+    report.strata = {label: _aggregate(per_k, users)
+                     for label, users in buckets.items() if users.size}
     return report

@@ -528,15 +528,17 @@ def export_latents(p: ModelParams, matrix: InteractionMatrix,
     """Write posterior means under clean inputs to CSV.
 
     The means come from model.posterior_means, the chunked sparse kernel
-    that scoring uses. Columns: user_index, interaction_count, mu_1 ..
-    mu_d; float values are repr-formatted so they round-trip bit-exactly.
+    that scoring uses, and are written one chunk at a time. Columns:
+    user_index, interaction_count, mu_1 .. mu_d; float values are
+    repr-formatted so they round-trip bit-exactly.
     """
     if matrix.n_users == 0:
         raise SplitError("the part to export has no users")
-    means = posterior_means(p, matrix)
+    # The item count is checked here, before the file is opened.
+    rows = (mu for means in posterior_means(p, matrix) for mu in means)
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_index", "interaction_count"]
                         + [f"mu_{j + 1}" for j in range(p.latent_dim)])
-        for u, (count, mu) in enumerate(zip(matrix.row_lengths(), means)):
+        for u, (count, mu) in enumerate(zip(matrix.row_lengths(), rows)):
             writer.writerow([u, int(count)] + [repr(float(v)) for v in mu])

@@ -15,9 +15,10 @@ constructor is the one place a logvar is clipped. Training
 `decode_loss` is the one decoder, with its loss and logit gradient: the
 training kernel and `geometry.sharing_probe` run it, its elementwise
 passes over the logits in row blocks of DECODE_BLOCK entries.
-`posterior_means` runs `encode_rows` over a matrix in fixed-size chunks
-and `score_matrix` decodes its means to logits, fold-in items included:
-excluding them is the ranker's rule (`evaluate.per_user_metrics`).
+`posterior_means` yields `encode_rows` means over a matrix in fixed-size
+chunks and `score_rows` decodes each chunk, yielding logits row by row,
+fold-in items included: excluding them is the ranker's rule
+(`evaluate.per_user_metrics`). No users x items array is built.
 There is no dense encoder path.
 The mask is drawn on the nonzeros of a batch only, and the alignment
 term is `pia.alignment_closed_form` on the anchor table in place.
@@ -47,9 +48,9 @@ from .pia import PiaConfig, alignment_closed_form
 MODEL_MAGIC = b"PIM2"
 ANCHOR_SECTION = b"ANCH"
 
-# Users per encoder chunk in posterior_means. Fixed, not a parameter:
-# batched sums depend on the chunk, so a fixed size keeps seeded scores
-# repeatable.
+# Users per chunk of posterior_means and score_rows, which hold one
+# chunk of score rows at a time. Fixed, not a parameter: batched sums
+# depend on the chunk, so a fixed size keeps seeded scores repeatable.
 SCORE_CHUNK = 256
 # Entries per row block of decode_loss's elementwise passes: a block
 # (512 KiB) stays in a 2 MiB L2 from pass to pass.
@@ -390,20 +391,12 @@ def loss_and_grads(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
                                 lambda_a=lambda_a)
 
 
-def _mean_val_ndcg(p: ModelParams, fold: InteractionMatrix,
-                   hold: InteractionMatrix) -> float:
-    from .evaluate import per_user_metrics
-
-    _, ndcg = per_user_metrics(score_matrix(p, fold), fold, hold, [100])[100]
-    return float(np.mean(ndcg))
-
-
 def fit(data: SplitDataset, cfg: TrainConfig,
         pia: PiaConfig | None = None) -> tuple[ModelParams, list[dict]]:
     """Train with Adam over shuffled batches; keep the best-validation epoch.
 
-    Per epoch the log records the mean batch loss, validation NDCG@100 on
-    the fold-in/holdout pair, and the alignment strength in force during
+    Per epoch the log records the mean batch loss, validation NDCG@100
+    (stratified_report's, on the val part), and the strength in force during
     that epoch (0 when alignment is off). The returned parameters are the
     snapshot from the epoch with the highest validation NDCG. With `pia`,
     the strength starts at pia.lambda_a and is multiplied by
@@ -417,6 +410,8 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     The parameters are views into one flat buffer that adam_step updates
     in place from each batch's gradient pieces; no gradient vector is made.
     """
+    from .evaluate import stratified_report
+
     if data.train.n_users == 0:
         raise SplitError("the split has no training users to train on")
     if data.val_fold_in.n_users == 0:
@@ -461,8 +456,8 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                     del grads  # not alive through the next batch's kernel
                     losses.append(loss)
                 batch = None
-                val_ndcg = _mean_val_ndcg(p, data.val_fold_in,
-                                          data.val_holdout)
+                val_ndcg = stratified_report(p, data, [100],
+                                             part="val").ndcg[100]
                 log.append({"epoch": epoch, "loss": float(np.mean(losses)),
                             "val_ndcg100": val_ndcg, "lambda_a": lam})
                 if val_ndcg > best_ndcg:
@@ -486,32 +481,31 @@ def encode_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
     return _encode(p, indptr, indices, data)[2]
 
 
-def posterior_means(p: ModelParams, matrix: InteractionMatrix) -> np.ndarray:
+def posterior_means(p: ModelParams, matrix: InteractionMatrix):
     """Posterior means of every user's clean input row, encoded from the
-    matrix's CSR arrays SCORE_CHUNK users at a time, with no dense users x
-    items input. A matrix over another number of items than the model's
-    is a ShapeError."""
+    matrix's CSR arrays and yielded as one (users, latent) array per
+    SCORE_CHUNK users. A matrix over another number of items than the
+    model's is a ShapeError, raised at the call, before any encoding."""
     if matrix.n_items != p.n_items:
         raise ShapeError(f"the model has {p.n_items} items but the data has "
                          f"{matrix.n_items}")
-    means = np.empty((matrix.n_users, p.latent_dim), dtype=np.float64)
-    for start in range(0, matrix.n_users, SCORE_CHUNK):
-        stop = min(start + SCORE_CHUNK, matrix.n_users)
-        indptr, indices = matrix.csr_rows(np.arange(start, stop))
-        means[start:stop] = encode_rows(p, indptr, indices,
-                                        np.ones(indices.size)).mean
-    return means
+    n = matrix.n_users
+    chunks = (matrix.csr_rows(np.arange(start, min(start + SCORE_CHUNK, n)))
+              for start in range(0, n, SCORE_CHUNK))
+    return (encode_rows(p, indptr, indices, np.ones(indices.size)).mean
+            for indptr, indices in chunks)
 
 
-def score_matrix(p: ModelParams, fold: InteractionMatrix) -> np.ndarray:
-    """Deterministic item logits for every user of a fold-in matrix: the
-    posterior mean of the clean fold-in row, decoded. Fold-in items keep
-    their logits; the ranker excludes them. The encoder's chunk size is
-    fixed, so the same inputs always give the same bits.
+def score_rows(p: ModelParams, fold: InteractionMatrix):
+    """Deterministic item logits of each fold-in user in order: the
+    posterior mean of the clean fold-in row, decoded a chunk of means at
+    a time. Fold-in items keep their logits; the ranker excludes them.
+    The chunk size is fixed, so the same inputs always give the same bits.
     """
-    scores = posterior_means(p, fold) @ p.dec_w.T
-    scores += p.dec_b
-    return scores
+    for means in posterior_means(p, fold):
+        scores = means @ p.dec_w.T
+        scores += p.dec_b
+        yield from scores
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,27 @@ class TestNegativeSeed:
         assert not (run_dir / "out").exists()
 
 
+class TestEpochsFlag:
+    # The flag is checked as the flag, so a refused value is blamed on it
+    # and not on the config file or the defaults.
+    @pytest.mark.parametrize("config", [None, "epochs = 2\n", "lr = 0.01\n"],
+                             ids=["defaults", "config-sets-epochs",
+                                  "config-without-epochs"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_refused_value_names_the_flag(self, run_dir, config, value,
+                                          capsys):
+        extra = []
+        if config is not None:
+            (run_dir / "e.cfg").write_text(config)
+            extra = ["--config", str(run_dir / "e.cfg")]
+        code, out = _train(run_dir, "off", *extra, "--epochs", value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--epochs" in err and "e.cfg" not in err
+        assert "<defaults>" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 class TestTrainDataErrors:
     def test_no_validation_users_exits_2(self, tmp_path, capsys):
         # synth's default n_val_users is 0.

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piavae.corpus import (SynthSpec, matrix_from_rows, split_dataset,
-                           synth_block_dataset)
-from piavae.errors import MetricError
+from piavae.corpus import (SplitDataset, SynthSpec, matrix_from_rows,
+                           split_dataset, synth_block_dataset)
+from piavae.errors import MetricError, ShapeError
 from piavae.evaluate import bucket_users, per_user_metrics, stratified_report
-from tests.test_model import tiny_params
+from piavae.model import encode_rows, score_rows
+from tests.test_model import tiny_params, traced_peak
 
 
 def one_user(scores, holdout, fold_in, k):
@@ -160,6 +161,69 @@ class TestOnePassRanking:
         for at_n, at_huge in zip(per_k[8], per_k[10**6]):
             assert at_n.tobytes() == at_huge.tobytes()
 
+    @pytest.mark.parametrize("as_rows", [np.asarray, lambda a: (r for r in a)],
+                             ids=["array", "generator"])
+    @pytest.mark.parametrize("shape", [(2, 8), (4, 8), (3, 7)],
+                             ids=["too-few-rows", "too-many-rows",
+                                  "wrong-width"])
+    def test_scores_unlike_the_fold_are_a_shape_error(self, shape, as_rows):
+        fold = matrix_from_rows([[0], [1, 2], []], 8)
+        hold = matrix_from_rows([[3, 4], [0], [5, 6, 7]], 8)
+        with pytest.raises(ShapeError):
+            per_user_metrics(as_rows(np.zeros(shape)), fold, hold, [5])
+
+
+def heldout_split(n_users, n_items, seed):
+    """A split whose test part holds n_users users, each with 5 fold-in
+    and 3 holdout items drawn at random; the other parts are empty."""
+    rng = np.random.default_rng(seed)
+    picks = [rng.choice(n_items, 8, replace=False) for _ in range(n_users)]
+    empty = matrix_from_rows([], n_items)
+    return SplitDataset(
+        train=empty, val_fold_in=empty, val_holdout=empty,
+        test_fold_in=matrix_from_rows([r[:5] for r in picks], n_items),
+        test_holdout=matrix_from_rows([r[5:] for r in picks], n_items),
+        seed=seed)
+
+
+class TestStreamedScoring:
+    K_LIST = [20, 50, 100]
+
+    def test_metrics_equal_a_one_gemm_reference(self):
+        # 600 users are score chunks of 256 + 256 + 88 rows. The reference
+        # encodes all of them in one call and decodes them in one GEMM.
+        n_items = 2000
+        p = tiny_params(seed=54, n_items=n_items, hidden=16, latent=6,
+                        normalize=True)
+        split = heldout_split(600, n_items, seed=1)
+        fold, hold = split.test_fold_in, split.test_holdout
+        indptr, indices = fold.csr_rows(np.arange(fold.n_users))
+        means = encode_rows(p, indptr, indices, np.ones(indices.size)).mean
+        reference = means @ p.dec_w.T + p.dec_b
+        np.testing.assert_allclose(np.array(list(score_rows(p, fold))),
+                                   reference, rtol=0.0, atol=1e-12)
+        want = per_user_metrics(reference, fold, hold, self.K_LIST)
+        got = per_user_metrics(score_rows(p, fold), fold, hold, self.K_LIST)
+        report = stratified_report(p, split, self.K_LIST)
+        for k in self.K_LIST:
+            for streamed, one_gemm in zip(got[k], want[k]):
+                assert streamed.tobytes() == one_gemm.tobytes()
+            assert report.recall[k] == float(np.mean(want[k][0]))
+            assert report.ndcg[k] == float(np.mean(want[k][1]))
+
+    def test_peak_memory_grows_by_less_than_a_score_matrix(self):
+        # A users x items score matrix would add 8 bytes per user and item
+        # from 300 to 2,400 users; streamed scoring holds one chunk of
+        # rows, so the growth is the per-user metric arrays, about 4 KB
+        # per user at max K = 100.
+        n_items = 2000
+        p = tiny_params(seed=55, n_items=n_items)
+        small, large = (traced_peak(stratified_report, p,
+                                    heldout_split(n, n_items, seed=2),
+                                    self.K_LIST)
+                        for n in (300, 2400))
+        assert large - small < 2100 * n_items * 8 / 2
+
 
 class TestBucketUsers:
     def test_default_edges_reproduce_four_groups(self):
@@ -198,11 +262,8 @@ class TestStratifiedReport:
     def test_bucket_means_match_hand_average(self):
         split = self._split(seed=2)
         p = tiny_params(seed=51, n_items=24, normalize=True)
-        from piavae.model import score_matrix
-
         fold, hold = split.test_fold_in, split.test_holdout
-        scores = score_matrix(p, fold)
-        per_k = per_user_metrics(scores, fold, hold, [5])
+        per_k = per_user_metrics(score_rows(p, fold), fold, hold, [5])
         counts = fold.row_lengths()
         report = stratified_report(p, split, [5], bucket_edges=(1, 5))
         lo = np.flatnonzero((counts >= 1) & (counts <= 5))

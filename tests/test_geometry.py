@@ -22,7 +22,7 @@ from piavae.geometry import (PROBE_PERTURB, PROBE_SAMPLES, GeometryReport,
                              sharing_probe, t1_bound_check, w1_1d_numeric,
                              w2_diag_gaussian)
 from piavae.corpus import matrix_from_rows
-from piavae.model import pack_params, unpack_params
+from piavae.model import pack_params, posterior_means, unpack_params
 from piavae.numerics import GaussianPosterior, kl_diag_gaussian
 from tests.test_model import encode_one, tiny_params
 
@@ -559,17 +559,31 @@ class TestExportLatents:
         assert all(len(line.split(",")) == 4 for line in lines[1:])
 
 
+    def test_rows_span_chunks_in_user_order(self, tmp_path):
+        # 300 users are two chunks of means, 256 + 44.
+        p = tiny_params(seed=83, n_items=6, hidden=4, latent=2)
+        rng = np.random.default_rng(84)
+        rows = [np.flatnonzero(rng.random(6) < 0.5) for _ in range(300)]
+        m = matrix_from_rows(rows, 6)
+        export_latents(p, m, tmp_path / "latents.csv")
+        lines = (tmp_path / "latents.csv").read_text().strip().splitlines()
+        cells = np.array([[float(c) for c in line.split(",")]
+                          for line in lines[1:]])
+        assert cells[:, 0].tolist() == list(range(300))
+        assert cells[:, 1].tolist() == [row.size for row in rows]
+        means = np.concatenate(list(posterior_means(p, m)))
+        assert np.ascontiguousarray(cells[:, 2:]).tobytes() == means.tobytes()
+
     def test_values_roundtrip_bitwise(self, tmp_path):
         # The CSV holds the chunked kernel's means bit for bit, and they
         # agree with each user encoded alone to rounding.
-        from piavae.model import posterior_means
-
         for normalize in (False, True):
             p = tiny_params(seed=82, n_items=6, hidden=4, latent=2,
                             normalize=normalize)
             rows = [np.array([0, 2, 4]), np.array([], dtype=np.int64),
                     np.array([1]), np.array([0, 1, 2, 3, 4, 5])]
             m = matrix_from_rows(rows, 6)
+            means = np.concatenate(list(posterior_means(p, m)))
             out = tmp_path / "latents.csv"
             export_latents(p, m, out)
             lines = out.read_text().strip().splitlines()[1:]
@@ -580,6 +594,6 @@ class TestExportLatents:
                 x = np.zeros(6)
                 x[row] = 1.0
                 values = np.array([float(c) for c in cells[2:]])
-                assert values.tobytes() == posterior_means(p, m)[u].tobytes()
+                assert values.tobytes() == means[u].tobytes()
                 np.testing.assert_allclose(values, encode_one(p, x).mean,
                                            rtol=0.0, atol=1e-12)

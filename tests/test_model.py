@@ -10,13 +10,13 @@ from piavae.corpus import (SynthSpec, entry_rows, matrix_from_rows,
                            split_dataset, synth_block_dataset)
 from piavae.errors import (CorruptFileError, NumericalError, ShapeError,
                            SplitError)
-from piavae.evaluate import per_user_metrics
+from piavae.evaluate import per_user_metrics, stratified_report
 from piavae import model
 from piavae.model import (DECODE_BLOCK, ModelParams, TrainConfig, decode_loss,
                           draw_mask, encode_rows, fit, init_params,
                           load_checkpoint, loss_and_grads,
                           loss_and_grads_fixed, pack_grads, pack_params,
-                          save_checkpoint, score_matrix, unpack_params)
+                          save_checkpoint, score_rows, unpack_params)
 from piavae.numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState,
                              GaussianPosterior, adam_step, finite_diff_check,
                              kl_diag_gaussian)
@@ -67,10 +67,10 @@ def encode_one(p, x):
 
 
 def score_one(p, fold_in):
-    """score_matrix of a single user whose fold-in is the dense 0/1 vector
+    """score_rows of a single user whose fold-in is the dense 0/1 vector
     fold_in."""
     fold = matrix_from_rows([np.flatnonzero(fold_in)], p.n_items)
-    return score_matrix(p, fold)[0]
+    return next(score_rows(p, fold))
 
 
 def to_csr(x):
@@ -259,7 +259,7 @@ class TestEncodeDecode:
         h1 = math.tanh(0.1)
         assert q.mean[0] == pytest.approx(0.5 * h1 - 0.4, abs=1e-12)
 
-    # The decoder is checked through score_matrix, which decodes the
+    # The decoder is checked through score_rows, which decodes the
     # posterior mean of the clean fold-in.
     def test_zero_decoder_gives_uniform_logits(self):
         p = tiny_params()
@@ -630,10 +630,8 @@ class TestFit:
         cfg = TrainConfig(epochs=4, batch_size=16, hidden_dim=10, latent_dim=4,
                           seed=3)
         params, log = fit(split, cfg)
-        from piavae.model import _mean_val_ndcg
-
-        recomputed = _mean_val_ndcg(params, split.val_fold_in, split.val_holdout)
-        assert recomputed == max(r["val_ndcg100"] for r in log)
+        recomputed = stratified_report(params, split, [100], part="val")
+        assert recomputed.ndcg[100] == max(r["val_ndcg100"] for r in log)
 
     def test_same_seed_identical_params(self):
         split = small_split(seed=4)
@@ -689,7 +687,7 @@ class TestPredictScores:
         zeros = unpack_params(np.zeros(pack_params(p).size), p)
         fold = matrix_from_rows([[0, 3]] * 3, 20)
         hold = matrix_from_rows([[1], [2], [4]], 20)
-        per_k = per_user_metrics(score_matrix(zeros, fold), fold, hold,
+        per_k = per_user_metrics(score_rows(zeros, fold), fold, hold,
                                  [1, 2, 3])
         for k, (recall, _) in per_k.items():
             assert recall.tolist() == [float(k >= u + 1) for u in range(3)]
@@ -713,14 +711,14 @@ class TestPredictScores:
         b = score_one(p, fold)
         assert a.tobytes() == b.tobytes()
 
-    def test_score_matrix_matches_single_row_path(self):
+    def test_score_rows_match_single_row_path(self):
         # A user scored in a chunk and the same user scored alone sum in
         # different orders, so scores agree to a tolerance; the ranking
         # is exact.
         split = small_split(seed=1)
         for normalize in (False, True):
             p = tiny_params(seed=16, n_items=24, normalize=normalize)
-            scores = score_matrix(p, split.val_fold_in)
+            scores = np.array(list(score_rows(p, split.val_fold_in)))
             for u in range(split.val_fold_in.n_users):
                 x = np.zeros(24)
                 x[split.val_fold_in.row(u)] = 1.0

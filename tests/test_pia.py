@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from piavae import model, suites
+from piavae import evaluate, suites
 from piavae.errors import EmptySupportError, NumericalError, ShapeError
+from piavae.evaluate import MetricReport
 from piavae.model import (TrainConfig, draw_mask_and_noise, fit, loss_and_grads,
                           loss_and_grads_fixed, pack_grads, pack_params,
                           unpack_params)
@@ -383,7 +384,9 @@ def scripted_lambdas(monkeypatch, ndcgs, **pia_settings):
     """The alignment strength fit logs for each epoch when the validation
     NDCG@100 of the epochs is the sequence ndcgs."""
     script = iter(ndcgs)
-    monkeypatch.setattr(model, "_mean_val_ndcg", lambda *args, **kw: next(script))
+    monkeypatch.setattr(evaluate, "stratified_report", lambda *args, **kw:
+                        MetricReport(recall={}, ndcg={100: next(script)},
+                                     n_users=0))
     cfg = TrainConfig(epochs=len(ndcgs), batch_size=64, hidden_dim=6,
                       latent_dim=3)
     _, log = fit(small_split(), cfg, PiaConfig(**pia_settings))
