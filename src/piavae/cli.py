@@ -8,9 +8,9 @@ put it at --out/manifest.json; `export`, which writes one CSV file at
 0 success, 1 usage error, 2 data or numeric error.
 
 Each flag and config value is checked by the parser of its kind
-(boolean, count, positive, fraction, int_list, or plain int and float)
-before any data file or checkpoint is read; a value it refuses exits 1
-with one stderr line naming the flag or the config file.
+(count, positive, finite, int_list, or plain int and float) before any
+data file or checkpoint is read, the PIA keys with --pia off too; a value
+it refuses exits 1 with one stderr line naming the flag or the config file.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -28,8 +29,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .corpus import (SPLIT_FILES, SynthSpec, ingest_events, load_split,
-                     save_split, split_dataset, synth_block_dataset)
+from .corpus import (FOLD_IN_FRACTION, SPLIT_FILES, SynthSpec, ingest_events,
+                     load_split, save_split, split_dataset, synth_block_dataset)
 from .errors import PiaVaeError
 from .evaluate import DEFAULT_STRATA_EDGES, stratified_report
 from .geometry import export_latents
@@ -77,15 +78,6 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
 # resolve_config for config values. Each raises ValueError on a value it
 # refuses; argparse reports that as `invalid <kind> value`.
 
-def boolean(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "on", "yes"):
-        return True
-    if lowered in ("0", "false", "off", "no"):
-        return False
-    raise ValueError(text)
-
-
 def count(text: str) -> int:
     """An integer >= 0, in decimal digits."""
     if not text.strip().isdecimal():
@@ -100,10 +92,10 @@ def positive(text: str) -> int:
     return int(text)
 
 
-def fraction(text: str) -> float:
-    """A float strictly between 0 and 1; NaN fails."""
+def finite(text: str) -> float:
+    """A float other than inf, -inf and NaN."""
     value = float(text)
-    if not 0.0 < value < 1.0:
+    if not math.isfinite(value):
         raise ValueError(text)
     return value
 
@@ -116,14 +108,12 @@ def int_list(text: str) -> tuple[int, ...]:
 # Kinds are the field annotations, which stay strings under
 # `from __future__ import annotations`, or a parser's name; a field
 # without a default (MISSING) is a required key.
-KIND_PARSERS = {"int": int, "float": float, "bool": boolean,
-                "tuple[int, ...]": int_list, "count": count,
-                "fraction": fraction}
+KIND_PARSERS = {"int": int, "float": float, "tuple[int, ...]": int_list,
+                "count": count}
 TRAIN_KEYS = {f.name: (f.type, f.default)
               for cls in (TrainConfig, PiaConfig) for f in fields(cls)}
 SYNTH_KEYS = {**{f.name: (f.type, f.default) for f in fields(SynthSpec)},
-              "n_val_users": ("count", 0), "n_test_users": ("count", 0),
-              "fold_in_fraction": ("fraction", 0.8)}
+              "n_val_users": ("count", 0), "n_test_users": ("count", 0)}
 
 
 def resolve_config(raw: dict[str, str], schema: dict, source: str) -> dict:
@@ -199,12 +189,12 @@ def _cmd_preprocess(args) -> int:
     out = Path(args.out)
     matrix = ingest_events(args.input, args.min_user, args.min_item,
                            args.threshold)
-    split = split_dataset(matrix, args.val, args.test, args.fold_in, args.seed)
+    split = split_dataset(matrix, args.val, args.test, FOLD_IN_FRACTION,
+                          args.seed)
     save_split(split, out)
     config = {"input": args.input, "min_user": args.min_user,
               "min_item": args.min_item, "threshold": args.threshold,
-              "val": args.val, "test": args.test,
-              "fold_in": args.fold_in, "seed": args.seed}
+              "val": args.val, "test": args.test, "seed": args.seed}
     write_manifest(out / "manifest.json", "preprocess", config, args.seed,
                    [Path(args.input)], SPLIT_OUTPUTS)
     print(f"preprocess: {matrix.n_users} users x {matrix.n_items} items "
@@ -218,7 +208,7 @@ def _cmd_synth(args) -> int:
     spec = _from_config(SynthSpec, config, args.spec)
     matrix = synth_block_dataset(spec)
     split = split_dataset(matrix, config["n_val_users"], config["n_test_users"],
-                          config["fold_in_fraction"], config["seed"])
+                          FOLD_IN_FRACTION, config["seed"])
     save_split(split, out)
     write_manifest(out / "manifest.json", "synth", config, config["seed"],
                    [Path(args.spec)], SPLIT_OUTPUTS)
@@ -245,9 +235,9 @@ def _cmd_train(args) -> int:
         config["epochs"] = args.epochs
     config["pia"] = args.pia
     cfg = _from_config(TrainConfig, config, source)
-    pia_cfg = _from_config(PiaConfig, config, source) if args.pia == "on" else None
+    pia_cfg = _from_config(PiaConfig, config, source)
     split = load_split(args.data)
-    params, log = fit(split, cfg, pia_cfg)
+    params, log = fit(split, cfg, pia_cfg if args.pia == "on" else None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, out / "model.ckpt")
@@ -352,10 +342,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--min-user", type=count, default=5, dest="min_user")
     p.add_argument("--min-item", type=count, default=1, dest="min_item")
-    p.add_argument("--threshold", type=float, default=4.0)
+    p.add_argument("--threshold", type=finite, default=4.0)
     p.add_argument("--val", type=count, required=True)
     p.add_argument("--test", type=count, required=True)
-    p.add_argument("--fold-in", type=fraction, default=0.8, dest="fold_in")
     p.add_argument("--seed", type=count, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess)

@@ -27,6 +27,8 @@ from .errors import (CorruptFileError, EmptyDatasetError, MatrixError,
                      ParseError, SpecError, SplitError)
 
 CSR_MAGIC = b"PIA1"
+# Share of each held-out user's items folded in, as in Mult-VAE.
+FOLD_IN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ chunks and `score_rows` decodes each chunk, yielding logits row by row,
 fold-in items included: excluding them is the ranker's rule
 (`evaluate.per_user_metrics`). No users x items array is built.
 There is no dense encoder path.
-The mask is drawn on the nonzeros of a batch only, and the alignment
-term is `pia.alignment_closed_form` on the anchor table in place.
+The mask is drawn on the nonzeros of a batch only. The alignment term,
+there when p has anchors, is `pia.alignment_closed_form` on the anchor
+table in place.
 During `fit` the parameters are views into one flat buffer that
 `adam_step` updates in place from the kernel's per-array gradient
 pieces, which `pack_grads` flattens; enc_w1's covers only the items the
@@ -88,7 +89,6 @@ class TrainConfig:
     epochs: int = 200
     lr: float = 1e-3
     seed: int = 0
-    input_normalize: bool = True
     hidden_dim: int = 600
     latent_dim: int = 200
 
@@ -288,7 +288,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     Row r of the batch x holds a 1 at items indices[indptr[r]:indptr[r+1]];
     keep holds the mask's 0/1 value at each of those entries (the mask is
     applied only where x is nonzero). Per row: -loglik(decode(z), x) +
-    beta * KL(q || N(0, I)) and, when lambda_a > 0, lambda_a times the
+    beta * KL(q || N(0, I)) and, when p has anchors, lambda_a times the
     closed-form alignment penalty of the row's positives; the total is the
     batch mean. Only the decoder is dense (rows x items): the input layer,
     its gradient and the alignment term are sparse products over the
@@ -311,8 +311,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     var = q.var
     per_row = recon + beta * kl_diag_gaussian(q)
 
-    use_align = lambda_a > 0.0 and p.anchors is not None
-    if use_align:
+    if p.anchors is not None:
         if np.any(counts < 1):
             raise NumericalError("alignment needs at least one positive per row",
                                  row_index=int(np.argmin(counts)))
@@ -335,7 +334,8 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
 
     d_mu = d_z + (beta / n) * mu
     d_lv = 0.5 * d_z * noise * sigma + (beta / n) * 0.5 * (var - 1.0)
-    if use_align:
+    g_anchors = []
+    if p.anchors is not None:
         d_mu = d_mu + (lambda_a / n) * 2.0 * (mu - ebar)
         d_lv = d_lv + (lambda_a / n) * var
         # col_of places each entry among the batch's items.
@@ -349,9 +349,6 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
         g_items -= weights_t @ mu
         g_items *= 2.0 * lambda_a / n
         g_anchors = [(present, g_items)]
-    else:
-        g_anchors = [] if p.anchors is None else [
-            (np.zeros(p.n_items, dtype=bool), np.empty((0, p.latent_dim)))]
 
     # Strict inequalities on the clipped lv hold exactly where they hold
     # on the raw head, and NaN fails both.
@@ -427,7 +424,7 @@ def fit(data: SplitDataset, cfg: TrainConfig,
             (data.n_items, cfg.latent_dim))
         lam = pia.lambda_a
     p = init_params(data.n_items, cfg.hidden_dim, cfg.latent_dim, rng,
-                    input_normalize=cfg.input_normalize, anchors=anchors)
+                    anchors=anchors)
     theta = pack_params(p)
     p = unpack_params(theta, p)
     del anchors  # the table before packing; p's anchors view theta

@@ -12,8 +12,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import geometry as geo
-from .corpus import (SynthSpec, matrix_from_rows, split_dataset,
-                     synth_block_dataset)
+from .corpus import (FOLD_IN_FRACTION, SynthSpec, matrix_from_rows,
+                     split_dataset, synth_block_dataset)
 from .model import TrainConfig, draw_mask, encode_rows, fit, init_params
 from .numerics import GaussianPosterior, kl_diag_gaussian
 from .pia import alignment_closed_form, alignment_mc_standard_error
@@ -239,7 +239,7 @@ def _tiny_split(seed: int):
                      n_items=24, noise_rate=0.02, seed=seed)
     m = synth_block_dataset(spec)
     return split_dataset(m, n_val_users=8, n_test_users=8,
-                         fold_in_fraction=0.8, seed=seed)
+                         fold_in_fraction=FOLD_IN_FRACTION, seed=seed)
 
 
 def beta_kl_direction() -> geo.GeometryReport:
@@ -264,7 +264,7 @@ def beta_kl_direction() -> geo.GeometryReport:
                               hidden_dim=16, latent_dim=8)
             params, _ = fit(split, cfg)
             train = split.train
-            mask = draw_mask((train.nnz,), 0.5,
+            mask = draw_mask((train.nnz,), cfg.keep_prob,
                              np.random.default_rng(seed + 99))
             q = encode_rows(params, train.indptr, train.indices, mask)
             kls.append(float(np.mean(kl_diag_gaussian(q))))

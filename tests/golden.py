@@ -44,6 +44,7 @@ def env_key() -> dict:
 
 
 def commands():
+    """Write the inputs into the current directory, then yield each run."""
     rng = np.random.default_rng(0)
     Path("ratings.csv").write_text("user,item,rating\n" + "".join(
         f"u{u},i{i},{rng.integers(1, 6)}\n"

@@ -215,7 +215,6 @@ batch_size = 8
 epochs = 2
 lr = 0.01
 seed = 3
-input_normalize = off
 hidden_dim = 12
 latent_dim = 5
 lambda_a = 2
@@ -225,13 +224,13 @@ patience = 2
 
 DEFAULT_TRAIN_CONFIG = {
     "batch_size": 500, "beta": 0.2, "epochs": 1,
-    "hidden_dim": 600, "input_normalize": True, "keep_prob": 0.5,
+    "hidden_dim": 600, "keep_prob": 0.5,
     "lambda_a": 8.0, "lambda_scale": 2.0, "latent_dim": 200, "lr": 0.001,
     "patience": 5, "seed": 0}
 
 CUSTOM_TRAIN_CONFIG = {
     "batch_size": 8, "beta": 0.3, "epochs": 2,
-    "hidden_dim": 12, "input_normalize": False, "keep_prob": 0.6,
+    "hidden_dim": 12, "keep_prob": 0.6,
     "lambda_a": 2.0, "lambda_scale": 3.0, "latent_dim": 5, "lr": 0.01,
     "patience": 2, "seed": 3}
 
@@ -248,8 +247,8 @@ class TestTrainManifest:
     # are kept can change without changing what a run records. The ids
     # leave the hash out, so a changed pin keeps the test's name.
     @pytest.mark.parametrize("pia, sha", [
-        ("on", "4af815d0af2d191e4deffbc2ad205d42f4ee7bdabee5548983d6d36ee1462bf4"),
-        ("off", "f81d4ab4f9dbb68d6d13db38640d41a4bbb13d3e3eed072218da67665531049e")],
+        ("on", "4766d98d94ae41aefd30e149a7dc93b6411793dab78ac9dd6c88f045406eca92"),
+        ("off", "fc7f0ebb307d7c1d6f9af9956877b73ef8ffec8b2e3f85d4744f3dec51171fc5")],
         ids=["on", "off"])
     def test_default_config(self, run_dir, pia, sha):
         code, out = _train(run_dir, pia, "--epochs", "1")
@@ -259,8 +258,8 @@ class TestTrainManifest:
         assert manifest["config_sha256"] == sha
 
     @pytest.mark.parametrize("pia, sha", [
-        ("on", "086fe4d6e141239ca2f86aae108e19ec94c0376838b94d7a1b56f238232aee20"),
-        ("off", "30b5aa2f9a6c9d034da55659b77331dcf696f986120beda5f2ac9d39237243d8")],
+        ("on", "5aa213eee914b8bbb9653590361c1497811ae02082a412eceaed02ab19b253cc"),
+        ("off", "3cc665239c8d3e9051cfac9471fce9d1ff9aefdee6c5013b7a42e73ee2629513")],
         ids=["on", "off"])
     def test_custom_config(self, run_dir, pia, sha):
         (run_dir / "train.cfg").write_text(CUSTOM_CONFIG)
@@ -290,7 +289,7 @@ class TestTrainManifest:
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
             "cpu_count": os.cpu_count()}
         assert manifest["config_sha256"] == (
-            "30b5aa2f9a6c9d034da55659b77331dcf696f986120beda5f2ac9d39237243d8")
+            "3cc665239c8d3e9051cfac9471fce9d1ff9aefdee6c5013b7a42e73ee2629513")
 
 
 def test_pyproject_version_is_the_package_version():
@@ -315,7 +314,10 @@ class TestTrainUsageErrors:
         ("on", b"lambda_scale = inf"), ("off", b"hidden_dim = 0"),
         ("off", b"latent_dim = 0"), ("off", b"hidden_dim = -3"),
         ("on", b"latent_dim = -3"), ("off", b"keep_prob = 0"),
-        ("off", b"batch_size = 0"), ("on", b"epochs = 0")])
+        ("off", b"batch_size = 0"), ("on", b"epochs = 0"),
+        # PiaConfig is built, and so checked, with --pia off too.
+        ("off", b"lambda_a = nan"), ("off", b"lambda_a = -1"),
+        ("off", b"patience = 0")])
     def test_invalid_config_exits_1(self, run_dir, pia, setting, capsys):
         (run_dir / "bad.cfg").write_bytes(setting + b"\n")
         code, out = _train(run_dir, pia, "--config", str(run_dir / "bad.cfg"))
@@ -331,8 +333,8 @@ class TestTrainConfigFile:
         ("beta 0.3\n", "bad.cfg:1: expected `key = value`"),
         ("= 0.3\n", "bad.cfg:1: empty key"),
         ("beta = 0.1\nbeta = 0.2\n", "bad.cfg:2: duplicate key 'beta'"),
-        ("input_normalize = maybe\n",
-         "bad.cfg: bad value for input_normalize: 'maybe'")])
+        # Inputs are always L2-normalized; the old key is unknown.
+        ("input_normalize = on\n", "unknown config keys ['input_normalize']")])
     def test_malformed_config_file_exits_1(self, run_dir, text, message,
                                            capsys):
         (run_dir / "bad.cfg").write_text(text)
@@ -341,15 +343,6 @@ class TestTrainConfigFile:
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["on", "yes", "1", "true", "True"])
-    def test_boolean_spellings_of_true(self, run_dir, value):
-        (run_dir / "train.cfg").write_text(CUSTOM_CONFIG.replace(
-            "input_normalize = off", f"input_normalize = {value}"))
-        code, out = _train(run_dir, "off", "--config", str(run_dir / "train.cfg"))
-        assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["input_normalize"] is True
 
     def test_seed_flag_overrides_the_config(self, run_dir):
         (run_dir / "train.cfg").write_text(CUSTOM_CONFIG)
@@ -537,12 +530,16 @@ class TestPreprocessExitCodes:
     @pytest.mark.parametrize("extra", [["--val", "many"], ["--min-user", "-1"],
                                        ["--bogus"], ["--seed", "-1"],
                                        ["--val", "-1"], ["--test", "-1"],
-                                       ["--fold-in", "1.5"],
-                                       ["--fold-in", "nan"]])
+                                       # 0.8 is a constant, not a flag.
+                                       ["--fold-in", "0.8"],
+                                       ["--threshold=-inf"], ["--threshold=inf"],
+                                       ["--threshold=nan"], ["--threshold=1e999"]])
     def test_usage_error_exits_1(self, tmp_path, extra, capsys):
         events = _write_events(tmp_path / "e.csv")
         assert _preprocess(tmp_path, events, *extra) == 1
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        err = capsys.readouterr().err
+        assert extra[0].split("=")[0] in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "split").exists()
 
     @pytest.mark.parametrize("text", [b"user,item,rating\nu1,i1,good\n",
                                       b"user,item,rating\nu1,i1\n",
@@ -646,8 +643,7 @@ class TestSynthExitCodes:
                                                          "n_val_users = -1"),
                                       SYNTH_SPEC.replace("n_test_users = 6",
                                                          "n_test_users = -1"),
-                                      SYNTH_SPEC + "fold_in_fraction = 1.5\n",
-                                      SYNTH_SPEC + "fold_in_fraction = 0\n",
+                                      SYNTH_SPEC + "fold_in_fraction = 0.8\n",
                                       SYNTH_SPEC.replace("= 20,20", "= 20,,20"),
                                       SYNTH_SPEC.replace("= 20,20", "= 20,20,"),
                                       SYNTH_SPEC.replace("= 20,20", "=")])
@@ -699,3 +695,34 @@ class TestGeometryGate:
             failed = [r["name"] for r in map(json.loads, lines) if not r["pass"]]
             assert (seed, code, failed, len(lines)) == (seed, 0, [],
                                                         self.CHECKS[suite])
+
+
+def test_every_manifest_is_strict_json(run_dir):
+    # json.dumps writes NaN and +-Infinity, which strict JSON parsers refuse:
+    # a non-finite value must be refused before any manifest is written.
+    def refuse(constant):
+        raise ValueError(f"{constant} in a manifest")
+
+    (run_dir / "spec.cfg").write_text(SYNTH_SPEC)
+    events = str(_write_events(run_dir / "e.csv"))
+    assert _preprocess(run_dir, events) == 0
+    assert dispatch(["synth", "--spec", str(run_dir / "spec.cfg"),
+                     "--out", str(run_dir / "synth")]) == 0
+    for pia in ("on", "off"):
+        assert _train(run_dir, pia, "--epochs", "1")[0] == 0
+    assert _evaluate(run_dir) == 0
+    assert dispatch(["export", "--model", str(run_dir / "model.ckpt"), "--data",
+                     str(run_dir / "data"), "--out", str(run_dir / "z.csv")]) == 0
+    assert dispatch(["geometry", "--suite", "probe", "--out",
+                     str(run_dir / "geometry")]) == 0
+    # Each would overwrite a manifest above with a non-finite value.
+    (run_dir / "nan.cfg").write_text("lambda_a = nan\n")
+    _train(run_dir, "off", "--config", str(run_dir / "nan.cfg"), "--epochs", "1")
+    _preprocess(run_dir, events, "--threshold=-inf")
+    manifests = sorted(run_dir.rglob("*manifest.json"))
+    assert [str(p.relative_to(run_dir)) for p in manifests] == [
+        "eval/manifest.json", "geometry/manifest.json", "split/manifest.json",
+        "synth/manifest.json", "train-off/manifest.json",
+        "train-on/manifest.json", "z.csv.manifest.json"]
+    for path in manifests:
+        json.loads(path.read_text(), parse_constant=refuse)

@@ -114,8 +114,7 @@ def dense_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
     kl = 0.5 * np.sum(mu**2 + var - 1.0 - lv, axis=1)
     per_row = recon + beta * kl
 
-    use_align = lambda_a > 0.0 and p.anchors is not None
-    if use_align:
+    if p.anchors is not None:
         counts = np.sum(x, axis=1)
         ebar = (x @ p.anchors) / counts[:, None]
         sq_norms = np.sum(p.anchors**2, axis=1)
@@ -133,14 +132,12 @@ def dense_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
     d_mu = d_z + (beta / n) * mu
     d_lv = 0.5 * d_z * noise * sigma + (beta / n) * 0.5 * (var - 1.0)
     g_anchors = None
-    if use_align:
+    if p.anchors is not None:
         d_mu = d_mu + (lambda_a / n) * 2.0 * (mu - ebar)
         d_lv = d_lv + (lambda_a / n) * var
         weights = x / counts[:, None]
         g_anchors = (2.0 * lambda_a / n) * (
             p.anchors * np.sum(weights, axis=0)[:, None] - weights.T @ mu)
-    elif p.anchors is not None:
-        g_anchors = np.zeros_like(p.anchors)
 
     inside = (lv_raw > LOGVAR_MIN) & (lv_raw < LOGVAR_MAX)
     d_lv_raw = d_lv * inside

@@ -291,8 +291,9 @@ class TestProp1Gate:
 
 class TestPiaLossAndGrads:
     def test_lambda_zero_is_bitwise_plain_vae(self):
-        # Anchors present but lambda 0: the model without anchors, bit for
-        # bit, and a zero anchor gradient.
+        # Anchors present, so the kernel aligns, but at lambda 0: the model
+        # without anchors, bit for bit, and a zero anchor gradient over the
+        # batch's items.
         p = tiny_params(seed=30, with_anchors=True)
         rng = np.random.default_rng(31)
         x = (rng.random((4, 20)) < 0.4).astype(float)
@@ -303,6 +304,7 @@ class TestPiaLossAndGrads:
                                          np.random.default_rng(9))
         loss_b, grads_b = loss_and_grads(p, *batch, cfg, np.random.default_rng(9),
                                          lambda_a=0.0)
+        assert grads_b[-1][0].tolist() == (x.sum(axis=0) > 0).tolist()
         grads_a = pack_grads(replace(p, anchors=None), grads_a)
         grads_b = pack_grads(p, grads_b)
         assert loss_a == loss_b
