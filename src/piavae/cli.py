@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, numerics
 from .corpus import (FOLD_IN_FRACTION, SPLIT_FILES, SynthSpec, ingest_events,
                      load_split, save_split, split_dataset, synth_block_dataset)
 from .errors import PiaVaeError
@@ -153,8 +153,9 @@ def _dump_json(obj) -> str:
 
 def write_manifest(path: Path, command: str, config: dict, seed,
                    inputs: list[Path], outputs: list[str]) -> None:
-    # Seeded outputs depend on the BLAS build and its thread count too:
-    # parameter digests differ between 1 and 2 BLAS threads.
+    # Seeded outputs depend on the BLAS build. piavae pins OpenBLAS to one
+    # thread, whatever OPENBLAS_NUM_THREADS asks; blas_threads records the
+    # count in use (null where it cannot be read; then nothing is split).
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
@@ -172,6 +173,8 @@ def write_manifest(path: Path, command: str, config: dict, seed,
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             "cpu_count": os.cpu_count(),
+            "blas_threads": numerics.blas_threads(),
+            "split_workers": numerics.split_workers(),
         },
     }
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",

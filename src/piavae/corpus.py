@@ -138,7 +138,8 @@ class SynthSpec:
 
     cohort_support_sizes must be strictly increasing; support k is a
     subset of support k+1, so light users are strict-subset neighbors of
-    heavier ones.
+    heavier ones. A field value that breaks this is a ValueError; a
+    support larger than n_items is synth_block_dataset's SpecError.
     """
 
     cohort_sizes: tuple[int, ...]
@@ -152,18 +153,18 @@ class SynthSpec:
         object.__setattr__(self, "cohort_support_sizes",
                            tuple(int(s) for s in self.cohort_support_sizes))
         if len(self.cohort_sizes) != len(self.cohort_support_sizes):
-            raise SpecError("cohort_sizes and cohort_support_sizes must align")
+            raise ValueError("cohort_sizes and cohort_support_sizes must align")
         if not self.cohort_sizes:
-            raise SpecError("at least one cohort required")
+            raise ValueError("at least one cohort required")
         sizes = self.cohort_support_sizes
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise SpecError("cohort_support_sizes must be strictly increasing")
+            raise ValueError("cohort_support_sizes must be strictly increasing")
         if any(c < 1 for c in self.cohort_sizes):
-            raise SpecError("cohort sizes must be positive")
+            raise ValueError("cohort sizes must be positive")
         if sizes[0] < 1:
-            raise SpecError("supports must be nonempty")
+            raise ValueError("supports must be nonempty")
         if not 0.0 <= self.noise_rate < 1.0:
-            raise SpecError("noise_rate must be in [0, 1)")
+            raise ValueError("noise_rate must be in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

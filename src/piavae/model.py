@@ -19,6 +19,10 @@ passes over the logits in row blocks of DECODE_BLOCK entries.
 chunks and `score_rows` decodes each chunk, yielding logits row by row,
 fold-in items included: excluding them is the ranker's rule
 (`evaluate.per_user_metrics`). No users x items array is built.
+The decoder's three products, its row passes and score_rows' product
+run through `numerics.split` under its rule (output axes only, aligned
+cuts, a work floor, fresh outputs, the caller's errstate), so the bits
+are the one-thread bits.
 There is no dense encoder path.
 The mask is drawn on the nonzeros of a batch only. The alignment term,
 there when p has anchors, is `pia.alignment_closed_form` on the anchor
@@ -42,8 +46,9 @@ import numpy as np
 from .corpus import (InteractionMatrix, SplitDataset, check_end, entry_rows,
                      read_array)
 from .errors import CorruptFileError, NumericalError, ShapeError, SplitError
-from .numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState, GaussianPosterior,
-                       adam_step, kl_diag_gaussian)
+from .numerics import (ENTRY_WORK, LOGVAR_MAX, LOGVAR_MIN, AdamState,
+                       GaussianPosterior, adam_step, kl_diag_gaussian, split,
+                       split_matmul)
 from .pia import PiaConfig, alignment_closed_form
 
 MODEL_MAGIC = b"PIM2"
@@ -254,28 +259,34 @@ def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
     r, and its logit gradient (|x_r| softmax - x_r) / scale as a (rows,
     items) array, for binary targets x_r with 1s at the distinct items
     indices[indptr[r]:indptr[r+1]]. Training passes scale = batch size.
-    After one z @ dec_w.T, each elementwise pass runs on blocks of whole
-    rows of DECODE_BLOCK entries (or one row), giving the same bits."""
+    After one z @ dec_w.T, split over items, each elementwise pass runs
+    on blocks of whole rows of DECODE_BLOCK entries (or one row), the
+    rows split between workers, giving the same bits."""
     n = indptr.size - 1
     counts = np.diff(indptr).astype(np.float64)
     recon = np.empty(n)
     # The logits buffer becomes exp(logits - max), then d_logits.
-    work = z @ p.dec_w.T
+    work = split_matmul(z, p.dec_w.T, axis=1)
     step = max(1, DECODE_BLOCK // p.n_items)
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        block, rows = work[r0:r1], slice(r0, r1)
-        row_of = entry_rows(indptr[r0:r1 + 1] - indptr[r0])
-        cols = indices[indptr[r0]:indptr[r1]]
-        block += p.dec_b
-        block -= np.max(block, axis=1, keepdims=True)
-        picked = np.bincount(row_of, weights=block[row_of, cols],
-                             minlength=r1 - r0)
-        np.exp(block, out=block)
-        sums = np.sum(block, axis=1)
-        recon[rows] = counts[rows] * np.log(sums) - picked
-        block *= (counts[rows] / (scale * sums))[:, None]
-        block[row_of, cols] -= 1.0 / scale
+
+    def passes(lo, hi, _):
+        for r0 in range(lo, hi, step):
+            r1 = min(r0 + step, hi)
+            block, rows = work[r0:r1], slice(r0, r1)
+            row_of = entry_rows(indptr[r0:r1 + 1] - indptr[r0])
+            cols = indices[indptr[r0]:indptr[r1]]
+            block += p.dec_b
+            block -= np.max(block, axis=1, keepdims=True)
+            picked = np.bincount(row_of, weights=block[row_of, cols],
+                                 minlength=r1 - r0)
+            np.exp(block, out=block)
+            sums = np.sum(block, axis=1)
+            recon[rows] = counts[rows] * np.log(sums) - picked
+            block *= (counts[rows] / (scale * sums))[:, None]
+            block[row_of, cols] -= 1.0 / scale
+
+    # Every pass works row by row, so rows split anywhere.
+    split(passes, n, work.size * ENTRY_WORK, align=1)
     return recon, work
 
 
@@ -328,8 +339,8 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
 
     # Backward pass; every d(loss)/d(per-row term) carries the 1/n factor.
     # (z.T @ d_logits).T runs faster in OpenBLAS than d_logits.T @ z.
-    g_dec = [(z.T @ d_logits).T, np.sum(d_logits, axis=0)]
-    d_z = d_logits @ p.dec_w
+    g_dec = [split_matmul(z.T, d_logits, axis=1).T, np.sum(d_logits, axis=0)]
+    d_z = split_matmul(d_logits, p.dec_w, axis=0)
     del d_logits
 
     d_mu = d_z + (beta / n) * mu
@@ -500,7 +511,7 @@ def score_rows(p: ModelParams, fold: InteractionMatrix):
     The chunk size is fixed, so the same inputs always give the same bits.
     """
     for means in posterior_means(p, fold):
-        scores = means @ p.dec_w.T
+        scores = split_matmul(means, p.dec_w.T, axis=1)
         scores += p.dec_b
         yield from scores
 

@@ -6,8 +6,8 @@ with paths relative to a temporary directory (manifests record paths as
 given), and prints a record: the environment key, each output's SHA-256
 (a manifest's without `versions`) and every number of the metrics, train
 logs and geometry reports. `--write` stores it as tests/golden.json and
-`--check` compares it with that file. Run with OPENBLAS_NUM_THREADS=1 and
-OMP_NUM_THREADS=1: seeded outputs depend on the BLAS thread count.
+`--check` compares it with that file. piavae pins OpenBLAS to one
+thread, so OPENBLAS_NUM_THREADS does not move the digests.
 """
 
 import contextlib

@@ -14,7 +14,7 @@ import pytest
 import scipy
 
 import piavae
-from piavae import events
+from piavae import events, numerics
 from piavae.cli import SPLIT_OUTPUTS, dispatch
 from piavae.corpus import (SynthSpec, matrix_from_rows, save_split,
                            split_dataset, synth_block_dataset)
@@ -271,9 +271,10 @@ class TestTrainManifest:
 
     def test_versions_record_what_seeded_outputs_depend_on(self, run_dir,
                                                            monkeypatch):
-        # Parameter digests differ between 1 and 2 BLAS threads, so the
-        # BLAS build and its thread settings are recorded beside the
-        # library versions; they stay out of the config and its hash.
+        # The BLAS build, the thread settings asked for, the OpenBLAS
+        # thread count in use (pinned to 1) and the split's worker count
+        # are recorded beside the library versions; they stay out of the
+        # config and its hash.
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         (run_dir / "train.cfg").write_text(CUSTOM_CONFIG)
@@ -287,7 +288,8 @@ class TestTrainManifest:
             "numpy": np.__version__, "scipy": scipy.__version__,
             "blas": {"name": blas["name"], "version": blas["version"]},
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(), "blas_threads": 1,
+            "split_workers": numerics.WORKERS}
         assert manifest["config_sha256"] == (
             "3cc665239c8d3e9051cfac9471fce9d1ff9aefdee6c5013b7a42e73ee2629513")
 
@@ -646,19 +648,24 @@ class TestSynthExitCodes:
                                       SYNTH_SPEC + "fold_in_fraction = 0.8\n",
                                       SYNTH_SPEC.replace("= 20,20", "= 20,,20"),
                                       SYNTH_SPEC.replace("= 20,20", "= 20,20,"),
-                                      SYNTH_SPEC.replace("= 20,20", "=")])
+                                      SYNTH_SPEC.replace("= 20,20", "="),
+                                      # supports not increasing
+                                      SYNTH_SPEC.replace("4,12", "12,4"),
+                                      # cohorts misaligned
+                                      SYNTH_SPEC.replace("= 20,20", "= 20,20,20"),
+                                      SYNTH_SPEC.replace("= 20,20", "= 0,20"),
+                                      SYNTH_SPEC.replace("= 4,12", "= 0,12"),
+                                      SYNTH_SPEC.replace("= 0.05", "= 1"),
+                                      SYNTH_SPEC.replace("= 0.05", "= nan")])
     def test_usage_error_exits_1(self, tmp_path, spec, capsys):
         assert self._synth(tmp_path, spec) == 1
         assert "spec.cfg" in capsys.readouterr().err
         assert not (tmp_path / "split").exists()
 
+    # What only the generated data can refute exits 2.
     @pytest.mark.parametrize("spec", [
-        SYNTH_SPEC.replace("4,12", "12,4"),          # supports not nested
         SYNTH_SPEC.replace("n_val_users = 6", "n_val_users = 60"),
-        SYNTH_SPEC.replace("= 20,20", "= 20,20,20"),  # cohorts misaligned
-        SYNTH_SPEC.replace("= 20,20", "= 0,20"),
-        SYNTH_SPEC.replace("= 4,12", "= 0,12"),
-        SYNTH_SPEC.replace("= 0.05", "= 1")])
+        SYNTH_SPEC.replace("n_items = 24", "n_items = 10")])
     def test_bad_spec_data_exits_2(self, tmp_path, spec, capsys):
         assert self._synth(tmp_path, spec) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -401,7 +401,7 @@ class TestSynthBlockDataset:
                                           n_items=10, noise_rate=0.0, seed=0))
 
     def test_non_nested_sizes_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             SynthSpec(cohort_sizes=(2, 2), cohort_support_sizes=(5, 5),
                       n_items=10, noise_rate=0.0, seed=0)
 

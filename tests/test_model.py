@@ -1,5 +1,10 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +16,7 @@ from piavae.corpus import (SynthSpec, entry_rows, matrix_from_rows,
 from piavae.errors import (CorruptFileError, NumericalError, ShapeError,
                            SplitError)
 from piavae.evaluate import per_user_metrics, stratified_report
-from piavae import model
+from piavae import model, numerics
 from piavae.model import (DECODE_BLOCK, ModelParams, TrainConfig, decode_loss,
                           draw_mask, encode_rows, fit, init_params,
                           load_checkpoint, loss_and_grads,
@@ -604,6 +609,42 @@ def small_split(seed=0):
     return split_dataset(m, 6, 6, 0.8, seed=seed)
 
 
+def spy_ranges(monkeypatch):
+    """(lo, hi) of every range numerics.split runs from now on, and the
+    thread that ran it."""
+    ranges, real = [], numerics.split
+
+    def spy(fn, n, work, align=numerics.SPLIT_ALIGN):
+        def record(lo, hi, k):
+            ranges.append((lo, hi, threading.get_ident()))
+            return fn(lo, hi, k)
+        real(record, n, work, align)
+
+    monkeypatch.setattr(numerics, "split", spy)
+    monkeypatch.setattr(model, "split", spy)
+    return ranges
+
+
+# At batch 500, hidden 300 and latent 100 over 4,096 items with anchors,
+# each decoder product, the row passes and Adam's walk are above
+# numerics.SPLIT_FLOOR; 1,000 training users make two full batches.
+SPLIT_SIZED = TrainConfig(epochs=1, batch_size=500, hidden_dim=300,
+                          latent_dim=100, seed=90)
+
+
+def split_sized_split():
+    rng = np.random.default_rng(90)
+    rows = [rng.choice(4096, 24, replace=False) for _ in range(1050)]
+    return split_dataset(matrix_from_rows(rows, 4096), 50, 0, 0.8, seed=90)
+
+
+def split_sized_digest() -> str:
+    """SHA-256 of a seeded split-sized fit's parameters and log."""
+    params, log = fit(split_sized_split(), SPLIT_SIZED, PiaConfig())
+    return hashlib.sha256(pack_params(params).tobytes() + json.dumps(
+        log, sort_keys=True).encode()).hexdigest()
+
+
 class TestFit:
     def test_single_epoch_smoke(self):
         split = small_split()
@@ -673,6 +714,55 @@ class TestFit:
                         "error": "non-finite loss at batch row 0",
                         "last_good_epoch": 0, "epoch": 1, "batch": 1,
                         "row_index": 0}]
+
+    def test_split_fit_has_the_one_worker_bits(self, monkeypatch):
+        ranges = spy_ranges(monkeypatch)
+        digests = []
+        for workers in (1, 2):
+            monkeypatch.setattr(numerics, "WORKERS", workers)
+            ranges.clear()
+            digests.append(split_sized_digest())
+            pooled = any(thread != threading.get_ident()
+                         for _, _, thread in ranges)
+            assert pooled == (workers == 2)
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("value", [np.nan, np.finfo(float).max])
+    def test_numeric_abort_under_split_names_epoch_batch_and_row(
+            self, monkeypatch, value):
+        # Pool threads compute half the decoder. The largest float as
+        # weights overflows there; unless they run under fit's errstate,
+        # Tier-1's error::RuntimeWarning turns that into an exception
+        # that skips the aborted record.
+        def bad_decoder(*args, **kwargs):
+            p = init_params(*args, **kwargs)
+            p.dec_w[...] = value
+            return p
+
+        monkeypatch.setattr(model, "init_params", bad_decoder)
+        _, log = fit(split_sized_split(), SPLIT_SIZED, PiaConfig())
+        assert log == [{"event": "aborted",
+                        "error": "non-finite loss at batch row 0",
+                        "last_good_epoch": 0, "epoch": 1, "batch": 1,
+                        "row_index": 0}]
+
+
+def test_fit_bits_do_not_depend_on_blas_threads():
+    # A fresh interpreter per OPENBLAS_NUM_THREADS: piavae pins OpenBLAS
+    # to one thread before its first product, so a fit that splits gives
+    # the same bits at 1 and 2 (unpinned, they differed).
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digests = {split_sized_digest()}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.join(root, "src"))
+        digests.add(subprocess.run(
+            [sys.executable, "-c", "from tests.test_model import "
+             "split_sized_digest; print(split_sized_digest())"], cwd=root,
+            env=env, capture_output=True, text=True, check=True,
+            timeout=300).stdout.strip())
+    assert len(digests) == 1
 
 
 class TestPredictScores:

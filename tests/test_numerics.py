@@ -1,12 +1,22 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from piavae import numerics
 from piavae.errors import NumericalError, ShapeError
-from piavae.numerics import (ADAM_BLOCK, FD_STEP, AdamState, GaussianPosterior,
-                             adam_step, finite_diff_check, kl_diag_gaussian)
-from tests.test_model import multinomial_loglik
+from piavae.numerics import (ADAM_BLOCK, ENTRY_WORK, FD_STEP, SPLIT_ALIGN,
+                             SPLIT_FLOOR, AdamState, GaussianPosterior,
+                             adam_step, finite_diff_check, kl_diag_gaussian,
+                             split, split_matmul)
+from tests.test_model import multinomial_loglik, spy_ranges
 
 
 class TestGaussianPosterior:
@@ -226,6 +236,182 @@ class TestAdamStep:
         with pytest.raises(TypeError):
             adam_step(state, params, [0.0, 0.0, 0.0, 0.0])
         assert state.step_count == 0 and not params.any()
+
+
+    def test_split_walk_gives_the_textbook_bits(self, monkeypatch):
+        # At SPLIT_FLOOR / ENTRY_WORK entries the walk is split, each range
+        # with its own scratch; a dense piece and a masked one meet inside
+        # a block. Moments start with -0.0 entries.
+        ranges = spy_ranges(monkeypatch)
+        rng = np.random.default_rng(6)
+        n_rows, width = 1000, 7
+        dense = SPLIT_FLOOR // ENTRY_WORK - n_rows * width + 3
+        params = rng.standard_normal(dense + n_rows * width)
+        m = rng.standard_normal(params.size) * (rng.random(params.size) < 0.5)
+        m[::3] = -0.0
+        state, v = AdamState(m.copy(), m**2, 2, 1e-2), m**2
+        mark = rng.random(n_rows) < 0.4
+        rows = rng.standard_normal((mark.sum(), width))
+        flat = np.zeros(params.size)
+        flat[:dense] = rng.standard_normal(dense)
+        flat[dense:].reshape(n_rows, width)[mark] = rows
+        want = textbook_adam(m, v, 3, params, flat, 1e-2, 0.9, 0.999, 1e-8)
+        adam_step(state, params, [flat[:dense], (mark, rows)])
+        assert len(ranges) == 2
+        assert params.tobytes() == want[0].tobytes()
+        assert state.first_moment.tobytes() == want[1].tobytes()
+        assert state.second_moment.tobytes() == want[2].tobytes()
+
+
+# (rows, inner, columns) of a @ b: the 14 x 5000 x 3 edge case, 1-3 rows,
+# widths off the tile sizes, and shapes just above SPLIT_FLOOR, where
+# rows cut at a multiple of 64 but not of 24 changed bits.
+SPLIT_SHAPES = [(14, 3, 5000), (1, 200, 5000), (2, 64, 3001), (3, 7, 4097),
+                (385, 5, 385), (700, 33, 700), (449, 544, 1203)]
+ABOVE_FLOOR = [(500, 2000, 201), (500, 201, 2000), (88, 200, 11_367)]
+
+
+class TestSplit:
+    # A product split over output rows or columns gives the one call's
+    # bits, in every operand layout the model uses.
+    @pytest.mark.parametrize("shape", SPLIT_SHAPES + ABOVE_FLOOR)
+    @pytest.mark.parametrize("layout", ["a @ w.T", "a.T @ b", "a @ w"])
+    def test_split_matmul_gives_the_one_call_bits(self, shape, layout,
+                                                  monkeypatch):
+        m, k, n = shape
+        if shape not in ABOVE_FLOOR:
+            monkeypatch.setattr(numerics, "SPLIT_FLOOR", 0)
+        rng = np.random.default_rng(m * n + k)
+        a, b = {"a @ w.T": (rng.standard_normal((m, k)),
+                            rng.standard_normal((n, k)).T),
+                "a.T @ b": (rng.standard_normal((k, m)).T,
+                            rng.standard_normal((k + 5, n))[5:]),
+                "a @ w": (rng.standard_normal((m, k)),
+                          rng.standard_normal((k, n)))}[layout]
+        ranges = spy_ranges(monkeypatch)
+        for axis in (0, 1):
+            ranges.clear()
+            got = split_matmul(a, b, axis)
+            assert got.tobytes() == (a @ b).tobytes()
+            bounds = sorted(r[:2] for r in ranges)
+            assert len(bounds) == 1 + (got.shape[axis] >= 2 * SPLIT_ALIGN)
+            assert all(lo % SPLIT_ALIGN == 0 and hi - lo >= SPLIT_ALIGN
+                       for lo, hi in bounds[1:])
+
+    def test_work_under_the_floor_stays_on_the_calling_thread(self):
+        threads = []
+        split(lambda lo, hi, k: threads.append(
+            (lo, hi, k, threading.get_ident())), 10_000, SPLIT_FLOOR - 1)
+        assert threads == [(0, 10_000, 0, threading.get_ident())]
+
+    def test_one_worker_runs_one_range(self, monkeypatch):
+        monkeypatch.setattr(numerics, "WORKERS", 1)
+        ranges = []
+        split(lambda lo, hi, k: ranges.append((lo, hi, k)), 1000, SPLIT_FLOOR)
+        assert ranges == [(0, 1000, 0)]
+
+    def test_ranges_tile_and_run_on_two_threads(self):
+        seen = []
+        split(lambda lo, hi, k: seen.append((lo, hi, k, threading.get_ident())),
+              1000, SPLIT_FLOOR, align=1)
+        seen.sort()
+        assert [s[:3] for s in seen] == [(0, 500, 0), (500, 1000, 1)]
+        assert seen[0][3] == threading.get_ident() != seen[1][3]
+
+    def test_pool_range_runs_under_the_callers_errstate(self):
+        # Tier-1 turns RuntimeWarning into an error: an overflow in the
+        # pool thread raises there unless the caller's errstate goes along.
+        def overflow(lo, hi, k):
+            np.exp(np.full(4, 1000.0))
+
+        with np.errstate(over="ignore"):
+            split(overflow, 1000, SPLIT_FLOOR)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            split(lambda lo, hi, k: k and overflow(lo, hi, k), 1000,
+                  SPLIT_FLOOR)
+
+    def test_new_pool_thread_steps_off_the_callers_core(self, monkeypatch):
+        # It starts on another core than its creator and keeps every core
+        # the caller may use.
+        libc, seen = ctypes.CDLL(None), {}
+        monkeypatch.setattr(numerics, "_POOL", None)
+        core = libc.sched_getcpu()
+        try:
+            split(lambda lo, hi, k: seen.update(
+                {k: (libc.sched_getcpu(), os.sched_getaffinity(0))}),
+                1000, SPLIT_FLOOR, align=1)
+        finally:
+            numerics._POOL.shutdown()
+        assert seen[1][1] == os.sched_getaffinity(0)
+        assert seen[1][0] != core or len(os.sched_getaffinity(0)) == 1
+
+    def test_concurrent_callers_each_get_the_one_call_bits(self, monkeypatch):
+        # Six callers share a fresh pool of two threads (more workers than
+        # cores) with the interpreter switching threads every microsecond:
+        # a range lost, run twice or written into another call's output
+        # changes some result's bits.
+        monkeypatch.setattr(numerics, "_POOL", None)
+        monkeypatch.setattr(numerics, "WORKERS", 3)
+        monkeypatch.setattr(numerics, "SPLIT_FLOOR", 0)
+        rng = np.random.default_rng(12)
+        pairs = [(rng.standard_normal((600, 9)), rng.standard_normal((9, 700)))
+                 for _ in range(6)]
+        bad = []
+
+        def caller(a, b):
+            for axis in (0, 1) * 10:
+                if split_matmul(a, b, axis).tobytes() != (a @ b).tobytes():
+                    bad.append(axis)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=pair)
+                       for pair in pairs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            numerics._POOL.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []
+
+    def test_forked_child_starts_its_own_pool(self):
+        # The parent's pool thread does not exist in a fork; a child that
+        # queued work on the inherited pool would wait forever (the alarm
+        # ends it instead).
+        code = textwrap.dedent("""
+            import os, signal, numpy as np
+            from piavae import numerics
+            a, b = np.ones((4, 3)), np.ones((3, 500))
+            numerics.SPLIT_FLOOR = 0
+            numerics.split_matmul(a, b, 1)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                os._exit(int(numerics.split_matmul(a, b, 1).sum() != 6000))
+            print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(numerics.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "0", out.stderr
+
+    def test_pool_exception_is_raised_after_every_range_ends(self):
+        done = []
+
+        def work(lo, hi, k):
+            if k:
+                raise ValueError(f"range {k}")
+            time.sleep(0.05)
+            done.append(k)
+
+        with pytest.raises(ValueError, match="range 1"):
+            split(work, 1000, SPLIT_FLOOR)
+        assert done == [0]
 
 
 class TestFiniteDiffCheck:
