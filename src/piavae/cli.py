@@ -5,7 +5,8 @@ config hash, input digests, the seed, and library versions, so outputs
 are reproducible from the manifest alone. Commands that write a directory
 put it at --out/manifest.json; `export`, which writes one CSV file at
 --out, puts it next to that file as <out>.manifest.json. Exit codes:
-0 success, 1 usage error, 2 data or numeric error.
+0 success, 1 usage error, 2 data or numeric error. `train` keeps its
+best epoch in a parameter-sized temporary file under TMPDIR.
 
 Each flag and config value is checked by the parser of its kind
 (count, positive, finite, int_list, or plain int and float) before any
@@ -377,7 +378,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("geometry", help="run a theory-check suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--seed", type=count, default=0)
+    p.add_argument("--seed", type=count, default=0,
+                   help="seed of the suite's random draws; thm3 is a fixed "
+                        "grid that reads none, and eq4's kl-direction check "
+                        "always trains on seeds 0-4")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_geometry)
 

@@ -27,17 +27,22 @@ There is no dense encoder path.
 The mask is drawn on the nonzeros of a batch only. The alignment term,
 there when p has anchors, is `pia.alignment_closed_form` on the anchor
 table in place.
-During `fit` the parameters are views into one flat buffer that
+During `fit` the parameters are views into one flat buffer θ that
 `adam_step` updates in place from the kernel's per-array gradient
 pieces, which `pack_grads` flattens; enc_w1's covers only the items the
-mask keeps. All gradients are derived by hand; `finite_diff_check`
-guards every term.
+mask keeps. `fit` holds three θ-sized arrays: θ and Adam's two moments.
+The best epoch so far lives in an anonymous temporary file under TMPDIR,
+written from θ before a step moves θ off it and read back into θ only
+when training ends elsewhere (an abort, or a best epoch before the
+last). All gradients are derived by hand; `finite_diff_check` guards
+every term.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -415,8 +420,16 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     with no training or no validation users is a SplitError, raised
     before any training. Anchors are drawn with scale 1/sqrt(latent).
 
-    The parameters are views into one flat buffer that adam_step updates
+    The parameters are views into one flat buffer θ that adam_step updates
     in place from each batch's gradient pieces; no gradient vector is made.
+    fit holds three θ-sized arrays: θ and Adam's two moments. The best
+    epoch is kept in an anonymous temporary file under TMPDIR, written
+    from θ only when θ holds the best epoch so far and is about to be
+    stepped (before epoch 1, and before the first batch after an
+    improving epoch), and read back into θ only when the epoch to return
+    is not θ's current state (an abort, or a best epoch before the last).
+    The returned parameters view θ. A failed or short write or read of
+    the file is an OSError.
     """
     from .evaluate import stratified_report
 
@@ -443,15 +456,18 @@ def fit(data: SplitDataset, cfg: TrainConfig,
 
     log: list[dict] = []
     best_ndcg = -np.inf
-    best_theta = theta.copy()
     best_epoch = 0
     n_train = data.train.n_users
     epoch = batch = None
     # A diverging step overflows on the way to a non-finite loss; the loss
     # check is the one detector, so numpy's warnings stay quiet.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with tempfile.TemporaryFile(buffering=0) as best_file, \
+            np.errstate(over="ignore", invalid="ignore"):
         try:
             for epoch in range(1, cfg.epochs + 1):
+                if best_epoch == epoch - 1:  # theta is the best so far
+                    best_file.seek(0)
+                    _move_all(best_file.write, theta)
                 perm = rng.permutation(n_train)
                 losses = []
                 for batch, start in enumerate(
@@ -470,7 +486,6 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                             "val_ndcg100": val_ndcg, "lambda_a": lam})
                 if val_ndcg > best_ndcg:
                     best_ndcg = val_ndcg
-                    np.copyto(best_theta, theta)
                     best_epoch = epoch
                 elif pia is not None and epoch - best_epoch >= pia.patience:
                     lam *= pia.lambda_scale
@@ -478,7 +493,24 @@ def fit(data: SplitDataset, cfg: TrainConfig,
             log.append({"event": "aborted", "error": str(exc),
                         "last_good_epoch": best_epoch, "epoch": epoch,
                         "batch": batch, "row_index": exc.row_index})
-    return unpack_params(best_theta, p), log
+        if epoch != best_epoch:  # theta holds a later or a partial epoch
+            best_file.seek(0)
+            _move_all(best_file.readinto, theta)
+    return p, log
+
+
+def _move_all(op, theta: np.ndarray) -> None:
+    """Run an unbuffered file's write or readinto over all of theta's
+    bytes, which it may move in parts. A call that moves none is an
+    OSError, so a short file is an error, never half-restored parameters."""
+    rest = memoryview(theta).cast("B")
+    while rest:
+        moved = op(rest)
+        if not moved:
+            done = theta.nbytes - rest.nbytes
+            raise OSError(f"the best-epoch file moved {done} of "
+                          f"{theta.nbytes} bytes")
+        rest = rest[moved:]
 
 
 def encode_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,

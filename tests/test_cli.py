@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from piavae.corpus import (SynthSpec, matrix_from_rows, save_split,
                            split_dataset, synth_block_dataset)
 from piavae.model import save_checkpoint
 from piavae.suites import SUITE_NAMES
-from tests.test_model import tiny_params
+from tests.test_model import faulty_temporary_file, no_space, tiny_params
 
 
 RUN_SPEC = SynthSpec(cohort_sizes=(20, 20), cohort_support_sizes=(4, 12),
@@ -417,6 +418,18 @@ class TestTrainDataErrors:
         err = capsys.readouterr().err
         assert "no training users" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_full_disk_for_the_best_epoch_exits_2(self, run_dir, monkeypatch,
+                                                  capsys):
+        # fit writes its best epoch to a temporary file; a full disk there
+        # is a data error, and no checkpoint is written.
+        faulty_temporary_file(monkeypatch, write=no_space)
+        code, out = _train(run_dir, "on", "--epochs", "2")
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert os.strerror(errno.ENOSPC) in err[0]
+        assert not (out / "model.ckpt").exists()
 
     # At lr 1e300 the first Adam step wrecks the weights, so the second
     # batch's forward pass overflows. The run is under pytest's

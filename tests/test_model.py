@@ -1,9 +1,11 @@
+import errno
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -747,6 +749,123 @@ class TestFit:
                         "row_index": 0}]
 
 
+def fit_bits(split, cfg, pia=None) -> bytes:
+    return pack_params(fit(split, cfg, pia)[0]).tobytes()
+
+
+def abort_on_call(monkeypatch, call):
+    """Make loss_and_grads raise NumericalError on its call-th call."""
+    calls, real = [], model.loss_and_grads
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise NumericalError("planted", row_index=0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "loss_and_grads", failing)
+
+
+def faulty_temporary_file(monkeypatch, **ops):
+    """Make tempfile.TemporaryFile give a real temporary file whose named
+    methods run ops[name](file, buffer) instead."""
+    real = tempfile.TemporaryFile
+
+    class Faulty:
+        def __init__(self, *args, **kwargs):
+            self.file = real(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.file, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+    for name, op in ops.items():
+        setattr(Faulty, name, lambda self, buf, op=op: op(self.file, buf))
+    monkeypatch.setattr(tempfile, "TemporaryFile", Faulty)
+
+
+def no_space(file, buf):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestBestEpochFile:
+    # fit keeps its best epoch in a temporary file, not in memory; what it
+    # returns must be that epoch's bits, as a shorter fit ends with them.
+    # Through epoch k the random stream is the same.
+    SIZES = dict(batch_size=16, hidden_dim=10, latent_dim=4)
+
+    @pytest.mark.parametrize("seed, pia, best", [
+        (1, PiaConfig(), 1), (3, None, 2), (2, PiaConfig(), 3)],
+        ids=["pia-best-1", "best-2", "pia-best-3"])
+    def test_best_epoch_before_the_last_returns_its_bits(self, seed, pia,
+                                                          best):
+        split = small_split(seed=seed)
+        cfg = TrainConfig(epochs=4, seed=seed, **self.SIZES)
+        params, log = fit(split, cfg, pia)
+        ndcgs = [r["val_ndcg100"] for r in log]
+        assert 1 + ndcgs.index(max(ndcgs)) == best
+        assert pack_params(params).tobytes() == fit_bits(
+            split, replace(cfg, epochs=best), pia)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_abort_in_epoch_2_returns_epoch_1(self, monkeypatch, batch):
+        # small_split has 28 training users: two batches an epoch. Aborting
+        # at the second, after one step of epoch 2, must undo that step.
+        split = small_split()
+        cfg = TrainConfig(epochs=3, seed=7, **self.SIZES)
+        one_epoch = fit_bits(split, replace(cfg, epochs=1))
+        abort_on_call(monkeypatch, 2 + batch)
+        params, log = fit(split, cfg)
+        assert log[-1]["last_good_epoch"] == 1
+        assert (log[-1]["epoch"], log[-1]["batch"]) == (2, batch)
+        assert pack_params(params).tobytes() == one_epoch
+
+    def test_abort_in_epoch_1_returns_the_initial_parameters(self,
+                                                             monkeypatch):
+        split = small_split()
+        cfg = TrainConfig(epochs=2, seed=7, **self.SIZES)
+        initial = init_params(split.n_items, cfg.hidden_dim, cfg.latent_dim,
+                              np.random.default_rng(cfg.seed))
+        abort_on_call(monkeypatch, 2)
+        params, log = fit(split, cfg)
+        assert log[-1]["last_good_epoch"] == 0
+        assert pack_params(params).tobytes() == pack_params(initial).tobytes()
+
+    def test_writes_and_reads_in_parts_keep_the_bits(self, monkeypatch):
+        # An unbuffered file may move fewer bytes than asked per call.
+        split = small_split(seed=3)
+        cfg = TrainConfig(epochs=4, seed=3, **self.SIZES)
+        whole = fit_bits(split, cfg)
+        faulty_temporary_file(
+            monkeypatch, write=lambda f, buf: f.write(buf[:1000]),
+            readinto=lambda f, buf: f.readinto(buf[:1000]))
+        assert fit_bits(split, cfg) == whole
+
+    def test_full_disk_is_an_os_error(self, monkeypatch):
+        faulty_temporary_file(monkeypatch, write=no_space)
+        cfg = TrainConfig(epochs=2, seed=0, **self.SIZES)
+        with pytest.raises(OSError) as info:
+            fit(small_split(), cfg)
+        assert info.value.errno == errno.ENOSPC
+
+    def test_short_read_is_an_os_error(self, monkeypatch):
+        # The file loses its second half before the read-back: the fit
+        # raises rather than return half-old parameters.
+        def truncated(file, buf):
+            file.truncate(file.tell() + len(buf) // 2)
+            return file.readinto(buf)
+
+        faulty_temporary_file(monkeypatch, readinto=truncated)
+        cfg = TrainConfig(epochs=4, seed=3, **self.SIZES)
+        with pytest.raises(OSError, match="best-epoch file moved"):
+            fit(small_split(seed=3), cfg)
+
+
 def test_fit_bits_do_not_depend_on_blas_threads():
     # A fresh interpreter per OPENBLAS_NUM_THREADS: piavae pins OpenBLAS
     # to one thread before its first product, so a fit that splits gives
@@ -996,10 +1115,11 @@ class TestAllocation:
         assert peak <= 64 * 1024
 
     def test_fit_holds_no_gradient_vector(self):
-        # theta, both moments and the best-epoch snapshot are four
-        # parameter vectors; a fifth, gradient-sized one would pass 5x.
-        # Beyond the four, the peak holds the batch's decoder buffer and
-        # the dec_w piece, each under a tenth of a vector at this shape.
+        # theta and both moments are three parameter vectors; the best
+        # epoch lives in a file. A fourth, a best-epoch copy or a
+        # gradient vector, would pass 4x. Beyond the three, the peak
+        # holds the batch's decoder buffer and the dec_w piece, each
+        # under a tenth of a vector at this shape.
         spec = SynthSpec(cohort_sizes=(20, 20), cohort_support_sizes=(10, 40),
                          n_items=20_000, noise_rate=0.001, seed=0)
         split = split_dataset(synth_block_dataset(spec), 4, 0, 0.8, seed=0)
@@ -1008,7 +1128,7 @@ class TestAllocation:
         peak = traced_peak(fit, split, cfg, PiaConfig())
         p = tiny_params(with_anchors=True, n_items=20_000, hidden=128,
                         latent=8)
-        assert peak <= 4.5 * pack_params(p).nbytes
+        assert peak <= 3.5 * pack_params(p).nbytes
 
     def test_kernel_transients_leave_out_masked_items_and_anchor_copies(self):
         # 50 rows of 400 of 20k items: a third of the batch's items have
