@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (CorruptFileError, EmptyDatasetError, MatrixError,
-                     ParseError, SpecError, SplitError)
+                     ParseError, SplitError)
 
 CSR_MAGIC = b"PIA1"
 # Share of each held-out user's items folded in, as in Mult-VAE.
@@ -138,8 +138,8 @@ class SynthSpec:
 
     cohort_support_sizes must be strictly increasing; support k is a
     subset of support k+1, so light users are strict-subset neighbors of
-    heavier ones. A field value that breaks this is a ValueError; a
-    support larger than n_items is synth_block_dataset's SpecError.
+    heavier ones. A field value that breaks this, or a support larger
+    than n_items, is a ValueError.
     """
 
     cohort_sizes: tuple[int, ...]
@@ -163,6 +163,8 @@ class SynthSpec:
             raise ValueError("cohort sizes must be positive")
         if sizes[0] < 1:
             raise ValueError("supports must be nonempty")
+        if sizes[-1] > self.n_items:
+            raise ValueError("largest support exceeds n_items")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValueError("noise_rate must be in [0, 1)")
         if self.seed < 0:
@@ -334,8 +336,6 @@ def synth_block_dataset(spec: SynthSpec) -> InteractionMatrix:
     relations between cohorts: any lighter-cohort row is contained in any
     heavier-cohort row while their l1 distance stays large.
     """
-    if spec.cohort_support_sizes[-1] > spec.n_items:
-        raise SpecError("largest support exceeds n_items")
     rng = np.random.default_rng(spec.seed)
     item_perm = rng.permutation(spec.n_items)
     coverage = 0.8  # per-item keep probability inside the fresh support slice

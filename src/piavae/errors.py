@@ -22,10 +22,6 @@ class SplitError(PiaVaeError):
     lacks the users an operation needs."""
 
 
-class SpecError(PiaVaeError):
-    """Synthetic dataset specification violates its own invariants."""
-
-
 class CorruptFileError(PiaVaeError):
     """A binary file's length disagrees with its header, or the file holds
     a value its writer never writes; carries the file and the byte offset

@@ -28,8 +28,8 @@ from scipy.special import xlogy
 
 from .corpus import InteractionMatrix
 from .errors import NumericalError, ShapeError, SplitError
-from .model import (ModelParams, decode_loss, draw_mask, encode_rows,
-                    posterior_means)
+from .model import (ModelParams, TrainConfig, decode_loss, draw_mask,
+                    encode_rows, posterior_means)
 from .numerics import GaussianPosterior, kl_diag_gaussian
 
 __all__ = [
@@ -239,7 +239,7 @@ def dataset_bound_report(p: ModelParams, matrix: InteractionMatrix,
     """Dataset-average latent-distance bound on sampled masked user pairs.
 
     The 60 rows of 30 pairs are drawn in one call (pair j is rows 2j and
-    2j + 1), masked on their nonzeros with keep probability 0.5 and
+    2j + 1), each stored entry kept with TrainConfig's keep_prob, and
     encoded in one batch. Every pair contributes a mean-gap lower bound on
     its W1 and both encodings feed the average KL to the N(0, I) prior, so
     mean gap <= 2 sqrt(2 mean KL) holds deterministically for the sample
@@ -247,7 +247,7 @@ def dataset_bound_report(p: ModelParams, matrix: InteractionMatrix,
     """
     indptr, indices = matrix.csr_rows(rng.integers(matrix.n_users, size=60))
     q = encode_rows(p, indptr, indices,
-                    draw_mask((indices.size,), 0.5, rng))
+                    draw_mask(indices.size, TrainConfig().keep_prob, rng))
     mean_kl = float(np.mean(kl_diag_gaussian(q)))
     q_a = GaussianPosterior(mean=q.mean[0::2], logvar=q.logvar[0::2])
     q_b = GaussianPosterior(mean=q.mean[1::2], logvar=q.logvar[1::2])
@@ -485,8 +485,7 @@ def sharing_probe(p: ModelParams, items_u, items_v,
     items_u = np.asarray(items_u, dtype=np.int64)
     items_v = np.asarray(items_v, dtype=np.int64)
     both = np.concatenate([items_u, items_v])
-    q = encode_rows(p, np.array([0, items_u.size, both.size]), both,
-                    np.ones(both.size))
+    q = encode_rows(p, np.array([0, items_u.size, both.size]), both)
     q_u = GaussianPosterior(mean=q.mean[0], logvar=q.logvar[0])
     q_v = GaussianPosterior(mean=q.mean[1], logvar=q.logvar[1])
     shape = (PROBE_SAMPLES, p.latent_dim)

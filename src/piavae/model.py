@@ -6,12 +6,13 @@ is a single linear layer back to item logits. `_weight_shapes` is the one
 parameter layout, which init, shape checks, the flat vector and the
 checkpoint follow; `_order` keeps enc_w1 items-major (column-major), and
 each array is stored in its memory order in the flat vector and the
-checkpoint alike. `_encode` is the one encoder: it drops zero (masked)
-entries of its CSR input rows, L2-normalizes them, applies the sparse
-input layer and both heads, and returns the posterior they give, whose
-constructor is the one place a logvar is clipped. Training
-(`loss_and_grads_fixed`, on CSR batches of the training matrix) and
-`encode_rows`, the encoder entry point over CSR rows, both run it.
+checkpoint alike. A mask is `draw_mask`'s boolean keep flag per stored
+entry of binary CSR rows. `_encode` is the one encoder: it reads the
+kept entries (all, without a mask), each as 1/sqrt(kept count) or 1
+unnormalized, applies the sparse input layer and both heads, and
+returns the posterior they give, whose constructor is the one place a
+logvar is clipped. Training (`loss_and_grads_fixed`) and `encode_rows`
+both run it.
 `decode_loss` is the one decoder, with its loss and logit gradient: the
 training kernel and `geometry.sharing_probe` run it, its elementwise
 passes over the logits in row blocks of DECODE_BLOCK entries.
@@ -23,10 +24,8 @@ The decoder's three products, its row passes and score_rows' product
 run through `numerics.split` under its rule (output axes only, aligned
 cuts, a work floor, fresh outputs, the caller's errstate), so the bits
 are the one-thread bits.
-There is no dense encoder path.
-The mask is drawn on the nonzeros of a batch only. The alignment term,
-there when p has anchors, is `pia.alignment_closed_form` on the anchor
-table in place.
+There is no dense encoder path. The alignment term, there when p has
+anchors, is `pia.alignment_closed_form` on the anchor table in place.
 During `fit` the parameters are views into one flat buffer θ that
 `adam_step` updates in place from the kernel's per-array gradient
 pieces, which `pack_grads` flattens; enc_w1's covers only the items the
@@ -217,42 +216,38 @@ def unpack_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
     return ModelParams(**views, input_normalize=template.input_normalize)
 
 
-def draw_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """0/1 mask keeping each coordinate with probability keep_prob.
-
-    keep_prob 1 draws nothing from rng. One draw of shape (n, I) consumes
-    the same random stream as n draws of shape (I,).
-    """
+def draw_mask(n: int, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Boolean keep flags for n stored entries, each True with probability
+    keep_prob, drawn as rng.random(n) < keep_prob; keep_prob 1 draws
+    nothing from rng."""
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError("keep_prob must lie in (0, 1]")
     if keep_prob >= 1.0:
-        return np.ones(shape, dtype=np.float64)
-    return (rng.random(shape) < keep_prob).astype(np.float64)
+        return np.ones(n, dtype=bool)
+    return rng.random(n) < keep_prob
 
 
 def _encode(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
-            data: np.ndarray):
-    """The one encoder, over CSR rows whose values data[indptr[r]:indptr[r+1]]
-    sit at items indices[indptr[r]:indptr[r+1]]: zero entries (masked ones)
-    are dropped, each row is L2-normalized when p.input_normalize (an
-    empty row stays empty), and the scipy CSR input x goes through
+            keep: np.ndarray | None = None):
+    """The one encoder, over binary CSR rows with 1s at items
+    indices[indptr[r]:indptr[r+1]], reading only the entries whose
+    boolean flag in keep is set (all when keep is None). Each kept
+    entry's input is 1/sqrt(its row's kept count), the L2-normalized row,
+    or 1 without p.input_normalize. The scipy CSR input x goes through
     h1 = tanh(x @ enc_w1.T + enc_b1) to the mean and logvar heads.
     Returns (x, h1, q), q the GaussianPosterior of the raw heads. scipy
     copies a dense operand that is not C-ordered; enc_w1 is column-major,
     so enc_w1.T is read in place."""
     from scipy import sparse
 
-    n_rows = indptr.size - 1
-    nonzero = data != 0
-    row_of = entry_rows(indptr)[nonzero]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of,
-                                                         minlength=n_rows))))
-    indices, data = indices[nonzero], data[nonzero]
-    if p.input_normalize:
-        norms = np.sqrt(np.bincount(row_of, weights=data * data,
-                                    minlength=n_rows))
-        data = data / np.where(norms > 0.0, norms, 1.0)[row_of]
-    x = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, p.n_items))
+    if keep is not None:
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        indices = indices[keep]
+    counts = np.diff(indptr)
+    value = (1.0 / np.sqrt(np.maximum(counts, 1)) if p.input_normalize
+             else np.ones(counts.size))
+    x = sparse.csr_matrix((np.repeat(value, counts), indices, indptr),
+                          shape=(counts.size, p.n_items))
     h1 = np.tanh(x @ p.enc_w1.T + p.enc_b1)
     return x, h1, GaussianPosterior(mean=h1 @ p.enc_w_mu.T + p.enc_b_mu,
                                     logvar=h1 @ p.enc_w_lv.T + p.enc_b_lv)
@@ -274,7 +269,7 @@ def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
     work = split_matmul(z, p.dec_w.T, axis=1)
     step = max(1, DECODE_BLOCK // p.n_items)
 
-    def passes(lo, hi, _):
+    def passes(lo, hi):
         for r0 in range(lo, hi, step):
             r1 = min(r0 + step, hi)
             block, rows = work[r0:r1], slice(r0, r1)
@@ -295,6 +290,20 @@ def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
     return recon, work
 
 
+def _item_transpose(indptr: np.ndarray, indices: np.ndarray,
+                    data: np.ndarray, n_items: int):
+    """The boolean mark of the items CSR rows touch, each entry's column
+    among them, and the rows' transpose compacted to them, one CSR row
+    per item."""
+    from scipy import sparse
+
+    present = np.bincount(indices, minlength=n_items) > 0
+    col_of = (np.cumsum(present) - 1)[indices]
+    compact = sparse.csr_matrix((data, col_of, indptr), shape=(
+        indptr.size - 1, np.count_nonzero(present)))
+    return present, col_of, compact.T.tocsr()
+
+
 def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
                          indices: np.ndarray, keep: np.ndarray,
                          noise: np.ndarray, beta: float, lambda_a: float = 0.0
@@ -302,18 +311,18 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     """Loss and gradient of a CSR batch for fixed mask and noise draws.
 
     Row r of the batch x holds a 1 at items indices[indptr[r]:indptr[r+1]];
-    keep holds the mask's 0/1 value at each of those entries (the mask is
-    applied only where x is nonzero). Per row: -loglik(decode(z), x) +
-    beta * KL(q || N(0, I)) and, when p has anchors, lambda_a times the
-    closed-form alignment penalty of the row's positives; the total is the
-    batch mean. Only the decoder is dense (rows x items): the input layer,
-    its gradient and the alignment term are sparse products over the
-    batch's items; the alignment reads the anchor table in place. The
-    gradient is one piece per trained array in pack_params order, as
-    adam_step takes it: enc_w1's and the anchors' as (mark, rows), the
-    rows of enc_w1.T for the items with a kept entry (none if all are
-    masked) and of anchors for the batch's items, the latter formed in
-    place after the logits are freed.
+    keep is the mask, a boolean keep flag for each of those entries, so
+    the encoder reads x's kept entries and the decoder's target is all of
+    x. Per row: -loglik(decode(z), x) + beta * KL(q || N(0, I)) and, when
+    p has anchors, lambda_a times the closed-form alignment penalty of the
+    row's positives; the total is the batch mean. Only the decoder is
+    dense (rows x items): the input layer, its gradient and the alignment
+    term are sparse products over the batch's items; the alignment reads
+    the anchor table in place. The gradient is one piece per trained
+    array in pack_params order, as adam_step takes it: enc_w1's and the
+    anchors' as (mark, rows), the rows of enc_w1.T for the items with a
+    kept entry (none if all are masked) and of anchors for the batch's
+    items, the latter formed in place after the logits are freed.
     """
     from scipy import sparse
 
@@ -354,11 +363,8 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     if p.anchors is not None:
         d_mu = d_mu + (lambda_a / n) * 2.0 * (mu - ebar)
         d_lv = d_lv + (lambda_a / n) * var
-        # col_of places each entry among the batch's items.
-        present = np.bincount(indices, minlength=p.n_items) > 0
-        col_of = (np.cumsum(present) - 1)[indices]
-        weights_t = sparse.csr_matrix((entry_weight, col_of, indptr), shape=(
-            n, np.count_nonzero(present))).T.tocsr()
+        present, col_of, weights_t = _item_transpose(indptr, indices,
+                                                     entry_weight, p.n_items)
         g_items = p.anchors[present]
         g_items *= np.bincount(col_of, weights=entry_weight,
                                minlength=len(g_items))[:, None]
@@ -375,9 +381,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     d_a1 = d_h1 * (1.0 - h1**2)
     # enc_w1's gradient d_a1.T @ x is zero outside the items x keeps;
     # each such item's is one row of the C-ordered enc_w1.T.
-    kept = np.bincount(x.indices, minlength=p.n_items) > 0
-    x_t = sparse.csr_matrix((x.data, (np.cumsum(kept) - 1)[x.indices], x.indptr),
-                            shape=(n, np.count_nonzero(kept))).T.tocsr()
+    kept, _, x_t = _item_transpose(x.indptr, x.indices, x.data, p.n_items)
     return loss, [(kept, x_t @ d_a1), np.sum(d_a1, axis=0),
                   *g_heads, *g_dec, *g_anchors]
 
@@ -386,15 +390,15 @@ def draw_mask_and_noise(indptr: np.ndarray, latent_dim: int, keep_prob: float,
                         rng: np.random.Generator):
     """One keep flag per stored entry of a CSR batch, then one noise row
     per batch row, in that fixed consumption order."""
-    keep = draw_mask((int(indptr[-1]),), keep_prob, rng)
+    keep = draw_mask(int(indptr[-1]), keep_prob, rng)
     return keep, rng.standard_normal((indptr.size - 1, latent_dim))
 
 
 def loss_and_grads(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
                    cfg: TrainConfig, rng: np.random.Generator,
                    lambda_a: float = 0.0) -> tuple[float, list]:
-    """Draw the mask on the nonzeros and one latent sample per row of the
-    CSR batch (indptr, indices), then backpropagate."""
+    """Draw a keep flag per stored entry and one latent sample per row of
+    the CSR batch (indptr, indices), then backpropagate."""
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     if indptr.size < 2:
@@ -514,11 +518,12 @@ def _move_all(op, theta: np.ndarray) -> None:
 
 
 def encode_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
-                data: np.ndarray) -> GaussianPosterior:
-    """Posterior of each CSR input row, whose values
-    data[indptr[r]:indptr[r+1]] sit at items indices[indptr[r]:indptr[r+1]]:
-    `_encode`, the encoder training runs, without its hidden layer."""
-    return _encode(p, indptr, indices, data)[2]
+                keep: np.ndarray | None = None) -> GaussianPosterior:
+    """Posterior of each binary CSR input row, with 1s at items
+    indices[indptr[r]:indptr[r+1]], under the boolean keep flags (one per
+    stored entry; None keeps all): `_encode`, the encoder training runs,
+    without its hidden layer."""
+    return _encode(p, indptr, indices, keep)[2]
 
 
 def posterior_means(p: ModelParams, matrix: InteractionMatrix):
@@ -532,8 +537,7 @@ def posterior_means(p: ModelParams, matrix: InteractionMatrix):
     n = matrix.n_users
     chunks = (matrix.csr_rows(np.arange(start, min(start + SCORE_CHUNK, n)))
               for start in range(0, n, SCORE_CHUNK))
-    return (encode_rows(p, indptr, indices, np.ones(indices.size)).mean
-            for indptr, indices in chunks)
+    return (encode_rows(p, indptr, indices).mean for indptr, indices in chunks)
 
 
 def score_rows(p: ModelParams, fold: InteractionMatrix):

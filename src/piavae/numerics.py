@@ -112,27 +112,27 @@ def _start_pool():
 
 
 def split(fn, n: int, work: int, align: int = SPLIT_ALIGN) -> None:
-    """Run fn(lo, hi, k) over ranges k = 0, 1, ... tiling range(n), cut at
-    multiples of align, none narrower: range 0 on this thread, the others
-    on pool threads under this thread's np.errstate, which they do not
+    """Run fn(lo, hi) over ranges tiling range(n), cut at multiples of
+    align, none narrower: the first range on this thread, the others on
+    pool threads under this thread's np.errstate, which they do not
     inherit. work is a product's multiply-adds or a walk's entries x
-    ENTRY_WORK; under SPLIT_FLOOR fn(0, n, 0) runs alone. fn must write
+    ENTRY_WORK; under SPLIT_FLOOR fn(0, n) runs alone. fn must write
     disjoint outputs and not split. Re-raises a pool thread's exception."""
     global _POOL
     workers = split_workers() if work >= SPLIT_FLOOR else 1
     cuts = {align * round(k * n / (workers * align)) for k in range(1, workers)}
     bounds = [0, *sorted(c for c in cuts if align <= c <= n - align), n]
     if len(bounds) == 2:
-        return fn(0, n, 0)
+        return fn(0, n)
     from concurrent.futures import wait
 
     with _POOL_LOCK:
         if _POOL is None:
             _POOL = _start_pool()
-    futures = [_POOL.submit(contextvars.copy_context().run, fn, lo, hi, k)
-               for k, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), 1)]
+    futures = [_POOL.submit(contextvars.copy_context().run, fn, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
-        fn(0, bounds[1], 0)
+        fn(0, bounds[1])
     finally:
         wait(futures)
     for future in futures:
@@ -144,7 +144,7 @@ def split_matmul(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
     columns (axis 1): each range's product takes the whole reduction."""
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
 
-    def part(lo, hi, _):
+    def part(lo, hi):
         if axis:
             np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
         else:
@@ -222,7 +222,7 @@ def adam_step(state: AdamState, params: np.ndarray,
               grads) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update of params and both moments, in place.
 
-    grads is one flat array, or pieces that tile params in order: a dense
+    grads is a sequence of pieces that tile params in order: a dense
     array, whose C-order ravel is its part, or (present, rows) for a
     C-ordered part, rows giving in order the rows the boolean mask present
     marks; every other row's gradient is 0. Every entry is updated (dense
@@ -239,10 +239,8 @@ def adam_step(state: AdamState, params: np.ndarray,
     """
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
         raise TypeError("params must be a float64 array, updated in place")
-    if isinstance(grads, np.ndarray) and grads.ndim != 1:
-        raise ShapeError(f"a flat gradient must be 1-D, not {grads.shape}")
     parts = []
-    for piece in [grads] if isinstance(grads, np.ndarray) else grads:
+    for piece in grads:
         mark, rows = piece if isinstance(piece, tuple) else (None, piece)
         if mark is None:
             rows = np.reshape(rows, (len(rows), -1))
@@ -303,7 +301,7 @@ def adam_step(state: AdamState, params: np.ndarray,
             r0 = r1
     blocks.append((start, start + fill, fills))
 
-    def walk(lo, hi, _):
+    def walk(lo, hi):
         grad, buf, den = np.empty((3, scratch))
         for start, stop, fills in blocks[lo:hi]:
             for at, mark, rows in fills:

@@ -247,8 +247,8 @@ def _tiny_split(seed: int):
 def beta_kl_direction() -> geo.GeometryReport:
     """Median masked-posterior KL after 4-epoch trainings on the tiny
     splits of seeds 0-4 must not grow with the KL weight. The KL is the
-    mean over training rows under one mask draw (keep probability 0.5) on
-    the nonzeros, the way training draws it.
+    mean over training rows under one mask draw (keep probability 0.5), a
+    keep flag per stored entry, the way training draws it.
 
     The check always trains on seeds 0-4, whatever the suite's seed.
     Training seeds 5s..5s+4 instead (mask seed + 99, one BLAS thread)
@@ -266,9 +266,9 @@ def beta_kl_direction() -> geo.GeometryReport:
                               hidden_dim=16, latent_dim=8)
             params, _ = fit(split, cfg)
             train = split.train
-            mask = draw_mask((train.nnz,), cfg.keep_prob,
+            keep = draw_mask(train.nnz, cfg.keep_prob,
                              np.random.default_rng(seed + 99))
-            q = encode_rows(params, train.indptr, train.indices, mask)
+            q = encode_rows(params, train.indptr, train.indices, keep)
             kls.append(float(np.mean(kl_diag_gaussian(q))))
         medians.append(float(np.median(kls)))
     worst_increase = max(b - a for a, b in zip(medians, medians[1:]))

@@ -669,7 +669,10 @@ class TestSynthExitCodes:
                                       SYNTH_SPEC.replace("= 20,20", "= 0,20"),
                                       SYNTH_SPEC.replace("= 4,12", "= 0,12"),
                                       SYNTH_SPEC.replace("= 0.05", "= 1"),
-                                      SYNTH_SPEC.replace("= 0.05", "= nan")])
+                                      SYNTH_SPEC.replace("= 0.05", "= nan"),
+                                      # largest support over n_items
+                                      SYNTH_SPEC.replace("n_items = 24",
+                                                         "n_items = 10")])
     def test_usage_error_exits_1(self, tmp_path, spec, capsys):
         assert self._synth(tmp_path, spec) == 1
         assert "spec.cfg" in capsys.readouterr().err
@@ -677,8 +680,7 @@ class TestSynthExitCodes:
 
     # What only the generated data can refute exits 2.
     @pytest.mark.parametrize("spec", [
-        SYNTH_SPEC.replace("n_val_users = 6", "n_val_users = 60"),
-        SYNTH_SPEC.replace("n_items = 24", "n_items = 10")])
+        SYNTH_SPEC.replace("n_val_users = 6", "n_val_users = 60")])
     def test_bad_spec_data_exits_2(self, tmp_path, spec, capsys):
         assert self._synth(tmp_path, spec) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -15,7 +15,7 @@ from piavae.corpus import (InteractionMatrix, SynthSpec, _open_utf8,
                            synth_block_dataset, write_csr, write_idmap)
 from piavae.events import _ID_BREAK
 from piavae.errors import (CorruptFileError, EmptyDatasetError, MatrixError,
-                           ParseError, PiaVaeError, SpecError, SplitError)
+                           ParseError, PiaVaeError, SplitError)
 from piavae.suites import _tiny_split
 from tests.test_model import traced_peak
 
@@ -395,10 +395,9 @@ class TestSynthBlockDataset:
         assert np.array_equal(a.indptr, b.indptr)
 
     def test_oversized_support_rejected(self):
-        with pytest.raises(SpecError):
-            synth_block_dataset(SynthSpec(cohort_sizes=(2,),
-                                          cohort_support_sizes=(11,),
-                                          n_items=10, noise_rate=0.0, seed=0))
+        with pytest.raises(ValueError, match="exceeds n_items"):
+            SynthSpec(cohort_sizes=(2,), cohort_support_sizes=(11,),
+                      n_items=10, noise_rate=0.0, seed=0)
 
     def test_non_nested_sizes_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):

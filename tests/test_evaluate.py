@@ -198,7 +198,7 @@ class TestStreamedScoring:
         split = heldout_split(600, n_items, seed=1)
         fold, hold = split.test_fold_in, split.test_holdout
         indptr, indices = fold.csr_rows(np.arange(fold.n_users))
-        means = encode_rows(p, indptr, indices, np.ones(indices.size)).mean
+        means = encode_rows(p, indptr, indices).mean
         reference = means @ p.dec_w.T + p.dec_b
         np.testing.assert_allclose(np.array(list(score_rows(p, fold))),
                                    reference, rtol=0.0, atol=1e-12)

@@ -1,7 +1,9 @@
 """Seeded CLI outputs against tests/golden.json, by digest where the
 environment key matches and number by number elsewhere. A change that
-moves outputs on purpose reruns tests/golden.py with --write (one BLAS
-thread) and names the moved outputs in CHANGES.md."""
+moves outputs on purpose reruns tests/golden.py with --write and names
+the moved outputs in CHANGES.md. The child inherits the environment's
+BLAS settings: piavae pins OpenBLAS to one thread itself, which this
+checks too."""
 
 import json
 import os
@@ -15,8 +17,7 @@ from tests import golden
 
 @pytest.fixture(scope="module")
 def records():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=str(golden.GOLDEN.parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(golden.GOLDEN.parents[1] / "src"))
     out = subprocess.run([sys.executable, golden.__file__], env=env, check=True,
                          capture_output=True, text=True, timeout=600)
     return json.loads(out.stdout), json.loads(golden.GOLDEN.read_text())

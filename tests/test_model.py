@@ -30,7 +30,7 @@ from piavae.numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState,
 from piavae.pia import PiaConfig
 
 
-def tiny_params(normalize=False, with_anchors=False, seed=0,
+def tiny_params(normalize=True, with_anchors=False, seed=0,
                 n_items=20, hidden=8, latent=4):
     rng = np.random.default_rng(seed)
     anchors = 0.3 * rng.standard_normal((n_items, latent)) if with_anchors else None
@@ -65,11 +65,10 @@ def multinomial_loglik(logits, x):
 
 
 def encode_one(p, x):
-    """Posterior of one dense input vector, encoded alone as a one-row CSR
-    batch of its nonzeros."""
-    x = np.asarray(x, dtype=np.float64)
+    """Posterior of one dense 0/1 input vector, encoded alone as a one-row
+    CSR batch of its nonzeros."""
     idx = np.flatnonzero(x)
-    q = encode_rows(p, np.array([0, idx.size]), idx, x[idx])
+    q = encode_rows(p, np.array([0, idx.size]), idx)
     return GaussianPosterior(mean=q.mean[0], logvar=q.logvar[0])
 
 
@@ -87,7 +86,7 @@ def to_csr(x):
 
 
 def csr_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
-    """The training kernel on a dense batch x, with the dense mask
+    """The training kernel on a dense batch x, with the dense boolean mask
     restricted to x's nonzeros."""
     indptr, indices = to_csr(x)
     loss, grads = loss_and_grads_fixed(p, indptr, indices, mask[x > 0], noise,
@@ -197,43 +196,47 @@ def param_blocks(p):
 
 
 class TestApplyMask:
-    # A mask is applied as x * draw_mask(x.shape, keep_prob, rng).
+    # A mask is a boolean keep flag per stored entry; applied to a dense
+    # row it is x * keep.
     def test_keep_prob_one_is_identity(self):
         rng = np.random.default_rng(0)
         x = np.array([1.0, 0.0, 1.0, 1.0])
-        assert np.array_equal(x * draw_mask(x.shape, 1.0, rng), x)
+        keep = draw_mask(x.size, 1.0, rng)
+        assert keep.dtype == bool and np.array_equal(x * keep, x)
         assert rng.random() == np.random.default_rng(0).random()  # no draw
 
     def test_zero_vector_stays_zero(self):
         rng = np.random.default_rng(0)
-        assert not (np.zeros(10) * draw_mask((10,), 0.3, rng)).any()
+        assert not (np.zeros(10) * draw_mask(10, 0.3, rng)).any()
 
     def test_mask_never_creates_positives(self):
         rng = np.random.default_rng(1)
         x = (rng.random(50) < 0.4).astype(float)
         for _ in range(200):
-            mask = draw_mask(x.shape, 0.5, rng)
-            assert set(np.unique(mask)) <= {0.0, 1.0}
+            mask = draw_mask(x.size, 0.5, rng)
+            assert mask.dtype == bool and mask.shape == x.shape
             masked = x * mask
             assert np.all(masked <= x)
             assert set(np.flatnonzero(masked)) <= set(np.flatnonzero(x))
 
-    def test_batch_draw_equals_row_draws(self):
-        batch = draw_mask((5, 30), 0.4, np.random.default_rng(3))
+    def test_draw_is_one_uniform_per_entry(self):
         rng = np.random.default_rng(3)
-        rows = [draw_mask((30,), 0.4, rng) for _ in range(5)]
-        assert batch.tobytes() == np.stack(rows).tobytes()
+        keep = draw_mask(30, 0.4, rng)
+        want = np.random.default_rng(3)
+        assert keep.tobytes() == (want.random(30) < 0.4).tobytes()
+        assert rng.random() == want.random()
 
     def test_mc_mean_matches_keep_prob(self):
         n = 100_000
-        sizes = draw_mask((n, 20), 0.5, np.random.default_rng(2)).sum(axis=1)
+        sizes = draw_mask(n * 20, 0.5, np.random.default_rng(2))
+        sizes = sizes.reshape(n, 20).sum(axis=1)
         se = math.sqrt(20 * 0.25 / n)
         assert abs(sizes.mean() - 10.0) < 4 * se
 
     @pytest.mark.parametrize("keep_prob", [0.0, -0.5, 1.5])
     def test_out_of_range_keep_prob_rejected(self, keep_prob):
         with pytest.raises(ValueError):
-            draw_mask((2, 3), keep_prob, np.random.default_rng(0))
+            draw_mask(6, keep_prob, np.random.default_rng(0))
 
 
 class TestEncodeDecode:
@@ -298,7 +301,7 @@ class TestSharedForward:
             x = (rng.random((7, 20)) < 0.3).astype(float)
             x[3] = 0.0  # a zero row takes the bias path
             indptr, indices = to_csr(x)
-            batch = encode_rows(p, indptr, indices, np.ones(indices.size))
+            batch = encode_rows(p, indptr, indices)
             rows = [encode_one(p, row) for row in x]
             assert batch.mean.shape == batch.logvar.shape == (7, 4)
             np.testing.assert_allclose(batch.mean, [q.mean for q in rows],
@@ -307,21 +310,26 @@ class TestSharedForward:
                                        rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("normalize", [False, True])
-    def test_explicit_zeros_change_no_bit(self, normalize):
-        # A masked entry stored as 0 encodes exactly like an absent one:
-        # the same row in both forms gives the same bits.
+    def test_masked_batch_encodes_as_its_kept_items(self, normalize):
+        # A masked batch gives the bits of the batch of its kept items, and
+        # no mask the bits of an all-True one. Row 2 is empty, and row 4
+        # keeps none of its entries.
         p = tiny_params(normalize=normalize, seed=44)
         rng = np.random.default_rng(45)
-        x = (rng.random((6, 20)) < 0.4) * rng.uniform(0.5, 2.0, (6, 20))
-        x[2] = 0.0
+        x = rng.random((6, 20)) < 0.4
+        x[2] = False
+        x[4, [1, 5, 9]] = True
         mask = rng.random((6, 20)) < 0.5
-        mask[4] = False  # every entry of a nonempty row masked
+        mask[4] = False
         indptr, indices = to_csr(x)
-        stored = encode_rows(p, indptr, indices, (x * mask)[x != 0])
-        indptr, indices = to_csr(x * mask)
-        dropped = encode_rows(p, indptr, indices, (x * mask)[x * mask != 0])
-        assert stored.mean.tobytes() == dropped.mean.tobytes()
-        assert stored.logvar.tobytes() == dropped.logvar.tobytes()
+        for got, want in [
+                (encode_rows(p, indptr, indices, mask[x]),
+                 encode_rows(p, *to_csr(x & mask))),
+                (encode_rows(p, indptr, indices),
+                 encode_rows(p, indptr, indices,
+                             np.ones(indices.size, dtype=bool)))]:
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.logvar.tobytes() == want.logvar.tobytes()
 
     @pytest.mark.parametrize("normalize, beta", [(False, 0.0), (True, 0.2),
                                                  (True, 1.5)])
@@ -333,7 +341,8 @@ class TestSharedForward:
         x = (rng.random((5, 20)) < 0.3).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
         indptr, indices = to_csr(x)
-        loss, _ = loss_and_grads_fixed(p, indptr, indices, np.ones(indices.size),
+        loss, _ = loss_and_grads_fixed(p, indptr, indices,
+                                       np.ones(indices.size, dtype=bool),
                                        np.zeros((5, 4)), beta=beta, lambda_a=0.0)
         per_row = []
         for row in x:
@@ -365,7 +374,7 @@ class TestLossAndGrads:
         x = (rng.random((4, 20)) < 0.3).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
         indptr, indices = to_csr(x)
-        keep = (rng.random(indices.size) < 0.5).astype(float)
+        keep = rng.random(indices.size) < 0.5
         noise = rng.standard_normal((4, 4))
         base, _ = loss_and_grads_fixed(p, indptr, indices, keep, noise, beta=0.0)
         for beta in (0.1, 0.5, 2.0):
@@ -379,7 +388,7 @@ class TestLossAndGrads:
         x = (rng.random((4, 20)) < 0.3).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
         indptr, indices = to_csr(x)
-        keep = (rng.random(indices.size) < 0.5).astype(float)
+        keep = rng.random(indices.size) < 0.5
         noise = rng.standard_normal((4, 4))
         theta = pack_params(p)
         grads = pack_grads(p, loss_and_grads_fixed(p, indptr, indices, keep,
@@ -397,7 +406,7 @@ class TestLossAndGrads:
         x = (rng.random((3, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
         indptr, indices = to_csr(x)
-        keep = (rng.random(indices.size) < 0.5).astype(float)
+        keep = rng.random(indices.size) < 0.5
         noise = rng.standard_normal((3, 4))
         theta = pack_params(p)
         grads = pack_grads(p, loss_and_grads_fixed(p, indptr, indices, keep,
@@ -430,8 +439,8 @@ class TestCsrKernel:
         rng = np.random.default_rng(seed)
         x = (rng.random((5, 20)) < 0.35).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
-        mask = (rng.random(x.shape) < 0.5).astype(float)
-        mask[2] = 0.0
+        mask = rng.random(x.shape) < 0.5
+        mask[2] = False
         return x, mask, rng.standard_normal((5, 4))
 
     @pytest.mark.parametrize("normalize", [False, True])
@@ -486,7 +495,7 @@ class TestCsrKernel:
         keep, noise = model.draw_mask_and_noise(indptr, 4, 0.5,
                                                 np.random.default_rng(50))
         rng = np.random.default_rng(50)
-        assert keep.tobytes() == draw_mask((7,), 0.5, rng).tobytes()
+        assert keep.tobytes() == draw_mask(7, 0.5, rng).tobytes()
         assert noise.tobytes() == rng.standard_normal((3, 4)).tobytes()
 
 
@@ -533,7 +542,7 @@ class TestKernelPieces:
         pieces = loss_and_grads_fixed(p, indptr, indices, keep, noise, 0.2,
                                       lambda_a=1.5)[1]
         kept = np.zeros(p.n_items, dtype=bool)
-        kept[indices[keep != 0]] = True
+        kept[indices[keep]] = True
         assert kept.sum() < np.unique(indices).size
         assert np.array_equal(pieces[0][0], kept)
         present = np.zeros(p.n_items, dtype=bool)
@@ -545,8 +554,8 @@ class TestKernelPieces:
         x, _, noise = TestCsrKernel.batch(73)
         indptr, indices = to_csr(x)
         pieces = loss_and_grads_fixed(p, indptr, indices,
-                                      np.zeros(indices.size), noise, 0.2,
-                                      lambda_a=1.5)[1]
+                                      np.zeros(indices.size, dtype=bool),
+                                      noise, 0.2, lambda_a=1.5)[1]
         mark, rows = pieces[0]
         assert not mark.any() and rows.shape == (0, p.hidden_dim)
         flat = pack_grads(p, pieces)
@@ -555,7 +564,7 @@ class TestKernelPieces:
         runs = [(pack_params(p), AdamState.init(flat.size, 1e-2))
                 for _ in range(2)]
         adam_step(runs[0][1], runs[0][0], pieces)
-        adam_step(runs[1][1], runs[1][0], flat)
+        adam_step(runs[1][1], runs[1][0], [flat])
         (got, got_state), (want, want_state) = runs
         assert got.tobytes() == want.tobytes()
         assert got_state.first_moment.tobytes() == \
@@ -594,7 +603,7 @@ class TestPieceStep:
                                              beta=0.2, lambda_a=lambda_a)
             present = pieces[0][0]
             assert (present.sum() < 300) == (density < 0.01)
-            adam_step(runs[1][1], runs[1][0], pack_grads(p, pieces))
+            adam_step(runs[1][1], runs[1][0], [pack_grads(p, pieces)])
             adam_step(runs[0][1], runs[0][0], pieces)
             (got, got_state), (want, want_state) = runs
             assert got.tobytes() == want.tobytes()
@@ -617,9 +626,9 @@ def spy_ranges(monkeypatch):
     ranges, real = [], numerics.split
 
     def spy(fn, n, work, align=numerics.SPLIT_ALIGN):
-        def record(lo, hi, k):
+        def record(lo, hi):
             ranges.append((lo, hi, threading.get_ident()))
-            return fn(lo, hi, k)
+            return fn(lo, hi)
         real(record, n, work, align)
 
     monkeypatch.setattr(numerics, "split", spy)
@@ -1103,8 +1112,7 @@ class TestAllocation:
         indices = np.concatenate([rng.choice(5000, 20, replace=False)
                                   for _ in range(32)])
         indptr = np.arange(0, indices.size + 1, 20)
-        peak = traced_peak(encode_rows, p, indptr, indices,
-                           np.ones(indices.size))
+        peak = traced_peak(encode_rows, p, indptr, indices)
         w1_bytes = p.enc_w1.nbytes
         assert peak < w1_bytes / 16
 

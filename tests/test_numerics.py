@@ -142,14 +142,14 @@ class TestAdamStep:
     def test_zero_grads_leave_params_unchanged(self):
         state = AdamState.init(3)
         params = np.array([1.0, -2.0, 3.0])
-        new_params, new_state = adam_step(state, params, np.zeros(3))
+        new_params, new_state = adam_step(state, params, [np.zeros(3)])
         assert np.array_equal(new_params, params)
         assert new_state.step_count == 1
 
     def test_first_step_bias_corrected(self):
         # With bias correction the first update is lr * g / (|g| + eps).
         state = AdamState.init(1, lr=1e-3)
-        new_params, _ = adam_step(state, np.zeros(1), np.array([2.0]))
+        new_params, _ = adam_step(state, np.zeros(1), [np.array([2.0])])
         assert new_params[0] == pytest.approx(-1e-3, abs=1e-8)
 
     def test_bitwise_deterministic(self):
@@ -157,8 +157,8 @@ class TestAdamStep:
         params = rng.standard_normal(10)
         grads = rng.standard_normal(10)
         # adam_step updates params in place, so each call gets a copy.
-        a, _ = adam_step(AdamState.init(10), params.copy(), grads)
-        b, _ = adam_step(AdamState.init(10), params.copy(), grads)
+        a, _ = adam_step(AdamState.init(10), params.copy(), [grads])
+        b, _ = adam_step(AdamState.init(10), params.copy(), [grads])
         assert a.tobytes() == b.tobytes()
 
     def test_in_place_update_is_bitwise_the_textbook_step(self):
@@ -173,7 +173,7 @@ class TestAdamStep:
         for t in range(1, 6):
             grads = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
             grads[::7] = 0.0
-            got, state = adam_step(state, params, grads)
+            got, state = adam_step(state, params, [grads])
             want, m, v = reference(m, v, t, want, grads, 3e-3, 0.9, 0.999, 1e-8)
             assert got is params and state.step_count == t
             assert params.tobytes() == want.tobytes()
@@ -223,13 +223,12 @@ class TestAdamStep:
 
     def test_layout_mismatch(self):
         with pytest.raises(ShapeError):
-            adam_step(AdamState.init(3), np.zeros(3), np.zeros(4))
+            adam_step(AdamState.init(3), np.zeros(3), [np.zeros(4)])
 
     def test_malformed_pieces_are_refused(self):
-        # A flat gradient is 1-D; a mask is boolean, one True per given row.
+        # A mask is boolean, one True per given row.
         state, params = AdamState.init(4), np.zeros(4)
-        for grads in (np.zeros((2, 2)),
-                      [(np.array([1, 1]), np.zeros((2, 2)))],
+        for grads in ([(np.array([1, 1]), np.zeros((2, 2)))],
                       [(np.array([True, False]), np.zeros((2, 2)))]):
             with pytest.raises(ShapeError):
                 adam_step(state, params, grads)
@@ -300,34 +299,34 @@ class TestSplit:
 
     def test_work_under_the_floor_stays_on_the_calling_thread(self):
         threads = []
-        split(lambda lo, hi, k: threads.append(
-            (lo, hi, k, threading.get_ident())), 10_000, SPLIT_FLOOR - 1)
-        assert threads == [(0, 10_000, 0, threading.get_ident())]
+        split(lambda lo, hi: threads.append(
+            (lo, hi, threading.get_ident())), 10_000, SPLIT_FLOOR - 1)
+        assert threads == [(0, 10_000, threading.get_ident())]
 
     def test_one_worker_runs_one_range(self, monkeypatch):
         monkeypatch.setattr(numerics, "WORKERS", 1)
         ranges = []
-        split(lambda lo, hi, k: ranges.append((lo, hi, k)), 1000, SPLIT_FLOOR)
-        assert ranges == [(0, 1000, 0)]
+        split(lambda lo, hi: ranges.append((lo, hi)), 1000, SPLIT_FLOOR)
+        assert ranges == [(0, 1000)]
 
     def test_ranges_tile_and_run_on_two_threads(self):
         seen = []
-        split(lambda lo, hi, k: seen.append((lo, hi, k, threading.get_ident())),
+        split(lambda lo, hi: seen.append((lo, hi, threading.get_ident())),
               1000, SPLIT_FLOOR, align=1)
         seen.sort()
-        assert [s[:3] for s in seen] == [(0, 500, 0), (500, 1000, 1)]
-        assert seen[0][3] == threading.get_ident() != seen[1][3]
+        assert [s[:2] for s in seen] == [(0, 500), (500, 1000)]
+        assert seen[0][2] == threading.get_ident() != seen[1][2]
 
     def test_pool_range_runs_under_the_callers_errstate(self):
         # Tier-1 turns RuntimeWarning into an error: an overflow in the
         # pool thread raises there unless the caller's errstate goes along.
-        def overflow(lo, hi, k):
+        def overflow(lo, hi):
             np.exp(np.full(4, 1000.0))
 
         with np.errstate(over="ignore"):
             split(overflow, 1000, SPLIT_FLOOR)
         with pytest.raises(RuntimeWarning, match="overflow"):
-            split(lambda lo, hi, k: k and overflow(lo, hi, k), 1000,
+            split(lambda lo, hi: lo and overflow(lo, hi), 1000,
                   SPLIT_FLOOR)
 
     def test_new_pool_thread_steps_off_the_callers_core(self, monkeypatch):
@@ -337,13 +336,13 @@ class TestSplit:
         monkeypatch.setattr(numerics, "_POOL", None)
         core = libc.sched_getcpu()
         try:
-            split(lambda lo, hi, k: seen.update(
-                {k: (libc.sched_getcpu(), os.sched_getaffinity(0))}),
+            split(lambda lo, hi: seen.update(
+                {lo: (libc.sched_getcpu(), os.sched_getaffinity(0))}),
                 1000, SPLIT_FLOOR, align=1)
         finally:
             numerics._POOL.shutdown()
-        assert seen[1][1] == os.sched_getaffinity(0)
-        assert seen[1][0] != core or len(os.sched_getaffinity(0)) == 1
+        assert seen[500][1] == os.sched_getaffinity(0)
+        assert seen[500][0] != core or len(os.sched_getaffinity(0)) == 1
 
     def test_concurrent_callers_each_get_the_one_call_bits(self, monkeypatch):
         # Six callers share a fresh pool of two threads (more workers than
@@ -403,13 +402,13 @@ class TestSplit:
     def test_pool_exception_is_raised_after_every_range_ends(self):
         done = []
 
-        def work(lo, hi, k):
-            if k:
-                raise ValueError(f"range {k}")
+        def work(lo, hi):
+            if lo:
+                raise ValueError(f"range from {lo}")
             time.sleep(0.05)
-            done.append(k)
+            done.append(lo)
 
-        with pytest.raises(ValueError, match="range 1"):
+        with pytest.raises(ValueError, match="range from"):
             split(work, 1000, SPLIT_FLOOR)
         assert done == [0]
 

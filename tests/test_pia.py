@@ -67,7 +67,7 @@ class TestAnchorCentroid:
         p = tiny_params(seed=29, with_anchors=True)
         indptr, indices = np.array([0, 2, 2]), np.array([1, 3])
         with pytest.raises(NumericalError, match="positive") as exc:
-            loss_and_grads_fixed(p, indptr, indices, np.ones(2),
+            loss_and_grads_fixed(p, indptr, indices, np.ones(2, dtype=bool),
                                  np.zeros((2, 4)), beta=0.2, lambda_a=1.0)
         assert exc.value.row_index == 1
 
@@ -317,7 +317,7 @@ class TestPiaLossAndGrads:
         x = (rng.random((4, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
         indptr, indices = to_csr(x)
-        keep = (rng.random(indices.size) < 0.5).astype(float)
+        keep = rng.random(indices.size) < 0.5
         noise = rng.standard_normal((4, 4))
         theta = pack_params(p)
         grads = pack_grads(p, loss_and_grads_fixed(
@@ -334,7 +334,8 @@ class TestPiaLossAndGrads:
         indptr, indices = [0, 2, 4], [1, 3, 3, 7]
         noise = np.zeros((2, 4))
         _, grads = loss_and_grads_fixed(p, np.array(indptr), np.array(indices),
-                                        np.ones(4), noise, beta=0.0, lambda_a=2.0)
+                                        np.ones(4, dtype=bool), noise,
+                                        beta=0.0, lambda_a=2.0)
         grads = pack_grads(p, grads)
         anchor_grads = grads[-p.anchors.size:].reshape(p.anchors.shape)
         touched = {1, 3, 7}
