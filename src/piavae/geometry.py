@@ -32,16 +32,6 @@ from .model import (ModelParams, TrainConfig, decode_loss, draw_mask,
                     encode_rows, posterior_means)
 from .numerics import GaussianPosterior, kl_diag_gaussian
 
-__all__ = [
-    "GeometryReport",
-    "contraction_bound", "expansion_bound",
-    "masked_distance_exact", "masked_distance_enumerate",
-    "t1_bound_check", "dataset_bound_report",
-    "pairwise_decomposition_check", "quadratic_toy",
-    "sharing_probe", "export_latents",
-]
-
-
 @dataclass
 class GeometryReport:
     """Named scalar results plus the slack tolerances that gate `passed`.

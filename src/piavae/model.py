@@ -8,8 +8,8 @@ checkpoint follow; `_order` keeps enc_w1 items-major (column-major), and
 each array is stored in its memory order in the flat vector and the
 checkpoint alike. A mask is `draw_mask`'s boolean keep flag per stored
 entry of binary CSR rows. `_encode` is the one encoder: it reads the
-kept entries (all, without a mask), each as 1/sqrt(kept count) or 1
-unnormalized, applies the sparse input layer and both heads, and
+kept entries (all, without a mask), each as 1/sqrt(kept count), the
+L2-normalized row, applies the sparse input layer and both heads, and
 returns the posterior they give, whose constructor is the one place a
 logvar is clipped. Training (`loss_and_grads_fixed`) and `encode_rows`
 both run it.
@@ -121,9 +121,9 @@ class TrainConfig:
 class ModelParams:
     """Encoder/decoder weights plus the optional anchor table, laid out
     as `_weight_shapes` says, each stored in `_order` (a row-major enc_w1
-    is stored as a column-major copy). input_normalize records whether
-    the encoder expects L2-normalized inputs so checkpoints are
-    self-describing.
+    is stored as a column-major copy). input_normalize must be True, the
+    one encoder; the field stays only while perfbench/workloads.py sets
+    and reads it.
     """
 
     enc_w1: np.ndarray
@@ -138,6 +138,8 @@ class ModelParams:
     anchors: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.input_normalize is not True:
+            raise ValueError("the encoder reads only L2-normalized rows")
         for name in _trained_fields(self):
             object.__setattr__(self, name, np.asarray(
                 getattr(self, name), dtype=np.float64, order=_order(name)))
@@ -163,7 +165,7 @@ class ModelParams:
 
 
 def init_params(n_items: int, hidden_dim: int, latent_dim: int,
-                rng: np.random.Generator, input_normalize: bool = True,
+                rng: np.random.Generator,
                 anchors: np.ndarray | None = None) -> ModelParams:
     """Scaled-normal weight init (std 1/sqrt(fan_in)), zero biases; the
     weight matrices are drawn from rng in `_weight_shapes` order."""
@@ -171,8 +173,7 @@ def init_params(n_items: int, hidden_dim: int, latent_dim: int,
                      if len(shape) == 2 else np.zeros(shape))
               for name, shape in _weight_shapes(n_items, hidden_dim,
                                                 latent_dim).items()}
-    return ModelParams(**arrays, input_normalize=input_normalize,
-                       anchors=anchors)
+    return ModelParams(**arrays, anchors=anchors)
 
 
 def _trained_fields(p: ModelParams) -> tuple[str, ...]:
@@ -213,7 +214,7 @@ def unpack_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
         offset += size
     if offset != vec.size:
         raise ShapeError(f"flat vector has {vec.size} entries, expected {offset}")
-    return ModelParams(**views, input_normalize=template.input_normalize)
+    return ModelParams(**views)
 
 
 def draw_mask(n: int, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -232,9 +233,9 @@ def _encode(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
     """The one encoder, over binary CSR rows with 1s at items
     indices[indptr[r]:indptr[r+1]], reading only the entries whose
     boolean flag in keep is set (all when keep is None). Each kept
-    entry's input is 1/sqrt(its row's kept count), the L2-normalized row,
-    or 1 without p.input_normalize. The scipy CSR input x goes through
-    h1 = tanh(x @ enc_w1.T + enc_b1) to the mean and logvar heads.
+    entry's input is 1/sqrt(its row's kept count), the L2-normalized row.
+    The scipy CSR input x goes through h1 = tanh(x @ enc_w1.T + enc_b1)
+    to the mean and logvar heads.
     Returns (x, h1, q), q the GaussianPosterior of the raw heads. scipy
     copies a dense operand that is not C-ordered; enc_w1 is column-major,
     so enc_w1.T is read in place."""
@@ -244,8 +245,7 @@ def _encode(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
         indices = indices[keep]
     counts = np.diff(indptr)
-    value = (1.0 / np.sqrt(np.maximum(counts, 1)) if p.input_normalize
-             else np.ones(counts.size))
+    value = 1.0 / np.sqrt(np.maximum(counts, 1))
     x = sparse.csr_matrix((np.repeat(value, counts), indices, indptr),
                           shape=(counts.size, p.n_items))
     h1 = np.tanh(x @ p.enc_w1.T + p.enc_b1)
@@ -557,15 +557,14 @@ def score_rows(p: ModelParams, fold: InteractionMatrix):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(p: ModelParams, path: str | Path) -> None:
-    """Magic, shape header, then each trained array as raw little-endian
-    f64 in its `_order`, written from its own buffer, with the ANCH marker
-    before the anchors: the body is pack_params(p) with that marker
-    inserted."""
-    flags = 1 if p.input_normalize else 0
+    """Magic, shape header (flags always 1), then each trained array as
+    raw little-endian f64 in its `_order`, written from its own buffer,
+    with the ANCH marker before the anchors: the body is pack_params(p)
+    with that marker inserted."""
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<QQQQ", p.n_items, p.hidden_dim,
-                             p.latent_dim, flags))
+                             p.latent_dim, 1))
         for name in _trained_fields(p):
             if name == "anchors":
                 fh.write(ANCHOR_SECTION)
@@ -575,8 +574,8 @@ def save_checkpoint(p: ModelParams, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read what save_checkpoint writes: each section is read flat and
-    reshaped in its `_order`, with no copy. A zero dimension or an unknown
-    flag bit is a CorruptFileError at the header, and a non-finite value
+    reshaped in its `_order`, with no copy. A zero dimension or flags
+    other than 1 is a CorruptFileError at the header, and a non-finite value
     one at that value's byte."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -584,7 +583,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             raise ShapeError(f"bad checkpoint magic {magic!r}")
         n_items, hidden, latent, flags = map(
             int, read_array(fh, "<u8", (4,), path, "header"))
-        if min(n_items, hidden, latent) < 1 or flags & ~1:
+        if min(n_items, hidden, latent) < 1 or flags != 1:
             raise CorruptFileError(
                 path, 4, f"bad header: {n_items} items, hidden {hidden}, "
                 f"latent {latent}, flags {flags}")
@@ -609,5 +608,4 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             check_end(fh, path)
         elif marker:
             raise ShapeError(f"unexpected trailing section {marker!r}")
-    return ModelParams(**arrays, input_normalize=bool(flags & 1),
-                       anchors=anchors)
+    return ModelParams(**arrays, anchors=anchors)

@@ -204,18 +204,20 @@ def kl_diag_gaussian(q: GaussianPosterior,
 
 @dataclass
 class AdamState:
-    """Adam moments matched to a flat parameter vector, and the step size."""
+    """Adam moments matched to a flat parameter vector, and the step size
+    (`fit` passes TrainConfig.lr, the one default)."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
-    step_count: int = 0
-    lr: float = 1e-3
+    step_count: int
+    lr: float
 
     @classmethod
-    def init(cls, n_params: int, lr: float = 1e-3) -> "AdamState":
-        """Zero moments."""
+    def init(cls, n_params: int, lr: float) -> "AdamState":
+        """Zero moments, before the first step."""
         return cls(first_moment=np.zeros(n_params, dtype=np.float64),
-                   second_moment=np.zeros(n_params, dtype=np.float64), lr=lr)
+                   second_moment=np.zeros(n_params, dtype=np.float64),
+                   step_count=0, lr=lr)
 
 
 def adam_step(state: AdamState, params: np.ndarray,

@@ -30,7 +30,11 @@ from .numerics import GaussianPosterior
 @dataclass(frozen=True)
 class PiaConfig:
     """Alignment hyperparameters; defaults follow the reference settings
-    (initial strength 8, doubling after 5 stalled epochs)."""
+    (initial strength 8, scale 2, patience 5). `fit` multiplies the
+    strength by lambda_scale after every epoch that does not improve on
+    the best validation NDCG once the best epoch is at least patience
+    epochs back: once per stalled epoch from then on, not once per
+    patience stalled epochs."""
 
     lambda_a: float = 8.0
     lambda_scale: float = 2.0

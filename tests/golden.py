@@ -6,8 +6,9 @@ with paths relative to a temporary directory (manifests record paths as
 given), and prints a record: the environment key, each output's SHA-256
 (a manifest's without `versions`) and every number of the metrics, train
 logs and geometry reports. `--write` stores it as tests/golden.json and
-`--check` compares it with that file. piavae pins OpenBLAS to one
-thread, so OPENBLAS_NUM_THREADS does not move the digests.
+`--check` compares it with that file and says whether it compared
+digests or numbers. piavae pins OpenBLAS to one thread, so
+OPENBLAS_NUM_THREADS does not move the digests.
 """
 
 import contextlib
@@ -107,6 +108,16 @@ def close(got: dict, want: dict) -> list[str]:
             and not same(got["numbers"][got["digests"][path]], want["numbers"][digest])]
 
 
+def comparison(got: dict, want: dict) -> str:
+    """Which comparison `compare` runs, named with this key's OpenBLAS
+    string, for the --check line."""
+    core = got["key"]["openblas"]
+    if got["key"] == want["key"]:
+        return f"SHA-256 digests (key matches, {core})"
+    return (f"numbers within rel_tol {REL_TOL}, abs_tol {ABS_TOL} "
+            f"(key not recorded, {core})")
+
+
 def compare(got: dict, want: dict) -> list[str]:
     """Every digest where the environment keys match, else every number."""
     if got["digests"].keys() != want["digests"].keys():
@@ -124,9 +135,13 @@ if __name__ == "__main__":
             f" {json.dumps(n)}: {json.dumps(v)}" for n, v in sorted(got[k].items()))
             + "}" for k in ("key", "digests", "numbers")) + "}\n")
     elif sys.argv[1:] == ["--check"]:
-        problems = compare(got, json.loads(GOLDEN.read_text()))
-        print("\n".join(problems) or f"golden: {len(got['digests'])} outputs "
-              f"match, piavae from {Path(cli.__file__).parent}")
+        want = json.loads(GOLDEN.read_text())
+        problems = compare(got, want)
+        verdict = (f"{len(problems)} problems" if problems
+                   else f"{len(got['digests'])} outputs match")
+        print("\n".join(problems + [
+            f"golden: {verdict} by {comparison(got, want)}, "
+            f"piavae from {Path(cli.__file__).parent}"]))
         sys.exit(1 if problems else 0)
     else:
         json.dump(got, sys.stdout)

@@ -32,8 +32,8 @@ RUN_SPEC = SynthSpec(cohort_sizes=(20, 20), cohort_support_sizes=(4, 12),
 def run_dir(tmp_path):
     save_split(split_dataset(synth_block_dataset(RUN_SPEC), 6, 6, 0.8, seed=0),
                tmp_path / "data")
-    save_checkpoint(tiny_params(seed=30, n_items=24, normalize=True,
-                                with_anchors=True), tmp_path / "model.ckpt")
+    save_checkpoint(tiny_params(seed=30, n_items=24, with_anchors=True),
+                    tmp_path / "model.ckpt")
     return tmp_path
 
 
@@ -60,7 +60,8 @@ class TestEvaluateExitCodes:
 
     # Header fields after the magic: n_items, hidden, latent, flags (u8).
     HEADER_DAMAGE = {"zero-items": (4, 0), "zero-hidden": (12, 0),
-                     "zero-latent": (20, 0), "unknown-flags": (28, 6)}
+                     "zero-latent": (20, 0), "unknown-flags": (28, 6),
+                     "zero-flags": (28, 0)}
 
     @pytest.mark.parametrize("damage", [
         "magic", "trailing-section", "old-magic", *HEADER_DAMAGE,

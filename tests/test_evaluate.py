@@ -193,8 +193,7 @@ class TestStreamedScoring:
         # 600 users are score chunks of 256 + 256 + 88 rows. The reference
         # encodes all of them in one call and decodes them in one GEMM.
         n_items = 2000
-        p = tiny_params(seed=54, n_items=n_items, hidden=16, latent=6,
-                        normalize=True)
+        p = tiny_params(seed=54, n_items=n_items, hidden=16, latent=6)
         split = heldout_split(600, n_items, seed=1)
         fold, hold = split.test_fold_in, split.test_holdout
         indptr, indices = fold.csr_rows(np.arange(fold.n_users))
@@ -251,7 +250,7 @@ class TestStratifiedReport:
 
     def test_single_bucket_equals_overall(self):
         split = self._split()
-        p = tiny_params(seed=50, n_items=24, normalize=True)
+        p = tiny_params(seed=50, n_items=24)
         report = stratified_report(p, split, [5, 10], bucket_edges=(1, 1000))
         assert report.strata is not None
         only = report.strata["[1-1000]"]
@@ -261,7 +260,7 @@ class TestStratifiedReport:
 
     def test_bucket_means_match_hand_average(self):
         split = self._split(seed=2)
-        p = tiny_params(seed=51, n_items=24, normalize=True)
+        p = tiny_params(seed=51, n_items=24)
         fold, hold = split.test_fold_in, split.test_holdout
         per_k = per_user_metrics(score_rows(p, fold), fold, hold, [5])
         counts = fold.row_lengths()
@@ -278,13 +277,13 @@ class TestStratifiedReport:
 
     def test_empty_buckets_are_omitted(self, caplog):
         split = self._split(seed=3)
-        p = tiny_params(seed=52, n_items=24, normalize=True)
+        p = tiny_params(seed=52, n_items=24)
         report = stratified_report(p, split, [5], bucket_edges=(1, 2, 10_000))
         assert "[10001+]" not in report.strata
 
     def test_report_serializes(self):
         split = self._split(seed=4)
-        p = tiny_params(seed=53, n_items=24, normalize=True)
+        p = tiny_params(seed=53, n_items=24)
         report = stratified_report(p, split, [5, 10])
         d = report.to_dict()
         assert d["n_users"] == 8

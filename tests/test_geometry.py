@@ -1,4 +1,3 @@
-import importlib
 import math
 import os
 import subprocess
@@ -25,12 +24,6 @@ from piavae.corpus import matrix_from_rows
 from piavae.model import pack_params, posterior_means, unpack_params
 from piavae.numerics import GaussianPosterior, kl_diag_gaussian
 from tests.test_model import encode_one, tiny_params
-
-
-@pytest.mark.parametrize("module", ["piavae.geometry"])
-def test_every_exported_name_resolves(module):
-    mod = importlib.import_module(module)
-    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_suites_import_leaves_scipy_stats_unloaded():
@@ -496,7 +489,7 @@ class TestSharingProbe:
     def test_batched_probe_matches_per_sample_loops(self):
         rng = np.random.default_rng(73)
         for seed in range(8):
-            p = tiny_params(seed=seed, normalize=bool(seed % 2))
+            p = tiny_params(seed=seed)
             x_u = (rng.random(20) < 0.3).astype(float)
             x_u[seed] = 1.0
             # Seed 0 probes an identical pair.
@@ -577,23 +570,21 @@ class TestExportLatents:
     def test_values_roundtrip_bitwise(self, tmp_path):
         # The CSV holds the chunked kernel's means bit for bit, and they
         # agree with each user encoded alone to rounding.
-        for normalize in (False, True):
-            p = tiny_params(seed=82, n_items=6, hidden=4, latent=2,
-                            normalize=normalize)
-            rows = [np.array([0, 2, 4]), np.array([], dtype=np.int64),
-                    np.array([1]), np.array([0, 1, 2, 3, 4, 5])]
-            m = matrix_from_rows(rows, 6)
-            means = np.concatenate(list(posterior_means(p, m)))
-            out = tmp_path / "latents.csv"
-            export_latents(p, m, out)
-            lines = out.read_text().strip().splitlines()[1:]
-            assert len(lines) == len(rows)
-            for u, (line, row) in enumerate(zip(lines, rows)):
-                cells = line.split(",")
-                assert (int(cells[0]), int(cells[1])) == (u, row.size)
-                x = np.zeros(6)
-                x[row] = 1.0
-                values = np.array([float(c) for c in cells[2:]])
-                assert values.tobytes() == means[u].tobytes()
-                np.testing.assert_allclose(values, encode_one(p, x).mean,
-                                           rtol=0.0, atol=1e-12)
+        p = tiny_params(seed=82, n_items=6, hidden=4, latent=2)
+        rows = [np.array([0, 2, 4]), np.array([], dtype=np.int64),
+                np.array([1]), np.array([0, 1, 2, 3, 4, 5])]
+        m = matrix_from_rows(rows, 6)
+        means = np.concatenate(list(posterior_means(p, m)))
+        out = tmp_path / "latents.csv"
+        export_latents(p, m, out)
+        lines = out.read_text().strip().splitlines()[1:]
+        assert len(lines) == len(rows)
+        for u, (line, row) in enumerate(zip(lines, rows)):
+            cells = line.split(",")
+            assert (int(cells[0]), int(cells[1])) == (u, row.size)
+            x = np.zeros(6)
+            x[row] = 1.0
+            values = np.array([float(c) for c in cells[2:]])
+            assert values.tobytes() == means[u].tobytes()
+            np.testing.assert_allclose(values, encode_one(p, x).mean,
+                                       rtol=0.0, atol=1e-12)

@@ -36,3 +36,16 @@ def test_numbers_match_golden_and_a_moved_number_is_named(records):
     assert golden.close({**got, "numbers": {**got["numbers"], digest: moved}},
                         want) == [f"on/train_log.jsonl: numbers differ beyond "
                                   f"rel_tol {golden.REL_TOL}"]
+
+
+def test_comparison_names_digests_or_numbers(records):
+    # Both branches, whatever core this machine runs: the record's key as
+    # recorded, then an OpenBLAS string golden.json does not hold.
+    got, want = records
+    core = got["key"]["openblas"]
+    assert golden.comparison(got, {**want, "key": got["key"]}) == (
+        f"SHA-256 digests (key matches, {core})")
+    other = {**got, "key": {**got["key"], "openblas": "OpenBLAS Katmai"}}
+    assert golden.comparison(other, want) == (
+        f"numbers within rel_tol {golden.REL_TOL}, abs_tol {golden.ABS_TOL} "
+        "(key not recorded, OpenBLAS Katmai)")

@@ -30,16 +30,13 @@ from piavae.numerics import (LOGVAR_MAX, LOGVAR_MIN, AdamState,
 from piavae.pia import PiaConfig
 
 
-def tiny_params(normalize=True, with_anchors=False, seed=0,
-                n_items=20, hidden=8, latent=4):
+def tiny_params(with_anchors=False, seed=0, n_items=20, hidden=8, latent=4):
     rng = np.random.default_rng(seed)
     anchors = 0.3 * rng.standard_normal((n_items, latent)) if with_anchors else None
-    p = init_params(n_items, hidden, latent, rng, input_normalize=normalize,
-                    anchors=anchors)
-    return p
+    return init_params(n_items, hidden, latent, rng, anchors=anchors)
 
 
-def hand_params(normalize=False):
+def hand_params():
     """2 items, 1 hidden unit, 1 latent dim with hand-picked weights."""
     return ModelParams(
         enc_w1=np.array([[0.3, -0.2]]),
@@ -50,7 +47,6 @@ def hand_params(normalize=False):
         enc_b_lv=np.array([0.2]),
         dec_w=np.array([[1.5], [-0.5]]),
         dec_b=np.array([0.05, -0.1]),
-        input_normalize=normalize,
     )
 
 
@@ -99,11 +95,8 @@ def dense_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
     arrays, the way the kernel computed them before it took CSR input."""
     n = x.shape[0]
     xh = x * mask
-    if p.input_normalize:
-        norms = np.sqrt(np.sum(xh * xh, axis=1, keepdims=True))
-        x_in = xh / np.where(norms > 0.0, norms, 1.0)
-    else:
-        x_in = xh
+    norms = np.sqrt(np.sum(xh * xh, axis=1, keepdims=True))
+    x_in = xh / np.where(norms > 0.0, norms, 1.0)
     h1 = np.tanh(x_in @ p.enc_w1.T + p.enc_b1)
     mu = h1 @ p.enc_w_mu.T + p.enc_b_mu
     lv_raw = h1 @ p.enc_w_lv.T + p.enc_b_lv
@@ -247,21 +240,15 @@ class TestEncodeDecode:
         assert not q.mean.any()
         assert not q.logvar.any()
 
-    def test_hand_forward_pass(self):
-        p = hand_params(normalize=False)
-        q = encode_one(p, np.array([1.0, 1.0]))
-        h1 = math.tanh(0.3 - 0.2 + 0.1)
-        assert q.mean[0] == pytest.approx(0.5 * h1 - 0.4, abs=1e-12)
-        assert q.logvar[0] == pytest.approx(0.7 * h1 + 0.2, abs=1e-12)
-
     def test_hand_forward_pass_normalized(self):
-        p = hand_params(normalize=True)
+        p = hand_params()
         q = encode_one(p, np.array([1.0, 1.0]))
         h1 = math.tanh((0.3 - 0.2) / math.sqrt(2.0) + 0.1)
         assert q.mean[0] == pytest.approx(0.5 * h1 - 0.4, abs=1e-12)
+        assert q.logvar[0] == pytest.approx(0.7 * h1 + 0.2, abs=1e-12)
 
     def test_zero_input_with_normalization_takes_bias_path(self):
-        p = hand_params(normalize=True)
+        p = hand_params()
         q = encode_one(p, np.zeros(2))
         h1 = math.tanh(0.1)
         assert q.mean[0] == pytest.approx(0.5 * h1 - 0.4, abs=1e-12)
@@ -285,7 +272,7 @@ class TestEncodeDecode:
     def test_decoder_is_affine(self):
         # Scores are dec_w @ mu + dec_b for the posterior mean, at every
         # item, fold-in items included.
-        p = tiny_params(seed=3, normalize=True)
+        p = tiny_params(seed=3)
         x = np.zeros(20)
         x[[1, 4, 9]] = 1.0
         scores = score_one(p, x)
@@ -295,26 +282,24 @@ class TestEncodeDecode:
 
 class TestSharedForward:
     def test_batch_encode_equals_stacked_rows(self):
-        for normalize in (False, True):
-            p = tiny_params(normalize=normalize, seed=40)
-            rng = np.random.default_rng(41)
-            x = (rng.random((7, 20)) < 0.3).astype(float)
-            x[3] = 0.0  # a zero row takes the bias path
-            indptr, indices = to_csr(x)
-            batch = encode_rows(p, indptr, indices)
-            rows = [encode_one(p, row) for row in x]
-            assert batch.mean.shape == batch.logvar.shape == (7, 4)
-            np.testing.assert_allclose(batch.mean, [q.mean for q in rows],
-                                       rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(batch.logvar, [q.logvar for q in rows],
-                                       rtol=0.0, atol=1e-12)
+        p = tiny_params(seed=40)
+        rng = np.random.default_rng(41)
+        x = (rng.random((7, 20)) < 0.3).astype(float)
+        x[3] = 0.0  # a zero row takes the bias path
+        indptr, indices = to_csr(x)
+        batch = encode_rows(p, indptr, indices)
+        rows = [encode_one(p, row) for row in x]
+        assert batch.mean.shape == batch.logvar.shape == (7, 4)
+        np.testing.assert_allclose(batch.mean, [q.mean for q in rows],
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(batch.logvar, [q.logvar for q in rows],
+                                   rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_masked_batch_encodes_as_its_kept_items(self, normalize):
+    def test_masked_batch_encodes_as_its_kept_items(self):
         # A masked batch gives the bits of the batch of its kept items, and
         # no mask the bits of an all-True one. Row 2 is empty, and row 4
         # keeps none of its entries.
-        p = tiny_params(normalize=normalize, seed=44)
+        p = tiny_params(seed=44)
         rng = np.random.default_rng(45)
         x = rng.random((6, 20)) < 0.4
         x[2] = False
@@ -331,12 +316,11 @@ class TestSharedForward:
             assert got.mean.tobytes() == want.mean.tobytes()
             assert got.logvar.tobytes() == want.logvar.tobytes()
 
-    @pytest.mark.parametrize("normalize, beta", [(False, 0.0), (True, 0.2),
-                                                 (True, 1.5)])
-    def test_training_loss_matches_numerics_reference(self, normalize, beta):
+    @pytest.mark.parametrize("beta", [0.0, 0.2, 1.5])
+    def test_training_loss_matches_numerics_reference(self, beta):
         # keep_prob 1, zero noise, no alignment: the batched training
         # forward is the mean of the per-row ELBO built from the references.
-        p = tiny_params(normalize=normalize, seed=42, with_anchors=True)
+        p = tiny_params(seed=42, with_anchors=True)
         rng = np.random.default_rng(43)
         x = (rng.random((5, 20)) < 0.3).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
@@ -360,8 +344,7 @@ class TestLossAndGrads:
         zero_dec = ModelParams(
             enc_w1=p.enc_w1, enc_b1=p.enc_b1, enc_w_mu=p.enc_w_mu,
             enc_b_mu=p.enc_b_mu, enc_w_lv=p.enc_w_lv, enc_b_lv=p.enc_b_lv,
-            dec_w=np.zeros_like(p.dec_w), dec_b=np.zeros_like(p.dec_b),
-            input_normalize=False)
+            dec_w=np.zeros_like(p.dec_w), dec_b=np.zeros_like(p.dec_b))
         cfg = TrainConfig(beta=0.0, keep_prob=0.5, batch_size=1, epochs=1,
                           hidden_dim=8, latent_dim=4)
         loss, _ = loss_and_grads(zero_dec, [0, 3], [2, 5, 11], cfg,
@@ -401,7 +384,7 @@ class TestLossAndGrads:
         assert finite_diff_check(loss_fn, theta, grads) < 1e-4
 
     def test_gradient_check_with_normalization(self):
-        p = tiny_params(normalize=True, seed=10)
+        p = tiny_params(seed=10)
         rng = np.random.default_rng(11)
         x = (rng.random((3, 20)) < 0.4).astype(float)
         x[x.sum(axis=1) == 0, 0] = 1.0
@@ -423,8 +406,7 @@ class TestLossAndGrads:
         bad = ModelParams(
             enc_w1=p.enc_w1, enc_b1=p.enc_b1, enc_w_mu=p.enc_w_mu,
             enc_b_mu=p.enc_b_mu, enc_w_lv=p.enc_w_lv, enc_b_lv=p.enc_b_lv,
-            dec_w=np.full_like(p.dec_w, np.nan), dec_b=p.dec_b,
-            input_normalize=False)
+            dec_w=np.full_like(p.dec_w, np.nan), dec_b=p.dec_b)
         cfg = TrainConfig(hidden_dim=8, latent_dim=4, batch_size=2, epochs=1)
         with pytest.raises(NumericalError) as exc:
             loss_and_grads(bad, [0, 1, 2], [0, 0], cfg, np.random.default_rng(0))
@@ -443,12 +425,11 @@ class TestCsrKernel:
         mask[2] = False
         return x, mask, rng.standard_normal((5, 4))
 
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("lambda_a, with_anchors", [(0.0, False),
                                                         (0.0, True),
                                                         (1.5, True)])
-    def test_matches_dense_reference(self, normalize, lambda_a, with_anchors):
-        p = tiny_params(normalize=normalize, with_anchors=with_anchors, seed=44)
+    def test_matches_dense_reference(self, lambda_a, with_anchors):
+        p = tiny_params(with_anchors=with_anchors, seed=44)
         x, mask, noise = self.batch(45)
         want_loss, want = dense_loss_and_grads(p, x, mask, noise, 0.3, lambda_a)
         loss, got = csr_loss_and_grads(p, x, mask, noise, 0.3, lambda_a)
@@ -457,9 +438,8 @@ class TestCsrKernel:
             np.testing.assert_allclose(got[block], want[block], rtol=0.0,
                                        atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_gradient_check_every_block(self, normalize):
-        p = tiny_params(normalize=normalize, with_anchors=True, seed=46)
+    def test_gradient_check_every_block(self):
+        p = tiny_params(with_anchors=True, seed=46)
         x, mask, noise = self.batch(47)
         indptr, indices = to_csr(x)
         keep = mask[x > 0]
@@ -931,24 +911,23 @@ class TestPredictScores:
         # different orders, so scores agree to a tolerance; the ranking
         # is exact.
         split = small_split(seed=1)
-        for normalize in (False, True):
-            p = tiny_params(seed=16, n_items=24, normalize=normalize)
-            scores = np.array(list(score_rows(p, split.val_fold_in)))
-            for u in range(split.val_fold_in.n_users):
-                x = np.zeros(24)
-                x[split.val_fold_in.row(u)] = 1.0
-                single = score_one(p, x)
-                assert np.all(np.isfinite(scores[u]))
-                np.testing.assert_allclose(scores[u], single, rtol=0.0,
-                                           atol=1e-12)
-                np.testing.assert_array_equal(
-                    np.argsort(-scores[u], kind="stable"),
-                    np.argsort(-single, kind="stable"))
+        p = tiny_params(seed=16, n_items=24)
+        scores = np.array(list(score_rows(p, split.val_fold_in)))
+        for u in range(split.val_fold_in.n_users):
+            x = np.zeros(24)
+            x[split.val_fold_in.row(u)] = 1.0
+            single = score_one(p, x)
+            assert np.all(np.isfinite(scores[u]))
+            np.testing.assert_allclose(scores[u], single, rtol=0.0,
+                                       atol=1e-12)
+            np.testing.assert_array_equal(
+                np.argsort(-scores[u], kind="stable"),
+                np.argsort(-single, kind="stable"))
 
 
 class TestCheckpoint:
     def test_roundtrip_without_anchors(self, tmp_path):
-        p = tiny_params(seed=17, normalize=True)
+        p = tiny_params(seed=17)
         save_checkpoint(p, tmp_path / "m.ckpt")
         back = load_checkpoint(tmp_path / "m.ckpt")
         assert back.input_normalize is True
@@ -1044,8 +1023,24 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "m.ckpt")
         assert exc.value.offset == size
 
+    def test_zero_flags_refused_at_header(self, tmp_path):
+        # Every checkpoint carries flags 1; flags 0 marked an unnormalized
+        # encoder, which no longer exists.
+        save_checkpoint(tiny_params(seed=22), tmp_path / "m.ckpt")
+        blob = bytearray((tmp_path / "m.ckpt").read_bytes())
+        assert blob[28:36] == (1).to_bytes(8, "little")
+        blob[28:36] = bytes(8)
+        (tmp_path / "m.ckpt").write_bytes(bytes(blob))
+        with pytest.raises(CorruptFileError, match="flags 0") as exc:
+            load_checkpoint(tmp_path / "m.ckpt")
+        assert exc.value.offset == 4
+
 
 class TestPackUnpack:
+    def test_unnormalized_encoder_refused(self):
+        with pytest.raises(ValueError, match="L2-normalized"):
+            replace(tiny_params(seed=23), input_normalize=False)
+
     @pytest.mark.parametrize("name", ["enc_b1", "dec_w", "anchors"])
     def test_shape_mismatch_names_the_array(self, name):
         p = tiny_params(seed=27, with_anchors=True)

@@ -140,7 +140,7 @@ BLOCK_WALKS = {
 
 class TestAdamStep:
     def test_zero_grads_leave_params_unchanged(self):
-        state = AdamState.init(3)
+        state = AdamState.init(3, lr=1e-3)
         params = np.array([1.0, -2.0, 3.0])
         new_params, new_state = adam_step(state, params, [np.zeros(3)])
         assert np.array_equal(new_params, params)
@@ -157,8 +157,8 @@ class TestAdamStep:
         params = rng.standard_normal(10)
         grads = rng.standard_normal(10)
         # adam_step updates params in place, so each call gets a copy.
-        a, _ = adam_step(AdamState.init(10), params.copy(), [grads])
-        b, _ = adam_step(AdamState.init(10), params.copy(), [grads])
+        a, _ = adam_step(AdamState.init(10, lr=1e-3), params.copy(), [grads])
+        b, _ = adam_step(AdamState.init(10, lr=1e-3), params.copy(), [grads])
         assert a.tobytes() == b.tobytes()
 
     def test_in_place_update_is_bitwise_the_textbook_step(self):
@@ -223,11 +223,11 @@ class TestAdamStep:
 
     def test_layout_mismatch(self):
         with pytest.raises(ShapeError):
-            adam_step(AdamState.init(3), np.zeros(3), [np.zeros(4)])
+            adam_step(AdamState.init(3, lr=1e-3), np.zeros(3), [np.zeros(4)])
 
     def test_malformed_pieces_are_refused(self):
         # A mask is boolean, one True per given row.
-        state, params = AdamState.init(4), np.zeros(4)
+        state, params = AdamState.init(4, lr=1e-3), np.zeros(4)
         for grads in ([(np.array([1, 1]), np.zeros((2, 2)))],
                       [(np.array([True, False]), np.zeros((2, 2)))]):
             with pytest.raises(ShapeError):

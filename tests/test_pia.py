@@ -411,6 +411,12 @@ class TestLambdaSchedule:
                                    lambda_scale=2.0, patience=5)
         assert lambdas == [8.0] * 6 + [16.0]
 
+    def test_default_schedule_doubles_on_every_later_stall(self, monkeypatch):
+        # Best at epoch 1: once it is 5 epochs back, every further stalled
+        # epoch doubles the strength again; the count does not restart.
+        lambdas = scripted_lambdas(monkeypatch, [0.5] * 12)
+        assert lambdas == [8.0] * 6 + [16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
+
     def test_patience_one_doubles_on_every_stall(self, monkeypatch):
         values = [0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.3]
         lambdas = scripted_lambdas(monkeypatch, values, lambda_a=8.0,
