@@ -118,6 +118,14 @@ def comparison(got: dict, want: dict) -> str:
             f"(key not recorded, {core})")
 
 
+def verdict(got: dict, want: dict, problems: list[str]) -> str:
+    """--check's last line: the outputs matched or the problems found,
+    and by which comparison."""
+    result = (f"{len(problems)} problems" if problems
+              else f"{len(got['digests'])} outputs match")
+    return f"golden: {result} by {comparison(got, want)}"
+
+
 def compare(got: dict, want: dict) -> list[str]:
     """Every digest where the environment keys match, else every number."""
     if got["digests"].keys() != want["digests"].keys():
@@ -137,10 +145,8 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["--check"]:
         want = json.loads(GOLDEN.read_text())
         problems = compare(got, want)
-        verdict = (f"{len(problems)} problems" if problems
-                   else f"{len(got['digests'])} outputs match")
         print("\n".join(problems + [
-            f"golden: {verdict} by {comparison(got, want)}, "
+            f"{verdict(got, want, problems)}, "
             f"piavae from {Path(cli.__file__).parent}"]))
         sys.exit(1 if problems else 0)
     else:

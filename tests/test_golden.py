@@ -49,3 +49,16 @@ def test_comparison_names_digests_or_numbers(records):
     assert golden.comparison(other, want) == (
         f"numbers within rel_tol {golden.REL_TOL}, abs_tol {golden.ABS_TOL} "
         "(key not recorded, OpenBLAS Katmai)")
+
+
+def test_verdict_counts_matches_or_problems(records):
+    # The record against itself and against itself with one digest moved,
+    # so both lines hold on any core.
+    got, want = records[0], records[0]
+    by = f"by SHA-256 digests (key matches, {got['key']['openblas']})"
+    assert golden.verdict(got, want, golden.compare(got, want)) == (
+        f"golden: {len(got['digests'])} outputs match {by}")
+    moved = {**got, "digests": {**got["digests"], "on/model.ckpt": "0" * 64}}
+    problems = golden.compare(moved, want)
+    assert problems == ["on/model.ckpt: SHA-256 moved"]
+    assert golden.verdict(moved, want, problems) == f"golden: 1 problems {by}"

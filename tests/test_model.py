@@ -247,6 +247,16 @@ class TestEncodeDecode:
         assert q.mean[0] == pytest.approx(0.5 * h1 - 0.4, abs=1e-12)
         assert q.logvar[0] == pytest.approx(0.7 * h1 + 0.2, abs=1e-12)
 
+    def test_hand_forward_pass_masked_row_feeds_kept_count(self):
+        # Both items stored, one kept: the input is 1/sqrt(1) on the kept
+        # item, not 1/sqrt(2) from the stored count.
+        p = hand_params()
+        q = encode_rows(p, np.array([0, 2]), np.array([0, 1]),
+                        keep=np.array([True, False]))
+        h1 = math.tanh(0.3 + 0.1)
+        assert q.mean[0, 0] == pytest.approx(0.5 * h1 - 0.4, abs=1e-12)
+        assert q.logvar[0, 0] == pytest.approx(0.7 * h1 + 0.2, abs=1e-12)
+
     def test_zero_input_with_normalization_takes_bias_path(self):
         p = hand_params()
         q = encode_one(p, np.zeros(2))
@@ -670,6 +680,27 @@ class TestFit:
         (params_a, log_a), (params_b, log_b) = runs
         assert json.dumps(log_a, sort_keys=True) == json.dumps(log_b, sort_keys=True)
         assert pack_params(params_a).tobytes() == pack_params(params_b).tobytes()
+
+    def test_first_step_moves_each_parameter_by_at_most_config_lr(
+            self, monkeypatch):
+        # One batch, one epoch: fit returns θ after Adam's first step,
+        # which moves each entry by lr * |g| / (|g| + eps). An lr other
+        # than the default shows that the step takes TrainConfig.lr.
+        initial, real = [], model.init_params
+
+        def recorded(*args, **kwargs):
+            p = real(*args, **kwargs)
+            initial.append(pack_params(p).copy())
+            return p
+
+        monkeypatch.setattr(model, "init_params", recorded)
+        cfg = TrainConfig(epochs=1, batch_size=1000, hidden_dim=10,
+                          latent_dim=4, lr=2.5e-3, seed=6)
+        params, log = fit(small_split(seed=6), cfg)
+        assert [r["epoch"] for r in log] == [1]
+        moved = np.abs(pack_params(params) - initial[0])
+        assert moved.max() <= cfg.lr
+        assert moved.max() > 0.99 * cfg.lr
 
     def test_no_validation_users_is_an_error_before_training(self, monkeypatch):
         split = split_dataset(synth_block_dataset(SynthSpec(
