@@ -3,10 +3,11 @@
 Every run writes a manifest recording the resolved configuration, a
 config hash, input digests, the seed, and library versions, so outputs
 are reproducible from the manifest alone. Commands that write a directory
-put it at --out/manifest.json; `export`, which writes one CSV file at
---out, puts it next to that file as <out>.manifest.json. Exit codes:
-0 success, 1 usage error, 2 data or numeric error. `train` keeps its
-best epoch in a parameter-sized temporary file under TMPDIR.
+put it at --out/manifest.json; `geometry` puts <suite>.manifest.json
+beside <suite>.jsonl in --out, which suites may share, and `export`
+<out>.manifest.json beside the CSV file at --out. Exit codes: 0 success,
+1 usage error, 2 data or numeric error. `train` keeps its best epoch in
+a parameter-sized temporary file under TMPDIR.
 
 Each flag and config value is checked by the parser of its kind
 (count, positive, finite, int_list, or plain int and float) before any
@@ -312,7 +313,7 @@ def _cmd_geometry(args) -> int:
         for report in reports:
             fh.write(_dump_json(report.to_dict()) + "\n")
     n_pass = sum(1 for r in reports if r.passed)
-    write_manifest(out / "manifest.json", "geometry",
+    write_manifest(out / f"{args.suite}.manifest.json", "geometry",
                    {"suite": args.suite, "seed": args.seed}, args.seed, [],
                    [fname])
     print(f"geometry[{args.suite}]: {n_pass}/{len(reports)} checks passed -> {out / fname}")

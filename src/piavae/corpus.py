@@ -397,10 +397,11 @@ def check_end(fh, path) -> None:
 
 def read_csr(path: str | Path, user_ids: list[str] | None = None,
              item_ids: list[str] | None = None) -> InteractionMatrix:
+    """Read write_csr's file; a bad magic or length is a CorruptFileError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CSR_MAGIC:
-            raise ParseError(1, f"bad magic {magic!r} in {path}")
+            raise CorruptFileError(path, 0, f"bad magic {magic!r}")
         n_users, n_items, nnz = map(int, read_array(fh, "<u8", (3,), path, "header"))
         indptr = read_array(fh, "<u8", (n_users + 1,), path, "indptr")
         indices = read_array(fh, "<u8", (nnz,), path, "indices")

@@ -43,15 +43,11 @@ class ShapeError(PiaVaeError):
 
 
 class NumericalError(PiaVaeError):
-    """A computation produced a non-finite value."""
+    """A computation gave a non-finite value or met a row with no positive."""
 
     def __init__(self, message: str, row_index: int | None = None):
         super().__init__(message)
         self.row_index = row_index
-
-
-class EmptySupportError(PiaVaeError):
-    """An operation that needs at least one positive item got none."""
 
 
 class MetricError(PiaVaeError):

@@ -25,7 +25,7 @@ run through `numerics.split` under its rule (output axes only, aligned
 cuts, a work floor, fresh outputs, the caller's errstate), so the bits
 are the one-thread bits.
 There is no dense encoder path. The alignment term, there when p has
-anchors, is `pia.alignment_closed_form` on the anchor table in place.
+anchors, is `pia.alignment_closed_form`, which the `prop1` gate checks.
 During `fit` the parameters are views into one flat buffer θ that
 `adam_step` updates in place from the kernel's per-array gradient
 pieces, which `pack_grads` flattens; enc_w1's covers only the items the
@@ -315,19 +315,18 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     the encoder reads x's kept entries and the decoder's target is all of
     x. Per row: -loglik(decode(z), x) + beta * KL(q || N(0, I)) and, when
     p has anchors, lambda_a times the closed-form alignment penalty of the
-    row's positives; the total is the batch mean. Only the decoder is
-    dense (rows x items): the input layer, its gradient and the alignment
-    term are sparse products over the batch's items; the alignment reads
-    the anchor table in place. The gradient is one piece per trained
-    array in pack_params order, as adam_step takes it: enc_w1's and the
-    anchors' as (mark, rows), the rows of enc_w1.T for the items with a
-    kept entry (none if all are masked) and of anchors for the batch's
-    items, the latter formed in place after the logits are freed.
+    row's positives, every row needing one; the total is the batch mean.
+    Only the decoder is dense (rows x items): the input layer, its
+    gradient and the alignment term are sparse products over the batch's
+    items. The alignment is alignment_closed_form on x's rows and the
+    anchor table in place; its backward reads the 1/|S| entry weights
+    that returns. The gradient is one piece per trained array in
+    pack_params order, as adam_step takes it: enc_w1's and the anchors'
+    as (mark, rows), the rows of enc_w1.T for the items with a kept entry
+    (none if all are masked) and of anchors for the batch's items, the
+    latter formed in place after the logits are freed.
     """
-    from scipy import sparse
-
     n = indptr.size - 1
-    counts = np.diff(indptr).astype(np.float64)
     x, h1, q = _encode(p, indptr, indices, keep)
     mu, lv, sigma = q.mean, q.logvar, q.std
     z = mu + noise * sigma
@@ -337,13 +336,8 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     per_row = recon + beta * kl_diag_gaussian(q)
 
     if p.anchors is not None:
-        if np.any(counts < 1):
-            raise NumericalError("alignment needs at least one positive per row",
-                                 row_index=int(np.argmin(counts)))
-        entry_weight = 1.0 / counts[entry_rows(indptr)]
-        weights = sparse.csr_matrix((entry_weight, indices, indptr),
-                                    shape=(n, p.n_items))
-        align, ebar = alignment_closed_form(mu, var, weights, p.anchors)
+        align, ebar, entry_weight = alignment_closed_form(mu, var, indptr,
+                                                          indices, p.anchors)
         per_row = per_row + lambda_a * align
 
     if not np.all(np.isfinite(per_row)):
@@ -432,8 +426,8 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     stepped (before epoch 1, and before the first batch after an
     improving epoch), and read back into θ only when the epoch to return
     is not θ's current state (an abort, or a best epoch before the last).
-    The returned parameters view θ. A failed or short write or read of
-    the file is an OSError.
+    One buffered write or readinto moves all of θ, with no θ-sized copy;
+    a failed or short one is an OSError. The returned parameters view θ.
     """
     from .evaluate import stratified_report
 
@@ -465,13 +459,13 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     epoch = batch = None
     # A diverging step overflows on the way to a non-finite loss; the loss
     # check is the one detector, so numpy's warnings stay quiet.
-    with tempfile.TemporaryFile(buffering=0) as best_file, \
+    with tempfile.TemporaryFile() as best_file, \
             np.errstate(over="ignore", invalid="ignore"):
         try:
             for epoch in range(1, cfg.epochs + 1):
                 if best_epoch == epoch - 1:  # theta is the best so far
                     best_file.seek(0)
-                    _move_all(best_file.write, theta)
+                    best_file.write(theta)
                 perm = rng.permutation(n_train)
                 losses = []
                 for batch, start in enumerate(
@@ -499,22 +493,11 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                         "batch": batch, "row_index": exc.row_index})
         if epoch != best_epoch:  # theta holds a later or a partial epoch
             best_file.seek(0)
-            _move_all(best_file.readinto, theta)
+            moved = best_file.readinto(theta)
+            if moved < theta.nbytes:
+                raise OSError(f"the best-epoch file moved {moved} of "
+                              f"{theta.nbytes} bytes")
     return p, log
-
-
-def _move_all(op, theta: np.ndarray) -> None:
-    """Run an unbuffered file's write or readinto over all of theta's
-    bytes, which it may move in parts. A call that moves none is an
-    OSError, so a short file is an error, never half-restored parameters."""
-    rest = memoryview(theta).cast("B")
-    while rest:
-        moved = op(rest)
-        if not moved:
-            done = theta.nbytes - rest.nbytes
-            raise OSError(f"the best-epoch file moved {done} of "
-                          f"{theta.nbytes} bytes")
-        rest = rest[moved:]
 
 
 def encode_rows(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
@@ -574,13 +557,14 @@ def save_checkpoint(p: ModelParams, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read what save_checkpoint writes: each section is read flat and
-    reshaped in its `_order`, with no copy. A zero dimension or flags
-    other than 1 is a CorruptFileError at the header, and a non-finite value
-    one at that value's byte."""
+    reshaped in its `_order`, with no copy. A bad magic is a
+    CorruptFileError at byte 0, a zero dimension or flags other than 1 one
+    at the header, a non-finite value one at that value's byte, and an
+    unknown trailing section one at its marker."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
-            raise ShapeError(f"bad checkpoint magic {magic!r}")
+            raise CorruptFileError(path, 0, f"bad checkpoint magic {magic!r}")
         n_items, hidden, latent, flags = map(
             int, read_array(fh, "<u8", (4,), path, "header"))
         if min(n_items, hidden, latent) < 1 or flags != 1:
@@ -607,5 +591,6 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             anchors = read_section("anchors")
             check_end(fh, path)
         elif marker:
-            raise ShapeError(f"unexpected trailing section {marker!r}")
+            raise CorruptFileError(path, fh.tell() - len(marker),
+                                   f"unexpected trailing section {marker!r}")
     return ModelParams(**arrays, anchors=anchors)

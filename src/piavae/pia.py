@@ -6,9 +6,11 @@ mean_{i in S} E_{z~q} ||z - e_i||^2, where e_i is row i of the (items x
 latent) anchor array. For a diagonal Gaussian it equals ||mu - ebar||^2 +
 tr(Sigma) + (mean_i ||e_i||^2 - ||ebar||^2) with ebar the anchor centroid
 of S. Training (model.loss_and_grads_fixed) and the `prop1` geometry
-suite run the one closed form, `alignment_closed_form`; the Monte-Carlo
-estimator exists only to verify it and never feeds training. `model.fit`
-draws the anchors and runs the schedule that PiaConfig parameterizes.
+suite run the one closed form, `alignment_closed_form`, on CSR rows of
+positives; the Monte-Carlo estimator, on one row's, exists only to
+verify it and never feeds training. Both raise one NumericalError for a
+row with no positive. `model.fit` draws the anchors and runs the
+schedule that PiaConfig parameterizes.
 
 The oracle stays literal: it sums ||z - e_i||^2 anchor by anchor over an
 (n, d) array of draws z = mean + noise * std, and never uses the centroid
@@ -23,8 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySupportError, ShapeError
+from .corpus import entry_rows
+from .errors import NumericalError, ShapeError
 from .numerics import GaussianPosterior
+
+_NO_POSITIVE = "alignment needs at least one positive per row"
 
 
 @dataclass(frozen=True)
@@ -50,26 +55,42 @@ class PiaConfig:
             raise ValueError("patience must be >= 1")
 
 
-def _check_anchor_width(anchors: np.ndarray, dim: int) -> None:
+def _check_anchors(anchors: np.ndarray, dim: int,
+                   positives: np.ndarray) -> None:
     shape = np.shape(anchors)
     if len(shape) != 2 or shape[1] != dim:
         raise ShapeError(f"anchors {shape} must be (n_anchors, {dim})")
+    outside = (positives < 0) | (positives >= shape[0])
+    if outside.any():
+        raise ValueError(f"positive {positives[outside][0]} is outside "
+                         f"[0, {shape[0]})")
 
 
-def alignment_closed_form(mu: np.ndarray, var: np.ndarray, weights,
-                          anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ||mu - ebar||^2 + tr(Sigma) + (sum_i w_i ||e_i||^2 -
-    ||ebar||^2), and ebar = weights @ anchors, for posterior means and
-    variances in the rows of mu and var and a row-stochastic weights
-    matrix (dense or scipy CSR; 1/|S| on each positive of S gives the loss
-    above). The last term, the weighted spread of the anchors around
-    ebar, is always >= 0.
+def alignment_closed_form(mu: np.ndarray, var: np.ndarray, indptr: np.ndarray,
+                          indices: np.ndarray, anchors: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row ||mu - ebar||^2 + tr(Sigma) + (mean_{i in S} ||e_i||^2 -
+    ||ebar||^2) for posteriors in the rows of mu and var, row r's
+    positives S the anchors indices[indptr[r]:indptr[r+1]], returned with
+    ebar, the centroids, and weight, each stored entry's 1/|S|. The last
+    term, the anchors' spread around ebar, is always >= 0. A row with no
+    positive is a NumericalError naming it, and a positive that is not an
+    anchor's row a ValueError, as in the oracle.
     """
-    _check_anchor_width(anchors, mu.shape[-1])
+    from scipy import sparse
+
+    _check_anchors(anchors, mu.shape[-1], indices)
+    counts = np.diff(indptr).astype(np.float64)
+    if np.any(counts < 1):
+        raise NumericalError(_NO_POSITIVE, row_index=int(np.argmin(counts)))
+    weight = 1.0 / counts[entry_rows(indptr)]
+    weights = sparse.csr_matrix((weight, indices, indptr),
+                                shape=(counts.size, len(anchors)))
     ebar = weights @ anchors
     sq_norms = np.einsum("ij,ij->i", anchors, anchors)
     const = weights @ sq_norms - np.sum(ebar**2, axis=1)
-    return np.sum((mu - ebar) ** 2, axis=1) + np.sum(var, axis=1) + const, ebar
+    return (np.sum((mu - ebar) ** 2, axis=1) + np.sum(var, axis=1) + const,
+            ebar, weight)
 
 
 def alignment_mc_standard_error(q: GaussianPosterior, anchors: np.ndarray,
@@ -78,22 +99,18 @@ def alignment_mc_standard_error(q: GaussianPosterior, anchors: np.ndarray,
     """Empirical mean over z ~ q of mean_i ||z - e_i||^2, plus its standard
     error (for tolerance checks).
 
-    Verification oracle for alignment_closed_form with weights 1/|S| on
-    the positives; computed literally anchor by anchor rather than through
+    Verification oracle for alignment_closed_form on one row of
+    positives; computed literally anchor by anchor rather than through
     the centroid identity. anchors must be (n_anchors, q.dim) and each
     positive a row of it.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     anchors = np.asarray(anchors)
-    _check_anchor_width(anchors, q.dim)
     idx = np.asarray(positives, dtype=np.int64)
+    _check_anchors(anchors, q.dim, idx)
     if idx.size == 0:
-        raise EmptySupportError("alignment needs at least one positive item")
-    outside = (idx < 0) | (idx >= len(anchors))
-    if outside.any():
-        raise ValueError(f"positive {idx[outside][0]} is outside "
-                         f"[0, {len(anchors)})")
+        raise NumericalError(_NO_POSITIVE, row_index=0)
     noise = rng.standard_normal((n_samples, q.dim))
     z = q.mean + noise * q.std
     per_sample = np.zeros(n_samples, dtype=np.float64)

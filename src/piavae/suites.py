@@ -155,11 +155,10 @@ def suite_eq3(seed: int = 0) -> list[geo.GeometryReport]:
 
 def _closed_form(q: GaussianPosterior, anchors: np.ndarray,
                  positives: np.ndarray) -> float:
-    """The alignment_closed_form training runs, for q and weights 1/|S|."""
-    weights = np.zeros((1, anchors.shape[0]))
-    weights[0, positives] = 1.0 / positives.size
-    values, _ = alignment_closed_form(q.mean[None], q.var[None], weights,
-                                      anchors)
+    """The alignment_closed_form training runs, on one row of positives."""
+    values, _, _ = alignment_closed_form(q.mean[None], q.var[None],
+                                         np.array([0, positives.size]),
+                                         positives, anchors)
     return float(values[0])
 
 

@@ -719,6 +719,21 @@ class TestGeometryGate:
             assert (seed, code, failed, len(lines)) == (seed, 0, [],
                                                         self.CHECKS[suite])
 
+    def test_suites_sharing_an_out_keep_their_manifests(self, tmp_path):
+        # Each suite's manifest sits next to its report, so a second suite
+        # run into the same --out leaves the first one's in place.
+        for suite in ("t1", "probe"):
+            assert dispatch(["geometry", "--suite", suite,
+                             "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "probe.jsonl", "probe.manifest.json", "t1.jsonl",
+            "t1.manifest.json"]
+        for suite in ("t1", "probe"):
+            manifest = json.loads(
+                (tmp_path / f"{suite}.manifest.json").read_text())
+            assert manifest["outputs"] == [f"{suite}.jsonl"]
+            assert manifest["config"] == {"suite": suite, "seed": 0}
+
 
 def test_every_manifest_is_strict_json(run_dir):
     # json.dumps writes NaN and +-Infinity, which strict JSON parsers refuse:
@@ -744,7 +759,8 @@ def test_every_manifest_is_strict_json(run_dir):
     _preprocess(run_dir, events, "--threshold=-inf")
     manifests = sorted(run_dir.rglob("*manifest.json"))
     assert [str(p.relative_to(run_dir)) for p in manifests] == [
-        "eval/manifest.json", "geometry/manifest.json", "split/manifest.json",
+        "eval/manifest.json", "geometry/probe.manifest.json",
+        "split/manifest.json",
         "synth/manifest.json", "train-off/manifest.json",
         "train-on/manifest.json", "z.csv.manifest.json"]
     for path in manifests:

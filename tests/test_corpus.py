@@ -417,8 +417,9 @@ class TestCsrContainer:
 
     def test_magic_checked(self, tmp_path):
         (tmp_path / "bad.csr").write_bytes(b"NOPE" + b"\x00" * 24)
-        with pytest.raises(ParseError):
+        with pytest.raises(CorruptFileError, match="magic") as exc:
             read_csr(tmp_path / "bad.csr")
+        assert exc.value.offset == 0
 
     def test_header_layout(self, tmp_path):
         m = matrix_from_rows([np.array([0, 2])], 3)

@@ -31,9 +31,10 @@ def test_suites_import_leaves_scipy_stats_unloaded():
     # 0.03-0.06 s on a 2-core x86_64 machine, where importing scipy.stats
     # (for a chi-squared p-value, say) adds 0.5-0.8 s. Ranking, event
     # reading and the command line are not the lab's, so it loads none
-    # of them either.
+    # of them either; scipy.sparse waits for the first sparse product.
     env = {**os.environ, "PYTHONPATH": str(Path(piavae.__file__).parents[1])}
-    unloaded = ("scipy.stats", "piavae.evaluate", "piavae.events", "piavae.cli")
+    unloaded = ("scipy.stats", "scipy.sparse", "piavae.evaluate",
+                "piavae.events", "piavae.cli")
     out = subprocess.run(
         [sys.executable, "-c", "import sys, piavae.suites; "
          f"print([m for m in {unloaded!r} if m in sys.modules])"],

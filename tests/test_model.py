@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -787,26 +788,22 @@ def abort_on_call(monkeypatch, call):
 
 
 def faulty_temporary_file(monkeypatch, **ops):
-    """Make tempfile.TemporaryFile give a real temporary file whose named
-    methods run ops[name](file, buffer) instead."""
+    """Make tempfile.TemporaryFile give a buffered file, as it does, over a
+    real raw temporary file whose named methods run ops[name](file,
+    buffer) instead."""
     real = tempfile.TemporaryFile
 
     class Faulty:
-        def __init__(self, *args, **kwargs):
-            self.file = real(*args, **kwargs)
+        def __init__(self):
+            self.file = real(buffering=0)
 
         def __getattr__(self, name):
             return getattr(self.file, name)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.file.close()
-
     for name, op in ops.items():
         setattr(Faulty, name, lambda self, buf, op=op: op(self.file, buf))
-    monkeypatch.setattr(tempfile, "TemporaryFile", Faulty)
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda: io.BufferedRandom(Faulty()))
 
 
 def no_space(file, buf):
@@ -857,7 +854,8 @@ class TestBestEpochFile:
         assert pack_params(params).tobytes() == pack_params(initial).tobytes()
 
     def test_writes_and_reads_in_parts_keep_the_bits(self, monkeypatch):
-        # An unbuffered file may move fewer bytes than asked per call.
+        # The raw file under the buffered one may move fewer bytes than
+        # asked per call.
         split = small_split(seed=3)
         cfg = TrainConfig(epochs=4, seed=3, **self.SIZES)
         whole = fit_bits(split, cfg)
@@ -874,10 +872,10 @@ class TestBestEpochFile:
         assert info.value.errno == errno.ENOSPC
 
     def test_short_read_is_an_os_error(self, monkeypatch):
-        # The file loses its second half before the read-back: the fit
-        # raises rather than return half-old parameters.
+        # The file loses half its bytes at each read of the read-back: the
+        # fit raises rather than return half-old parameters.
         def truncated(file, buf):
-            file.truncate(file.tell() + len(buf) // 2)
+            file.truncate(os.fstat(file.fileno()).st_size // 2)
             return file.readinto(buf)
 
         faulty_temporary_file(monkeypatch, readinto=truncated)
@@ -999,7 +997,16 @@ class TestCheckpoint:
         save_checkpoint(p, tmp_path / "m.ckpt")
         blob = (tmp_path / "m.ckpt").read_bytes()
         assert blob[:4] == b"PIM2"
-        assert b"ANCH" in blob
+        at = len(blob) - 4 - 8 * p.anchors.size
+        assert blob[at:at + 4] == b"ANCH"
+        # Another magic, or another marker where ANCH goes, is a corrupt
+        # file at that marker's byte.
+        for damaged, offset in ((b"XXXX" + blob[4:], 0),
+                                (blob[:at] + b"JUNK" + blob[at + 4:], at)):
+            (tmp_path / "m.ckpt").write_bytes(damaged)
+            with pytest.raises(CorruptFileError) as exc:
+                load_checkpoint(tmp_path / "m.ckpt")
+            assert exc.value.offset == offset
 
 
     @pytest.mark.parametrize("cut", [20, 100, -3])

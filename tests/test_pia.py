@@ -2,10 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from piavae import evaluate, suites
-from piavae.errors import EmptySupportError, NumericalError, ShapeError
+from piavae.errors import NumericalError, ShapeError
 from piavae.evaluate import MetricReport
 from piavae.model import (TrainConfig, draw_mask_and_noise, fit, loss_and_grads,
                           loss_and_grads_fixed, pack_grads, pack_params,
@@ -16,26 +15,21 @@ from piavae.pia import (PiaConfig, alignment_closed_form,
 from tests.test_model import small_split, tiny_params, to_csr
 
 
-def uniform_weights(n_anchors, positives):
-    """One weights row: 1/|S| on each positive of S, 0 elsewhere."""
-    weights = np.zeros(n_anchors)
-    weights[list(positives)] = 1.0 / len(positives)
-    return weights
-
-
-def closed_form(q, weights, anchors):
-    """alignment_closed_form of one posterior and one weights row."""
-    values, _ = alignment_closed_form(q.mean[None], q.var[None],
-                                      np.atleast_2d(weights),
-                                      np.asarray(anchors, dtype=float))
+def closed_form(q, positives, anchors):
+    """alignment_closed_form of one posterior and one row of positives."""
+    positives = np.asarray(positives, dtype=np.int64)
+    values, _, _ = alignment_closed_form(q.mean[None], q.var[None],
+                                         np.array([0, positives.size]),
+                                         positives,
+                                         np.asarray(anchors, dtype=float))
     return float(values[0])
 
 
 def closed_form_at(anchors, positives, mean):
-    """closed_form of a zero-variance posterior at `mean` with uniform
-    weights on the positives: ||mean - ebar||^2 plus their spread."""
+    """closed_form of a zero-variance posterior at `mean` on the
+    positives: ||mean - ebar||^2 plus their spread."""
     q = GaussianPosterior(mean=mean, logvar=np.full(len(mean), -np.inf))
-    return closed_form(q, uniform_weights(len(anchors), positives), anchors)
+    return closed_form(q, positives, anchors)
 
 
 class TestAnchorCentroid:
@@ -76,19 +70,19 @@ class TestAlignmentClosedForm:
     def test_degenerate_at_centroid_is_exactly_zero(self):
         anchors = np.array([[0.7, -0.3]])
         q = GaussianPosterior(mean=[0.7, -0.3], logvar=[-np.inf, -np.inf])
-        assert closed_form(q, [1.0], anchors) == 0.0
+        assert closed_form(q, [0], anchors) == 0.0
 
     def test_unit_variance_at_origin_single_anchor(self):
         # E||z||^2 = d for a standard 2-D Gaussian and an anchor at 0.
         anchors = np.zeros((1, 2))
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
-        assert closed_form(q, [1.0], anchors) == pytest.approx(2.0, abs=1e-12)
+        assert closed_form(q, [0], anchors) == pytest.approx(2.0, abs=1e-12)
 
     def test_opposed_anchors_add_their_spread(self):
         # Mean term 0, trace 2, anchor variance around centroid 1.
         anchors = np.array([[1.0, 0.0], [-1.0, 0.0]])
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
-        assert closed_form(q, [0.5, 0.5], anchors) == pytest.approx(3.0, abs=1e-12)
+        assert closed_form(q, [0, 1], anchors) == pytest.approx(3.0, abs=1e-12)
 
     def test_constant_term_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -104,27 +98,31 @@ class TestAlignmentClosedForm:
             # The closed form with q centered at the centroid and zero
             # variance reduces to exactly that constant.
             q = GaussianPosterior(mean=ebar, logvar=np.full(d, -np.inf))
-            assert closed_form(q, uniform_weights(n, positives), anchors) == \
+            assert closed_form(q, positives, anchors) == \
                 pytest.approx(const, abs=1e-12)
 
     def test_invariant_to_positive_order(self):
-        # A dense row and CSR rows storing the same weights in two orders
-        # give the same values, rows of a batch independently.
+        # CSR rows storing the same positives in two orders give the same
+        # values, and so does each row on its own: rows of a batch are
+        # independent.
         rng = np.random.default_rng(1)
         anchors = rng.standard_normal((6, 3))
         mu = rng.standard_normal((2, 3))
         var = np.exp(rng.uniform(-1, 1, (2, 3)))
-        dense = np.array([uniform_weights(6, [0, 2, 5]), uniform_weights(6, [1])])
-        values, ebar = alignment_closed_form(mu, var, dense, anchors)
-        np.testing.assert_array_equal(ebar, dense @ anchors)
-        for order in ([0, 2, 5, 1], [5, 0, 2, 1]):
-            csr = sparse.csr_matrix((dense[[0, 0, 0, 1], order], order, [0, 3, 4]),
-                                    shape=(2, 6))
-            got, _ = alignment_closed_form(mu, var, csr, anchors)
+        indptr = np.array([0, 3, 4])
+        values, ebar, weight = alignment_closed_form(
+            mu, var, indptr, np.array([0, 2, 5, 1]), anchors)
+        np.testing.assert_allclose(
+            ebar, [anchors[[0, 2, 5]].mean(axis=0), anchors[1]], atol=1e-15)
+        np.testing.assert_array_equal(weight, [1 / 3, 1 / 3, 1 / 3, 1.0])
+        for order in ([5, 0, 2, 1], [2, 5, 0, 1]):
+            got, _, _ = alignment_closed_form(mu, var, indptr,
+                                              np.array(order), anchors)
             np.testing.assert_allclose(got, values, rtol=0.0, atol=1e-15)
-        for r in range(2):
-            row, _ = alignment_closed_form(mu[r:r + 1], var[r:r + 1],
-                                           dense[r:r + 1], anchors)
+        for r, positives in enumerate(([0, 2, 5], [1])):
+            row, _, _ = alignment_closed_form(mu[r:r + 1], var[r:r + 1],
+                                              np.array([0, len(positives)]),
+                                              np.array(positives), anchors)
             assert row[0] == pytest.approx(values[r], abs=1e-15)
 
 
@@ -188,7 +186,16 @@ class TestAnchorShapes:
     def test_closed_form_rejects_anchor_width(self):
         with pytest.raises(ShapeError, match="anchors"):
             alignment_closed_form(np.zeros((1, 3)), np.ones((1, 3)),
-                                  np.array([[0.5, 0.5]]), np.ones((2, 1)))
+                                  np.array([0, 2]), np.array([0, 1]),
+                                  np.ones((2, 1)))
+
+    @pytest.mark.parametrize("positive", [-1, 3])
+    def test_closed_form_rejects_positive_out_of_range(self, positive):
+        # The sparse product would read past the anchor table.
+        with pytest.raises(ValueError, match=f"positive {positive} "):
+            alignment_closed_form(np.zeros((1, 2)), np.ones((1, 2)),
+                                  np.array([0, 2]), np.array([0, positive]),
+                                  np.ones((3, 2)))
 
     def test_oracle_rejects_anchor_width(self):
         q = GaussianPosterior(mean=np.zeros(3), logvar=np.zeros(3))
@@ -248,28 +255,30 @@ class TestAlignmentMcOracle:
     def test_empty_positives_rejected(self, positives):
         anchors = np.zeros((3, 2))
         q = GaussianPosterior(mean=[0.0, 0.0], logvar=[0.0, 0.0])
-        with pytest.raises(EmptySupportError, match="at least one positive"):
+        with pytest.raises(NumericalError, match="at least one positive"):
             alignment_mc_standard_error(q, anchors, positives, 100,
                                         np.random.default_rng(0))
 
 
 # Three wrong closed forms, each with alignment_closed_form's signature.
-def without_trace(mu, var, weights, anchors):
-    values, ebar = alignment_closed_form(mu, var, weights, anchors)
-    return values - np.sum(var, axis=1), ebar
+def without_trace(mu, var, indptr, indices, anchors):
+    values, ebar, weight = alignment_closed_form(mu, var, indptr, indices,
+                                                 anchors)
+    return values - np.sum(var, axis=1), ebar, weight
 
 
-def without_spread(mu, var, weights, anchors):
-    ebar = weights @ anchors
-    return np.sum((mu - ebar) ** 2, axis=1) + np.sum(var, axis=1), ebar
+def without_spread(mu, var, indptr, indices, anchors):
+    _, ebar, weight = alignment_closed_form(mu, var, indptr, indices, anchors)
+    return np.sum((mu - ebar) ** 2, axis=1) + np.sum(var, axis=1), ebar, weight
 
 
-def first_anchor_for_centroid(mu, var, weights, anchors):
-    ebar = weights @ anchors
-    first = anchors[np.argmax(weights > 0, axis=1)]
-    spread = weights @ np.sum(anchors**2, axis=1) - np.sum(ebar**2, axis=1)
+def first_anchor_for_centroid(mu, var, indptr, indices, anchors):
+    values, ebar, weight = alignment_closed_form(mu, var, indptr, indices,
+                                                 anchors)
+    first = anchors[indices[indptr[:-1]]]
+    spread = values - np.sum((mu - ebar) ** 2, axis=1) - np.sum(var, axis=1)
     return (np.sum((mu - first) ** 2, axis=1) + np.sum(var, axis=1) + spread,
-            ebar)
+            ebar, weight)
 
 
 class TestProp1Gate:
