@@ -17,13 +17,14 @@ both run it.
 training kernel and `geometry.sharing_probe` run it, its elementwise
 passes over the logits in row blocks of DECODE_BLOCK entries.
 `posterior_means` yields `encode_rows` means over a matrix in fixed-size
-chunks and `score_rows` decodes each chunk, yielding logits row by row,
-fold-in items included: excluding them is the ranker's rule
-(`evaluate.per_user_metrics`). No users x items array is built.
-The decoder's three products, its row passes and score_rows' product
-run through `numerics.split` under its rule (output axes only, aligned
-cuts, a work floor, fresh outputs, the caller's errstate), so the bits
-are the one-thread bits.
+chunks and `score_rows` decodes each chunk, yielding it as one chunk of
+logits (SCORE_CHUNK users x items at most), fold-in items included:
+excluding them is the ranker's rule (`evaluate.per_user_metrics`, which
+ranks chunk by chunk). No users x items array is built.
+The encoder's sparse input layer, the decoder's three products, its row
+passes and score_rows' product run through `numerics.split` under its
+rule (output axes only, aligned cuts, a work floor, fresh outputs, the
+caller's errstate), so the bits are the one-thread bits.
 There is no dense encoder path. The alignment term, there when p has
 anchors, is `pia.alignment_closed_form`, which the `prop1` gate checks.
 During `fit` the parameters are views into one flat buffer θ that
@@ -31,9 +32,10 @@ During `fit` the parameters are views into one flat buffer θ that
 pieces, which `pack_grads` flattens; enc_w1's covers only the items the
 mask keeps. `fit` holds three θ-sized arrays: θ and Adam's two moments.
 The best epoch so far lives in an anonymous temporary file under TMPDIR,
-written from θ before a step moves θ off it and read back into θ only
-when training ends elsewhere (an abort, or a best epoch before the
-last). All gradients are derived by hand; `finite_diff_check` guards
+written from θ before a step moves θ off an improving epoch and read
+back into θ only when training ends elsewhere (an abort, or a best epoch
+before the last); the initial parameters are redrawn from the seed,
+not stored. All gradients are derived by hand; `finite_diff_check` guards
 every term.
 """
 
@@ -50,9 +52,9 @@ import numpy as np
 from .corpus import (InteractionMatrix, SplitDataset, check_end, entry_rows,
                      read_array)
 from .errors import CorruptFileError, NumericalError, ShapeError, SplitError
-from .numerics import (ENTRY_WORK, LOGVAR_MAX, LOGVAR_MIN, AdamState,
-                       GaussianPosterior, adam_step, kl_diag_gaussian, split,
-                       split_matmul)
+from .numerics import (ENTRY_WORK, LOGVAR_MAX, LOGVAR_MIN, SPARSE_CACHED,
+                       SPARSE_WORK, AdamState, GaussianPosterior, adam_step,
+                       kl_diag_gaussian, split, split_matmul)
 from .pia import PiaConfig, alignment_closed_form
 
 MODEL_MAGIC = b"PIM2"
@@ -234,8 +236,9 @@ def _encode(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
     indices[indptr[r]:indptr[r+1]], reading only the entries whose
     boolean flag in keep is set (all when keep is None). Each kept
     entry's input is 1/sqrt(its row's kept count), the L2-normalized row.
-    The scipy CSR input x goes through h1 = tanh(x @ enc_w1.T + enc_b1)
-    to the mean and logvar heads.
+    The scipy CSR input x goes through h1 = tanh(x @ enc_w1.T + enc_b1),
+    split over x's rows above the work floor when enc_w1 outgrows the
+    cache (numerics.SPARSE_CACHED), to the mean and logvar heads.
     Returns (x, h1, q), q the GaussianPosterior of the raw heads. scipy
     copies a dense operand that is not C-ordered; enc_w1 is column-major,
     so enc_w1.T is read in place."""
@@ -248,7 +251,19 @@ def _encode(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
     value = 1.0 / np.sqrt(np.maximum(counts, 1))
     x = sparse.csr_matrix((np.repeat(value, counts), indices, indptr),
                           shape=(counts.size, p.n_items))
-    h1 = np.tanh(x @ p.enc_w1.T + p.enc_b1)
+    h1 = np.empty((counts.size, p.hidden_dim))
+
+    def layer(lo, hi):
+        rows = x if hi - lo == counts.size else x[lo:hi]
+        h1[lo:hi] = rows @ p.enc_w1.T
+        h1[lo:hi] += p.enc_b1
+        np.tanh(h1[lo:hi], out=h1[lo:hi])
+
+    # Each output row sums its own stored entries in order, so rows split
+    # anywhere.
+    work = x.nnz * p.hidden_dim * SPARSE_WORK
+    split(layer, counts.size, work * (p.enc_w1.nbytes >= SPARSE_CACHED),
+          align=1)
     return x, h1, GaussianPosterior(mean=h1 @ p.enc_w_mu.T + p.enc_b_mu,
                                     logvar=h1 @ p.enc_w_lv.T + p.enc_b_lv)
 
@@ -402,6 +417,20 @@ def loss_and_grads(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
                                 lambda_a=lambda_a)
 
 
+def _initial_params(data: SplitDataset, cfg: TrainConfig,
+                    pia: PiaConfig | None,
+                    rng: np.random.Generator) -> ModelParams:
+    """The parameters fit starts from, drawn from rng: with pia, the
+    anchors at scale 1/sqrt(latent) first, then init_params' weights."""
+    anchors = None
+    if pia is not None:
+        # Unspecified upstream; 1/sqrt(d) keeps ||e_i|| around 1.
+        anchors = (1.0 / np.sqrt(cfg.latent_dim)) * rng.standard_normal(
+            (data.n_items, cfg.latent_dim))
+    return init_params(data.n_items, cfg.hidden_dim, cfg.latent_dim, rng,
+                       anchors=anchors)
+
+
 def fit(data: SplitDataset, cfg: TrainConfig,
         pia: PiaConfig | None = None) -> tuple[ModelParams, list[dict]]:
     """Train with Adam over shuffled batches; keep the best-validation epoch.
@@ -422,12 +451,13 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     in place from each batch's gradient pieces; no gradient vector is made.
     fit holds three θ-sized arrays: θ and Adam's two moments. The best
     epoch is kept in an anonymous temporary file under TMPDIR, written
-    from θ only when θ holds the best epoch so far and is about to be
-    stepped (before epoch 1, and before the first batch after an
-    improving epoch), and read back into θ only when the epoch to return
-    is not θ's current state (an abort, or a best epoch before the last).
-    One buffered write or readinto moves all of θ, with no θ-sized copy;
-    a failed or short one is an OSError. The returned parameters view θ.
+    from θ only before the first batch after an improving epoch, and
+    read back into θ only when the epoch to return is not θ's current
+    state (an abort, or a best epoch before the last). When no epoch
+    improved (an abort in epoch 1), θ gets the initial parameters again,
+    redrawn from cfg.seed by the same `_initial_params` call. One
+    buffered write or readinto moves all of θ, with no θ-sized copy; a
+    failed or short one is an OSError. The returned parameters view θ.
     """
     from .evaluate import stratified_report
 
@@ -438,18 +468,10 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                          "epoch; split with n_val_users >= 1 (synth) or "
                          "--val >= 1 (preprocess)")
     rng = np.random.default_rng(cfg.seed)
-    anchors = None
-    lam = 0.0
-    if pia is not None:
-        # Unspecified upstream; 1/sqrt(d) keeps ||e_i|| around 1.
-        anchors = (1.0 / np.sqrt(cfg.latent_dim)) * rng.standard_normal(
-            (data.n_items, cfg.latent_dim))
-        lam = pia.lambda_a
-    p = init_params(data.n_items, cfg.hidden_dim, cfg.latent_dim, rng,
-                    anchors=anchors)
+    p = _initial_params(data, cfg, pia, rng)
     theta = pack_params(p)
-    p = unpack_params(theta, p)
-    del anchors  # the table before packing; p's anchors view theta
+    p = unpack_params(theta, p)  # frees the drawn arrays; p views theta
+    lam = 0.0 if pia is None else pia.lambda_a
     adam = AdamState.init(theta.size, cfg.lr)
 
     log: list[dict] = []
@@ -463,7 +485,7 @@ def fit(data: SplitDataset, cfg: TrainConfig,
             np.errstate(over="ignore", invalid="ignore"):
         try:
             for epoch in range(1, cfg.epochs + 1):
-                if best_epoch == epoch - 1:  # theta is the best so far
+                if epoch > 1 and best_epoch == epoch - 1:  # theta is the best
                     best_file.seek(0)
                     best_file.write(theta)
                 perm = rng.permutation(n_train)
@@ -491,7 +513,10 @@ def fit(data: SplitDataset, cfg: TrainConfig,
             log.append({"event": "aborted", "error": str(exc),
                         "last_good_epoch": best_epoch, "epoch": epoch,
                         "batch": batch, "row_index": exc.row_index})
-        if epoch != best_epoch:  # theta holds a later or a partial epoch
+        if best_epoch == 0:  # no epoch beat the initial parameters
+            theta[:] = pack_params(_initial_params(
+                data, cfg, pia, np.random.default_rng(cfg.seed)))
+        elif epoch != best_epoch:  # theta holds a later or a partial epoch
             best_file.seek(0)
             moved = best_file.readinto(theta)
             if moved < theta.nbytes:
@@ -524,15 +549,15 @@ def posterior_means(p: ModelParams, matrix: InteractionMatrix):
 
 
 def score_rows(p: ModelParams, fold: InteractionMatrix):
-    """Deterministic item logits of each fold-in user in order: the
-    posterior mean of the clean fold-in row, decoded a chunk of means at
-    a time. Fold-in items keep their logits; the ranker excludes them.
-    The chunk size is fixed, so the same inputs always give the same bits.
+    """Deterministic item logits of the fold-in users, yielded in order
+    as fresh (users, items) chunks of SCORE_CHUNK users (the last may be
+    shorter): the posterior means of the clean fold-in rows, decoded a
+    chunk at a time. Fold-in items keep their logits; the ranker excludes
+    them. The chunk size is fixed, so the same inputs always give the
+    same bits.
     """
     for means in posterior_means(p, fold):
-        scores = split_matmul(means, p.dec_w.T, axis=1)
-        scores += p.dec_b
-        yield from scores
+        yield split_matmul(means, p.dec_w.T, axis=1, bias=p.dec_b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,24 @@ checker, and `split`, which spreads large work over WORKERS threads.
 Everything here operates on 64-bit numpy arrays and is deterministic:
 identical inputs give bit-identical outputs. Every function is pure
 except adam_step, which updates the parameters and both moment vectors
-in place. Split work keeps the bits: a product is cut over its output
-rows or columns only, never its reduction, into parts that are
-multiples of SPLIT_ALIGN wide (the last at least that wide);
-an elementwise walk is cut between its rows or blocks; work under
+in place. Split work keeps the bits: a dense product is cut over its
+output rows or columns only, never its reduction, into parts that are
+multiples of SPLIT_ALIGN wide (the last at least that wide); a CSR
+product, whose output rows each sum their own stored entries in order,
+and an elementwise walk are cut between rows or blocks; work under
 SPLIT_FLOOR stays on the calling thread; outputs are fresh per call;
 every range runs under the caller's np.errstate. Importing this module
 pins numpy's OpenBLAS to one thread, so outputs do not depend on
 OPENBLAS_NUM_THREADS either; where that fails, nothing is split.
+
+A split range should make a few long numpy calls, not many short ones:
+two threads overlap only inside calls that release the GIL, and the
+Python between calls runs one thread at a time. A loop of np.sqrt calls
+over 2**23 entries in all, on a 2-core x86_64 machine, ran 1.02x faster
+on two threads in calls of 128 entries, 0.56x in calls of 1,024 (slower),
+1.24x in calls of 4,096, and 1.98x in calls of 32,768. So
+`evaluate.per_user_metrics` ranks blocks of RANK_ROWS rows, each a few
+calls over the whole block, where a row alone makes about ten short ones.
 """
 
 from __future__ import annotations
@@ -51,6 +61,18 @@ SPLIT_ALIGN = 192
 # elementwise walk: about 5 ns for decode_loss's passes, 16 ns for Adam's,
 # 0.05 ns for a multiply-add.
 ENTRY_WORK = 100
+# Dense multiply-adds that take as long as one of a CSR product's, a
+# stored entry times one column of a dense operand read from memory:
+# x @ enc_w1.T with its bias and tanh ran about 1.1 ns each on one thread
+# with a 96 MB enc_w1 (256 users of 20k items into hidden 600: 13.6 ms
+# for 12.5M), against 0.05 ns dense.
+SPARSE_WORK = 20
+# Bytes of a dense operand that stay in cache, whose CSR product is not
+# split: with a 3.2 MB enc_w1 (500 rows of 2,000 items into hidden 200)
+# the product ran 0.66 ns each, and splitting it made perfbench
+# train-dense 6% slower (2 wins in 10 fresh-process pairs). The bound
+# lies between the 3.2 and 96 MB operands measured.
+SPARSE_CACHED = 32 << 20
 # Work under which split stays on the calling thread: a training step at
 # 2,000 items, hidden 200, latent 64, batch 500 (work up to 1e8) took as
 # long split as not; one at 5,000 items, hidden 300, latent 100 (2.5e8
@@ -115,9 +137,11 @@ def split(fn, n: int, work: int, align: int = SPLIT_ALIGN) -> None:
     """Run fn(lo, hi) over ranges tiling range(n), cut at multiples of
     align, none narrower: the first range on this thread, the others on
     pool threads under this thread's np.errstate, which they do not
-    inherit. work is a product's multiply-adds or a walk's entries x
-    ENTRY_WORK; under SPLIT_FLOOR fn(0, n) runs alone. fn must write
-    disjoint outputs and not split. Re-raises a pool thread's exception."""
+    inherit. work is a dense product's multiply-adds, a CSR product's x
+    SPARSE_WORK (0 for an operand under SPARSE_CACHED bytes) or a walk's
+    entries x ENTRY_WORK; under SPLIT_FLOOR
+    fn(0, n) runs alone. fn must write disjoint outputs and not split.
+    Re-raises a pool thread's exception."""
     global _POOL
     workers = split_workers() if work >= SPLIT_FLOOR else 1
     cuts = {align * round(k * n / (workers * align)) for k in range(1, workers)}
@@ -139,16 +163,22 @@ def split(fn, n: int, work: int, align: int = SPLIT_ALIGN) -> None:
         future.result()
 
 
-def split_matmul(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+def split_matmul(a: np.ndarray, b: np.ndarray, axis: int,
+                 bias: np.ndarray | None = None) -> np.ndarray:
     """A fresh a @ b of 2-D a and b, split over its rows (axis 0) or
-    columns (axis 1): each range's product takes the whole reduction."""
+    columns (axis 1): each range's product takes the whole reduction.
+    A bias of b's width is then added to every row, range by range."""
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
 
     def part(lo, hi):
         if axis:
             np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+            if bias is not None:
+                out[:, lo:hi] += bias[lo:hi]
         else:
             np.matmul(a[lo:hi], b, out=out[lo:hi])
+            if bias is not None:
+                out[lo:hi] += bias
 
     split(part, out.shape[axis], out.size * a.shape[1])
     return out

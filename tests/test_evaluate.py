@@ -1,13 +1,16 @@
 import math
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piavae.corpus import (SplitDataset, SynthSpec, matrix_from_rows,
                            split_dataset, synth_block_dataset)
 from piavae.errors import MetricError, ShapeError
+from piavae import evaluate
 from piavae.evaluate import bucket_users, per_user_metrics, stratified_report
 from piavae.model import encode_rows, score_rows
 from tests.test_model import tiny_params, traced_peak
@@ -173,6 +176,65 @@ class TestOnePassRanking:
             per_user_metrics(as_rows(np.zeros(shape)), fold, hold, [5])
 
 
+def block_keys(score, fold_in):
+    """The ranker's keys: -score, with +inf at the fold-ins."""
+    key = -score
+    key[fold_in] = np.inf
+    return key
+
+
+@st.composite
+def prefilter_blocks(draw):
+    """A block of scores at least 4 x 4 wide with NaN, +inf, -inf (whose
+    key, +inf, ties a fold-in's) and ties, heavy in some rows and few in
+    others, some rows all tied, fold-ins anywhere (inside the first 4
+    columns too), and K from 1 to past the candidates: with RANK_SAMPLE
+    = 4 the pre-filter runs whenever K <= 4."""
+    n_rows = draw(st.integers(1, 6))
+    n_items = draw(st.integers(16, 40))
+    special = {-3: np.nan, -2: -np.inf, 3: np.inf}
+    score = np.empty((n_rows, n_items))
+    for r in range(n_rows):
+        levels = draw(st.lists(st.integers(-3, draw(st.sampled_from([3, 40]))),
+                               min_size=n_items, max_size=n_items))
+        if draw(st.booleans()) and draw(st.booleans()):
+            levels = [levels[0]] * n_items
+        score[r] = [special.get(v, float(v)) for v in levels]
+    share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    fold_in = np.array(draw(st.lists(st.floats(0, 1), min_size=score.size,
+                                     max_size=score.size))
+                       ).reshape(score.shape) < share
+    return score, fold_in, draw(st.integers(1, 6))
+
+
+class TestBlockRanking:
+    # A row with a NaN cut has no survivors beside one with exactly K.
+    @example(case=(np.array([[np.nan] * 16, [5.0, 4.0] + [0.0] * 14]),
+                   np.zeros((2, 16), dtype=bool), 2))
+    @settings(max_examples=400, deadline=None)
+    @given(prefilter_blocks())
+    def test_equals_stable_argsort(self, case):
+        score, fold_in, k = case
+        top = np.empty((len(score), k), dtype=np.int64)
+        with mock.patch.object(evaluate, "RANK_SAMPLE", 4):
+            evaluate._rank_block(score, *np.nonzero(fold_in), k, top)
+        for key, got in zip(block_keys(score, fold_in), top):
+            assert got.tolist() == np.argsort(key, kind="stable")[:k].tolist()
+
+    def test_prefilter_settles_rows_without_ties(self, monkeypatch):
+        # Distinct scores 4 x RANK_SAMPLE wide, fold-ins among the sampled
+        # columns: the batched pre-filter ranks every row, none falls back.
+        rng = np.random.default_rng(7)
+        score = rng.standard_normal((5, 4 * evaluate.RANK_SAMPLE))
+        fold_in = np.zeros(score.shape, dtype=bool)
+        fold_in[:, rng.choice(evaluate.RANK_SAMPLE, 300, replace=False)] = True
+        monkeypatch.setattr(evaluate, "_ranked_top", None)
+        top = np.empty((5, 100), dtype=np.int64)
+        evaluate._rank_block(score, *np.nonzero(fold_in), 100, top)
+        for key, got in zip(block_keys(score, fold_in), top):
+            assert got.tolist() == np.argsort(key, kind="stable")[:100].tolist()
+
+
 def heldout_split(n_users, n_items, seed):
     """A split whose test part holds n_users users, each with 5 fold-in
     and 3 holdout items drawn at random; the other parts are empty."""
@@ -199,7 +261,7 @@ class TestStreamedScoring:
         indptr, indices = fold.csr_rows(np.arange(fold.n_users))
         means = encode_rows(p, indptr, indices).mean
         reference = means @ p.dec_w.T + p.dec_b
-        np.testing.assert_allclose(np.array(list(score_rows(p, fold))),
+        np.testing.assert_allclose(np.concatenate(list(score_rows(p, fold))),
                                    reference, rtol=0.0, atol=1e-12)
         want = per_user_metrics(reference, fold, hold, self.K_LIST)
         got = per_user_metrics(score_rows(p, fold), fold, hold, self.K_LIST)
@@ -209,6 +271,32 @@ class TestStreamedScoring:
                 assert streamed.tobytes() == one_gemm.tobytes()
             assert report.recall[k] == float(np.mean(want[k][0]))
             assert report.ndcg[k] == float(np.mean(want[k][1]))
+
+    def test_chunks_give_the_one_array_bits(self, monkeypatch):
+        # 300 users of 4 x RANK_SAMPLE items are chunks of 256 and 44
+        # rows, ranked with the pre-filter, the first chunk on two threads.
+        n_items = 4 * evaluate.RANK_SAMPLE
+        p = tiny_params(seed=56, n_items=n_items, hidden=8, latent=4)
+        split = heldout_split(300, n_items, seed=3)
+        fold, hold = split.test_fold_in, split.test_holdout
+        chunks = list(score_rows(p, fold))
+        assert [len(c) for c in chunks] == [256, 44]
+        threads, real = set(), evaluate.split
+
+        def spy(fn, n, work, align):
+            def record(lo, hi):
+                threads.add(threading.get_ident())
+                return fn(lo, hi)
+            real(record, n, work, align)
+
+        monkeypatch.setattr(evaluate, "split", spy)
+        got = per_user_metrics(iter(chunks), fold, hold, self.K_LIST)
+        assert len(threads) == 2
+        want = per_user_metrics(np.concatenate(chunks), fold, hold,
+                                self.K_LIST)
+        for k in self.K_LIST:
+            for chunked, whole in zip(got[k], want[k]):
+                assert chunked.tobytes() == whole.tobytes()
 
     def test_peak_memory_grows_by_less_than_a_score_matrix(self):
         # A users x items score matrix would add 8 bytes per user and item

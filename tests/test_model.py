@@ -71,9 +71,9 @@ def encode_one(p, x):
 
 def score_one(p, fold_in):
     """score_rows of a single user whose fold-in is the dense 0/1 vector
-    fold_in."""
+    fold_in: the one row of its one chunk."""
     fold = matrix_from_rows([np.flatnonzero(fold_in)], p.n_items)
-    return next(score_rows(p, fold))
+    return next(score_rows(p, fold))[0]
 
 
 def to_csr(x):
@@ -326,6 +326,25 @@ class TestSharedForward:
                              np.ones(indices.size, dtype=bool)))]:
             assert got.mean.tobytes() == want.mean.tobytes()
             assert got.logvar.tobytes() == want.logvar.tobytes()
+
+    @pytest.mark.parametrize("n_items, threads", [(8000, 2), (3000, 1)])
+    def test_split_input_layer_gives_the_one_call_bits(self, monkeypatch,
+                                                       n_items, threads):
+        # 400 rows of 50 items into hidden 600 are above SPLIT_FLOOR. With
+        # 8,000 items enc_w1 outgrows SPARSE_CACHED, so the rows' product,
+        # bias and tanh run in two ranges, each row summing its own
+        # entries; with 3,000 it stays in cache and on one thread.
+        rng = np.random.default_rng(46)
+        p = tiny_params(seed=46, n_items=n_items, hidden=600)
+        rows = [rng.choice(n_items, 50, replace=False) for _ in range(400)]
+        indptr, indices = matrix_from_rows(rows, n_items).csr_rows(range(400))
+        keep = rng.random(indices.size) < 0.9
+        ranges = spy_ranges(monkeypatch)
+        x, h1, _ = model._encode(p, indptr, indices, keep)
+        assert x.nnz * 600 * numerics.SPARSE_WORK >= numerics.SPLIT_FLOOR
+        assert (p.enc_w1.nbytes >= numerics.SPARSE_CACHED) == (threads == 2)
+        assert len({thread for _, _, thread in ranges}) == threads
+        assert h1.tobytes() == np.tanh(x @ p.enc_w1.T + p.enc_b1).tobytes()
 
     @pytest.mark.parametrize("beta", [0.0, 0.2, 1.5])
     def test_training_loss_matches_numerics_reference(self, beta):
@@ -853,6 +872,32 @@ class TestBestEpochFile:
         assert log[-1]["last_good_epoch"] == 0
         assert pack_params(params).tobytes() == pack_params(initial).tobytes()
 
+    def test_abort_in_epoch_1_with_anchors_redraws_them(self, monkeypatch):
+        # The anchors are drawn before the weights; the redraw gives both.
+        split = small_split()
+        cfg = TrainConfig(epochs=2, seed=7, **self.SIZES)
+        initial = model._initial_params(split, cfg, PiaConfig(),
+                                        np.random.default_rng(cfg.seed))
+        abort_on_call(monkeypatch, 2)
+        params, log = fit(split, cfg, PiaConfig())
+        assert log[-1]["last_good_epoch"] == 0
+        assert params.anchors is not None
+        assert pack_params(params).tobytes() == pack_params(initial).tobytes()
+
+    def test_one_epoch_fit_writes_no_bytes(self, monkeypatch):
+        # Its one epoch is its best and no step moves off it, and the
+        # initial parameters are redrawn, not stored: the file stays empty.
+        written = []
+
+        def counted(file, buf):
+            written.append(len(buf))
+            return file.write(buf)
+
+        faulty_temporary_file(monkeypatch, write=counted)
+        fit(small_split(), TrainConfig(epochs=1, seed=0, **self.SIZES),
+            PiaConfig())
+        assert written == []
+
     def test_writes_and_reads_in_parts_keep_the_bits(self, monkeypatch):
         # The raw file under the buffered one may move fewer bytes than
         # asked per call.
@@ -941,7 +986,7 @@ class TestPredictScores:
         # is exact.
         split = small_split(seed=1)
         p = tiny_params(seed=16, n_items=24)
-        scores = np.array(list(score_rows(p, split.val_fold_in)))
+        scores = np.concatenate(list(score_rows(p, split.val_fold_in)))
         for u in range(split.val_fold_in.n_users):
             x = np.zeros(24)
             x[split.val_fold_in.row(u)] = 1.0
