@@ -19,6 +19,7 @@ takes the two rows, so comparing them also checks that reduction.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,9 +69,14 @@ class GeometryReport:
 # Masked-distance bounds and exact distribution
 # ---------------------------------------------------------------------------
 
+# Memoized: thm3 asks for about 12,000 pmfs of 99 distinct (n, p). Callers
+# share each array, so it is read-only: a write would change the next one's.
+@functools.lru_cache(maxsize=1024)
 def _binom_pmf(n: int, p: float) -> np.ndarray:
-    return np.array([math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-                     for k in range(n + 1)], dtype=np.float64)
+    pmf = np.array([math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+                    for k in range(n + 1)], dtype=np.float64)
+    pmf.flags.writeable = False
+    return pmf
 
 
 def contraction_bound(h: int, s: int, keep_prob: float, delta: float) -> float:
@@ -88,7 +94,7 @@ def contraction_bound(h: int, s: int, keep_prob: float, delta: float) -> float:
     if h < 0 or s < 0:
         raise ValueError("h and s must be nonnegative")
     rho = keep_prob
-    tail = float(np.sum(_binom_pmf(h, rho)[:math.ceil(delta)]))
+    tail = float(_binom_pmf(h, rho)[:math.ceil(delta)].sum())
     return float((rho**2 + (1.0 - rho) ** 2) ** s * tail)
 
 
@@ -102,7 +108,7 @@ def expansion_bound(s: int, keep_prob: float, delta: float) -> float:
     if s < 0:
         raise ValueError("s must be nonnegative")
     p = 2.0 * keep_prob * (1.0 - keep_prob)
-    return float(np.sum(_binom_pmf(s, p)[math.ceil(delta):]))
+    return float(_binom_pmf(s, p)[math.ceil(delta):].sum())
 
 
 def masked_distance_exact(h: int, s: int, keep_prob: float) -> np.ndarray:
@@ -115,6 +121,8 @@ def masked_distance_exact(h: int, s: int, keep_prob: float) -> np.ndarray:
     convolution, exact for any input size (at keep_prob 1 both are point
     masses, so the table is exactly 1 at d = h). Entry d is Pr[D' = d].
     """
+    if not 0.0 < keep_prob <= 1.0:
+        raise ValueError("keep_prob must lie in (0, 1]")
     if h < 0 or s < 0:
         raise ValueError("h and s must be nonnegative")
     rho = keep_prob
@@ -128,8 +136,10 @@ def masked_distance_enumerate(x_u: np.ndarray, x_v: np.ndarray,
     pair over the supports of the binary rows x_u and x_v.
 
     Costs 2^(|support u| + |support v|); intended for supports of at most
-    8 combined coordinates.
+    8 combined coordinates. keep_prob must lie in (0, 1].
     """
+    if not 0.0 < keep_prob <= 1.0:
+        raise ValueError("keep_prob must lie in (0, 1]")
     x_u = np.asarray(x_u, dtype=np.float64)
     x_v = np.asarray(x_v, dtype=np.float64)
     su = np.flatnonzero(x_u > 0)

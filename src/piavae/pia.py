@@ -12,10 +12,13 @@ verify it and never feeds training. Both raise one NumericalError for a
 row with no positive. `model.fit` draws the anchors and runs the
 schedule that PiaConfig parameterizes.
 
-The oracle stays literal: it sums ||z - e_i||^2 anchor by anchor over an
-(n, d) array of draws z = mean + noise * std, and never uses the centroid
-identity or the ||z||^2 - 2 z.e + ||e||^2 expansion, since it is the
-reference the closed form is checked against.
+The oracle stays literal, as the reference the closed form is checked
+against: no centroid identity, no ||z||^2 - 2 z.e + ||e||^2 expansion. It
+adds each anchor's squared coordinates left to right into one per-sample
+row of a latent-major (d, n) copy of its draws z = noise * std + mean, and
+the anchors in `positives` order. numpy sums a row of d <= 7 terms left to
+right too, so the bits are those of (n, d) row sums; from d = 8 numpy sums
+pairwise and the last bit may differ, a case no shipped caller runs.
 """
 
 from __future__ import annotations
@@ -100,9 +103,10 @@ def alignment_mc_standard_error(q: GaussianPosterior, anchors: np.ndarray,
     error (for tolerance checks).
 
     Verification oracle for alignment_closed_form on one row of
-    positives; computed literally anchor by anchor rather than through
-    the centroid identity. anchors must be (n_anchors, q.dim) and each
-    positive a row of it.
+    positives, summed literally: latent-major, coordinates left to right,
+    which keeps numpy's row-sum bits for q.dim <= 7 and may differ in the
+    last bit beyond, where numpy sums rows pairwise. anchors must be
+    (n_anchors, q.dim) and each positive a row of it.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -111,12 +115,12 @@ def alignment_mc_standard_error(q: GaussianPosterior, anchors: np.ndarray,
     _check_anchors(anchors, q.dim, idx)
     if idx.size == 0:
         raise NumericalError(_NO_POSITIVE, row_index=0)
-    noise = rng.standard_normal((n_samples, q.dim))
-    z = q.mean + noise * q.std
+    z = np.ascontiguousarray(rng.standard_normal((n_samples, q.dim)).T)
+    z *= q.std[:, None]
+    z += q.mean[:, None]
     per_sample = np.zeros(n_samples, dtype=np.float64)
-    for i in idx:
-        diff = z - anchors[i]
-        per_sample += np.sum(diff * diff, axis=1)
+    for e in anchors[idx]:
+        per_sample += np.sum((z - e[:, None]) ** 2, axis=0)
     per_sample /= idx.size
     est = float(np.mean(per_sample))
     se = float(np.std(per_sample, ddof=1) / np.sqrt(n_samples))

@@ -44,8 +44,8 @@ def _pair_vectors(h: int, s: int) -> tuple[np.ndarray, np.ndarray]:
 
 def mask_bound_report(h: int, s: int, rho: float, delta: float) -> geo.GeometryReport:
     table = geo.masked_distance_exact(h, s, rho)
-    exact_lt = float(np.sum(table[:math.ceil(delta)]))
-    exact_ge = float(np.sum(table[math.ceil(delta):]))
+    exact_lt = float(table[:math.ceil(delta)].sum())
+    exact_ge = float(table[math.ceil(delta):].sum())
     lower_lt = geo.contraction_bound(h, s, rho, delta)
     lower_ge = geo.expansion_bound(s, rho, delta)
     values = {

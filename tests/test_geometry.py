@@ -9,9 +9,10 @@ import pytest
 from scipy.special import ndtri
 
 import piavae
+from piavae import suites
 from piavae.errors import ShapeError
 from piavae.geometry import (PROBE_PERTURB, PROBE_SAMPLES, GeometryReport,
-                             contraction_bound,
+                             _binom_pmf, contraction_bound,
                              dataset_bound_report, expansion_bound,
                              export_latents, jensen_gap_bernoulli,
                              masked_distance_enumerate,
@@ -160,6 +161,60 @@ class TestMaskedDistanceExact:
         conv = masked_distance_exact(4, 1, 0.4)
         enum = masked_distance_enumerate(x_u, x_v, 0.4)
         np.testing.assert_allclose(conv, enum, atol=1e-12)
+
+    # keep_prob 1 is valid (no coordinate is dropped); beyond (0, 1] the
+    # binomial terms are no probabilities and the table sums to 1 anyway.
+    @pytest.mark.parametrize("keep_prob", [0.0, -0.5, 1.5, math.nan])
+    def test_exact_rejects_keep_prob_outside_unit_interval(self, keep_prob):
+        with pytest.raises(ValueError, match="keep_prob"):
+            masked_distance_exact(2, 1, keep_prob)
+
+    @pytest.mark.parametrize("keep_prob", [0.0, -0.5, 1.5, math.nan])
+    def test_enumerate_rejects_keep_prob_outside_unit_interval(self,
+                                                               keep_prob):
+        with pytest.raises(ValueError, match="keep_prob"):
+            masked_distance_enumerate(*pair_vectors(2, 1), keep_prob)
+
+
+def thm3_pmf_inputs():
+    """Every (n, p) whose binomial pmf the thm3 grid builds; its
+    enumeration checks use a subset of them."""
+    rhos = suites.MASK_GRID_RHO
+    return ({(h, rho) for h in suites.MASK_GRID_H for rho in rhos}
+            | {(s, 2.0 * rho * (1.0 - rho))
+               for s in suites.MASK_GRID_S for rho in rhos})
+
+
+class TestBinomPmfMemo:
+    # Every caller shares one cached pmf per (n, p).
+    def test_cached_pmf_is_read_only(self):
+        pmf = _binom_pmf(3, 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            pmf[0] = 1.0
+        assert _binom_pmf(3, 0.5)[0] == 0.125
+
+    def test_exact_table_is_fresh_and_writable(self):
+        table = masked_distance_exact(2, 1, 0.5)
+        assert table.flags.writeable
+        table[0] = 9.0
+        assert masked_distance_exact(2, 1, 0.5)[0] == 0.125
+
+    def test_thm3_repeats_its_reports(self):
+        _binom_pmf.cache_clear()
+        first = [r.to_dict() for r in suites.suite_thm3()]
+        assert first == [r.to_dict() for r in suites.suite_thm3()]
+
+    def test_thm3_pmfs_equal_the_uncached_function(self):
+        _binom_pmf.cache_clear()
+        suites.suite_thm3()
+        built = _binom_pmf.cache_info()
+        keys = thm3_pmf_inputs()
+        for n, p in keys:
+            want = _binom_pmf.__wrapped__(n, p)
+            assert _binom_pmf(n, p).tobytes() == want.tobytes()
+        # Each key was a hit, and the suite built no pmf outside them.
+        assert _binom_pmf.cache_info().misses == built.misses
+        assert built.currsize == len(keys) == 99
 
 
 class TestW2DiagGaussian:
