@@ -21,10 +21,10 @@ chunks and `score_rows` decodes each chunk, yielding it as one chunk of
 logits (SCORE_CHUNK users x items at most), fold-in items included:
 excluding them is the ranker's rule (`evaluate.per_user_metrics`, which
 ranks chunk by chunk). No users x items array is built.
-The encoder's sparse input layer, the decoder's three products, its row
-passes and score_rows' product run through `numerics.split` under its
-rule (output axes only, aligned cuts, a work floor, fresh outputs, the
-caller's errstate), so the bits are the one-thread bits.
+The encoder's sparse input layer, the decoder's product and row passes,
+score_rows' product and the kernel's two backward phases (independent
+work side by side, into outputs the calling thread allocates) run
+through `numerics.split` under its rule, so the bits are one thread's.
 There is no dense encoder path. The alignment term, there when p has
 anchors, is `pia.alignment_closed_form`, which the `prop1` gate checks.
 During `fit` the parameters are views into one flat buffer θ that
@@ -41,7 +41,9 @@ every term.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -64,8 +66,8 @@ ANCHOR_SECTION = b"ANCH"
 # chunk of score rows at a time. Fixed, not a parameter: batched sums
 # depend on the chunk, so a fixed size keeps seeded scores repeatable.
 SCORE_CHUNK = 256
-# Entries per row block of decode_loss's elementwise passes: a block
-# (512 KiB) stays in a 2 MiB L2 from pass to pass.
+# Entries per row block of decode_loss's elementwise passes and of the
+# anchor rows' CSR product: a block (512 KiB) stays in a 2 MiB L2.
 DECODE_BLOCK = 1 << 16
 
 
@@ -338,61 +340,79 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     that returns. The gradient is one piece per trained array in
     pack_params order, as adam_step takes it: enc_w1's and the anchors'
     as (mark, rows), the rows of enc_w1.T for the items with a kept entry
-    (none if all are masked) and of anchors for the batch's items, the
-    latter formed in place after the logits are freed.
+    (none if all are masked) and of anchors for the batch's items. Two
+    splits run independent tasks side by side, into outputs this thread
+    allocates. A, once the decoder product reaches SPLIT_FLOOR: d_z here,
+    beside dec_w's and dec_b's gradients and the alignment forward, then
+    the loss check. B, with anchors, under _encode's gate: the encoder's
+    gradients here, beside the anchor rows, formed in place in blocks.
     """
     n = indptr.size - 1
     x, h1, q = _encode(p, indptr, indices, keep)
-    mu, lv, sigma = q.mean, q.logvar, q.std
+    mu, lv, sigma, var = q.mean, q.logvar, q.std, q.var
     z = mu + noise * sigma
-
     recon, d_logits = decode_loss(p, z, indptr, indices, n)
-    var = q.var
+
+    # Backward pass; every d(loss)/d(per-row term) carries the 1/n factor.
+    # (z.T @ d_logits).T runs faster in OpenBLAS than d_logits.T @ z.
+    d_z, align = np.empty((n, p.latent_dim)), []
+    g_dec = [np.empty((p.latent_dim, p.n_items)), np.empty(p.n_items)]
+
+    def decoder_grads():
+        np.matmul(z.T, d_logits, out=g_dec[0])
+        np.sum(d_logits, axis=0, out=g_dec[1])
+        if p.anchors is not None:
+            align.extend(alignment_closed_form(mu, var, indptr, indices,
+                                               p.anchors))
+
+    tasks = [lambda: np.matmul(d_logits, p.dec_w, out=d_z), decoder_grads]
+    work = d_logits.size * p.latent_dim
+    split(lambda lo, hi: [task() for task in tasks[lo:hi]], 2, work, align=1)
+    del d_logits
     per_row = recon + beta * kl_diag_gaussian(q)
-
     if p.anchors is not None:
-        align, ebar, entry_weight = alignment_closed_form(mu, var, indptr,
-                                                          indices, p.anchors)
+        align, ebar, entry_weight = align
         per_row = per_row + lambda_a * align
-
     if not np.all(np.isfinite(per_row)):
         bad = int(np.flatnonzero(~np.isfinite(per_row))[0])
         raise NumericalError(f"non-finite loss at batch row {bad}", row_index=bad)
     loss = float(np.mean(per_row))
 
-    # Backward pass; every d(loss)/d(per-row term) carries the 1/n factor.
-    # (z.T @ d_logits).T runs faster in OpenBLAS than d_logits.T @ z.
-    g_dec = [split_matmul(z.T, d_logits, axis=1).T, np.sum(d_logits, axis=0)]
-    d_z = split_matmul(d_logits, p.dec_w, axis=0)
-    del d_logits
-
     d_mu = d_z + (beta / n) * mu
     d_lv = 0.5 * d_z * noise * sigma + (beta / n) * 0.5 * (var - 1.0)
-    g_anchors = []
+    g_enc, g_anchors = [], []
     if p.anchors is not None:
         d_mu = d_mu + (lambda_a / n) * 2.0 * (mu - ebar)
         d_lv = d_lv + (lambda_a / n) * var
         present, col_of, weights_t = _item_transpose(indptr, indices,
                                                      entry_weight, p.n_items)
-        g_items = p.anchors[present]
-        g_items *= np.bincount(col_of, weights=entry_weight,
-                               minlength=len(g_items))[:, None]
-        g_items -= weights_t @ mu
-        g_items *= 2.0 * lambda_a / n
-        g_anchors = [(present, g_items)]
-
+        g_anchors.append((present, p.anchors[present]))
     # Strict inequalities on the clipped lv hold exactly where they hold
     # on the raw head, and NaN fails both.
     d_lv *= (lv > LOGVAR_MIN) & (lv < LOGVAR_MAX)
-    g_heads = [d_mu.T @ h1, np.sum(d_mu, axis=0), d_lv.T @ h1,
-               np.sum(d_lv, axis=0)]
-    d_h1 = d_mu @ p.enc_w_mu + d_lv @ p.enc_w_lv
-    d_a1 = d_h1 * (1.0 - h1**2)
-    # enc_w1's gradient d_a1.T @ x is zero outside the items x keeps;
-    # each such item's is one row of the C-ordered enc_w1.T.
-    kept, _, x_t = _item_transpose(x.indptr, x.indices, x.data, p.n_items)
-    return loss, [(kept, x_t @ d_a1), np.sum(d_a1, axis=0),
-                  *g_heads, *g_dec, *g_anchors]
+
+    def encoder_grads():
+        d_a1 = d_mu @ p.enc_w_mu + d_lv @ p.enc_w_lv
+        d_a1 *= 1.0 - h1**2
+        # enc_w1's gradient d_a1.T @ x is zero outside the items x keeps;
+        # each such item's is one row of the C-ordered enc_w1.T.
+        kept, _, x_t = _item_transpose(x.indptr, x.indices, x.data, p.n_items)
+        g_enc.extend([(kept, x_t @ d_a1), np.sum(d_a1, axis=0), d_mu.T @ h1,
+                      np.sum(d_mu, axis=0), d_lv.T @ h1, np.sum(d_lv, axis=0)])
+
+    def anchor_grads():
+        g_items = g_anchors[0][1]
+        g_items *= np.bincount(col_of, weights=entry_weight,
+                               minlength=len(g_items))[:, None]
+        step = max(1, DECODE_BLOCK // p.latent_dim)
+        for r0 in range(0, len(g_items), step):
+            g_items[r0:r0 + step] -= weights_t[r0:r0 + step] @ mu
+        g_items *= 2.0 * lambda_a / n
+
+    tasks = [encoder_grads] + [anchor_grads] * (p.anchors is not None)
+    split(lambda lo, hi: [task() for task in tasks[lo:hi]], len(tasks),
+          work * (p.enc_w1.nbytes >= SPARSE_CACHED), align=1)
+    return loss, [*g_enc, g_dec[0].T, g_dec[1], *g_anchors]
 
 
 def draw_mask_and_noise(indptr: np.ndarray, latent_dim: int, keep_prob: float,
@@ -473,6 +493,13 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     p = unpack_params(theta, p)  # frees the drawn arrays; p views theta
     lam = 0.0 if pia is None else pia.lambda_a
     adam = AdamState.init(theta.size, cfg.lr)
+    # glibc unmaps no heap page until its top free chunk is twice the
+    # largest block it has unmapped: a large model's freed gradient pieces
+    # (58 MiB at train-ref's shape) then stay under the next step's logits.
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if (
+        os.name == "posix" and p.enc_w1.nbytes >= SPARSE_CACHED) else None
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
 
     log: list[dict] = []
     best_ndcg = -np.inf
@@ -498,6 +525,8 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                                                  rng, lambda_a=lam)
                     adam_step(adam, theta, grads)
                     del grads  # not alive through the next batch's kernel
+                    if trim is not None:
+                        trim(0)
                     losses.append(loss)
                 batch = None
                 val_ndcg = stratified_report(p, data, [100],

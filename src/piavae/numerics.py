@@ -8,11 +8,12 @@ in place. Split work keeps the bits: a dense product is cut over its
 output rows or columns only, never its reduction, into parts that are
 multiples of SPLIT_ALIGN wide (the last at least that wide); a CSR
 product, whose output rows each sum their own stored entries in order,
-and an elementwise walk are cut between rows or blocks; work under
-SPLIT_FLOOR stays on the calling thread; outputs are fresh per call;
-every range runs under the caller's np.errstate. Importing this module
-pins numpy's OpenBLAS to one thread, so outputs do not depend on
-OPENBLAS_NUM_THREADS either; where that fails, nothing is split.
+and an elementwise walk are cut between rows or blocks, and independent
+tasks run one per range; work under SPLIT_FLOOR stays on the calling
+thread; outputs are fresh per call; every range runs under the caller's
+np.errstate. Importing this module pins numpy's OpenBLAS to one thread,
+so outputs do not depend on OPENBLAS_NUM_THREADS either; where that
+fails, nothing is split.
 
 A split range should make a few long numpy calls, not many short ones:
 two threads overlap only inside calls that release the GIL, and the
@@ -225,8 +226,8 @@ def kl_diag_gaussian(q: GaussianPosterior,
     """KL(q || N(0, C I)) for C = prior_var: 1/2 sum((mu^2 + sigma^2) / C
     - 1 - (log sigma^2 - log C)); one value per row when q holds a batch
     of posteriors. At C = 1 the division and log C are exact no-ops."""
-    if prior_var <= 0:
-        raise ValueError("prior_var must be positive")
+    if not 0.0 < prior_var < np.inf:  # written so that NaN fails too
+        raise ValueError("prior_var must be finite and > 0")
     kl = 0.5 * np.sum((q.mean**2 + q.var) / prior_var - 1.0
                       - (q.logvar - np.log(prior_var)), axis=-1)
     return float(kl) if kl.ndim == 0 else kl

@@ -348,6 +348,15 @@ class TestT1BoundCheck:
             assert report.passed
             assert "mean_gap" in report.values
 
+    @pytest.mark.parametrize("prior_var", [np.nan, np.inf])
+    def test_prior_var_must_be_finite(self, prior_var):
+        # An infinite prior variance made the bound infinite, so any pair
+        # passed; a NaN one made it NaN.
+        q_u = GaussianPosterior(mean=[1.0], logvar=[0.0])
+        q_v = GaussianPosterior(mean=[-2.0], logvar=[0.5])
+        with pytest.raises(ValueError, match="finite and > 0"):
+            t1_bound_check(q_u, q_v, prior_var)
+
     def test_kl_vs_scaled_prior(self):
         # KL(N(0, C) || N(0, C)) = 0 for any prior variance.
         c = 2.7

@@ -659,9 +659,9 @@ def split_sized_split():
     return split_dataset(matrix_from_rows(rows, 4096), 50, 0, 0.8, seed=90)
 
 
-def split_sized_digest() -> str:
+def split_sized_digest(pia: PiaConfig | None = PiaConfig()) -> str:
     """SHA-256 of a seeded split-sized fit's parameters and log."""
-    params, log = fit(split_sized_split(), SPLIT_SIZED, PiaConfig())
+    params, log = fit(split_sized_split(), SPLIT_SIZED, pia)
     return hashlib.sha256(pack_params(params).tobytes() + json.dumps(
         log, sort_keys=True).encode()).hexdigest()
 
@@ -700,6 +700,28 @@ class TestFit:
         (params_a, log_a), (params_b, log_b) = runs
         assert json.dumps(log_a, sort_keys=True) == json.dumps(log_b, sort_keys=True)
         assert pack_params(params_a).tobytes() == pack_params(params_b).tobytes()
+
+    @pytest.mark.parametrize("large", [True, False])
+    def test_large_model_steps_return_the_free_heap_pages(
+            self, monkeypatch, large):
+        # glibc keeps a step's freed gradient pieces resident under the
+        # next step's logits, so fit asks it for malloc_trim(0) after every
+        # step of a model whose enc_w1 has SPARSE_CACHED bytes or more; a
+        # small model's steps (train-dense's too) never pay for it.
+        pads = []
+
+        class Libc:
+            def __init__(self, name):
+                self.malloc_trim = lambda pad: pads.append(pad)
+
+        monkeypatch.setattr(model.ctypes, "CDLL", Libc)
+        if large:
+            monkeypatch.setattr(model, "SPARSE_CACHED", 0)
+        split = small_split()
+        fit(split, TrainConfig(epochs=2, batch_size=16, hidden_dim=10,
+                               latent_dim=4))
+        steps = 2 * math.ceil(split.train.n_users / 16)
+        assert pads == [0] * steps * (large and os.name == "posix")
 
     def test_first_step_moves_each_parameter_by_at_most_config_lr(
             self, monkeypatch):
@@ -768,6 +790,44 @@ class TestFit:
                          for _, _, thread in ranges)
             assert pooled == (workers == 2)
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("pia", [PiaConfig(), None])
+    def test_pooled_backward_phases_have_the_one_worker_bits(
+            self, monkeypatch, pia):
+        # With enc_w1's cache gate lifted, both backward phases of each of
+        # the fit's two steps pool at this shape (phase B only with
+        # anchors): two tasks, the first here as range (0, 1), the second
+        # on the pool thread as (1, 2). No other split has two items.
+        monkeypatch.setattr(model, "SPARSE_CACHED", 0)
+        ranges = spy_ranges(monkeypatch)
+        digests = []
+        for workers in (1, 2):
+            monkeypatch.setattr(numerics, "WORKERS", workers)
+            ranges.clear()
+            digests.append(split_sized_digest(pia))
+        here = threading.get_ident()
+        pooled = [thread for lo, hi, thread in ranges if (lo, hi) == (1, 2)]
+        assert len(pooled) == 2 * (2 if pia else 1) and here not in pooled
+        assert all(thread == here for lo, hi, thread in ranges
+                   if (lo, hi) == (0, 1))
+        assert digests[0] == digests[1]
+
+    def test_dense_step_stays_on_the_calling_thread(self, monkeypatch):
+        # train-dense's shape: 2,000 items, hidden 200, latent 64, batch
+        # 500 rows of 10% of the items, PIA off. Its enc_w1 stays in cache
+        # and its decoder product is under the floor, so neither backward
+        # phase, nor any other split of a step, starts the pool.
+        rng = np.random.default_rng(91)
+        p = init_params(2000, 200, 64, rng)
+        rows = [rng.choice(2000, 200, replace=False) for _ in range(500)]
+        indptr, indices = matrix_from_rows(rows, 2000).csr_rows(range(500))
+        ranges = spy_ranges(monkeypatch)
+        _, grads = loss_and_grads(p, indptr, indices, TrainConfig(
+            hidden_dim=200, latent_dim=64), rng)
+        theta = pack_params(p)
+        adam_step(AdamState.init(theta.size, 1e-3), theta, grads)
+        assert (0, 2, threading.get_ident()) in ranges
+        assert {thread for _, _, thread in ranges} == {threading.get_ident()}
 
     @pytest.mark.parametrize("value", [np.nan, np.finfo(float).max])
     def test_numeric_abort_under_split_names_epoch_batch_and_row(
@@ -1232,6 +1292,30 @@ class TestAllocation:
         keep, noise = model.draw_mask_and_noise(indptr, 32, 0.5, rng)
         peak = traced_peak(loss_and_grads_fixed, p, indptr, indices, keep,
                            noise, 0.2, 8.0)
+        logits = 50 * p.n_items * 8
+        assert peak <= logits + p.dec_w.nbytes + logits / 4
+
+    def test_pooled_kernel_transients_stay_under_the_same_bound(
+            self, monkeypatch):
+        # The shape of the test above with every split pooled: the
+        # calling thread allocates each output of both backward phases,
+        # and the pool thread fills the anchor rows in row blocks, so it
+        # adds no output-sized temporary.
+        rng = np.random.default_rng(80)
+        p = init_params(20_000, 32, 32, rng,
+                        anchors=0.2 * rng.standard_normal((20_000, 32)))
+        indices = np.concatenate([np.sort(rng.choice(20_000, 400,
+                                                     replace=False))
+                                  for _ in range(50)])
+        indptr = np.arange(0, indices.size + 1, 400)
+        keep, noise = model.draw_mask_and_noise(indptr, 32, 0.5, rng)
+        monkeypatch.setattr(numerics, "SPLIT_FLOOR", 0)
+        monkeypatch.setattr(model, "SPARSE_CACHED", 0)
+        ranges = spy_ranges(monkeypatch)
+        peak = traced_peak(loss_and_grads_fixed, p, indptr, indices, keep,
+                           noise, 0.2, 8.0)
+        pooled = [thread for lo, hi, thread in ranges if (lo, hi) == (1, 2)]
+        assert len(pooled) == 4 and threading.get_ident() not in pooled
         logits = 50 * p.n_items * 8
         assert peak <= logits + p.dec_w.nbytes + logits / 4
 

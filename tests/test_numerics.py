@@ -82,6 +82,13 @@ class TestKlDiagGaussian:
         with pytest.raises(ValueError):
             kl_diag_gaussian(q, 0.0)
 
+    @pytest.mark.parametrize("prior_var", [np.nan, np.inf, -np.inf, -1.0])
+    def test_prior_var_must_be_finite_and_positive(self, prior_var):
+        # NaN would give a NaN KL and +inf an infinite one, silently.
+        q = GaussianPosterior(mean=[1.5, 0.0], logvar=[0.0, -1.0])
+        with pytest.raises(ValueError, match="finite and > 0"):
+            kl_diag_gaussian(q, prior_var)
+
 
 class TestMultinomialLoglik:
     # The reference loss that tests/test_model.py checks the kernel against.
