@@ -493,9 +493,9 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     p = unpack_params(theta, p)  # frees the drawn arrays; p views theta
     lam = 0.0 if pia is None else pia.lambda_a
     adam = AdamState.init(theta.size, cfg.lr)
-    # glibc unmaps no heap page until its top free chunk is twice the
-    # largest block it has unmapped: a large model's freed gradient pieces
-    # (58 MiB at train-ref's shape) then stay under the next step's logits.
+    # glibc returns no heap memory until its top free chunk is twice the
+    # largest block it has unmapped, so a large model's freed gradient
+    # (58 MiB at train-ref's shape) stays resident under the next logits.
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if (
         os.name == "posix" and p.enc_w1.nbytes >= SPARSE_CACHED) else None
     if trim is not None:
