@@ -355,15 +355,15 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
 
     # Backward pass; every d(loss)/d(per-row term) carries the 1/n factor.
     # (z.T @ d_logits).T runs faster in OpenBLAS than d_logits.T @ z.
-    d_z, align = np.empty((n, p.latent_dim)), []
+    d_z, closed_form = np.empty((n, p.latent_dim)), []
     g_dec = [np.empty((p.latent_dim, p.n_items)), np.empty(p.n_items)]
 
     def decoder_grads():
         np.matmul(z.T, d_logits, out=g_dec[0])
         np.sum(d_logits, axis=0, out=g_dec[1])
         if p.anchors is not None:
-            align.extend(alignment_closed_form(mu, var, indptr, indices,
-                                               p.anchors))
+            closed_form.extend(alignment_closed_form(mu, var, indptr,
+                                                     indices, p.anchors))
 
     tasks = [lambda: np.matmul(d_logits, p.dec_w, out=d_z), decoder_grads]
     work = d_logits.size * p.latent_dim
@@ -371,7 +371,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     del d_logits
     per_row = recon + beta * kl_diag_gaussian(q)
     if p.anchors is not None:
-        align, ebar, entry_weight = align
+        align, ebar, entry_weight = closed_form
         per_row = per_row + lambda_a * align
     if not np.all(np.isfinite(per_row)):
         bad = int(np.flatnonzero(~np.isfinite(per_row))[0])
