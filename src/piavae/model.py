@@ -341,11 +341,10 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     pack_params order, as adam_step takes it: enc_w1's and the anchors'
     as (mark, rows), the rows of enc_w1.T for the items with a kept entry
     (none if all are masked) and of anchors for the batch's items. Two
-    splits run independent tasks side by side, into outputs this thread
-    allocates. A, once the decoder product reaches SPLIT_FLOOR: d_z here,
-    beside dec_w's and dec_b's gradients and the alignment forward, then
-    the loss check. B, with anchors, under _encode's gate: the encoder's
-    gradients here, beside the anchor rows, formed in place in blocks.
+    splits run independent tasks side by side into outputs this thread
+    allocates: A, at SPLIT_FLOOR, d_z here beside the decoder's gradient
+    and the alignment forward, then the loss check; B, with anchors and
+    under _encode's gate, the encoder's gradients beside the anchor rows.
     """
     n = indptr.size - 1
     x, h1, q = _encode(p, indptr, indices, keep)
@@ -386,7 +385,8 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
         d_lv = d_lv + (lambda_a / n) * var
         present, col_of, weights_t = _item_transpose(indptr, indices,
                                                      entry_weight, p.n_items)
-        g_anchors.append((present, p.anchors[present]))
+        g_anchors.append((present, np.empty((weights_t.shape[0],
+                                             p.latent_dim))))
     # Strict inequalities on the clipped lv hold exactly where they hold
     # on the raw head, and NaN fails both.
     d_lv *= (lv > LOGVAR_MIN) & (lv < LOGVAR_MAX)
@@ -401,12 +401,14 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
                       np.sum(d_mu, axis=0), d_lv.T @ h1, np.sum(d_lv, axis=0)])
 
     def anchor_grads():
-        g_items = g_anchors[0][1]
-        g_items *= np.bincount(col_of, weights=entry_weight,
-                               minlength=len(g_items))[:, None]
+        present, g_items = g_anchors[0]
+        items = np.flatnonzero(present)
+        scale = np.bincount(col_of, weights=entry_weight)[:, None]
         step = max(1, DECODE_BLOCK // p.latent_dim)
-        for r0 in range(0, len(g_items), step):
-            g_items[r0:r0 + step] -= weights_t[r0:r0 + step] @ mu
+        for r0 in range(0, len(items), step):
+            rows = slice(r0, r0 + step)
+            g_items[rows] = p.anchors[items[rows]] * scale[rows]
+            g_items[rows] -= weights_t[rows] @ mu
         g_items *= 2.0 * lambda_a / n
 
     tasks = [encoder_grads] + [anchor_grads] * (p.anchors is not None)
@@ -493,9 +495,8 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     p = unpack_params(theta, p)  # frees the drawn arrays; p views theta
     lam = 0.0 if pia is None else pia.lambda_a
     adam = AdamState.init(theta.size, cfg.lr)
-    # glibc returns no heap memory until its top free chunk is twice the
-    # largest block it has unmapped, so a large model's freed gradient
-    # (58 MiB at train-ref's shape) stays resident under the next logits.
+    # A step's freed gradient (58 MiB at train-ref) stays in glibc's heap,
+    # resident under the next step's logits, unless trimmed after the step.
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if (
         os.name == "posix" and p.enc_w1.nbytes >= SPARSE_CACHED) else None
     if trim is not None:

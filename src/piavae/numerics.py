@@ -8,12 +8,11 @@ in place. Split work keeps the bits: a dense product is cut over its
 output rows or columns only, never its reduction, into parts that are
 multiples of SPLIT_ALIGN wide (the last at least that wide); a CSR
 product, whose output rows each sum their own stored entries in order,
-and an elementwise walk are cut between rows or blocks, and independent
-tasks run one per range; work under SPLIT_FLOOR stays on the calling
-thread; outputs are fresh per call; every range runs under the caller's
-np.errstate. Importing this module pins numpy's OpenBLAS to one thread,
-so outputs do not depend on OPENBLAS_NUM_THREADS either; where that
-fails, nothing is split.
+and an elementwise walk are cut between rows or blocks; independent
+tasks run one per range; work under SPLIT_FLOOR stays here; outputs
+are fresh per call; every range runs under the caller's np.errstate.
+Importing this module pins OpenBLAS to one thread, so outputs do not
+depend on OPENBLAS_NUM_THREADS; where that fails, nothing is split.
 
 A split range should make a few long numpy calls, not many short ones:
 two threads overlap only inside calls that release the GIL, and the
