@@ -38,7 +38,7 @@ from .evaluate import DEFAULT_STRATA_EDGES, stratified_report
 from .geometry import export_latents
 from .model import (TrainConfig, fit, load_checkpoint, save_checkpoint)
 from .pia import PiaConfig
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, run_suite, takes_seed
 
 
 class UsageError(Exception):
@@ -155,9 +155,9 @@ def _dump_json(obj) -> str:
 
 def write_manifest(path: Path, command: str, config: dict, seed,
                    inputs: list[Path], outputs: list[str]) -> None:
-    # Seeded outputs depend on the BLAS build. piavae pins OpenBLAS to one
-    # thread, whatever OPENBLAS_NUM_THREADS asks; blas_threads records the
-    # count in use (null where it cannot be read; then nothing is split).
+    # Seeded outputs depend on the BLAS build and its kernel, blas_core.
+    # piavae pins OpenBLAS to one thread whatever OPENBLAS_NUM_THREADS
+    # asks; blas_threads is null where unreadable, and then nothing splits.
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
@@ -175,6 +175,7 @@ def write_manifest(path: Path, command: str, config: dict, seed,
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             "cpu_count": os.cpu_count(),
+            "blas_core": numerics.blas_core(),
             "blas_threads": numerics.blas_threads(),
             "split_workers": numerics.split_workers(),
         },
@@ -305,6 +306,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
+    seed = args.seed if takes_seed(args.suite) else None
     reports = run_suite(args.suite, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,8 +316,7 @@ def _cmd_geometry(args) -> int:
             fh.write(_dump_json(report.to_dict()) + "\n")
     n_pass = sum(1 for r in reports if r.passed)
     write_manifest(out / f"{args.suite}.manifest.json", "geometry",
-                   {"suite": args.suite, "seed": args.seed}, args.seed, [],
-                   [fname])
+                   {"suite": args.suite, "seed": seed}, seed, [], [fname])
     print(f"geometry[{args.suite}]: {n_pass}/{len(reports)} checks passed -> {out / fname}")
     return 0 if n_pass == len(reports) else 2
 
@@ -381,8 +382,8 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--seed", type=count, default=0,
                    help="seed of the suite's random draws; thm3 is a fixed "
-                        "grid that reads none, and eq4's kl-direction check "
-                        "always trains on seeds 0-4")
+                        "grid that reads none and records seed null, and "
+                        "eq4's kl-direction check always trains on seeds 0-4")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_geometry)
 

@@ -198,7 +198,7 @@ def per_user_metrics(scores, fold: InteractionMatrix,
                             fold.indices[ptr[0]:ptr[-1]], width, top[rows])
 
         # Each block's rows are its own, so blocks split anywhere.
-        split(rank, -(-n // RANK_ROWS), chunk.size * ENTRY_WORK, align=1)
+        split(rank, -(-n // RANK_ROWS), chunk.size * ENTRY_WORK)
         done += n
     if done != n_users:
         raise ShapeError(f"{done} score rows for {n_users} fold-in rows")

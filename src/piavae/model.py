@@ -169,15 +169,18 @@ class ModelParams:
 
 
 def init_params(n_items: int, hidden_dim: int, latent_dim: int,
-                rng: np.random.Generator,
-                anchors: np.ndarray | None = None) -> ModelParams:
-    """Scaled-normal weight init (std 1/sqrt(fan_in)), zero biases; the
-    weight matrices are drawn from rng in `_weight_shapes` order."""
+                rng: np.random.Generator, anchors: bool = False) -> ModelParams:
+    """Parameters drawn from rng: with anchors, first the anchor table at
+    scale 1/sqrt(latent), then the weight matrices in `_weight_shapes`
+    order, each scaled-normal (std 1/sqrt(fan_in)); biases are zero."""
+    # Unspecified upstream; 1/sqrt(d) keeps ||e_i|| around 1.
+    table = (1.0 / np.sqrt(latent_dim)) * rng.standard_normal(
+        (n_items, latent_dim)) if anchors else None
     arrays = {name: (rng.standard_normal(shape) / np.sqrt(shape[1])
                      if len(shape) == 2 else np.zeros(shape))
               for name, shape in _weight_shapes(n_items, hidden_dim,
                                                 latent_dim).items()}
-    return ModelParams(**arrays, anchors=anchors)
+    return ModelParams(**arrays, anchors=table)
 
 
 def _trained_fields(p: ModelParams) -> tuple[str, ...]:
@@ -264,8 +267,7 @@ def _encode(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
     # Each output row sums its own stored entries in order, so rows split
     # anywhere.
     work = x.nnz * p.hidden_dim * SPARSE_WORK
-    split(layer, counts.size, work * (p.enc_w1.nbytes >= SPARSE_CACHED),
-          align=1)
+    split(layer, counts.size, work * (p.enc_w1.nbytes >= SPARSE_CACHED))
     return x, h1, GaussianPosterior(mean=h1 @ p.enc_w_mu.T + p.enc_b_mu,
                                     logvar=h1 @ p.enc_w_lv.T + p.enc_b_lv)
 
@@ -283,7 +285,7 @@ def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
     counts = np.diff(indptr).astype(np.float64)
     recon = np.empty(n)
     # The logits buffer becomes exp(logits - max), then d_logits.
-    work = split_matmul(z, p.dec_w.T, axis=1)
+    work = split_matmul(z, p.dec_w.T)
     step = max(1, DECODE_BLOCK // p.n_items)
 
     def passes(lo, hi):
@@ -303,7 +305,7 @@ def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
             block[row_of, cols] -= 1.0 / scale
 
     # Every pass works row by row, so rows split anywhere.
-    split(passes, n, work.size * ENTRY_WORK, align=1)
+    split(passes, n, work.size * ENTRY_WORK)
     return recon, work
 
 
@@ -366,7 +368,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
 
     tasks = [lambda: np.matmul(d_logits, p.dec_w, out=d_z), decoder_grads]
     work = d_logits.size * p.latent_dim
-    split(lambda lo, hi: [task() for task in tasks[lo:hi]], 2, work, align=1)
+    split(lambda lo, hi: [task() for task in tasks[lo:hi]], 2, work)
     del d_logits
     per_row = recon + beta * kl_diag_gaussian(q)
     if p.anchors is not None:
@@ -413,7 +415,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
 
     tasks = [encoder_grads] + [anchor_grads] * (p.anchors is not None)
     split(lambda lo, hi: [task() for task in tasks[lo:hi]], len(tasks),
-          work * (p.enc_w1.nbytes >= SPARSE_CACHED), align=1)
+          work * (p.enc_w1.nbytes >= SPARSE_CACHED))
     return loss, [*g_enc, g_dec[0].T, g_dec[1], *g_anchors]
 
 
@@ -439,20 +441,6 @@ def loss_and_grads(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
                                 lambda_a=lambda_a)
 
 
-def _initial_params(data: SplitDataset, cfg: TrainConfig,
-                    pia: PiaConfig | None,
-                    rng: np.random.Generator) -> ModelParams:
-    """The parameters fit starts from, drawn from rng: with pia, the
-    anchors at scale 1/sqrt(latent) first, then init_params' weights."""
-    anchors = None
-    if pia is not None:
-        # Unspecified upstream; 1/sqrt(d) keeps ||e_i|| around 1.
-        anchors = (1.0 / np.sqrt(cfg.latent_dim)) * rng.standard_normal(
-            (data.n_items, cfg.latent_dim))
-    return init_params(data.n_items, cfg.hidden_dim, cfg.latent_dim, rng,
-                       anchors=anchors)
-
-
 def fit(data: SplitDataset, cfg: TrainConfig,
         pia: PiaConfig | None = None) -> tuple[ModelParams, list[dict]]:
     """Train with Adam over shuffled batches; keep the best-validation epoch.
@@ -467,7 +455,8 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     NumericalError ends training with an "aborted" record naming the
     epoch, the batch (from 1) and the batch row of the error. A split
     with no training or no validation users is a SplitError, raised
-    before any training. Anchors are drawn with scale 1/sqrt(latent).
+    before any training. Training starts from init_params' draw from
+    np.random.default_rng(cfg.seed), with anchors when pia is given.
 
     The parameters are views into one flat buffer θ that adam_step updates
     in place from each batch's gradient pieces; no gradient vector is made.
@@ -477,9 +466,9 @@ def fit(data: SplitDataset, cfg: TrainConfig,
     read back into θ only when the epoch to return is not θ's current
     state (an abort, or a best epoch before the last). When no epoch
     improved (an abort in epoch 1), θ gets the initial parameters again,
-    redrawn from cfg.seed by the same `_initial_params` call. One
-    buffered write or readinto moves all of θ, with no θ-sized copy; a
-    failed or short one is an OSError. The returned parameters view θ.
+    redrawn from cfg.seed by the same init_params call. One buffered
+    write or readinto moves all of θ, with no θ-sized copy; a failed or
+    short one is an OSError. The returned parameters view θ.
     """
     from .evaluate import stratified_report
 
@@ -490,7 +479,8 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                          "epoch; split with n_val_users >= 1 (synth) or "
                          "--val >= 1 (preprocess)")
     rng = np.random.default_rng(cfg.seed)
-    p = _initial_params(data, cfg, pia, rng)
+    p = init_params(data.n_items, cfg.hidden_dim, cfg.latent_dim, rng,
+                    anchors=pia is not None)
     theta = pack_params(p)
     p = unpack_params(theta, p)  # frees the drawn arrays; p views theta
     lam = 0.0 if pia is None else pia.lambda_a
@@ -544,8 +534,9 @@ def fit(data: SplitDataset, cfg: TrainConfig,
                         "last_good_epoch": best_epoch, "epoch": epoch,
                         "batch": batch, "row_index": exc.row_index})
         if best_epoch == 0:  # no epoch beat the initial parameters
-            theta[:] = pack_params(_initial_params(
-                data, cfg, pia, np.random.default_rng(cfg.seed)))
+            theta[:] = pack_params(init_params(
+                data.n_items, cfg.hidden_dim, cfg.latent_dim,
+                np.random.default_rng(cfg.seed), anchors=pia is not None))
         elif epoch != best_epoch:  # theta holds a later or a partial epoch
             best_file.seek(0)
             moved = best_file.readinto(theta)
@@ -587,7 +578,7 @@ def score_rows(p: ModelParams, fold: InteractionMatrix):
     same bits.
     """
     for means in posterior_means(p, fold):
-        yield split_matmul(means, p.dec_w.T, axis=1, bias=p.dec_b)
+        yield split_matmul(means, p.dec_w.T, bias=p.dec_b)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Everything here operates on 64-bit numpy arrays and is deterministic:
 identical inputs give bit-identical outputs. Every function is pure
 except adam_step, which updates the parameters and both moment vectors
 in place. Split work keeps the bits: a dense product is cut over its
-output rows or columns only, never its reduction, into parts that are
+output columns only, never its reduction, into parts that are
 multiples of SPLIT_ALIGN wide (the last at least that wide); a CSR
 product, whose output rows each sum their own stored entries in order,
 and an elementwise walk are cut between rows or blocks; independent
@@ -50,12 +50,12 @@ ADAM_EPS = 1e-8
 FD_STEP = 1e-5
 # Ranges split runs at once: the caller's and WORKERS - 1 pool threads'.
 WORKERS = 2
-# Product cuts fall at multiples of this, each part this wide at least:
-# OpenBLAS tiles an output from where a call starts, and a part whose
-# tiles do not line up with the one call's takes other bits from edge
-# kernels. OpenBLAS 0.3.31 on a Sapphire Rapids Xeon needed row cuts at
-# multiples of 24 (64 changed bits in 41 of 60 random shapes), column
-# cuts at multiples of 8, and no part one row or a few columns wide.
+# split_matmul's column cuts fall at multiples of this, each part this
+# wide at least: OpenBLAS tiles an output from where a call starts, and a
+# part whose tiles do not line up with the one call's takes other bits
+# from edge kernels. On OpenBLAS 0.3.31 (Sapphire Rapids) column cuts
+# needed multiples of 8 and no part a few columns wide; multiples of 192
+# kept the bits in all 140 random shapes swept, row and column cuts alike.
 SPLIT_ALIGN = 192
 # Multiply-adds of a large product that take as long as one entry of an
 # elementwise walk: about 5 ns for decode_loss's passes, 16 ns for Adam's,
@@ -82,16 +82,17 @@ SPLIT_FLOOR = 2 * 10**8
 
 def _openblas():
     """(set, get) of the thread count of the OpenBLAS numpy's wheel
-    bundles, or None where there is none."""
+    bundles and its core name getter, or None where there is none."""
     for path in sorted((Path(np.__file__).parents[1] / "numpy.libs")
                        .glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
         for prefix in ("scipy_openblas", "openblas"):
-            fns = [getattr(lib, f"{prefix}_{op}_num_threads64_", None)
-                   for op in ("set", "get")]
+            fns = [getattr(lib, f"{prefix}_{op}64_", None) for op in (
+                "set_num_threads", "get_num_threads", "get_corename")]
             if None not in fns:
                 fns[0].argtypes, fns[0].restype = [ctypes.c_int], None
                 fns[1].argtypes, fns[1].restype = [], ctypes.c_int
+                fns[2].argtypes, fns[2].restype = [], ctypes.c_char_p
                 return fns
     return None
 
@@ -107,6 +108,11 @@ os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
 def blas_threads() -> int | None:
     """numpy's OpenBLAS thread count, or None where it is unknown."""
     return None if _BLAS is None else _BLAS[1]()
+
+
+def blas_core() -> str | None:
+    """numpy's OpenBLAS kernel in use, or None where it is unknown."""
+    return None if _BLAS is None else _BLAS[2]().decode()
 
 
 def split_workers() -> int:
@@ -133,15 +139,15 @@ def _start_pool():
     return ThreadPoolExecutor(WORKERS - 1, "piavae-split", step_off)
 
 
-def split(fn, n: int, work: int, align: int = SPLIT_ALIGN) -> None:
+def split(fn, n: int, work: int, align: int = 1) -> None:
     """Run fn(lo, hi) over ranges tiling range(n), cut at multiples of
-    align, none narrower: the first range on this thread, the others on
-    pool threads under this thread's np.errstate, which they do not
-    inherit. work is a dense product's multiply-adds, a CSR product's x
-    SPARSE_WORK (0 for an operand under SPARSE_CACHED bytes) or a walk's
-    entries x ENTRY_WORK; under SPLIT_FLOOR
-    fn(0, n) runs alone. fn must write disjoint outputs and not split.
-    Re-raises a pool thread's exception."""
+    align (rows, blocks and tasks cut anywhere), none narrower: the first
+    range on this thread, the others on pool threads under this thread's
+    np.errstate, which they do not inherit. work is a dense product's
+    multiply-adds, a CSR product's x SPARSE_WORK (0 for an operand under
+    SPARSE_CACHED bytes) or a walk's entries x ENTRY_WORK; under
+    SPLIT_FLOOR fn(0, n) runs alone. fn must write disjoint outputs and
+    not split. Re-raises a pool thread's exception."""
     global _POOL
     workers = split_workers() if work >= SPLIT_FLOOR else 1
     cuts = {align * round(k * n / (workers * align)) for k in range(1, workers)}
@@ -163,24 +169,19 @@ def split(fn, n: int, work: int, align: int = SPLIT_ALIGN) -> None:
         future.result()
 
 
-def split_matmul(a: np.ndarray, b: np.ndarray, axis: int,
+def split_matmul(a: np.ndarray, b: np.ndarray,
                  bias: np.ndarray | None = None) -> np.ndarray:
-    """A fresh a @ b of 2-D a and b, split over its rows (axis 0) or
-    columns (axis 1): each range's product takes the whole reduction.
-    A bias of b's width is then added to every row, range by range."""
+    """A fresh a @ b of 2-D a and b, split over its columns: each range's
+    product takes the whole reduction. A bias of b's width is then added
+    to every row, range by range."""
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
 
     def part(lo, hi):
-        if axis:
-            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
-            if bias is not None:
-                out[:, lo:hi] += bias[lo:hi]
-        else:
-            np.matmul(a[lo:hi], b, out=out[lo:hi])
-            if bias is not None:
-                out[lo:hi] += bias
+        np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+        if bias is not None:
+            out[:, lo:hi] += bias[lo:hi]
 
-    split(part, out.shape[axis], out.size * a.shape[1])
+    split(part, out.shape[1], out.size * a.shape[1], SPLIT_ALIGN)
     return out
 
 
@@ -347,7 +348,7 @@ def adam_step(state: AdamState, params: np.ndarray,
             update(grad, buf, den, start, stop)
 
     # Each entry's 14 operations are its own, so blocks split anywhere.
-    split(walk, len(blocks), size * ENTRY_WORK, align=1)
+    split(walk, len(blocks), size * ENTRY_WORK)
     state.step_count = t
     return params, state
 

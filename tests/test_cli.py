@@ -6,6 +6,7 @@ import os
 import platform
 import re
 import struct
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,12 +16,13 @@ import pytest
 import scipy
 
 import piavae
-from piavae import events, numerics
+from piavae import events, numerics, suites
 from piavae.cli import SPLIT_OUTPUTS, dispatch
 from piavae.corpus import (SynthSpec, matrix_from_rows, save_split,
                            split_dataset, synth_block_dataset)
 from piavae.model import save_checkpoint
-from piavae.suites import SUITE_NAMES
+from piavae.suites import SUITE_NAMES, run_suite, takes_seed
+from tests import golden
 from tests.test_model import faulty_temporary_file, no_space, tiny_params
 
 
@@ -274,9 +276,9 @@ class TestTrainManifest:
     def test_versions_record_what_seeded_outputs_depend_on(self, run_dir,
                                                            monkeypatch):
         # The BLAS build, the thread settings asked for, the OpenBLAS
-        # thread count in use (pinned to 1) and the split's worker count
-        # are recorded beside the library versions; they stay out of the
-        # config and its hash.
+        # kernel and thread count in use (pinned to 1) and the split's
+        # worker count are recorded beside the library versions; they stay
+        # out of the config and its hash.
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         (run_dir / "train.cfg").write_text(CUSTOM_CONFIG)
@@ -290,10 +292,24 @@ class TestTrainManifest:
             "numpy": np.__version__, "scipy": scipy.__version__,
             "blas": {"name": blas["name"], "version": blas["version"]},
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
-            "cpu_count": os.cpu_count(), "blas_threads": 1,
-            "split_workers": numerics.WORKERS}
+            "cpu_count": os.cpu_count(), "blas_core": numerics.blas_core(),
+            "blas_threads": 1, "split_workers": numerics.WORKERS}
+        assert versions["blas_core"] in golden.env_key()["openblas"].split()
         assert manifest["config_sha256"] == (
             "3cc665239c8d3e9051cfac9471fce9d1ff9aefdee6c5013b7a42e73ee2629513")
+
+    @pytest.mark.skipif(platform.machine() != "x86_64",
+                        reason="OpenBLAS's x86_64 kernels")
+    def test_versions_name_the_kernel_openblas_coretype_forces(self, tmp_path):
+        # The variable, set on the child interpreter only, picks the kernel
+        # of this DYNAMIC_ARCH build: Prescott loads Katmai.
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        subprocess.run([sys.executable, "-m", "piavae.cli", "geometry",
+                        "--suite", "probe", "--out", str(tmp_path)], env=env,
+                       check=True, capture_output=True, timeout=120)
+        manifest = json.loads((tmp_path / "probe.manifest.json").read_text())
+        assert manifest["versions"]["blas_core"] == "Katmai"
 
 
 def test_pyproject_version_is_the_package_version():
@@ -694,7 +710,8 @@ class TestSynthExitCodes:
 
 
 class TestGeometryGate:
-    # Every shipped suite runs here at two seeds and every report must pass.
+    # Every shipped suite runs here at two seeds (thm3, which takes none,
+    # once) and every report must pass.
     # Each suite passed at every seed of 0-199; prop1's Monte-Carlo part
     # fails correct code at a seed with probability at most 1e-3
     # (suites.PROP1_ALPHA). eq4's kl-direction-in-beta check trains on seeds
@@ -711,7 +728,7 @@ class TestGeometryGate:
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_suite_exit_code_and_failures(self, tmp_path, suite):
-        for seed in ("0", "1"):
+        for seed in ("0", "1") if takes_seed(suite) else ("0",):
             code = dispatch(["geometry", "--suite", suite, "--seed", seed,
                              "--out", str(tmp_path / seed)])
             lines = (tmp_path / seed / f"{suite}.jsonl").read_text().splitlines()
@@ -733,6 +750,17 @@ class TestGeometryGate:
                 (tmp_path / f"{suite}.manifest.json").read_text())
             assert manifest["outputs"] == [f"{suite}.jsonl"]
             assert manifest["config"] == {"suite": suite, "seed": 0}
+
+    def test_thm3_reads_no_seed_and_records_none(self, tmp_path):
+        want = [r.to_dict() for r in suites.suite_thm3()]
+        assert [r.to_dict() for r in run_suite("thm3", seed=5)] == want
+        assert dispatch(["geometry", "--suite", "thm3", "--seed", "5",
+                         "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "thm3.manifest.json").read_text())
+        assert manifest["seed"] is None
+        assert manifest["config"] == {"suite": "thm3", "seed": None}
+        assert [takes_seed(s) for s in SUITE_NAMES] == [
+            s != "thm3" for s in SUITE_NAMES]
 
 
 def test_every_manifest_is_strict_json(run_dir):

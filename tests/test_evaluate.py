@@ -272,6 +272,7 @@ class TestStreamedScoring:
             assert report.recall[k] == float(np.mean(want[k][0]))
             assert report.ndcg[k] == float(np.mean(want[k][1]))
 
+    @pytest.mark.same_bits
     def test_chunks_give_the_one_array_bits(self, monkeypatch):
         # 300 users of 4 x RANK_SAMPLE items are chunks of 256 and 44
         # rows, ranked with the pre-filter, the first chunk on two threads.
@@ -283,7 +284,7 @@ class TestStreamedScoring:
         assert [len(c) for c in chunks] == [256, 44]
         threads, real = set(), evaluate.split
 
-        def spy(fn, n, work, align):
+        def spy(fn, n, work, align=1):
             def record(lo, hi):
                 threads.add(threading.get_ident())
                 return fn(lo, hi)

@@ -34,7 +34,7 @@ from piavae.pia import PiaConfig
 def tiny_params(with_anchors=False, seed=0, n_items=20, hidden=8, latent=4):
     rng = np.random.default_rng(seed)
     anchors = 0.3 * rng.standard_normal((n_items, latent)) if with_anchors else None
-    return init_params(n_items, hidden, latent, rng, anchors=anchors)
+    return replace(init_params(n_items, hidden, latent, rng), anchors=anchors)
 
 
 def hand_params():
@@ -328,6 +328,7 @@ class TestSharedForward:
             assert got.logvar.tobytes() == want.logvar.tobytes()
 
     @pytest.mark.parametrize("n_items, threads", [(8000, 2), (3000, 1)])
+    @pytest.mark.same_bits
     def test_split_input_layer_gives_the_one_call_bits(self, monkeypatch,
                                                        n_items, threads):
         # 400 rows of 50 items into hidden 600 are above SPLIT_FLOOR. With
@@ -534,6 +535,7 @@ class TestRowBlockedDecoder:
                               3 * PER_BLOCK + 5)),
         *((DECODE_BLOCK + 100, n) for n in (1, 2, 8))])
     @pytest.mark.parametrize("scale", ["batch", 1])
+    @pytest.mark.same_bits
     def test_row_blocks_give_whole_array_bits(self, n_items, n_rows, scale):
         p, z, indptr, indices = self.batch(n_items, n_rows, seed=n_rows)
         scale = n_rows if scale == "batch" else scale
@@ -635,7 +637,7 @@ def spy_ranges(monkeypatch):
     thread that ran it."""
     ranges, real = [], numerics.split
 
-    def spy(fn, n, work, align=numerics.SPLIT_ALIGN):
+    def spy(fn, n, work, align=1):
         def record(lo, hi):
             ranges.append((lo, hi, threading.get_ident()))
             return fn(lo, hi)
@@ -664,6 +666,17 @@ def split_sized_digest(pia: PiaConfig | None = PiaConfig()) -> str:
     params, log = fit(split_sized_split(), SPLIT_SIZED, pia)
     return hashlib.sha256(pack_params(params).tobytes() + json.dumps(
         log, sort_keys=True).encode()).hexdigest()
+
+
+def test_init_params_draws_the_anchors_first_then_the_weights():
+    # The reference is the two-step draw: the anchor table at scale
+    # 1/sqrt(latent), then the weights, without anchors, from the same rng.
+    rng = np.random.default_rng(11)
+    anchors = (1.0 / np.sqrt(6)) * rng.standard_normal((30, 6))
+    want = replace(init_params(30, 12, 6, rng), anchors=anchors)
+    got = init_params(30, 12, 6, np.random.default_rng(11), anchors=True)
+    assert pack_params(got).tobytes() == pack_params(want).tobytes()
+    assert init_params(30, 12, 6, np.random.default_rng(11)).anchors is None
 
 
 class TestFit:
@@ -779,6 +792,7 @@ class TestFit:
                         "last_good_epoch": 0, "epoch": 1, "batch": 1,
                         "row_index": 0}]
 
+    @pytest.mark.same_bits
     def test_split_fit_has_the_one_worker_bits(self, monkeypatch):
         ranges = spy_ranges(monkeypatch)
         digests = []
@@ -792,6 +806,7 @@ class TestFit:
         assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("pia", [PiaConfig(), None])
+    @pytest.mark.same_bits
     def test_pooled_backward_phases_have_the_one_worker_bits(
             self, monkeypatch, pia):
         # With enc_w1's cache gate lifted, both backward phases of each of
@@ -936,8 +951,8 @@ class TestBestEpochFile:
         # The anchors are drawn before the weights; the redraw gives both.
         split = small_split()
         cfg = TrainConfig(epochs=2, seed=7, **self.SIZES)
-        initial = model._initial_params(split, cfg, PiaConfig(),
-                                        np.random.default_rng(cfg.seed))
+        initial = init_params(split.n_items, cfg.hidden_dim, cfg.latent_dim,
+                              np.random.default_rng(cfg.seed), anchors=True)
         abort_on_call(monkeypatch, 2)
         params, log = fit(split, cfg, PiaConfig())
         assert log[-1]["last_good_epoch"] == 0
@@ -989,6 +1004,7 @@ class TestBestEpochFile:
             fit(small_split(seed=3), cfg)
 
 
+@pytest.mark.same_bits
 def test_fit_bits_do_not_depend_on_blas_threads():
     # A fresh interpreter per OPENBLAS_NUM_THREADS: piavae pins OpenBLAS
     # to one thread before its first product, so a fit that splits gives
@@ -1283,8 +1299,8 @@ class TestAllocation:
         # rows beside them, or enc_w1 rows for the masked items, pass the
         # bound.
         rng = np.random.default_rng(80)
-        p = init_params(20_000, 32, 32, rng,
-                        anchors=0.2 * rng.standard_normal((20_000, 32)))
+        anchors = 0.2 * rng.standard_normal((20_000, 32))
+        p = replace(init_params(20_000, 32, 32, rng), anchors=anchors)
         indices = np.concatenate([np.sort(rng.choice(20_000, 400,
                                                      replace=False))
                                   for _ in range(50)])
@@ -1302,8 +1318,8 @@ class TestAllocation:
         # and the pool thread fills the anchor rows in row blocks, so it
         # adds no output-sized temporary.
         rng = np.random.default_rng(80)
-        p = init_params(20_000, 32, 32, rng,
-                        anchors=0.2 * rng.standard_normal((20_000, 32)))
+        anchors = 0.2 * rng.standard_normal((20_000, 32))
+        p = replace(init_params(20_000, 32, 32, rng), anchors=anchors)
         indices = np.concatenate([np.sort(rng.choice(20_000, 400,
                                                      replace=False))
                                   for _ in range(50)])
