@@ -81,8 +81,8 @@ SPLIT_FLOOR = 2 * 10**8
 
 
 def _openblas():
-    """(set, get) of the thread count of the OpenBLAS numpy's wheel
-    bundles and its core name getter, or None where there is none."""
+    """(set threads, get threads, get core name) of the OpenBLAS numpy's
+    wheel bundles, or None where there is none."""
     for path in sorted((Path(np.__file__).parents[1] / "numpy.libs")
                        .glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
