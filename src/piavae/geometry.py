@@ -6,10 +6,10 @@ distances (closed-form W2 for diagonal Gaussians, closed-form W1 in 1-D),
 the transport-entropy (T1) bound, the dataset-level distance/KL bound,
 the Bernoulli-family Jensen-gap decomposition of the pairwise objective
 on a midpoint grid built from the pair itself, the quadratic shrinkage
-toy model, and the empirical gradient-sharing probe. The probe runs the
-model's own kernels: `model.encode_rows` encodes its pair and
-`model.decode_loss`, the decoder training runs, gives every gradient it
-measures, in one batched pass; it returns plain report values.
+toy model, and per-user gradients: `row_gradients` runs the training
+kernel, `model.loss_and_grads_fixed`, which `finite_diff_check` guards,
+on one user at a time, so the `probe` suite's sharing matrix G = g g^T is
+exact and has no gradient formula or sampling of its own.
 
 The masked-distance distribution and bounds take a binary pair's counts
 (h disagreeing coordinates, s shared positives); the enumeration oracle
@@ -29,8 +29,8 @@ from scipy.special import xlogy
 
 from .corpus import InteractionMatrix
 from .errors import NumericalError, ShapeError, SplitError
-from .model import (ModelParams, TrainConfig, decode_loss, draw_mask,
-                    encode_rows, posterior_means)
+from .model import (ModelParams, TrainConfig, draw_mask, encode_rows,
+                    loss_and_grads_fixed, pack_grads, posterior_means)
 from .numerics import GaussianPosterior, kl_diag_gaussian
 
 @dataclass
@@ -449,77 +449,29 @@ def quadratic_toy(hessian_eigs: np.ndarray, mask_offsets, lambda_a: float,
 
 
 # ---------------------------------------------------------------------------
-# Gradient-sharing probe
+# Per-user gradients
 # ---------------------------------------------------------------------------
 
-def _mean_grad_norm(d_logits: np.ndarray, z: np.ndarray) -> float:
-    """Norm of the mean over rows of the flat (dec_w, dec_b) gradient
-    (outer(d, z), d) of the row pairs (d, z)."""
-    return float(np.sqrt(np.sum((d_logits.T @ z / len(z)) ** 2)
-                         + np.sum(np.mean(d_logits, axis=0) ** 2)))
+def row_gradients(p: ModelParams, rows, beta: float,
+                  lambda_a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's own loss and full-parameter gradient, one row of g per
+    user, for binary rows with 1s at the distinct items of each entry of
+    rows: `model.loss_and_grads_fixed` on that one-row batch, every entry
+    kept and zero noise, flattened by `model.pack_grads`.
 
-
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
-
-
-PROBE_SAMPLES = 400   # latent samples per user in sharing_probe
-PROBE_PERTURB = 0.1   # std of the latent perturbation of the Lipschitz probe
-
-
-def sharing_probe(p: ModelParams, items_u, items_v,
-                  rng: np.random.Generator) -> dict[str, float]:
-    """Monte-Carlo estimates feeding the gradient-sharing radius of users
-    with the distinct positives items_u and items_v, as report values:
-    w2_latent, grad_norm_u, delta_x, lipschitz_probe and r_share_estimate.
-
-    Both rows are encoded in one `model.encode_rows` call. Gradients are
-    over decoder parameters only: for target x and latent z, (outer(d, z),
-    d) with d = |x| softmax(dec_w z + dec_b) - x, the logit gradient of
-    `model.decode_loss`, the decoder training runs, at scale 1. Its one
-    pass covers PROBE_SAMPLES rows each of (z_u, u), (z_v, u), (z_v, v)
-    and (z_u + eps, u), with z_u, z_v and eps drawn in that order. The
-    Lipschitz probe is an empirical lower bound on the true constant, so
-    the radius is a diagnostic, not a certified quantity.
+    An SGD step on user u, theta - lr g_u, changes user v's loss by
+    -lr G[u, v] + O(lr^2) with G = g g^T, the TracIn influence of u on v.
     """
-    items_u = np.asarray(items_u, dtype=np.int64)
-    items_v = np.asarray(items_v, dtype=np.int64)
-    both = np.concatenate([items_u, items_v])
-    q = encode_rows(p, np.array([0, items_u.size, both.size]), both)
-    q_u = GaussianPosterior(mean=q.mean[0], logvar=q.logvar[0])
-    q_v = GaussianPosterior(mean=q.mean[1], logvar=q.logvar[1])
-    shape = (PROBE_SAMPLES, p.latent_dim)
-    z_u = q_u.mean + rng.standard_normal(shape) * q_u.std
-    z_v = q_v.mean + rng.standard_normal(shape) * q_v.std
-    eps = PROBE_PERTURB * rng.standard_normal(shape)
-
-    targets = (items_u, items_u, items_v, items_u)
-    indptr = np.concatenate(([0], np.cumsum(np.repeat(
-        [t.size for t in targets], PROBE_SAMPLES))))
-    indices = np.concatenate([np.tile(t, PROBE_SAMPLES) for t in targets])
-    _, d_logits = decode_loss(p, np.vstack([z_u, z_v, z_v, z_u + eps]),
-                              indptr, indices, 1)
-    d_u, d_vu, d_vv, d_e = np.split(d_logits, 4)
-    grad_norm_u = _mean_grad_norm(d_u, z_u)
-    delta_x = _mean_grad_norm(d_vu - d_vv, z_v)
-
-    # Per sample, ||(outer(d_u, z) - outer(d_e, z + eps), d_u - d_e)|| with
-    # d_e at z + eps; with a = d_u - d_e its square is
-    # |a|^2 (|z|^2 + 1) + |d_e|^2 |eps|^2 - 2 (a . d_e)(z . eps).
-    a = d_u - d_e
-    sq = (_row_dot(a, a) * (_row_dot(z_u, z_u) + 1.0)
-          + _row_dot(d_e, d_e) * _row_dot(eps, eps)
-          - 2.0 * _row_dot(a, d_e) * _row_dot(z_u, eps))
-    lipschitz = float(np.max(np.sqrt(np.maximum(sq, 0.0))
-                             / np.linalg.norm(eps, axis=1)))
-
-    if lipschitz > 0.0:
-        r_share = max(0.0, grad_norm_u - delta_x) / lipschitz
-    else:
-        r_share = math.inf
-    return {"w2_latent": w2_diag_gaussian(q_u, q_v),
-            "grad_norm_u": grad_norm_u, "delta_x": delta_x,
-            "lipschitz_probe": lipschitz, "r_share_estimate": r_share}
+    losses, grads = [], []
+    for items in rows:
+        items = np.asarray(items, dtype=np.int64)
+        loss, pieces = loss_and_grads_fixed(
+            p, np.array([0, items.size]), items,
+            np.ones(items.size, dtype=bool), np.zeros((1, p.latent_dim)),
+            beta, lambda_a)
+        losses.append(loss)
+        grads.append(pack_grads(p, pieces))
+    return np.array(losses), np.array(grads)
 
 
 def export_latents(p: ModelParams, matrix: InteractionMatrix,

@@ -13,9 +13,8 @@ L2-normalized row, applies the sparse input layer and both heads, and
 returns the posterior they give, whose constructor is the one place a
 logvar is clipped. Training (`loss_and_grads_fixed`) and `encode_rows`
 both run it.
-`decode_loss` is the one decoder, with its loss and logit gradient: the
-training kernel and `geometry.sharing_probe` run it, its elementwise
-passes over the logits in row blocks of DECODE_BLOCK entries.
+`decode_loss` is the training kernel's alone: its loss and logit gradient
+pass over the logits in row blocks of DECODE_BLOCK entries.
 `posterior_means` yields `encode_rows` means over a matrix in fixed-size
 chunks and `score_rows` decodes each chunk, yielding it as one chunk of
 logits (SCORE_CHUNK users x items at most), fold-in items included:
@@ -197,7 +196,8 @@ def pack_params(p: ModelParams) -> np.ndarray:
 
 def pack_grads(p: ModelParams, grads) -> np.ndarray:
     """The kernel's gradient pieces (enc_w1's is of enc_w1.T) as one new
-    pack_params-ordered vector; omitted rows are 0."""
+    pack_params-ordered vector; omitted rows are 0. `geometry.row_gradients`
+    flattens each user's gradient with it."""
     out = np.zeros(sum(getattr(p, name).size for name in _trained_fields(p)))
     g = unpack_params(out, p)
     for name, piece in zip(_trained_fields(p), grads, strict=True):
@@ -273,11 +273,11 @@ def _encode(p: ModelParams, indptr: np.ndarray, indices: np.ndarray,
 
 
 def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
-                indices: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
-    """The one decoder: -loglik(softmax(dec_w z[r] + dec_b), x_r) per row
-    r, and its logit gradient (|x_r| softmax - x_r) / scale as a (rows,
-    items) array, for binary targets x_r with 1s at the distinct items
-    indices[indptr[r]:indptr[r+1]]. Training passes scale = batch size.
+                indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's decoder: -loglik(softmax(dec_w z[r] + dec_b), x_r) per
+    row r, and its logit gradient (|x_r| softmax - x_r) / n as an (n,
+    items) array, for n binary targets x_r with 1s at the distinct items
+    indices[indptr[r]:indptr[r+1]], so the gradient is of the rows' mean.
     After one z @ dec_w.T, split over items, each elementwise pass runs
     on blocks of whole rows of DECODE_BLOCK entries (or one row), the
     rows split between workers, giving the same bits."""
@@ -301,8 +301,8 @@ def decode_loss(p: ModelParams, z: np.ndarray, indptr: np.ndarray,
             np.exp(block, out=block)
             sums = np.sum(block, axis=1)
             recon[rows] = counts[rows] * np.log(sums) - picked
-            block *= (counts[rows] / (scale * sums))[:, None]
-            block[row_of, cols] -= 1.0 / scale
+            block *= (counts[rows] / (n * sums))[:, None]
+            block[row_of, cols] -= 1.0 / n
 
     # Every pass works row by row, so rows split anywhere.
     split(passes, n, work.size * ENTRY_WORK)
@@ -352,7 +352,7 @@ def loss_and_grads_fixed(p: ModelParams, indptr: np.ndarray,
     x, h1, q = _encode(p, indptr, indices, keep)
     mu, lv, sigma, var = q.mean, q.logvar, q.std, q.var
     z = mu + noise * sigma
-    recon, d_logits = decode_loss(p, z, indptr, indices, n)
+    recon, d_logits = decode_loss(p, z, indptr, indices)
 
     # Backward pass; every d(loss)/d(per-row term) carries the 1/n factor.
     # (z.T @ d_logits).T runs faster in OpenBLAS than d_logits.T @ z.

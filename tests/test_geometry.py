@@ -9,20 +9,20 @@ import pytest
 from scipy.special import ndtri
 
 import piavae
-from piavae import suites
+from piavae import geometry, suites
 from piavae.errors import ShapeError
-from piavae.geometry import (PROBE_PERTURB, PROBE_SAMPLES, GeometryReport,
-                             _binom_pmf, contraction_bound,
+from piavae.geometry import (GeometryReport, _binom_pmf, contraction_bound,
                              dataset_bound_report, expansion_bound,
                              export_latents, jensen_gap_bernoulli,
                              masked_distance_enumerate,
                              masked_distance_exact,
                              pairwise_decomposition_check,
                              quadratic_minimizers, quadratic_toy,
-                             sharing_probe, t1_bound_check, w1_1d_numeric,
+                             row_gradients, t1_bound_check, w1_1d_numeric,
                              w2_diag_gaussian)
 from piavae.corpus import matrix_from_rows
-from piavae.model import pack_params, posterior_means, unpack_params
+from piavae.model import (loss_and_grads_fixed, pack_grads, pack_params,
+                          posterior_means, unpack_params)
 from piavae.numerics import GaussianPosterior, kl_diag_gaussian
 from tests.test_model import encode_one, tiny_params
 
@@ -517,91 +517,55 @@ class TestQuadraticToy:
                           np.zeros(2))
 
 
-def _decoder_grad(p, x, z):
-    """Flat gradient of -loglik(dec_w z + dec_b, x) over (dec_w, dec_b)."""
-    logits = p.dec_w @ z + p.dec_b
-    softmax = np.exp(logits - np.max(logits))
-    softmax /= softmax.sum()
-    d_logits = np.sum(x) * softmax - x
-    return np.concatenate([np.outer(d_logits, z).ravel(), d_logits])
+class TestRowGradients:
+    ROWS = [[0, 3, 5], [1, 2, 7, 9], [0, 3, 5], [4], [2, 19]]
 
+    @pytest.mark.parametrize("with_anchors", [False, True])
+    def test_duplicated_row_gives_identical_rows_bit_for_bit(self,
+                                                             with_anchors):
+        p = tiny_params(with_anchors=with_anchors, seed=74)
+        losses, g = row_gradients(p, self.ROWS, 0.2, 8.0)
+        gram = g @ g.T
+        assert g.shape == (5, pack_params(p).size)
+        assert losses[0] == losses[2]
+        assert g[0].tobytes() == g[2].tobytes()
+        assert gram[0].tobytes() == gram[2].tobytes()
+        assert np.array_equal(gram, gram.T)
+        assert np.all(np.diag(gram) > 0.0)
 
-def reference_sharing_probe(p, x_u, x_v, rng):
-    """The per-sample loops that the batched sharing_probe replaced, kept
-    as its reference with their own softmax; it consumes the same random
-    stream."""
-    q_u, q_v = encode_one(p, x_u), encode_one(p, x_v)
-    z_u = q_u.mean + rng.standard_normal((PROBE_SAMPLES, p.latent_dim)) * q_u.std
-    grad_norm_u = np.linalg.norm(
-        sum(_decoder_grad(p, x_u, z) for z in z_u) / PROBE_SAMPLES)
-    z_v = q_v.mean + rng.standard_normal((PROBE_SAMPLES, p.latent_dim)) * q_v.std
-    delta_x = np.linalg.norm(
-        sum(_decoder_grad(p, x_u, z) - _decoder_grad(p, x_v, z)
-            for z in z_v) / PROBE_SAMPLES)
-    lipschitz = 0.0
-    for z in z_u:
-        eps = PROBE_PERTURB * rng.standard_normal(p.latent_dim)
-        num = np.linalg.norm(_decoder_grad(p, x_u, z)
-                             - _decoder_grad(p, x_u, z + eps))
-        lipschitz = max(lipschitz, float(num / np.linalg.norm(eps)))
-    r_share = (max(0.0, grad_norm_u - delta_x) / lipschitz if lipschitz > 0.0
-               else math.inf)
-    return (w2_diag_gaussian(q_u, q_v), grad_norm_u, delta_x, lipschitz,
-            r_share)
+    @pytest.mark.parametrize("with_anchors", [False, True])
+    def test_rows_add_up_to_the_batch_gradient(self, with_anchors):
+        # With every entry kept and zero noise the batch loss is the mean of
+        # the rows' own losses, and so is its gradient.
+        p = tiny_params(with_anchors=with_anchors, seed=75)
+        losses, g = row_gradients(p, self.ROWS, 0.2, 8.0)
+        indptr = np.cumsum([0] + [len(r) for r in self.ROWS])
+        indices = np.concatenate(self.ROWS)
+        loss, pieces = loss_and_grads_fixed(
+            p, indptr, indices, np.ones(indices.size, dtype=bool),
+            np.zeros((len(self.ROWS), p.latent_dim)), 0.2, 8.0)
+        assert loss == pytest.approx(np.mean(losses), rel=1e-13)
+        np.testing.assert_allclose(pack_grads(p, pieces), g.mean(axis=0),
+                                   rtol=1e-12, atol=1e-14)
 
+    # A sign error in one block moves the first-order error by 2 lr times
+    # that block's share of G[u, v]: the gate sees it when the share is not
+    # small beside the second-order term at lr 1e-3, as enc_w1's and
+    # enc_b1's are with PIA off and on.
+    @pytest.mark.parametrize("block", [0, 1], ids=["enc_w1", "enc_b1"])
+    def test_a_sign_error_in_one_block_fails_the_probe_gate(self, monkeypatch,
+                                                            block):
+        def flipped(*args):
+            loss, pieces = loss_and_grads_fixed(*args)
+            piece = pieces[block]
+            pieces[block] = ((piece[0], -piece[1]) if isinstance(piece, tuple)
+                             else -piece)
+            return loss, pieces
 
-class TestSharingProbe:
-    def test_batched_probe_matches_per_sample_loops(self):
-        rng = np.random.default_rng(73)
-        for seed in range(8):
-            p = tiny_params(seed=seed)
-            x_u = (rng.random(20) < 0.3).astype(float)
-            x_u[seed] = 1.0
-            # Seed 0 probes an identical pair.
-            x_v = x_u if seed == 0 else (rng.random(20) < 0.3).astype(float)
-            diag = sharing_probe(p, np.flatnonzero(x_u), np.flatnonzero(x_v),
-                                 np.random.default_rng(seed))
-            expected = reference_sharing_probe(p, x_u, x_v,
-                                               np.random.default_rng(seed))
-            np.testing.assert_allclose(
-                [diag["w2_latent"], diag["grad_norm_u"], diag["delta_x"],
-                 diag["lipschitz_probe"], diag["r_share_estimate"]],
-                expected, rtol=1e-12, atol=0.0)
-
-    def test_identical_users_have_no_mismatch(self):
-        p = tiny_params(seed=70)
-        diag = sharing_probe(p, [2, 5, 9], [2, 5, 9], np.random.default_rng(1))
-        assert diag["w2_latent"] == 0.0
-        assert diag["delta_x"] <= 1e-12
-        assert diag["grad_norm_u"] > 0.0
-        assert diag["lipschitz_probe"] > 0.0
-
-    def test_zero_decoder_weights_probe_finite(self):
-        p = tiny_params(seed=71)
-        zero_dec = unpack_params(pack_params(p), p)
-        zero_dec.dec_w[:] = 0.0
-        x_u = np.zeros(20)
-        x_u[[0, 1]] = 1.0
-        x_v = np.zeros(20)
-        x_v[[0, 1, 2, 3]] = 1.0
-        diag = sharing_probe(zero_dec, np.flatnonzero(x_u),
-                             np.flatnonzero(x_v), np.random.default_rng(2))
-        assert np.isfinite(diag["lipschitz_probe"])
-        assert diag["lipschitz_probe"] > 0.0
-        # With a zero weight matrix the bias block of the gradient gap is
-        # exactly softmax(dec_b) (k_u - k_v) - (x_u - x_v), z-independent,
-        # and the full norm can only exceed that block's norm.
-        logits = zero_dec.dec_b
-        soft = np.exp(logits - logits.max())
-        soft /= soft.sum()
-        bias_gap = soft * (x_u.sum() - x_v.sum()) - (x_u - x_v)
-        assert diag["delta_x"] >= np.linalg.norm(bias_gap) - 1e-9
-
-    def test_fixed_seed_reproducible(self):
-        p = tiny_params(seed=72)
-        a = sharing_probe(p, [3, 4], [3, 8, 10], np.random.default_rng(5))
-        b = sharing_probe(p, [3, 4], [3, 8, 10], np.random.default_rng(5))
-        assert a == b
+        monkeypatch.setattr(geometry, "loss_and_grads_fixed", flipped)
+        for seed in (0, 1):
+            reports = suites.suite_probe(seed)
+            assert [r.passed for r in reports] == [False, False]
 
 
 class TestExportLatents:

@@ -156,7 +156,7 @@ def dense_loss_and_grads(p, x, mask, noise, beta, lambda_a=0.0):
         anchors=g_anchors))
 
 
-def whole_array_decode_loss(p, z, indptr, indices, scale):
+def whole_array_decode_loss(p, z, indptr, indices):
     """Reference: decode_loss with each elementwise pass over the whole
     (rows, items) logits array at once, the way it ran before its passes
     went row block by row block."""
@@ -170,8 +170,8 @@ def whole_array_decode_loss(p, z, indptr, indices, scale):
     np.exp(work, out=work)
     sums = np.sum(work, axis=1)
     recon = counts * np.log(sums) - picked
-    work *= (counts / (scale * sums))[:, None]
-    work[row_of, indices] -= 1.0 / scale
+    work *= (counts / (n * sums))[:, None]
+    work[row_of, indices] -= 1.0 / n
     return recon, work
 
 
@@ -534,13 +534,11 @@ class TestRowBlockedDecoder:
         *((5000, n) for n in (1, PER_BLOCK - 1, PER_BLOCK, PER_BLOCK + 1,
                               3 * PER_BLOCK + 5)),
         *((DECODE_BLOCK + 100, n) for n in (1, 2, 8))])
-    @pytest.mark.parametrize("scale", ["batch", 1])
     @pytest.mark.same_bits
-    def test_row_blocks_give_whole_array_bits(self, n_items, n_rows, scale):
+    def test_row_blocks_give_whole_array_bits(self, n_items, n_rows):
         p, z, indptr, indices = self.batch(n_items, n_rows, seed=n_rows)
-        scale = n_rows if scale == "batch" else scale
-        want = whole_array_decode_loss(p, z, indptr, indices, scale)
-        got = decode_loss(p, z, indptr, indices, scale)
+        want = whole_array_decode_loss(p, z, indptr, indices)
+        got = decode_loss(p, z, indptr, indices)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
