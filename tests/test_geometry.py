@@ -534,6 +534,61 @@ class TestRowGradients:
         assert np.all(np.diag(gram) > 0.0)
 
     @pytest.mark.parametrize("with_anchors", [False, True])
+    def test_permuted_rows_permute_the_gradients_bit_for_bit(self,
+                                                             with_anchors):
+        # Each row's gradient is its own: a batched Gram that replaces the
+        # per-row loop must keep this.
+        p = tiny_params(with_anchors=with_anchors, seed=76)
+        order = [3, 0, 4, 1, 2]
+        losses, g = row_gradients(p, self.ROWS, 0.2, 8.0)
+        losses_p, g_p = row_gradients(p, [self.ROWS[i] for i in order],
+                                      0.2, 8.0)
+        assert losses_p.tobytes() == losses[order].tobytes()
+        assert g_p.tobytes() == g[order].tobytes()
+
+    @pytest.mark.parametrize("with_anchors", [False, True])
+    def test_gradient_matches_central_differences_of_the_row_loss(
+            self, with_anchors):
+        # A directional derivative of each row's own loss checks that the
+        # flattened gradient lines up with pack_params' order.
+        p = tiny_params(with_anchors=with_anchors, seed=77)
+        theta = pack_params(p)
+        direction = np.random.default_rng(77).standard_normal(theta.size)
+        losses, g = row_gradients(p, self.ROWS, 0.2, 8.0)
+        h = 1e-5
+        for row, loss, grad in zip(self.ROWS, losses, g):
+            up, down = (row_gradients(unpack_params(theta + s * h * direction,
+                                                    p), [row], 0.2, 8.0)[0][0]
+                        for s in (1.0, -1.0))
+            assert row_gradients(p, [row], 0.2, 8.0)[0][0] == loss
+            assert (up - down) / (2 * h) == pytest.approx(
+                float(grad @ direction), rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("with_anchors", [False, True])
+    def test_zero_decoder_weights_give_the_softmax_decoder_gradient(
+            self, with_anchors):
+        # With dec_w = 0 the logits are dec_b for every z, so the decoder
+        # blocks of a row's gradient are exactly d = k softmax(dec_b) - x
+        # for dec_b and d mu^T for dec_w, z being the posterior mean at
+        # zero noise.
+        p = tiny_params(with_anchors=with_anchors, seed=78)
+        p = unpack_params(pack_params(p), p)
+        p.dec_w[:] = 0.0
+        soft = np.exp(p.dec_b - p.dec_b.max())
+        soft /= soft.sum()
+        _, g = row_gradients(p, self.ROWS, 0.2, 8.0)
+        for row, grad in zip(self.ROWS, g):
+            x = np.zeros(p.n_items)
+            x[row] = 1.0
+            d = x.sum() * soft - x
+            pieces = unpack_params(grad, p)
+            np.testing.assert_allclose(pieces.dec_b, d, rtol=1e-12,
+                                       atol=1e-15)
+            np.testing.assert_allclose(
+                pieces.dec_w, np.outer(d, encode_one(p, x).mean),
+                rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("with_anchors", [False, True])
     def test_rows_add_up_to_the_batch_gradient(self, with_anchors):
         # With every entry kept and zero noise the batch loss is the mean of
         # the rows' own losses, and so is its gradient.
@@ -566,6 +621,11 @@ class TestRowGradients:
         for seed in (0, 1):
             reports = suites.suite_probe(seed)
             assert [r.passed for r in reports] == [False, False]
+
+    def test_fixed_seed_probe_reproducible(self):
+        a, b = suites.suite_probe(5), suites.suite_probe(5)
+        assert [(r.name, r.values, r.passed) for r in a] == \
+            [(r.name, r.values, r.passed) for r in b]
 
 
 class TestExportLatents:
