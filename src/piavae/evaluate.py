@@ -13,12 +13,12 @@ Block ranking: `per_user_metrics` reads the scores a chunk at a time and
 ranks each chunk in blocks of RANK_ROWS rows, which `numerics.split`
 spreads over its workers. A row's keys are its negated scores with +inf
 at its fold-ins; its top K is the first K of np.argsort(key,
-kind="stable"). Rows at least 4 x RANK_SAMPLE wide are pre-filtered
-first. A row's cut is the K-th smallest key among its first RANK_SAMPLE
-columns (only that sample is negated, with one scatter of +inf at its
-fold-ins), and its survivors are its keys at or below the cut, in index
-order: the scores at or above -cut, fold-ins dropped. Only the
-survivors are negated, so a block's keys are never written out. The
+kind="stable"). A block is pre-filtered when K is at most RANK_SAMPLE
+and below the width. A row's cut is the K-th smallest key among its
+first RANK_SAMPLE columns (only that sample is negated, with one scatter
+of +inf at its fold-ins), and its survivors are its keys at or below the
+cut, in index order: the scores at or above -cut, fold-ins dropped. Only
+the survivors are negated, so a block's keys are never written out. The
 pre-filter is exact. The K-th smallest key of any subset of a row is at
 least the row's K-th smallest, t, so every key at or below t survives
 (at least K keys) and t is also the survivors' K-th smallest; every
@@ -28,9 +28,9 @@ row's K smallest. When exactly K survivors are at or below t, those K
 are the row's top K, and a stable sort of them, taken in index order,
 ranks them as the full argsort does. A row whose cut is NaN or
 infinite, that has fewer than K survivors, or whose K-th key is tied
-across the cut (more than K keys at or below t) is ranked alone by
-`_ranked_top`, a partial selection that sorts only its top K. Either
-path gives the argsort's list, bit for bit.
+across the cut (more than K keys at or below t), and every row of a
+block not pre-filtered, takes the argsort itself, so the list is always
+the argsort's, bit for bit.
 
 Scores are the logits of model.score_rows, which scores users in
 fixed-size chunks and yields one chunk at a time. A batched row agrees
@@ -63,35 +63,20 @@ DEFAULT_STRATA_EDGES = (5, 10, 50, 100)
 # negated sample RANK_ROWS x RANK_SAMPLE x 8 (0.6 and 1 MB here).
 RANK_ROWS = 32
 # Leading columns whose K-th smallest key is a row's pre-filter cut; about
-# K x items / RANK_SAMPLE keys survive it. The 600 rows above took 40 ms
-# with 2,048, 34 ms with 3,072 and 30 ms with 4,096 on two threads. Rows
-# narrower than 4 x RANK_SAMPLE, where the sample would be over a quarter
-# of the row, are ranked one at a time.
+# K x items / RANK_SAMPLE keys survive it, and a narrower row is its own
+# sample. The 600 rows above took 40 ms with 2,048, 34 ms with 3,072 and
+# 30 ms with 4,096 on two threads.
 RANK_SAMPLE = 4096
-
-
-def _ranked_top(key: np.ndarray, k: int) -> np.ndarray:
-    """The first k entries of np.argsort(key, kind="stable"), found by a
-    partial selection that sorts only those k."""
-    if k >= key.size:
-        return np.argsort(key, kind="stable")
-    t = key[np.argpartition(key, k - 1)[k - 1]]
-    if np.isnan(t):  # fewer than k non-NaN keys: NaNs rank last, by index
-        return np.argsort(key, kind="stable")[:k]
-    better = np.flatnonzero(key < t)
-    tied = np.flatnonzero(key == t)[:k - better.size]
-    top = np.concatenate([better, tied])
-    return top[np.argsort(key[top], kind="stable")]
 
 
 def _rank_block(score: np.ndarray, fold_rows: np.ndarray,
                 fold_cols: np.ndarray, k: int, top: np.ndarray) -> None:
     """top[r] = the first k of np.argsort(key[r], kind="stable") for each
     row r of the block, key being -score with +inf at the fold-ins
-    (fold_rows[i], fold_cols[i]); rows at least 4 x RANK_SAMPLE wide are
-    pre-filtered together, the others ranked one at a time."""
+    (fold_rows[i], fold_cols[i]); the rows are pre-filtered together, and
+    each row the pre-filter cannot settle is argsorted alone."""
     todo = range(len(score))
-    if score.shape[1] >= 4 * RANK_SAMPLE and k <= RANK_SAMPLE:
+    if k <= RANK_SAMPLE and k < score.shape[1]:
         sample = -score[:, :RANK_SAMPLE]
         inside = fold_cols < RANK_SAMPLE
         sample[fold_rows[inside], fold_cols[inside]] = np.inf
@@ -121,7 +106,7 @@ def _rank_block(score: np.ndarray, fold_rows: np.ndarray,
     for r in todo:
         key = -score[r]
         key[fold_cols[fold_rows == r]] = np.inf
-        top[r] = _ranked_top(key, k)
+        top[r] = np.argsort(key, kind="stable")[:k]
 
 
 @dataclass

@@ -303,11 +303,13 @@ def suite_probe(seed: int = 0) -> list[geo.GeometryReport]:
     With g from geometry.row_gradients and G = g g^T, a real SGD step
     theta - lr g_u changes v's loss by -lr G[u, v] + O(lr^2). The gate is
     the error of that prediction at lr 1e-4 over its error at lr 1e-3, at
-    most 0.05: about 0.01 for exact gradients, about 0.1 for one wrong to
-    first order. G[u, v], its cosine and the W2 of the two clean
-    posteriors are reported. Evidence: both reports passed at every seed
-    of 0-199, worst ratio 0.0100 (PIA off) and 0.0102 (PIA on); G[u, v] > 0
-    at 64.5% of those seeds with PIA off and at 100% with PIA on.
+    most 0.05: about 0.01 for exact gradients. One block's sign error
+    reads about 0.1 in enc_w1 or enc_b1, caught, but 0.008-0.054 in
+    enc_w_lv, enc_b_lv, dec_w or dec_b at seeds 0-3, mostly passed; the
+    tests' finite_diff_check guards every block. G[u, v], its cosine and
+    the W2 of the clean posteriors are reported. Both reports passed at
+    every seed of 0-199, worst ratio 0.0100 (PIA off) and 0.0102 (PIA
+    on); G[u, v] > 0 at 64.5% of those seeds with PIA off, 100% with it on.
     """
     rows = [np.array([0, 3, 5]), np.array([0, 7, 9, 11])]
     beta = TrainConfig().beta

@@ -13,7 +13,6 @@ move the digests.
 """
 
 import contextlib
-import ctypes
 import hashlib
 import json
 import math
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from piavae import cli
+from piavae import cli, numerics
 from piavae.suites import SUITE_NAMES, takes_seed
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -33,16 +32,10 @@ REL_TOL, ABS_TOL = 1e-6, 1e-9  # for numbers, where the keys differ
 
 
 def env_key() -> dict:
-    """Library versions and OpenBLAS's runtime config string, which names
-    the core in use (the build config names the build core)."""
-    config = None
-    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"):
-        fn = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_config64_", None)
-        if fn is not None:
-            fn.restype = ctypes.c_char_p
-            config = fn().decode()
+    """Library versions and the OpenBLAS kernel in use, as
+    numerics.blas_core() names it for the manifests."""
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "openblas": config}
+            "openblas": numerics.blas_core()}
 
 
 def commands():

@@ -185,13 +185,16 @@ def block_keys(score, fold_in):
 
 @st.composite
 def prefilter_blocks(draw):
-    """A block of scores at least 4 x 4 wide with NaN, +inf, -inf (whose
-    key, +inf, ties a fold-in's) and ties, heavy in some rows and few in
+    """A block of scores 1 to 40 wide with NaN, +inf, -inf (whose key,
+    +inf, ties a fold-in's) and ties, heavy in some rows and few in
     others, some rows all tied, fold-ins anywhere (inside the first 4
-    columns too), and K from 1 to past the candidates: with RANK_SAMPLE
-    = 4 the pre-filter runs whenever K <= 4."""
+    columns too), and the K per_user_metrics ranks for a K of 1 to 6:
+    K clipped to the width. With RANK_SAMPLE = 4 the pre-filter runs
+    whenever K <= 4 and K is below the width, on rows wider than
+    4 x RANK_SAMPLE, on narrower ones and on rows that are their own
+    sample."""
     n_rows = draw(st.integers(1, 6))
-    n_items = draw(st.integers(16, 40))
+    n_items = draw(st.one_of(st.integers(1, 8), st.integers(9, 40)))
     special = {-3: np.nan, -2: -np.inf, 3: np.inf}
     score = np.empty((n_rows, n_items))
     for r in range(n_rows):
@@ -204,7 +207,20 @@ def prefilter_blocks(draw):
     fold_in = np.array(draw(st.lists(st.floats(0, 1), min_size=score.size,
                                      max_size=score.size))
                        ).reshape(score.shape) < share
-    return score, fold_in, draw(st.integers(1, 6))
+    return score, fold_in, min(draw(st.integers(1, 6)), n_items)
+
+
+def assert_prefilter_settles(score, fold_in, k):
+    """_rank_block ranks the block as the stable argsort does, and its
+    batched pre-filter ran and settled every row: a row it leaves is
+    argsorted alone, by a one-dimensional np.argsort."""
+    top = np.empty((len(score), k), dtype=np.int64)
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        evaluate._rank_block(score, *np.nonzero(fold_in), k, top)
+    shapes = [np.shape(call.args[0]) for call in argsort.call_args_list]
+    assert shapes and all(len(shape) == 2 for shape in shapes), shapes
+    for key, got in zip(block_keys(score, fold_in), top):
+        assert got.tolist() == np.argsort(key, kind="stable")[:k].tolist()
 
 
 class TestBlockRanking:
@@ -221,18 +237,28 @@ class TestBlockRanking:
         for key, got in zip(block_keys(score, fold_in), top):
             assert got.tolist() == np.argsort(key, kind="stable")[:k].tolist()
 
-    def test_prefilter_settles_rows_without_ties(self, monkeypatch):
+    def test_prefilter_settles_rows_without_ties(self):
         # Distinct scores 4 x RANK_SAMPLE wide, fold-ins among the sampled
         # columns: the batched pre-filter ranks every row, none falls back.
         rng = np.random.default_rng(7)
         score = rng.standard_normal((5, 4 * evaluate.RANK_SAMPLE))
         fold_in = np.zeros(score.shape, dtype=bool)
         fold_in[:, rng.choice(evaluate.RANK_SAMPLE, 300, replace=False)] = True
-        monkeypatch.setattr(evaluate, "_ranked_top", None)
-        top = np.empty((5, 100), dtype=np.int64)
-        evaluate._rank_block(score, *np.nonzero(fold_in), 100, top)
-        for key, got in zip(block_keys(score, fold_in), top):
-            assert got.tolist() == np.argsort(key, kind="stable")[:100].tolist()
+        assert_prefilter_settles(score, fold_in, 100)
+
+    def test_prefilter_settles_validation_rows_narrower_than_the_sample(self):
+        # The dense training workload's validation ranking: 200 users of
+        # 2,000 items, each with 184 fold-ins, distinct scores, K = 100,
+        # in blocks of RANK_ROWS. Every row is its own sample, and the
+        # pre-filter settles all of them.
+        rng = np.random.default_rng(8)
+        score = rng.permutation(200 * 2000).reshape(200, 2000) / 7.0
+        fold_in = np.zeros(score.shape, dtype=bool)
+        for row in fold_in:
+            row[rng.choice(2000, 184, replace=False)] = True
+        for lo in range(0, 200, evaluate.RANK_ROWS):
+            rows = slice(lo, lo + evaluate.RANK_ROWS)
+            assert_prefilter_settles(score[rows], fold_in[rows], 100)
 
 
 def heldout_split(n_users, n_items, seed):
