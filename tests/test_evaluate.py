@@ -237,29 +237,25 @@ class TestBlockRanking:
         for key, got in zip(block_keys(score, fold_in), top):
             assert got.tolist() == np.argsort(key, kind="stable")[:k].tolist()
 
-    def test_prefilter_settles_rows_without_ties(self):
-        # Distinct scores 4 x RANK_SAMPLE wide, fold-ins among the sampled
-        # columns: the batched pre-filter ranks every row, none falls back.
+    @pytest.mark.parametrize("n_rows, n_items, n_fold_in", [
+        (5, 4 * evaluate.RANK_SAMPLE, 300),
+        # The dense training workload's validation ranking, where every
+        # row is its own sample.
+        (200, 2000, 184)], ids=["sample-wide", "validation"])
+    def test_prefilter_settles_rows_without_ties(self, n_rows, n_items,
+                                                 n_fold_in):
+        # Distinct scores, K = 100, fold-ins among each row's sampled
+        # columns, blocks of RANK_ROWS: the batched pre-filter ranks every
+        # row, none falls back.
         rng = np.random.default_rng(7)
-        score = rng.standard_normal((5, 4 * evaluate.RANK_SAMPLE))
-        fold_in = np.zeros(score.shape, dtype=bool)
-        fold_in[:, rng.choice(evaluate.RANK_SAMPLE, 300, replace=False)] = True
-        assert_prefilter_settles(score, fold_in, 100)
-
-    def test_prefilter_settles_validation_rows_narrower_than_the_sample(self):
-        # The dense training workload's validation ranking: 200 users of
-        # 2,000 items, each with 184 fold-ins, distinct scores, K = 100,
-        # in blocks of RANK_ROWS. Every row is its own sample, and the
-        # pre-filter settles all of them.
-        rng = np.random.default_rng(8)
-        score = rng.permutation(200 * 2000).reshape(200, 2000) / 7.0
+        score = rng.permutation(n_rows * n_items).reshape(n_rows, n_items) / 7.0
         fold_in = np.zeros(score.shape, dtype=bool)
         for row in fold_in:
-            row[rng.choice(2000, 184, replace=False)] = True
-        for lo in range(0, 200, evaluate.RANK_ROWS):
+            row[rng.choice(min(n_items, evaluate.RANK_SAMPLE), n_fold_in,
+                           replace=False)] = True
+        for lo in range(0, n_rows, evaluate.RANK_ROWS):
             rows = slice(lo, lo + evaluate.RANK_ROWS)
             assert_prefilter_settles(score[rows], fold_in[rows], 100)
-
 
 def heldout_split(n_users, n_items, seed):
     """A split whose test part holds n_users users, each with 5 fold-in
